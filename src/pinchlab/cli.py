@@ -225,8 +225,7 @@ def build_model(spec: dict) -> geometry.ManifoldModel:
 def _resolve_p(config: RunConfig, model: geometry.ManifoldModel):
     if config.p != "auto":
         return as_p(config.p)
-    r_cap = model.r_max if math.isfinite(model.r_max) else 1e4 * config.r0
-    r_hi = 0.5 * min(config.r_max or 1e4 * config.r0, r_cap)
+    r_hi = 0.5 * min(config.r_max or 1e4 * config.r0, model.r_max)
     r_lo = max(r_hi / 100.0, config.r0)
     if r_lo >= r_hi:
         r_lo = 0.5 * r_hi
@@ -238,41 +237,6 @@ def _resolve_p(config: RunConfig, model: geometry.ManifoldModel):
         raise type(exc)(f"stage 'p-auto': {exc}") from exc
 
 
-def _level_rows(pot, n_levels: int, dt: float = 1e-3):
-    constants = functionals.audit_constants(pot.p_value)
-    levels = np.linspace(dt, pot.t_max - dt, n_levels)
-    cap0 = capacity(pot, 0.0)
-    rows = []
-    samples = []
-    holders = []
-    for t in levels:
-        s = functionals.monotone_sample(pot, float(t), dt=dt, constants=constants)
-        h = functionals.holder_chain(pot, float(t))
-        samples.append(s)
-        holders.append(h)
-        rows.append(
-            {
-                "t": s.t,
-                "r": s.r,
-                "area": s.area,
-                "H": s.mean_curvature,
-                "grad_w": s.grad_w,
-                "F": s.F,
-                "G": s.G,
-                "dF_fd": s.dF_fd,
-                "dF_cf": s.dF_cf,
-                "dG_fd": s.dG_fd,
-                "dG_cf": s.dG_cf,
-                "cap": s.cap,
-                "cap_ratio_to_exp_t": s.cap / (cap0 * math.exp(s.t)),
-                "gb": s.gb,
-                "willmore": s.willmore,
-                "holder_gap": h.equality_gap,
-            }
-        )
-    return rows, samples, holders, constants
-
-
 def _config_echo(config: RunConfig, p_value: float | None) -> dict:
     echo = dataclasses.asdict(config)
     echo["p_resolved"] = p_value
@@ -282,7 +246,8 @@ def _config_echo(config: RunConfig, p_value: float | None) -> dict:
 def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> ScenarioReport:
     p = _resolve_p(config, model)
     pot = solve_radial(model, p, config.r0, n_grid=config.n_grid, r_max=config.r_max)
-    rows, _, _, audited = _level_rows(pot, config.n_levels)
+    rows, _, _ = functionals.level_rows(pot, config.n_levels)
+    audited = functionals.audit_constants(p.value)
     verdicts = [
         StageVerdict(
             "solve",
@@ -319,7 +284,8 @@ def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
 def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> ScenarioReport:
     p = _resolve_p(config, model)
     pot = solve_radial(model, p, config.r0, n_grid=config.n_grid, r_max=config.r_max)
-    rows, samples, holders, audited = _level_rows(pot, config.n_levels)
+    rows, samples, holders = functionals.level_rows(pot, config.n_levels)
+    audited = functionals.audit_constants(p.value)
     tol_mono = config.tolerance("monotone")
     tol_deriv = config.tolerance("derivative")
     tol_holder = config.tolerance("holder")
@@ -389,7 +355,7 @@ def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> Scen
 
 def _scenario_check(config: RunConfig, model: geometry.ManifoldModel) -> ScenarioReport:
     rng = np.random.default_rng(config.seed)
-    r_hi = model.r_max if math.isfinite(model.r_max) else 1e4 * config.r0
+    r_hi = model.r_max
     r_lo = model.r_min if model.r_min > 0.0 else 1e-6 * r_hi
     radii = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=100))
     tol_identity = config.tolerance("identity")
@@ -473,6 +439,7 @@ def _scenario_contradict(config: RunConfig, model: geometry.ManifoldModel) -> Sc
         "n_levels": config.n_levels,
         "eps": config.eps,
         "capacity_tol": config.tolerance("capacity"),
+        "holder_tol": config.tolerance("holder"),
         "slab_tol": config.tolerance("slab"),
     }
     report = rigidity.run_contradiction_scenario(model, p, options)
@@ -719,7 +686,3 @@ def main(argv=None) -> int:
         if report.failed_hypothesis is not None:
             print(f"failed hypothesis: {report.failed_hypothesis}")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

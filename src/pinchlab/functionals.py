@@ -38,7 +38,7 @@ from scipy.interpolate import CubicSpline
 from . import geometry
 from .errors import DomainError
 from .geometry import EIGHT_PI, ManifoldModel
-from .potential import RadialPotential, capacity, radius_of_level, solve_radial
+from .potential import RadialPotential, as_p, capacity, radius_of_level, solve_radial
 
 __all__ = [
     "MonotoneSample",
@@ -52,10 +52,10 @@ __all__ = [
     "value_G",
     "monotone_sample",
     "monotone_levels",
+    "level_rows",
     "audit_constants",
     "div_fields",
     "gauss_bonnet",
-    "pinched_inequality_slack",
     "pinched_inequalities",
     "high_genus_branch_slack",
     "holder_chain",
@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 SIXTEEN_PI = 16.0 * math.pi
+FD_STEP = 1e-3  # level step of every centered finite difference
 
 
 @dataclass(frozen=True)
@@ -256,17 +257,14 @@ def _check_level_window(pot: RadialPotential, t: float, dt: float) -> None:
         )
 
 
-def monotone_sample(
-    pot: RadialPotential,
-    t: float,
-    dt: float = 1e-3,
-    constants: AuditConstants | None = None,
-) -> MonotoneSample:
-    """Evaluate F, G, their finite-difference and closed-form derivatives at level t."""
+def monotone_sample(pot: RadialPotential, t: float, dt: float = FD_STEP) -> MonotoneSample:
+    """Evaluate F, G, their finite-difference and closed-form derivatives at level t.
+
+    The closed forms carry the cached :func:`audit_constants` of the exponent.
+    """
     t = float(t)
     _check_level_window(pot, t, dt)
-    if constants is None:
-        constants = audit_constants(pot.p_value)
+    constants = audit_constants(pot.p_value)
     r, geo, wp = _level_state(pot, t)
     m = 3.0 - pot.p_value
     f_val = geo.area * (geo.mean_curvature * wp / m - wp * wp / (m * m))
@@ -290,43 +288,59 @@ def monotone_sample(
 
 
 def monotone_levels(
-    pot: RadialPotential,
-    n_levels: int = 64,
-    *,
-    t_lo: float | None = None,
-    t_hi: float | None = None,
-    dt: float = 1e-3,
-    constants: AuditConstants | None = None,
+    pot: RadialPotential, n_levels: int = 64, *, dt: float = FD_STEP
 ) -> list[MonotoneSample]:
-    """Sample the monotone quantities at evenly spaced levels."""
+    """Sample the monotone quantities at n_levels evenly spaced levels in [dt, t_max - dt]."""
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
-    lo = dt if t_lo is None else float(t_lo)
-    hi = pot.t_max - dt if t_hi is None else float(t_hi)
+    lo, hi = dt, pot.t_max - dt
     if not lo < hi:
         raise DomainError(f"empty level window [{lo}, {hi}]")
-    if constants is None:
-        constants = audit_constants(pot.p_value)
-    return [
-        monotone_sample(pot, t, dt=dt, constants=constants)
-        for t in np.linspace(lo, hi, n_levels)
+    return [monotone_sample(pot, t, dt=dt) for t in np.linspace(lo, hi, n_levels)]
+
+
+def level_rows(
+    pot: RadialPotential, n_levels: int
+) -> tuple[list[dict], list[MonotoneSample], list[HolderChainSample]]:
+    """The per-level report rows (``report.ROW_COLUMNS``), with their samples and Hölder chains."""
+    samples = monotone_levels(pot, n_levels)
+    holders = [holder_chain(pot, s.t) for s in samples]
+    cap0 = capacity(pot, 0.0)
+    rows = [
+        {
+            "t": s.t,
+            "r": s.r,
+            "area": s.area,
+            "H": s.mean_curvature,
+            "grad_w": s.grad_w,
+            "F": s.F,
+            "G": s.G,
+            "dF_fd": s.dF_fd,
+            "dF_cf": s.dF_cf,
+            "dG_fd": s.dG_fd,
+            "dG_cf": s.dG_cf,
+            "cap": s.cap,
+            "cap_ratio_to_exp_t": s.cap / (cap0 * math.exp(s.t)),
+            "gb": s.gb,
+            "willmore": s.willmore,
+            "holder_gap": h.equality_gap,
+        }
+        for s, h in zip(samples, holders)
     ]
+    return rows, samples, holders
 
 
 @lru_cache(maxsize=32)
-def _audit_constants_cached(
-    p: float, n_grid: int, alpha: float, dt: float, n_levels: int
-) -> AuditConstants:
-    model = geometry.power_warp_model(alpha=alpha)
-    pot = solve_radial(model, p, r0=1.0, n_grid=n_grid)
+def _audit_constants_cached(p: float) -> AuditConstants:
+    pot = solve_radial(geometry.power_warp_model(alpha=1.5), p, r0=1.0, n_grid=16384)
     m = 3.0 - p
-    t_levels = np.linspace(0.1 * pot.t_max, 0.5 * pot.t_max, n_levels)
+    t_levels = np.linspace(0.1 * pot.t_max, 0.5 * pot.t_max, 17)
 
     ratios_f = []
     ratios_g = []
     for t in t_levels:
-        ratios_f.append(_fd_derivative(lambda s: _value_F(pot, s), t, dt) / _deriv_F_raw(pot, t))
-        ratios_g.append(_fd_derivative(lambda s: _value_G(pot, s), t, dt) / _deriv_G_raw(pot, t))
+        ratios_f.append(_fd_derivative(lambda s: _value_F(pot, s), t, FD_STEP) / _deriv_F_raw(pot, t))
+        ratios_g.append(_fd_derivative(lambda s: _value_G(pot, s), t, FD_STEP) / _deriv_G_raw(pot, t))
     c_f = float(np.median(ratios_f))
     c_g = float(np.median(ratios_g))
     spread_f = float(np.max(np.abs(np.asarray(ratios_f) / c_f - 1.0)))
@@ -373,19 +387,16 @@ def _audit_constants_cached(
     )
 
 
-def audit_constants(
-    p, *, n_grid: int = 16384, alpha: float = 1.5, dt: float = 1e-3, n_levels: int = 17
-) -> AuditConstants:
+def audit_constants(p) -> AuditConstants:
     """Audit c_F and c_G once per exponent on a high-resolution power-law model.
 
     The derivative formulas are trusted only through this measurement: the
     constants are the medians of finite-difference/closed-form ratios across
-    interior levels, and the divergence identities are checked against an
-    independent spline-derivative route at the same time.
+    17 interior levels of a 16384-node solve on the alpha = 1.5 power warp,
+    and the divergence identities are checked against an independent
+    spline-derivative route at the same time.  Cached per exponent.
     """
-    from .potential import as_p
-
-    return _audit_constants_cached(as_p(p).value, int(n_grid), float(alpha), float(dt), int(n_levels))
+    return _audit_constants_cached(as_p(p).value)
 
 
 @lru_cache(maxsize=8)
@@ -460,15 +471,6 @@ def _check_eps(eps: float) -> float:
     if not 0.0 < eps <= 1.0 / 3.0:
         raise DomainError(f"pinching constant must lie in (0, 1/3], got {eps}")
     return eps
-
-
-def pinched_inequality_slack(model: ManifoldModel, r: float, eps: float) -> float:
-    """Slack 2*integral Ric(nu,nu) - eps*(16 pi - integral H^2) of the sphere branch."""
-    eps = _check_eps(eps)
-    geo = geometry.levelset_geometry(model, float(r))
-    lhs = 2.0 * geo.ric_normal * geo.area
-    rhs = eps * (SIXTEEN_PI - geo.mean_curvature**2 * geo.area)
-    return float(lhs - rhs)
 
 
 def pinched_inequalities(pot: RadialPotential, t: float, eps: float) -> PinchedInequalityReport:

@@ -79,12 +79,15 @@ class WarpFunction:
     custom_spline); ``params`` echoes the construction parameters for
     serialization and equality checks.  Calling the warp with a float or an
     ndarray returns the triple (h, h', h'') with matching shape.
+    ``critical_radii`` lists the zeros of h' where the family knows them (spline
+    warps), so a model can check positivity at every interior minimum of h.
     """
 
     kind: str
     params: Mapping[str, float]
     smooth_pole: bool
     _evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
+    critical_radii: tuple[float, ...] = field(default=(), repr=False)
 
     def __call__(self, r):
         return self._evaluate(np.asarray(r, dtype=float))
@@ -156,7 +159,8 @@ def spline_warp(knots, values, *, smooth_pole: bool = False) -> WarpFunction:
         return spline(r), d1(r), d2(r)
 
     params = {"knots": tuple(map(float, knots)), "values": tuple(map(float, values))}
-    return WarpFunction("custom_spline", params, smooth_pole, ev)
+    critical = tuple(float(r) for r in d1.roots() if math.isfinite(r))
+    return WarpFunction("custom_spline", params, smooth_pole, ev, critical)
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +187,11 @@ class ManifoldModel:
     def __post_init__(self):
         if self.r_min < 0.0:
             raise DomainError(f"r_min must be >= 0, got {self.r_min}")
-        if not self.r_min < self.r_max:
-            raise DomainError(f"need r_min < r_max, got [{self.r_min}, {self.r_max}]")
+        if not self.r_min < self.r_max < math.inf:
+            raise DomainError(f"need r_min < r_max < inf, got [{self.r_min}, {self.r_max}]")
         lo = self.r_min if self.r_min > 0.0 else self.r_max * 1e-9
-        sample = np.geomspace(lo, self.r_max, 16)
-        h, _, _ = self.warp(sample)
+        interior_critical = [r for r in self.warp.critical_radii if self.r_min < r < self.r_max]
+        h, _, _ = self.warp(np.concatenate([np.geomspace(lo, self.r_max, 16), interior_critical]))
         if not np.all(np.isfinite(h)) or np.any(h <= 0.0):
             raise DomainError("warp function must be positive and finite on the domain")
 

@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from . import geometry
@@ -49,7 +47,6 @@ __all__ = [
     "PotentialSample",
     "DecayReport",
     "solve_radial",
-    "potential_at",
     "radius_of_level",
     "capacity",
     "decay_check",
@@ -90,8 +87,7 @@ class RadialPotential:
     Grid samples of (u, u', w, w') live on a geometric grid; ``normalizer``
     is I(r0).  ``suffix`` holds I at every grid node (tail included), which
     lets any quantity be re-evaluated at off-grid radii by one extra panel of
-    quadrature rather than interpolation; the interpolating accessors used by
-    ``potential_at`` are shape-preserving monotone cubics built on demand.
+    quadrature rather than interpolation (see :meth:`state_at`).
     """
 
     model: geometry.ManifoldModel
@@ -155,26 +151,6 @@ class RadialPotential:
         u = flux / self.normalizer
         w = k * (math.log(self.normalizer) - math.log(flux))
         return PotentialSample(u, -hq / self.normalizer, w, k * hq / flux, w)
-
-    @cached_property
-    def _log_grid(self) -> np.ndarray:
-        return np.log(self.grid)
-
-    @cached_property
-    def _interp_u(self):
-        return PchipInterpolator(self._log_grid, self.u)
-
-    @cached_property
-    def _interp_u_prime(self):
-        return PchipInterpolator(self._log_grid, self.u_prime)
-
-    @cached_property
-    def _interp_w(self):
-        return PchipInterpolator(self._log_grid, self.w)
-
-    @cached_property
-    def _interp_w_prime(self):
-        return PchipInterpolator(self._log_grid, self.w_prime)
 
 
 def solve_radial(
@@ -258,20 +234,6 @@ def solve_radial(
         suffix=suffix,
         tail=float(tail),
         tail_beta=float(beta),
-    )
-
-
-def potential_at(pot: RadialPotential, r: float) -> PotentialSample:
-    """Interpolated (u, u', w, w', t) at radius r; exact at grid nodes."""
-    r = pot.require_radius(r)
-    x = math.log(r)
-    w = float(pot._interp_w(x))
-    return PotentialSample(
-        u=float(pot._interp_u(x)),
-        u_prime=float(pot._interp_u_prime(x)),
-        w=w,
-        w_prime=float(pot._interp_w_prime(x)),
-        t=w,
     )
 
 

@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 
 from . import functionals, geometry
 from .errors import ConvergenceError, DomainError, PinchLabError
-from .potential import PExponent, RadialPotential, as_p, capacity, radius_of_level, solve_radial
+from .potential import PExponent, RadialPotential, as_p, radius_of_level, solve_radial
 from .report import ScenarioReport, StageVerdict
 
 __all__ = [
@@ -160,19 +160,12 @@ class DichotomyTrajectory:
     K: float
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not 0.0 < eps <= 1.0 / 3.0:
-        raise DomainError(f"pinching constant must lie in (0, 1/3], got {eps}")
-    return eps
-
-
 def decay_dichotomy(
     p, eps: float, F0: float, *, horizon: float = 20.0, step: float = 1e-3
 ) -> DichotomyTrajectory:
     """Integrate the comparison ODE for F and locate the dichotomy crossing."""
     p = as_p(p)
-    eps = _check_eps(eps)
+    eps = functionals._check_eps(eps)
     F0 = float(F0)
     if not 0.0 < F0 < FOUR_PI:
         raise DomainError(
@@ -281,13 +274,7 @@ class OrderingReport:
     tail_G: float
 
 
-def _richardson_fd(fn, t: float, dt: float) -> float:
-    d_full = (fn(t + dt) - fn(t - dt)) / (2.0 * dt)
-    d_half = (fn(t + dt / 2.0) - fn(t - dt / 2.0)) / dt
-    return (4.0 * d_half - d_full) / 3.0
-
-
-def ordering_check(pot: RadialPotential, levels, dt: float = 1e-3) -> OrderingReport:
+def ordering_check(pot: RadialPotential, levels, dt: float = functionals.FD_STEP) -> OrderingReport:
     """Verify 0 <= G <= F at the given levels and fit the dG/dt proportionality."""
     levels = [float(t) for t in levels]
     if not levels:
@@ -309,7 +296,7 @@ def ordering_check(pot: RadialPotential, levels, dt: float = 1e-3) -> OrderingRe
             continue  # flat/cone equality case: the proportionality is 0 = 0
         if not dt <= t <= pot.t_max - dt:
             continue
-        dg = _richardson_fd(lambda s: functionals.value_G(pot, s), t, dt)
+        dg = functionals._fd_derivative(lambda s: functionals.value_G(pot, s), t, dt)
         ratios.append(dg / ((m * m / (p - 1.0)) * (g - f)))
     if ratios:
         constant = float(np.median(ratios))
@@ -340,14 +327,12 @@ _SCENARIO_DEFAULTS = {
     "r_max": None,
     "n_grid": 4096,
     "n_levels": 64,
-    "dt": 1e-3,
     "eps": None,  # explicit pinching constant; default: measured margin
-    "eps_threshold": 0.01,
-    "ode_step": 1e-3,
-    "ode_horizon": 20.0,
     "capacity_tol": 1e-6,
+    "holder_tol": 1e-8,
     "slab_tol": 1e-6,
 }
+EPS_THRESHOLD = 0.01  # smallest pinching margin the pinching gate accepts
 
 WILLMORE_GATE = "initial-willmore-gate"
 PINCHING_GATE = "ricci-pinching-gate"
@@ -392,7 +377,6 @@ def run_contradiction_scenario(
     p = as_p(p)
     m = 3.0 - p.value
     r0 = float(opts["r0"])
-    dt = float(opts["dt"])
 
     verdicts: list[StageVerdict] = []
     constants: dict = {}
@@ -412,35 +396,10 @@ def run_contradiction_scenario(
     constants["c_F"] = audited.c_F
     constants["c_G"] = audited.c_G
 
-    t_hi = pot.t_max - dt
-    levels = np.linspace(dt, t_hi, int(opts["n_levels"]))
-    cap0 = capacity(pot, 0.0)
-    samples = _run_stage(
-        "level-sampling",
-        lambda: [functionals.monotone_sample(pot, t, dt=dt, constants=audited) for t in levels],
+    rows, _, holders = _run_stage(
+        "level-sampling", lambda: functionals.level_rows(pot, int(opts["n_levels"]))
     )
-    holders = [functionals.holder_chain(pot, float(t)) for t in levels]
-    rows = [
-        {
-            "t": s.t,
-            "r": s.r,
-            "area": s.area,
-            "H": s.mean_curvature,
-            "grad_w": s.grad_w,
-            "F": s.F,
-            "G": s.G,
-            "dF_fd": s.dF_fd,
-            "dF_cf": s.dF_cf,
-            "dG_fd": s.dG_fd,
-            "dG_cf": s.dG_cf,
-            "cap": s.cap,
-            "cap_ratio_to_exp_t": s.cap / (cap0 * math.exp(s.t)),
-            "gb": s.gb,
-            "willmore": s.willmore,
-            "holder_gap": h.equality_gap,
-        }
-        for s, h in zip(samples, holders)
-    ]
+    t_hi = rows[-1]["t"]
 
     # --- hypothesis gates -------------------------------------------------
     w0 = _run_stage(WILLMORE_GATE, lambda: functionals.willmore(model, r0))
@@ -452,14 +411,13 @@ def run_contradiction_scenario(
     )
 
     pinch = _run_stage(PINCHING_GATE, lambda: geometry.pinching_margin(model))
-    eps_threshold = float(opts["eps_threshold"])
     if opts["eps"] is not None:
-        eps_used = _check_eps(opts["eps"])
+        eps_used = functionals._check_eps(opts["eps"])
         eps_source = "explicit"
     else:
         eps_used = max(min(pinch.margin, 1.0 / 3.0), 1e-3)
-        eps_source = "measured margin" if pinch.margin >= eps_threshold else "hypothetical floor"
-    pinching_ok = pinch.nonneg_ricci and pinch.margin >= eps_threshold
+        eps_source = "measured margin" if pinch.margin >= EPS_THRESHOLD else "hypothetical floor"
+    pinching_ok = pinch.nonneg_ricci and pinch.margin >= EPS_THRESHOLD
     gate(
         PINCHING_GATE,
         pinching_ok,
@@ -500,7 +458,9 @@ def run_contradiction_scenario(
     constants["f_p"] = thr.f_p
 
     # --- capacity law and interpolation chain ------------------------------
-    cap_dev = max(abs(row["cap_ratio_to_exp_t"] - 1.0) for row in rows if row["t"] <= 10.0 + dt)
+    cap_dev = max(
+        abs(row["cap_ratio_to_exp_t"] - 1.0) for row in rows if row["t"] <= 10.0 + functionals.FD_STEP
+    )
     verdicts.append(
         StageVerdict(
             "capacity-law",
@@ -511,7 +471,10 @@ def run_contradiction_scenario(
     constants["capacity_law_deviation"] = cap_dev
 
     holder_dev = max(abs(h.equality_gap) / (1.0 + abs(h.rhs)) for h in holders)
-    holder_ok = holder_dev <= 1e-8 and all(h.mid <= h.rhs + 1e-8 * (1.0 + abs(h.rhs)) for h in holders)
+    holder_tol = float(opts["holder_tol"])
+    holder_ok = holder_dev <= holder_tol and all(
+        h.mid <= h.rhs + holder_tol * (1.0 + abs(h.rhs)) for h in holders
+    )
     verdicts.append(
         StageVerdict(
             "holder-chain",
@@ -557,9 +520,7 @@ def run_contradiction_scenario(
     if f_first < FOUR_PI:
         traj = _run_stage(
             "decay-dichotomy",
-            lambda: decay_dichotomy(
-                p, eps_used, f_first, horizon=float(opts["ode_horizon"]), step=float(opts["ode_step"])
-            ),
+            lambda: decay_dichotomy(p, eps_used, f_first),
         )
         constants["dichotomy_constant"] = traj.dichotomy_constant
         constants["K_envelope_ode"] = traj.K

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +170,28 @@ def test_run_contradict_echoes_stage_options():
     })))
     assert report.failed_hypothesis == "pinching"
     assert report.config["stage_options"]["n_grid"] == 1024
+    assert report.config["stage_options"]["holder_tol"] == 1e-8
+
+
+@pytest.mark.parametrize("scenario", ["monotone", "contradict"])
+def test_holder_tolerance_reaches_the_holder_chain(scenario):
+    base = {"model": {"kind": "power_warp", "alpha": 1.5}, "scenario": scenario, "p": 1.5,
+            "n_grid": 1024, "n_levels": 8}
+    default = pl.run(pl.parse_config(json.dumps(base)))
+    assert default.verdict("holder-chain").status == "pass"
+    strict = pl.run(pl.parse_config(json.dumps(base | {"tolerances": {"holder": 1e-300}})))
+    assert strict.verdict("holder-chain").status == "fail"
+
+
+def test_level_scenarios_share_their_rows():
+    reports = [
+        pl.run(pl.parse_config(json.dumps({
+            "model": {"kind": "cone", "a": 0.8}, "scenario": scenario, "p": 1.37,
+            "n_grid": 1024, "n_levels": 12,
+        })))
+        for scenario in ("solve", "monotone", "contradict")
+    ]
+    assert reports[0].rows == reports[1].rows == reports[2].rows
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +310,19 @@ def test_main_report_subcommand_keeps_config_scenario(tmp_path, capsys):
 def test_main_error_paths(argv, fragment, capsys):
     assert main(argv) == 2
     assert fragment in capsys.readouterr().err
+
+
+def test_python_m_pinchlab_runs_cleanly(tmp_path):
+    src = Path(pl.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pinchlab", "solve", "--model", "flat", "--grid-n", "256"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "[PASS] solve:" in proc.stdout
 
 
 def test_main_rejects_unreadable_config(tmp_path, capsys):

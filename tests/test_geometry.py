@@ -226,6 +226,17 @@ def test_factory_validation():
         pl.positive_cap_model(1.0, r_max=4.0)
 
 
+def test_spline_warp_positive_at_interior_minimum():
+    # the spline dips to h = -3.04e-3 near r = 2.049, between the geometric samples
+    warp = pl.geometry.spline_warp([0, 1, 2, 3, 4], [0, 1, 0.001, 1, 2])
+    with pytest.raises(pl.DomainError, match="positive"):
+        pl.ManifoldModel(warp, 1.0, 4.0)
+    # the same dip outside the domain is harmless
+    assert pl.ManifoldModel(warp, 2.5, 4.0).r_min == 2.5
+    positive = pl.geometry.spline_warp([0, 1, 2, 3, 4], [0, 1, 0.5, 1, 2])
+    assert pl.ManifoldModel(positive, 1.0, 4.0).r_max == 4.0
+
+
 def test_require_radius_bounds():
     flat = pl.flat_model()
     with pytest.raises(pl.DomainError):

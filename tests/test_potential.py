@@ -140,16 +140,6 @@ def test_boundary_model_starts_at_inner_sphere(solved):
 # ---------------------------------------------------------------------------
 
 
-def test_interpolant_consistent_with_quadrature(solved, rng):
-    pot = solved("power_warp", 1.5)
-    for r in rng.uniform(2.0, 100.0, 10):
-        a = pl.potential_at(pot, float(r))
-        b = pot.state_at(float(r))
-        assert abs(a.u - b.u) < 1e-9 * (1.0 + abs(b.u))
-        assert abs(a.w - b.w) < 1e-8 * (1.0 + abs(b.w))
-        assert abs(a.w_prime - b.w_prime) < 1e-6 * (1.0 + abs(b.w_prime))
-
-
 def test_level_radius_roundtrip(solved, rng):
     pot = solved("flat", 1.8)
     for t in rng.uniform(0.05, 0.9 * pot.t_max, 10):

@@ -294,9 +294,10 @@ def test_scenario_boundary_cone_run():
     assert report.verdict("volume-growth-consistency").status == "pass"
 
 
-def test_scenario_option_validation():
+@pytest.mark.parametrize("option", ["bogus", "dt", "eps_threshold", "ode_step", "ode_horizon"])
+def test_scenario_option_validation(option):
     with pytest.raises(pl.DomainError, match="unknown scenario options"):
-        pl.run_contradiction_scenario(pl.flat_model(), 1.5, {"bogus": 1})
+        pl.run_contradiction_scenario(pl.flat_model(), 1.5, {option: 1})
 
 
 def test_scenario_stage_labels_errors():
