@@ -10,12 +10,7 @@ report which geometric hypothesis breaks on each model.
 
 from .errors import ConfigError, ConvergenceError, DomainError, LineSearchError, PinchLabError
 from .geometry import (
-    CurvatureSample,
-    GrowthReport,
-    LevelSetData,
     ManifoldModel,
-    PinchingReport,
-    WarpFunction,
     ball_volume,
     cone_model,
     curvature,
@@ -30,21 +25,8 @@ from .geometry import (
     power_warp_model,
     spline_cap_model,
 )
-from .potential import (
-    DecayReport,
-    PExponent,
-    PotentialSample,
-    RadialPotential,
-    as_p,
-    capacity,
-    decay_check,
-    radius_of_level,
-    solve_radial,
-)
+from .potential import as_p, capacity, decay_check, radius_of_level, solve_radial
 from .variational import (
-    CrossValidationReport,
-    DiscreteProblem,
-    DiscreteSolution,
     capacity_from_energy,
     constant_flux_profile,
     cross_validate,
@@ -53,13 +35,6 @@ from .variational import (
     minimize_energy,
 )
 from .functionals import (
-    AuditConstants,
-    DivergenceSample,
-    GaussBonnetResult,
-    HolderChainSample,
-    MonotoneSample,
-    PinchedInequalityReport,
-    SmallSphereExpansion,
     audit_constants,
     div_fields,
     gauss_bonnet,
@@ -74,9 +49,6 @@ from .functionals import (
     willmore,
 )
 from .rigidity import (
-    DichotomyTrajectory,
-    OrderingReport,
-    ThresholdReport,
     decay_dichotomy,
     ordering_check,
     pinching_threshold,
@@ -84,8 +56,8 @@ from .rigidity import (
     select_p,
     threshold,
 )
-from .report import ROW_COLUMNS, ScenarioReport, StageVerdict
-from .cli import RunConfig, build_model, emit, parse_config, run, serialize
+from .report import ROW_COLUMNS
+from .cli import build_model, emit, parse_config, run, serialize
 
 __version__ = "0.1.0"
 
@@ -98,12 +70,7 @@ __all__ = [
     "LineSearchError",
     "ConfigError",
     # geometry
-    "WarpFunction",
     "ManifoldModel",
-    "CurvatureSample",
-    "LevelSetData",
-    "PinchingReport",
-    "GrowthReport",
     "flat_model",
     "cone_model",
     "power_warp_model",
@@ -118,33 +85,19 @@ __all__ = [
     "ball_volume",
     "growth_exponent",
     # potential
-    "PExponent",
     "as_p",
-    "PotentialSample",
-    "RadialPotential",
     "solve_radial",
     "radius_of_level",
     "capacity",
-    "DecayReport",
     "decay_check",
     # variational
-    "DiscreteProblem",
-    "DiscreteSolution",
     "discretize",
     "energy",
     "minimize_energy",
     "constant_flux_profile",
     "capacity_from_energy",
-    "CrossValidationReport",
     "cross_validate",
     # functionals
-    "MonotoneSample",
-    "AuditConstants",
-    "GaussBonnetResult",
-    "DivergenceSample",
-    "PinchedInequalityReport",
-    "HolderChainSample",
-    "SmallSphereExpansion",
     "value_F",
     "value_G",
     "monotone_sample",
@@ -158,9 +111,6 @@ __all__ = [
     "willmore",
     "small_sphere_expansion",
     # rigidity
-    "ThresholdReport",
-    "DichotomyTrajectory",
-    "OrderingReport",
     "pinching_threshold",
     "threshold",
     "select_p",
@@ -169,9 +119,6 @@ __all__ = [
     "run_contradiction_scenario",
     # report / cli
     "ROW_COLUMNS",
-    "StageVerdict",
-    "ScenarioReport",
-    "RunConfig",
     "parse_config",
     "serialize",
     "build_model",

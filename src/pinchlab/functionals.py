@@ -37,8 +37,8 @@ from scipy.interpolate import CubicSpline
 
 from . import geometry
 from .errors import DomainError
-from .geometry import EIGHT_PI, ManifoldModel
-from .potential import RadialPotential, as_p, capacity, radius_of_level, solve_radial
+from .geometry import EIGHT_PI, LevelSetData, ManifoldModel
+from .potential import RadialPotential, _capacity_at, as_p, radius_of_level, solve_radial
 
 __all__ = [
     "MonotoneSample",
@@ -65,6 +65,8 @@ __all__ = [
 
 SIXTEEN_PI = 16.0 * math.pi
 FD_STEP = 1e-3  # level step of every centered finite difference
+SPHERE_FIT_MAX = 0.05  # the small-sphere fit uses radii in (0, SPHERE_FIT_MAX]
+SPHERE_FIT_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -172,131 +174,123 @@ class SmallSphereExpansion:
     n_samples: int
 
 
-def _level_state(pot: RadialPotential, t: float):
-    r = radius_of_level(pot, t)
-    geo = geometry.levelset_geometry(pot.model, r)
-    state = pot.state_at(r)
-    return r, geo, float(state.w_prime)
+class _Level(NamedTuple):
+    """The level set {w = t}: its radius, the geometry of that sphere, w' there,
+    and the quantities read off them (see :func:`_level`)."""
+
+    r: float
+    geo: LevelSetData
+    wp: float
+    F: float
+    G: float
+    dF_raw: float
+    dG_raw: float
 
 
-def _value_F(pot: RadialPotential, t: float) -> float:
-    _, geo, wp = _level_state(pot, t)
-    m = 3.0 - pot.p_value
-    return geo.area * (geo.mean_curvature * wp / m - wp * wp / (m * m))
+def _level(pot: RadialPotential, t: float) -> _Level:
+    """Invert the level t once and derive every per-level quantity from its sphere.
 
-
-def _value_G(pot: RadialPotential, t: float) -> float:
-    _, geo, wp = _level_state(pot, t)
-    m = 3.0 - pot.p_value
-    return geo.area * wp * wp / (m * m)
-
-
-def value_F(pot: RadialPotential, t: float) -> float:
-    """The Willmore-proxy quantity F at level t (no derivatives computed)."""
-    t = float(t)
-    if not 0.0 <= t <= pot.t_max:
-        raise DomainError(f"level t = {t} outside [0, {pot.t_max:.6g}]")
-    return _value_F(pot, t)
-
-
-def value_G(pot: RadialPotential, t: float) -> float:
-    """The gradient-energy quantity G at level t (no derivatives computed)."""
-    t = float(t)
-    if not 0.0 <= t <= pot.t_max:
-        raise DomainError(f"level t = {t} outside [0, {pot.t_max:.6g}]")
-    return _value_G(pot, t)
-
-
-def _deriv_F_raw(pot: RadialPotential, t: float) -> float:
-    """Closed-form dF/dt integrand evaluated radially (constant not applied).
-
-    The full integrand is
+    dF_raw is the closed-form dF/dt integrand evaluated radially and dG_raw the
+    raw dG/dt integrand (1/(p-1)) * (2 w'^2 - m H w') * area, neither with its
+    audited constant applied.  The full dF/dt integrand is
         Ric(nu,nu) + |traceless II|^2 + |tangential grad of |grad w||^2/|grad w|^2
                    + (m/(2(p-1))) (H - 2|grad w|/m)^2,
     times -area/m.  On a rotationally symmetric model the traceless second
     fundamental form vanishes and |grad w| is constant on each level set, so
     the middle two terms are kept as explicit zeros rather than dropped.
     """
-    _, geo, wp = _level_state(pot, t)
+    r = radius_of_level(pot, t)
+    geo = geometry.levelset_geometry(pot.model, r)
+    wp = float(pot.state_at(r).w_prime)
     p = pot.p_value
     m = 3.0 - p
-    traceless_term = geo.traceless_sff_norm_sq
     tangential_gradient_term = 0.0  # |grad w| is constant on radial level sets
     square = geo.mean_curvature - 2.0 * wp / m
-    integrand = (
-        geo.ric_normal
-        + traceless_term
-        + tangential_gradient_term
-        + (m / (2.0 * (p - 1.0))) * square * square
+    integrand = geo.ric_normal + geo.traceless_sff_norm_sq + tangential_gradient_term
+    integrand += (m / (2.0 * (p - 1.0))) * square * square
+    return _Level(
+        r=r,
+        geo=geo,
+        wp=wp,
+        F=geo.area * (geo.mean_curvature * wp / m - wp * wp / (m * m)),
+        G=geo.area * wp * wp / (m * m),
+        dF_raw=-(geo.area / m) * integrand,
+        dG_raw=(geo.area / (p - 1.0)) * (2.0 * wp * wp - m * geo.mean_curvature * wp),
     )
-    return -(geo.area / m) * integrand
 
 
-def _deriv_G_raw(pot: RadialPotential, t: float) -> float:
-    """Raw dG/dt integrand (1/(p-1)) * (2 w'^2 - m H w') * area, constant not applied."""
-    _, geo, wp = _level_state(pot, t)
-    p = pot.p_value
-    m = 3.0 - p
-    return (geo.area / (p - 1.0)) * (2.0 * wp * wp - m * geo.mean_curvature * wp)
+def _check_level_range(pot: RadialPotential, t: float) -> float:
+    t = float(t)
+    if not 0.0 <= t <= pot.t_max:
+        raise DomainError(f"level t = {t} outside [0, {pot.t_max:.6g}]")
+    return t
 
 
-def _fd_derivative(value, t: float, dt: float) -> float:
-    """Richardson-extrapolated centered difference: (4 D(dt/2) - D(dt)) / 3."""
-    d_full = (value(t + dt) - value(t - dt)) / (2.0 * dt)
-    d_half = (value(t + dt / 2.0) - value(t - dt / 2.0)) / dt
-    return (4.0 * d_half - d_full) / 3.0
+def value_F(pot: RadialPotential, t: float) -> float:
+    """The Willmore-proxy quantity F at level t (no derivatives computed)."""
+    return _level(pot, _check_level_range(pot, t)).F
 
 
-def _check_level_window(pot: RadialPotential, t: float, dt: float) -> None:
-    if dt <= 0.0:
-        raise DomainError(f"finite-difference step must be positive, got {dt}")
-    if t - dt < 0.0 or t + dt > pot.t_max:
+def value_G(pot: RadialPotential, t: float) -> float:
+    """The gradient-energy quantity G at level t (no derivatives computed)."""
+    return _level(pot, _check_level_range(pot, t)).G
+
+
+def _fd_derivatives(pot: RadialPotential, t: float) -> tuple[float, float]:
+    """dF/dt and dG/dt from one stencil of four levels, each as the Richardson-
+    extrapolated centered difference (4 D(dt/2) - D(dt)) / 3 with dt = FD_STEP."""
+    dt = FD_STEP
+    hi, lo, hi2, lo2 = (_level(pot, s) for s in (t + dt, t - dt, t + dt / 2.0, t - dt / 2.0))
+    return tuple(
+        (4.0 * ((a - b) / dt) - (c - d) / (2.0 * dt)) / 3.0
+        for a, b, c, d in ((hi2.F, lo2.F, hi.F, lo.F), (hi2.G, lo2.G, hi.G, lo.G))
+    )
+
+
+def _check_level_window(pot: RadialPotential, t: float) -> None:
+    if t - FD_STEP < 0.0 or t + FD_STEP > pot.t_max:
         raise DomainError(
             f"level range violation: need dt <= t <= t_max - dt, "
-            f"got t = {t}, dt = {dt}, t_max = {pot.t_max:.6g}"
+            f"got t = {t}, dt = {FD_STEP}, t_max = {pot.t_max:.6g}"
         )
 
 
-def monotone_sample(pot: RadialPotential, t: float, dt: float = FD_STEP) -> MonotoneSample:
+def monotone_sample(pot: RadialPotential, t: float) -> MonotoneSample:
     """Evaluate F, G, their finite-difference and closed-form derivatives at level t.
 
     The closed forms carry the cached :func:`audit_constants` of the exponent.
     """
     t = float(t)
-    _check_level_window(pot, t, dt)
+    _check_level_window(pot, t)
     constants = audit_constants(pot.p_value)
-    r, geo, wp = _level_state(pot, t)
-    m = 3.0 - pot.p_value
-    f_val = geo.area * (geo.mean_curvature * wp / m - wp * wp / (m * m))
-    g_val = geo.area * wp * wp / (m * m)
+    lv = _level(pot, t)
+    dF_fd, dG_fd = _fd_derivatives(pot, t)
     return MonotoneSample(
         t=t,
-        r=r,
-        area=geo.area,
-        mean_curvature=geo.mean_curvature,
-        grad_w=wp,
-        F=f_val,
-        G=g_val,
-        dF_fd=_fd_derivative(lambda s: _value_F(pot, s), t, dt),
-        dG_fd=_fd_derivative(lambda s: _value_G(pot, s), t, dt),
-        dF_cf=constants.c_F * _deriv_F_raw(pot, t),
-        dG_cf=constants.c_G * _deriv_G_raw(pot, t),
-        cap=capacity(pot, t),
-        gb=geo.sc_tangential * geo.area,
-        willmore=geo.mean_curvature**2 * geo.area,
+        r=lv.r,
+        area=lv.geo.area,
+        mean_curvature=lv.geo.mean_curvature,
+        grad_w=lv.wp,
+        F=lv.F,
+        G=lv.G,
+        dF_fd=dF_fd,
+        dG_fd=dG_fd,
+        dF_cf=constants.c_F * lv.dF_raw,
+        dG_cf=constants.c_G * lv.dG_raw,
+        cap=_capacity_at(pot, lv.r, lv.wp),
+        gb=lv.geo.sc_tangential * lv.geo.area,
+        willmore=lv.geo.mean_curvature**2 * lv.geo.area,
     )
 
 
-def monotone_levels(
-    pot: RadialPotential, n_levels: int = 64, *, dt: float = FD_STEP
-) -> list[MonotoneSample]:
+def monotone_levels(pot: RadialPotential, n_levels: int = 64) -> list[MonotoneSample]:
     """Sample the monotone quantities at n_levels evenly spaced levels in [dt, t_max - dt]."""
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
-    lo, hi = dt, pot.t_max - dt
+    lo, hi = FD_STEP, pot.t_max - FD_STEP
     if not lo < hi:
         raise DomainError(f"empty level window [{lo}, {hi}]")
-    return [monotone_sample(pot, t, dt=dt) for t in np.linspace(lo, hi, n_levels)]
+    return [monotone_sample(pot, t) for t in np.linspace(lo, hi, n_levels)]
 
 
 def level_rows(
@@ -304,8 +298,9 @@ def level_rows(
 ) -> tuple[list[dict], list[MonotoneSample], list[HolderChainSample]]:
     """The per-level report rows (``report.ROW_COLUMNS``), with their samples and Hölder chains."""
     samples = monotone_levels(pot, n_levels)
-    holders = [holder_chain(pot, s.t) for s in samples]
-    cap0 = capacity(pot, 0.0)
+    start = _level(pot, 0.0)
+    cap0 = _capacity_at(pot, start.r, start.wp)
+    holders = [_holder(pot.p_value, s.t, cap0, s.cap, s.area, s.grad_w) for s in samples]
     rows = [
         {
             "t": s.t,
@@ -339,8 +334,10 @@ def _audit_constants_cached(p: float) -> AuditConstants:
     ratios_f = []
     ratios_g = []
     for t in t_levels:
-        ratios_f.append(_fd_derivative(lambda s: _value_F(pot, s), t, FD_STEP) / _deriv_F_raw(pot, t))
-        ratios_g.append(_fd_derivative(lambda s: _value_G(pot, s), t, FD_STEP) / _deriv_G_raw(pot, t))
+        lv = _level(pot, t)
+        d_f, d_g = _fd_derivatives(pot, t)
+        ratios_f.append(d_f / lv.dF_raw)
+        ratios_g.append(d_g / lv.dG_raw)
     c_f = float(np.median(ratios_f))
     c_g = float(np.median(ratios_g))
     spread_f = float(np.max(np.abs(np.asarray(ratios_f) / c_f - 1.0)))
@@ -460,9 +457,8 @@ def div_fields(pot: RadialPotential, r: float) -> DivergenceSample:
 
 def gauss_bonnet(pot: RadialPotential, t: float) -> GaussBonnetResult:
     """Total tangential scalar curvature of a level set and its nearest 8 pi multiple."""
-    r = radius_of_level(pot, float(t))
-    geo = geometry.levelset_geometry(pot.model, r)
-    integral = float(geo.sc_tangential * geo.area)
+    geo = _level(pot, float(t)).geo
+    integral = geo.sc_tangential * geo.area
     return GaussBonnetResult(integral=integral, nearest_multiple=round(integral / EIGHT_PI))
 
 
@@ -482,17 +478,17 @@ def pinched_inequalities(pot: RadialPotential, t: float, eps: float) -> PinchedI
     """
     eps = _check_eps(eps)
     t = float(t)
-    r = radius_of_level(pot, t)
-    geo = geometry.levelset_geometry(pot.model, r)
-    gb_integral = float(geo.sc_tangential * geo.area)
-    ric_integral = float(geo.ric_normal * geo.area)
-    willmore_integral = float(geo.mean_curvature**2 * geo.area)
+    lv = _level(pot, t)
+    geo = lv.geo
+    gb_integral = geo.sc_tangential * geo.area
+    ric_integral = geo.ric_normal * geo.area
+    willmore_integral = geo.mean_curvature**2 * geo.area
     lhs = 2.0 * ric_integral
     rhs = eps * (SIXTEEN_PI - willmore_integral)
     slack = lhs - rhs
     return PinchedInequalityReport(
         t=t,
-        r=r,
+        r=lv.r,
         eps=eps,
         gb_integral=gb_integral,
         ric_normal_integral=ric_integral,
@@ -526,22 +522,23 @@ def holder_chain(pot: RadialPotential, t: float) -> HolderChainSample:
     set — always the case radially.
     """
     t = float(t)
-    r = radius_of_level(pot, t)
-    geo = geometry.levelset_geometry(pot.model, r)
-    wp = float(pot.state_at(r).w_prime)
-    p = pot.p_value
+    start, lv = _level(pot, 0.0), _level(pot, t)
+    cap0 = _capacity_at(pot, start.r, start.wp)
+    return _holder(pot.p_value, t, cap0, _capacity_at(pot, lv.r, lv.wp), lv.geo.area, lv.wp)
+
+
+def _holder(p: float, t: float, cap0: float, cap: float, area: float, wp: float) -> HolderChainSample:
     m = 3.0 - p
-    lhs = math.exp(t) * capacity(pot, 0.0)
-    mid = capacity(pot, t)
-    int_grad_sq = wp * wp * geo.area
-    int_grad_inv = geo.area / wp
+    lhs = math.exp(t) * cap0
+    int_grad_sq = wp * wp * area
+    int_grad_inv = area / wp
     rhs = (
         (1.0 / (4.0 * math.pi))
         * m ** (1.0 - p)
         * int_grad_sq ** (p / 3.0)
         * int_grad_inv ** (m / 3.0)
     )
-    return HolderChainSample(t=t, lhs=lhs, mid=mid, rhs=rhs, equality_gap=rhs - mid)
+    return HolderChainSample(t=t, lhs=lhs, mid=cap, rhs=rhs, equality_gap=rhs - cap)
 
 
 def willmore(model: ManifoldModel, r: float) -> float:
@@ -550,24 +547,21 @@ def willmore(model: ManifoldModel, r: float) -> float:
     return float(geo.mean_curvature**2 * geo.area)
 
 
-def small_sphere_expansion(
-    model: ManifoldModel, *, r_fit_max: float = 0.05, n_samples: int = 64
-) -> SmallSphereExpansion:
+def small_sphere_expansion(model: ManifoldModel) -> SmallSphereExpansion:
     """Fit the r^2 coefficient of 16 pi - willmore(r) near a smooth pole.
 
     Small distance spheres around a smooth point satisfy
         integral H^2 = 16 pi - (8 pi / 3) R(o) r^2 + O(r^4),
     so a single-coefficient least-squares fit of the deficit against r^2 on
-    (0, r_fit_max] should recover (8 pi / 3) times the scalar curvature at
+    (0, SPHERE_FIT_MAX] should recover (8 pi / 3) times the scalar curvature at
     the pole, which the model carries as ``base_point_scalar``.
     """
     if not model.has_pole or not model.warp.smooth_pole:
         raise DomainError("small-sphere expansion needs a model with a smooth pole")
     if model.base_point_scalar is None:
         raise DomainError("model does not declare its scalar curvature at the pole")
-    if n_samples < 4:
-        raise DomainError(f"need at least 4 sample radii, got {n_samples}")
-    if not 0.0 < r_fit_max < model.r_max:
+    r_fit_max, n_samples = SPHERE_FIT_MAX, SPHERE_FIT_SAMPLES
+    if not r_fit_max < model.r_max:
         raise DomainError(f"fit window (0, {r_fit_max}] outside the model domain")
     radii = np.linspace(r_fit_max / n_samples, r_fit_max, n_samples)
     h, h_prime, _ = model.warp(radii)

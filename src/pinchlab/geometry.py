@@ -61,7 +61,6 @@ __all__ = [
     "ball_volume",
     "growth_exponent",
     "levelset_geometry",
-    "default_grid",
 ]
 
 EIGHT_PI = 8.0 * math.pi
@@ -385,30 +384,26 @@ class PinchingReport:
     n_scalar_positive: int
 
 
-def default_grid(model: ManifoldModel, n: int = 256) -> np.ndarray:
-    lo = model.r_min if model.r_min > 0.0 else model.r_max * 1e-6
-    return np.geomspace(lo, model.r_max, n)
+PINCHING_GRID_N = 256  # radii of the geometric pinching grid
+PINCHING_RICCI_TOL = 1e-10  # Ricci eigenvalues above -tol (1 + |R|) count as nonnegative
 
 
-def pinching_margin(model: ManifoldModel, grid=None, tol: float = 1e-10) -> PinchingReport:
-    """Measure the Ricci pinching Ric >= eps R g over a radial grid.
+def pinching_margin(model: ManifoldModel) -> PinchingReport:
+    """Measure the Ricci pinching Ric >= eps R g over a geometric radial grid.
 
+    The grid spans [r_min, r_max] (from 1e-6 r_max when the model has a pole).
     Returns the minimum over the grid of min(eigenvalues)/scalar where the
     scalar curvature is positive, clamped to [0, 1/3].  A grid on which the
     curvature vanishes identically (flat space) reports the vacuous optimum
     1/3.  Models with a negative Ricci eigenvalue anywhere are not pinched at
     any positive eps and report margin 0 together with nonneg_ricci = False.
     """
-    grid = default_grid(model) if grid is None else np.asarray(grid, dtype=float)
-    if grid.size < 2:
-        raise DomainError("pinching_margin needs a grid of at least 2 radii")
-    lo_ok = grid >= model.r_min if model.r_min > 0.0 else grid > 0.0
-    if not np.all(lo_ok) or np.any(grid > model.r_max):
-        raise DomainError("pinching grid must lie inside the model domain")
+    lo = model.r_min if model.r_min > 0.0 else model.r_max * 1e-6
+    grid = np.geomspace(lo, model.r_max, PINCHING_GRID_N)
     rad, tan, sc = _curvature_arrays(model, grid)
     eig_min = np.minimum(rad, tan)
     scale = 1.0 + np.abs(sc)
-    nonneg = bool(np.all(eig_min >= -tol * scale))
+    nonneg = bool(np.all(eig_min >= -PINCHING_RICCI_TOL * scale))
     positive = sc > 0.0
     n_pos = int(np.count_nonzero(positive))
     if not nonneg:
@@ -461,21 +456,20 @@ def ball_volume(model: ManifoldModel, r: float) -> float:
     return float(value)
 
 
-def growth_exponent(
-    model: ManifoldModel, r_lo: float, r_hi: float, n_samples: int = 32
-) -> GrowthReport:
+GROWTH_SAMPLES = 32  # radii of the geometric ladder the growth fit uses
+
+
+def growth_exponent(model: ManifoldModel, r_lo: float, r_hi: float) -> GrowthReport:
     """Fit |B_r| ~ r^(1+alpha) over a geometric ladder of radii in [r_lo, r_hi]."""
-    if n_samples < 8:
-        raise DomainError("growth_exponent needs at least 8 sample radii")
     if not (model.r_min < r_lo < r_hi <= model.r_max):
         raise DomainError(
             f"growth window [{r_lo}, {r_hi}] must sit inside ({model.r_min}, {model.r_max}]"
         )
-    radii = np.geomspace(r_lo, r_hi, n_samples)
+    radii = np.geomspace(r_lo, r_hi, GROWTH_SAMPLES)
     vols = np.array([ball_volume(model, r) for r in radii])
     slope, _ = log_log_fit(radii, vols)
     alpha_hat = slope - 1.0
     avr = None
     if alpha_hat > 1.95:
         avr = float(3.0 / (4.0 * math.pi) * vols[-1] / radii[-1] ** 3)
-    return GrowthReport(float(alpha_hat), avr, float(slope), int(n_samples))
+    return GrowthReport(float(alpha_hat), avr, float(slope), GROWTH_SAMPLES)

@@ -237,6 +237,11 @@ def solve_radial(
     )
 
 
+def _level_residual(r, pot: RadialPotential, k: float, log_i0: float, t: float) -> float:
+    # not a closure: brentq's NaN wrapper refers to itself, and would keep pot alive
+    return k * (log_i0 - math.log(float(pot.flux_integral_at(r)[0]))) - t
+
+
 def radius_of_level(pot: RadialPotential, t: float) -> float:
     """Radius of the level set {w = t}; inverse of the level parameter."""
     t = float(t)
@@ -254,22 +259,20 @@ def radius_of_level(pot: RadialPotential, t: float) -> float:
     if w[j] == t:
         return float(pot.grid[j])
     a, b = float(pot.grid[j - 1]), float(pot.grid[j])
-    k = pot.p_value - 1.0
-    log_i0 = math.log(pot.normalizer)
+    args = (pot, pot.p_value - 1.0, math.log(pot.normalizer), t)
+    return float(brentq(_level_residual, a, b, args=args, xtol=1e-14 * b, rtol=1e-15, maxiter=200))
 
-    def f(r):
-        return k * (log_i0 - math.log(float(pot.flux_integral_at(r)[0]))) - t
 
-    return float(brentq(f, a, b, xtol=1e-14 * b, rtol=1e-15, maxiter=200))
+def _capacity_at(pot: RadialPotential, r: float, w_prime: float) -> float:
+    """Normalized capacity of the sphere at radius r, where w' = w_prime."""
+    h, _, _ = pot.model.warp(np.asarray(r))
+    return float(h) ** 2 * (w_prime / (3.0 - pot.p_value)) ** (pot.p_value - 1.0)
 
 
 def capacity(pot: RadialPotential, t: float) -> float:
     """Normalized capacity of the level set {w = t}."""
     r = radius_of_level(pot, t)
-    state = pot.state_at(r)
-    h, _, _ = pot.model.warp(np.asarray(r))
-    m = 3.0 - pot.p_value
-    return float(h) ** 2 * (state.w_prime / m) ** (pot.p_value - 1.0)
+    return _capacity_at(pot, r, pot.state_at(r).w_prime)
 
 
 @dataclass(frozen=True)
@@ -282,12 +285,15 @@ class DecayReport:
     passed: bool
 
 
-def decay_check(pot: RadialPotential, alpha: float, *, slope_tol: float = 0.02) -> DecayReport:
+DECAY_SLOPE_TOL = 0.02  # largest log-log slope of u r^e on the outer decade
+
+
+def decay_check(pot: RadialPotential, alpha: float) -> DecayReport:
     """Check the power decay of u dictated by volume growth r^(1+alpha).
 
     Fits K = sup over the outer half of the grid of u * r^e with
     e = (alpha+1-p)/(p-1), and requires log(u r^e) to have no upward trend on
-    the outermost decade (slope <= slope_tol in log-log coordinates).
+    the outermost decade (slope <= DECAY_SLOPE_TOL in log-log coordinates).
     """
     alpha = float(alpha)
     model = pot.model
@@ -305,4 +311,4 @@ def decay_check(pot: RadialPotential, alpha: float, *, slope_tol: float = 0.02) 
     K = float(np.max(product[outer]))
     last_decade = pot.grid >= r_hi / 10.0
     slope, _ = log_log_fit(pot.grid[last_decade], product[last_decade])
-    return DecayReport(K=K, exponent=e, tail_slope=slope, passed=bool(slope <= slope_tol))
+    return DecayReport(K=K, exponent=e, tail_slope=slope, passed=bool(slope <= DECAY_SLOPE_TOL))

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 FOUR_PI = 4.0 * math.pi
+ODE_STEP = 1e-3  # RK4 step of the comparison ODE
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +161,7 @@ class DichotomyTrajectory:
     K: float
 
 
-def decay_dichotomy(
-    p, eps: float, F0: float, *, horizon: float = 20.0, step: float = 1e-3
-) -> DichotomyTrajectory:
+def decay_dichotomy(p, eps: float, F0: float, *, horizon: float = 20.0) -> DichotomyTrajectory:
     """Integrate the comparison ODE for F and locate the dichotomy crossing."""
     p = as_p(p)
     eps = functionals._check_eps(eps)
@@ -171,7 +170,8 @@ def decay_dichotomy(
         raise DomainError(
             f"initial value F0 = {F0} violates the boundary Willmore hypothesis: need 0 < F0 < 4 pi"
         )
-    if step <= 0.0 or horizon <= step:
+    step = ODE_STEP
+    if horizon <= step:
         raise DomainError(f"need 0 < step < horizon, got step = {step}, horizon = {horizon}")
     m = 3.0 - p.value
     f_d = 8.0 * math.pi * eps / (2.0 + 2.0 * eps)
@@ -274,7 +274,7 @@ class OrderingReport:
     tail_G: float
 
 
-def ordering_check(pot: RadialPotential, levels, dt: float = functionals.FD_STEP) -> OrderingReport:
+def ordering_check(pot: RadialPotential, levels) -> OrderingReport:
     """Verify 0 <= G <= F at the given levels and fit the dG/dt proportionality."""
     levels = [float(t) for t in levels]
     if not levels:
@@ -284,8 +284,9 @@ def ordering_check(pot: RadialPotential, levels, dt: float = functionals.FD_STEP
             raise DomainError(f"level {t} outside [0, {pot.t_max:.6g}]")
     p = pot.p_value
     m = 3.0 - p
-    f_vals = [functionals.value_F(pot, t) for t in levels]
-    g_vals = [functionals.value_G(pot, t) for t in levels]
+    states = [functionals._level(pot, t) for t in levels]
+    f_vals = [lv.F for lv in states]
+    g_vals = [lv.G for lv in states]
     ordering_ok = all(
         -1e-9 * (1.0 + abs(f)) <= g <= f + 1e-9 * (1.0 + abs(f))
         for f, g in zip(f_vals, g_vals)
@@ -294,9 +295,9 @@ def ordering_check(pot: RadialPotential, levels, dt: float = functionals.FD_STEP
     for t, f, g in zip(levels, f_vals, g_vals):
         if abs(g - f) <= 1e-12 * (1.0 + abs(f)):
             continue  # flat/cone equality case: the proportionality is 0 = 0
-        if not dt <= t <= pot.t_max - dt:
+        if not functionals.FD_STEP <= t <= pot.t_max - functionals.FD_STEP:
             continue
-        dg = functionals._fd_derivative(lambda s: functionals.value_G(pot, s), t, dt)
+        _, dg = functionals._fd_derivatives(pot, t)
         ratios.append(dg / ((m * m / (p - 1.0)) * (g - f)))
     if ratios:
         constant = float(np.median(ratios))
@@ -549,9 +550,8 @@ def run_contradiction_scenario(
     envelope_exponent = (9.0 - p.value) / (m * m)
 
     def coarea_at(t: float) -> float:
-        r = radius_of_level(pot, t)
-        geo = geometry.levelset_geometry(model, r)
-        return geo.area / float(pot.state_at(r).w_prime)
+        level = functionals._level(pot, t)
+        return level.geo.area / level.wp
 
     window = [row for row in rows if 0.2 * t_hi <= row["t"] <= 0.8 * t_hi] or rows
     kappa = min(

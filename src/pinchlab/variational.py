@@ -45,6 +45,7 @@ __all__ = [
 _ARMIJO_C = 1e-4
 _ARMIJO_FACTOR = 0.5
 _MAX_BACKTRACKS = 60
+_MAX_NEWTON_ITERATIONS = 200
 _SLOPE_FLOOR = 1e-12  # protects the p-2 < 0 exponent in the Hessian
 _TRUST_FACTOR = 0.5  # max relative slope change per Newton step
 
@@ -197,7 +198,6 @@ def minimize_energy(
     tol: float = 1e-9,
     *,
     initial: np.ndarray | None = None,
-    max_iterations: int = 200,
 ) -> DiscreteSolution:
     """Damped Newton minimization of the discrete energy.
 
@@ -238,7 +238,7 @@ def minimize_energy(
     current = energy(problem, psi)
     history = [current]
     rel_grad = math.inf
-    for iteration in range(max_iterations):
+    for iteration in range(_MAX_NEWTON_ITERATIONS):
         flux = _flux(problem, psi)
         grad = flux[:-1] - flux[1:]
         scale = max(1.0, float(np.median(np.abs(flux))))
@@ -283,7 +283,7 @@ def minimize_energy(
         current = trial_energy
         history.append(current)
     raise ConvergenceError(
-        f"Newton did not reach the scaled gradient tolerance {tol:.1e} in {max_iterations} "
+        f"Newton did not reach the scaled gradient tolerance {tol:.1e} in {_MAX_NEWTON_ITERATIONS} "
         f"iterations (last scaled gradient {rel_grad:.3e}); the outer-cell drops may sit below "
         f"additive machine resolution — loosen tol or warm-start from constant_flux_profile"
     )

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import pinchlab as pl
+from pinchlab import functionals
 
 FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
@@ -200,6 +201,47 @@ def test_holder_chain_is_equality(solved, name):
         s = pl.holder_chain(pot, t)
         assert abs(s.lhs / s.mid - 1.0) < 1e-9
         assert abs(s.equality_gap) < 1e-10 * (1.0 + abs(s.mid))
+
+
+# ---------------------------------------------------------------------------
+# one inversion per level
+# ---------------------------------------------------------------------------
+
+
+def _count_inversions(monkeypatch):
+    calls = []
+    inner = functionals.radius_of_level
+
+    def counting(pot, t):
+        calls.append(t)
+        return inner(pot, t)
+
+    monkeypatch.setattr(functionals, "radius_of_level", counting)
+    return calls
+
+
+def test_level_rows_invert_each_level_once(solved, monkeypatch):
+    pot = solved("cone", 1.5)
+    pl.audit_constants(1.5)  # warm: count the rows' own levels only
+    calls = _count_inversions(monkeypatch)
+    functionals.level_rows(pot, 64)
+    # t, t +- dt and t +- dt/2 per row, plus cap(0)
+    assert len(calls) == 5 * 64 + 1
+
+
+def test_cold_audit_inverts_each_level_once(monkeypatch):
+    calls = _count_inversions(monkeypatch)
+    functionals._audit_constants_cached.__wrapped__(1.5)
+    assert len(calls) == 17 * 5
+
+
+@pytest.mark.parametrize("name", ["flat", "cone", "power_warp"])
+def test_rows_match_holder_chain_and_capacity_bitwise(solved, name):
+    pot = solved(name, 1.5)
+    rows, _, _ = functionals.level_rows(pot, 8)
+    for row in rows:
+        assert pl.holder_chain(pot, row["t"]).equality_gap == row["holder_gap"]
+        assert pl.capacity(pot, row["t"]) == row["cap"]
 
 
 # ---------------------------------------------------------------------------

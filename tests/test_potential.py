@@ -7,7 +7,9 @@ On h = r^(alpha/2) with inner radius 1 the solution is fully explicit:
 These exact forms are the oracles for every assertion here.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -145,6 +147,19 @@ def test_level_radius_roundtrip(solved, rng):
     for t in rng.uniform(0.05, 0.9 * pot.t_max, 10):
         r = pl.radius_of_level(pot, float(t))
         assert abs(pot.state_at(r).w - t) < 1e-10 * (1.0 + t)
+
+
+def test_level_inversion_keeps_no_reference_cycle():
+    # the potential must be freed by reference counting alone once dropped
+    gc.disable()
+    try:
+        pot = pl.solve_radial(pl.flat_model(), 1.5, 1.0, n_grid=256)
+        pl.radius_of_level(pot, 0.5 * pot.t_max + 1e-7)  # between nodes: runs brentq
+        ref = weakref.ref(pot)
+        del pot
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_level_beyond_truncation_rejected(solved):
