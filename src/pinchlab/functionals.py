@@ -38,7 +38,14 @@ from scipy.interpolate import CubicSpline
 from . import geometry
 from .errors import DomainError
 from .geometry import EIGHT_PI, LevelSetData, ManifoldModel
-from .potential import RadialPotential, _capacity_at, as_p, radius_of_level, solve_radial
+from .potential import (
+    RadialPotential,
+    _capacity_at,
+    _w_prime_at,
+    as_p,
+    radius_of_level,
+    solve_radial,
+)
 
 __all__ = [
     "MonotoneSample",
@@ -175,33 +182,39 @@ class SmallSphereExpansion:
 
 
 class _Level(NamedTuple):
-    """The level set {w = t}: its radius, the geometry of that sphere, w' there,
-    and the quantities read off them (see :func:`_level`)."""
+    """A batch of level sets {w = t}, one array entry per level: the radii, the
+    geometry of those spheres, w' there and the quantities read off them (see
+    :func:`_level`)."""
 
-    r: float
+    r: np.ndarray
     geo: LevelSetData
-    wp: float
-    F: float
-    G: float
-    dF_raw: float
-    dG_raw: float
+    wp: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    dF_raw: np.ndarray
+    dG_raw: np.ndarray
+    cap: np.ndarray
 
 
-def _level(pot: RadialPotential, t: float) -> _Level:
-    """Invert the level t once and derive every per-level quantity from its sphere.
+def _level(pot: RadialPotential, t) -> _Level:
+    """Invert the levels t at once and derive every per-level quantity from their spheres.
 
-    dF_raw is the closed-form dF/dt integrand evaluated radially and dG_raw the
-    raw dG/dt integrand (1/(p-1)) * (2 w'^2 - m H w') * area, neither with its
-    audited constant applied.  The full dF/dt integrand is
+    One inversion, one warp call and one flux_integral_at call serve the whole
+    batch, and every step is elementwise, so a level's numbers do not depend on
+    the batch it was computed in.  dF_raw is the closed-form dF/dt integrand
+    evaluated radially and dG_raw the raw dG/dt integrand
+    (1/(p-1)) * (2 w'^2 - m H w') * area, neither with its audited constant
+    applied.  The full dF/dt integrand is
         Ric(nu,nu) + |traceless II|^2 + |tangential grad of |grad w||^2/|grad w|^2
                    + (m/(2(p-1))) (H - 2|grad w|/m)^2,
     times -area/m.  On a rotationally symmetric model the traceless second
     fundamental form vanishes and |grad w| is constant on each level set, so
     the middle two terms are kept as explicit zeros rather than dropped.
     """
-    r = radius_of_level(pot, t)
-    geo = geometry.levelset_geometry(pot.model, r)
-    wp = float(pot.state_at(r).w_prime)
+    r = radius_of_level(pot, np.atleast_1d(np.asarray(t, dtype=float)))
+    h, h1, h2 = pot.model.warp(r)
+    geo = geometry._levelset_data(r, h, h1, h2)
+    wp = _w_prime_at(pot, r, h)
     p = pot.p_value
     m = 3.0 - p
     tangential_gradient_term = 0.0  # |grad w| is constant on radial level sets
@@ -216,90 +229,96 @@ def _level(pot: RadialPotential, t: float) -> _Level:
         G=geo.area * wp * wp / (m * m),
         dF_raw=-(geo.area / m) * integrand,
         dG_raw=(geo.area / (p - 1.0)) * (2.0 * wp * wp - m * geo.mean_curvature * wp),
+        cap=_capacity_at(pot, h, wp),
     )
-
-
-def _check_level_range(pot: RadialPotential, t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= pot.t_max:
-        raise DomainError(f"level t = {t} outside [0, {pot.t_max:.6g}]")
-    return t
 
 
 def value_F(pot: RadialPotential, t: float) -> float:
     """The Willmore-proxy quantity F at level t (no derivatives computed)."""
-    return _level(pot, _check_level_range(pot, t)).F
+    return float(_level(pot, [float(t)]).F[0])
 
 
 def value_G(pot: RadialPotential, t: float) -> float:
     """The gradient-energy quantity G at level t (no derivatives computed)."""
-    return _level(pot, _check_level_range(pot, t)).G
+    return float(_level(pot, [float(t)]).G[0])
 
 
-def _fd_derivatives(pot: RadialPotential, t: float) -> tuple[float, float]:
-    """dF/dt and dG/dt from one stencil of four levels, each as the Richardson-
-    extrapolated centered difference (4 D(dt/2) - D(dt)) / 3 with dt = FD_STEP."""
+def _stencil(t: np.ndarray) -> np.ndarray:
+    """The levels t + dt, t - dt, t + dt/2, t - dt/2 (dt = FD_STEP), concatenated in that order."""
     dt = FD_STEP
-    hi, lo, hi2, lo2 = (_level(pot, s) for s in (t + dt, t - dt, t + dt / 2.0, t - dt / 2.0))
-    return tuple(
-        (4.0 * ((a - b) / dt) - (c - d) / (2.0 * dt)) / 3.0
-        for a, b, c, d in ((hi2.F, lo2.F, hi.F, lo.F), (hi2.G, lo2.G, hi.G, lo.G))
-    )
+    return np.concatenate([t + dt, t - dt, t + dt / 2.0, t - dt / 2.0])
 
 
-def _check_level_window(pot: RadialPotential, t: float) -> None:
-    if t - FD_STEP < 0.0 or t + FD_STEP > pot.t_max:
-        raise DomainError(
-            f"level range violation: need dt <= t <= t_max - dt, "
-            f"got t = {t}, dt = {FD_STEP}, t_max = {pot.t_max:.6g}"
-        )
+def _fd_derivative(values: np.ndarray) -> np.ndarray:
+    """d/dt from values at the :func:`_stencil` levels, as the Richardson-extrapolated
+    centered difference (4 D(dt/2) - D(dt)) / 3 with dt = FD_STEP."""
+    dt = FD_STEP
+    hi, lo, hi2, lo2 = values.reshape(4, -1)
+    return (4.0 * ((hi2 - lo2) / dt) - (hi - lo) / (2.0 * dt)) / 3.0
 
 
-def monotone_sample(pot: RadialPotential, t: float) -> MonotoneSample:
-    """Evaluate F, G, their finite-difference and closed-form derivatives at level t.
+def _sample_levels(pot: RadialPotential, ts) -> tuple[list[MonotoneSample], float]:
+    """The samples at the levels ts and cap(0), from one batch: 0, ts and their stencils.
 
     The closed forms carry the cached :func:`audit_constants` of the exponent.
     """
-    t = float(t)
-    _check_level_window(pot, t)
+    ts = np.asarray(ts, dtype=float)
+    outside = (ts - FD_STEP < 0.0) | (ts + FD_STEP > pot.t_max)
+    if np.any(outside):
+        raise DomainError(
+            f"level range violation: need dt <= t <= t_max - dt, "
+            f"got t = {ts[outside][0]}, dt = {FD_STEP}, t_max = {pot.t_max:.6g}"
+        )
     constants = audit_constants(pot.p_value)
-    lv = _level(pot, t)
-    dF_fd, dG_fd = _fd_derivatives(pot, t)
-    return MonotoneSample(
-        t=t,
-        r=lv.r,
-        area=lv.geo.area,
-        mean_curvature=lv.geo.mean_curvature,
-        grad_w=lv.wp,
-        F=lv.F,
-        G=lv.G,
-        dF_fd=dF_fd,
-        dG_fd=dG_fd,
-        dF_cf=constants.c_F * lv.dF_raw,
-        dG_cf=constants.c_G * lv.dG_raw,
-        cap=_capacity_at(pot, lv.r, lv.wp),
-        gb=lv.geo.sc_tangential * lv.geo.area,
-        willmore=lv.geo.mean_curvature**2 * lv.geo.area,
-    )
+    n = ts.size
+    lv = _level(pot, np.concatenate([[0.0], ts, _stencil(ts)]))
+    at = slice(1, n + 1)
+    geo = lv.geo
+    columns = {
+        "t": ts,
+        "r": lv.r[at],
+        "area": geo.area[at],
+        "mean_curvature": geo.mean_curvature[at],
+        "grad_w": lv.wp[at],
+        "F": lv.F[at],
+        "G": lv.G[at],
+        "dF_fd": _fd_derivative(lv.F[n + 1 :]),
+        "dG_fd": _fd_derivative(lv.G[n + 1 :]),
+        "dF_cf": constants.c_F * lv.dF_raw[at],
+        "dG_cf": constants.c_G * lv.dG_raw[at],
+        "cap": lv.cap[at],
+        "gb": (geo.sc_tangential * geo.area)[at],
+        "willmore": (geo.mean_curvature**2 * geo.area)[at],
+    }
+    values = zip(*(column.tolist() for column in columns.values()))
+    samples = [MonotoneSample(**dict(zip(columns, row))) for row in values]
+    return samples, float(lv.cap[0])
 
 
-def monotone_levels(pot: RadialPotential, n_levels: int = 64) -> list[MonotoneSample]:
-    """Sample the monotone quantities at n_levels evenly spaced levels in [dt, t_max - dt]."""
+def monotone_sample(pot: RadialPotential, t: float) -> MonotoneSample:
+    """Evaluate F, G, their finite-difference and closed-form derivatives at level t."""
+    return _sample_levels(pot, [float(t)])[0][0]
+
+
+def _level_window(pot: RadialPotential, n_levels: int) -> np.ndarray:
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
     lo, hi = FD_STEP, pot.t_max - FD_STEP
     if not lo < hi:
         raise DomainError(f"empty level window [{lo}, {hi}]")
-    return [monotone_sample(pot, t) for t in np.linspace(lo, hi, n_levels)]
+    return np.linspace(lo, hi, n_levels)
+
+
+def monotone_levels(pot: RadialPotential, n_levels: int = 64) -> list[MonotoneSample]:
+    """Sample the monotone quantities at n_levels evenly spaced levels in [dt, t_max - dt]."""
+    return _sample_levels(pot, _level_window(pot, n_levels))[0]
 
 
 def level_rows(
     pot: RadialPotential, n_levels: int
 ) -> tuple[list[dict], list[MonotoneSample], list[HolderChainSample]]:
     """The per-level report rows (``report.ROW_COLUMNS``), with their samples and Hölder chains."""
-    samples = monotone_levels(pot, n_levels)
-    start = _level(pot, 0.0)
-    cap0 = _capacity_at(pot, start.r, start.wp)
+    samples, cap0 = _sample_levels(pot, _level_window(pot, n_levels))
     holders = [_holder(pot.p_value, s.t, cap0, s.cap, s.area, s.grad_w) for s in samples]
     rows = [
         {
@@ -331,24 +350,21 @@ def _audit_constants_cached(p: float) -> AuditConstants:
     m = 3.0 - p
     t_levels = np.linspace(0.1 * pot.t_max, 0.5 * pot.t_max, 17)
 
-    ratios_f = []
-    ratios_g = []
-    for t in t_levels:
-        lv = _level(pot, t)
-        d_f, d_g = _fd_derivatives(pot, t)
-        ratios_f.append(d_f / lv.dF_raw)
-        ratios_g.append(d_g / lv.dG_raw)
+    n = t_levels.size
+    lv = _level(pot, np.concatenate([t_levels, _stencil(t_levels)]))
+    ratios_f = _fd_derivative(lv.F[n:]) / lv.dF_raw[:n]
+    ratios_g = _fd_derivative(lv.G[n:]) / lv.dG_raw[:n]
     c_f = float(np.median(ratios_f))
     c_g = float(np.median(ratios_g))
-    spread_f = float(np.max(np.abs(np.asarray(ratios_f) / c_f - 1.0)))
-    spread_g = float(np.max(np.abs(np.asarray(ratios_g) / c_g - 1.0)))
+    spread_f = float(np.max(np.abs(ratios_f / c_f - 1.0)))
+    spread_g = float(np.max(np.abs(ratios_g / c_g - 1.0)))
 
-    radii = np.geomspace(3.0, 30.0, 9)
+    splines = _div_splines(pot)
     mismatch_x = 0.0
     mismatch_y = 0.0
     mismatch_x_inhomogeneous = math.inf
-    for r in radii:
-        sample = div_fields(pot, float(r))
+    for r in np.geomspace(3.0, 30.0, 9):
+        sample = _div_sample(pot, float(r), splines)
         scale_x = max(abs(sample.claim_x), 1e-300)
         scale_y = max(abs(sample.claim_y), 1e-300)
         mismatch_x = max(mismatch_x, abs(sample.div_x - sample.claim_x) / scale_x)
@@ -396,8 +412,8 @@ def audit_constants(p) -> AuditConstants:
     return _audit_constants_cached(as_p(p).value)
 
 
-@lru_cache(maxsize=8)
 def _div_splines(pot: RadialPotential):
+    """Log-r spline derivatives of h^2 w'^2 and h^2 Y_r, the measured route of :func:`div_fields`."""
     h, h1, _ = pot.model.warp(pot.grid)
     m = 3.0 - pot.p_value
     wp = pot.w_prime
@@ -427,9 +443,12 @@ def div_fields(pot: RadialPotential, r: float) -> DivergenceSample:
     reject it.  Points within two cells of either grid edge are flagged
     near_edge: the spline is one-sided there and its derivative degrades.
     """
-    r = float(r)
+    return _div_sample(pot, float(r), _div_splines(pot))
+
+
+def _div_sample(pot: RadialPotential, r: float, splines) -> DivergenceSample:
     pot.require_radius(r)
-    spline_x, spline_y = _div_splines(pot)
+    spline_x, spline_y = splines
     geo = geometry.levelset_geometry(pot.model, r)
     state = pot.state_at(r)
     wp = float(state.w_prime)
@@ -457,8 +476,8 @@ def div_fields(pot: RadialPotential, r: float) -> DivergenceSample:
 
 def gauss_bonnet(pot: RadialPotential, t: float) -> GaussBonnetResult:
     """Total tangential scalar curvature of a level set and its nearest 8 pi multiple."""
-    geo = _level(pot, float(t)).geo
-    integral = geo.sc_tangential * geo.area
+    geo = _level(pot, [float(t)]).geo
+    integral = float(geo.sc_tangential[0] * geo.area[0])
     return GaussBonnetResult(integral=integral, nearest_multiple=round(integral / EIGHT_PI))
 
 
@@ -478,17 +497,17 @@ def pinched_inequalities(pot: RadialPotential, t: float, eps: float) -> PinchedI
     """
     eps = _check_eps(eps)
     t = float(t)
-    lv = _level(pot, t)
-    geo = lv.geo
-    gb_integral = geo.sc_tangential * geo.area
-    ric_integral = geo.ric_normal * geo.area
-    willmore_integral = geo.mean_curvature**2 * geo.area
+    lv = _level(pot, [t])
+    area = float(lv.geo.area[0])
+    gb_integral = float(lv.geo.sc_tangential[0]) * area
+    ric_integral = float(lv.geo.ric_normal[0]) * area
+    willmore_integral = float(lv.geo.mean_curvature[0]) ** 2 * area
     lhs = 2.0 * ric_integral
     rhs = eps * (SIXTEEN_PI - willmore_integral)
     slack = lhs - rhs
     return PinchedInequalityReport(
         t=t,
-        r=lv.r,
+        r=float(lv.r[0]),
         eps=eps,
         gb_integral=gb_integral,
         ric_normal_integral=ric_integral,
@@ -522,9 +541,9 @@ def holder_chain(pot: RadialPotential, t: float) -> HolderChainSample:
     set — always the case radially.
     """
     t = float(t)
-    start, lv = _level(pot, 0.0), _level(pot, t)
-    cap0 = _capacity_at(pot, start.r, start.wp)
-    return _holder(pot.p_value, t, cap0, _capacity_at(pot, lv.r, lv.wp), lv.geo.area, lv.wp)
+    lv = _level(pot, [0.0, t])
+    cap0, cap = lv.cap.tolist()
+    return _holder(pot.p_value, t, cap0, cap, float(lv.geo.area[1]), float(lv.wp[1]))
 
 
 def _holder(p: float, t: float, cap0: float, cap: float, area: float, wp: float) -> HolderChainSample:

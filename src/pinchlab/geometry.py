@@ -328,7 +328,11 @@ def curvature(model: ManifoldModel, r: float) -> CurvatureSample:
 def levelset_geometry(model: ManifoldModel, r: float) -> LevelSetData:
     r = model.require_radius(r)
     h, h1, h2 = model.warp(np.asarray(r))
-    h, h1, h2 = float(h), float(h1), float(h2)
+    return _levelset_data(r, float(h), float(h1), float(h2))
+
+
+def _levelset_data(r, h, h1, h2) -> LevelSetData:
+    """Geometry of the spheres at radii r from the warp triple there (floats or arrays)."""
     area = 4.0 * math.pi * h * h
     mean = 2.0 * h1 / h
     sff_sq = 2.0 * (h1 / h) ** 2

@@ -36,7 +36,9 @@ def interval_integrals(f, a, b) -> np.ndarray:
     half = 0.5 * (b - a)
     pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
-    return half * (vals @ _GL_WEIGHTS)
+    # einsum sums each row in the same order whatever the number of rows (a BLAS
+    # gemv does not), so an interval's integral does not depend on its batch
+    return half * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
 
 
 def log_log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

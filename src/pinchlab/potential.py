@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import geometry
 from .errors import ConvergenceError, DomainError
@@ -237,42 +236,106 @@ def solve_radial(
     )
 
 
-def _level_residual(r, pot: RadialPotential, k: float, log_i0: float, t: float) -> float:
-    # not a closure: brentq's NaN wrapper refers to itself, and would keep pot alive
-    return k * (log_i0 - math.log(float(pot.flux_integral_at(r)[0]))) - t
+LEVEL_NEWTON_MAX_ITER = 40  # iteration cap of the batched level inversion
+LEVEL_NEWTON_RTOL = 1e-13  # a level has converged once its Newton step is below this, relative...
+LEVEL_RESIDUAL_ULPS = 16  # ...or once w(r) - t is within this many rounding units of its terms
+_EPS = float(np.finfo(float).eps)
 
 
-def radius_of_level(pot: RadialPotential, t: float) -> float:
-    """Radius of the level set {w = t}; inverse of the level parameter."""
-    t = float(t)
-    if t < -1e-12 or t > pot.t_max + 1e-12:
+def _check_levels(pot: RadialPotential, t) -> np.ndarray:
+    """The one level validator: finite levels in [0, t_max] (1e-12 slack, clamped)."""
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    if not np.all(np.isfinite(flat)):
+        raise DomainError(f"level t = {flat[~np.isfinite(flat)][0]} is not a finite number")
+    outside = (flat < -1e-12) | (flat > pot.t_max + 1e-12)
+    if np.any(outside):
         raise DomainError(
-            f"level t = {t} beyond truncation: representable levels are [0, {pot.t_max:.6f}]"
+            f"level t = {flat[outside][0]} beyond truncation: representable levels are "
+            f"[0, {pot.t_max:.6f}]"
         )
-    t = min(max(t, 0.0), pot.t_max)
-    w = pot.w
-    j = int(np.searchsorted(w, t, side="left"))
-    if j <= 0:
-        return float(pot.grid[0])
-    if j >= w.size:
-        return float(pot.grid[-1])
-    if w[j] == t:
-        return float(pot.grid[j])
-    a, b = float(pot.grid[j - 1]), float(pot.grid[j])
-    args = (pot, pot.p_value - 1.0, math.log(pot.normalizer), t)
-    return float(brentq(_level_residual, a, b, args=args, xtol=1e-14 * b, rtol=1e-15, maxiter=200))
+    return np.clip(t, 0.0, pot.t_max)
 
 
-def _capacity_at(pot: RadialPotential, r: float, w_prime: float) -> float:
-    """Normalized capacity of the sphere at radius r, where w' = w_prime."""
-    h, _, _ = pot.model.warp(np.asarray(r))
-    return float(h) ** 2 * (w_prime / (3.0 - pot.p_value)) ** (pot.p_value - 1.0)
+def radius_of_level(pot: RadialPotential, t):
+    """Radius of the level set {w = t}; inverse of the level parameter.
+
+    ``t`` is a scalar (the radius is a float) or an array of levels (an array
+    of the same shape).  Levels on a grid node, t = 0 and t = t_max are
+    answered by their node; every other level is bracketed by its two grid
+    nodes and found by one safeguarded Newton iteration over all levels at
+    once, started from linear interpolation of w between the nodes.  The
+    update uses dw/dr = (p-1) h^(-q) / I; a step leaving the bracket is
+    replaced by bisection, and a converged level is frozen after its last
+    step.  Where w is nearly flat in r, rounding in w(r) - t bounds how close
+    r can get, so a residual at that rounding floor also counts as converged.
+    """
+    levels = _check_levels(pot, t)
+    radii = _invert_levels(pot, levels.reshape(-1)).reshape(levels.shape)
+    return float(radii) if radii.ndim == 0 else radii
+
+
+def _invert_levels(pot: RadialPotential, t: np.ndarray) -> np.ndarray:
+    w, grid = pot.w, pot.grid
+    j = np.searchsorted(w, t, side="left")
+    node = np.minimum(j, w.size - 1)
+    radii = grid[node]
+    todo = np.flatnonzero((j > 0) & (w[node] != t))
+    if todo.size == 0:
+        return radii
+    j = j[todo]
+    t = t[todo]
+    a, b = grid[j - 1], grid[j]
+    x = a + (t - w[j - 1]) / (w[j] - w[j - 1]) * (b - a)
+    k = pot.p_value - 1.0
+    log_i0 = math.log(pot.normalizer)
+    active = np.arange(todo.size)
+    for _ in range(LEVEL_NEWTON_MAX_ITER):
+        xa = x[active]
+        flux = pot.flux_integral_at(xa)
+        log_flux = np.log(flux)
+        resid = k * (log_i0 - log_flux) - t[active]
+        a[active[resid < 0.0]] = xa[resid < 0.0]
+        b[active[resid > 0.0]] = xa[resid > 0.0]
+        lo, hi = a[active], b[active]
+        step = resid * flux / (k * pot._integrand(xa))
+        new = xa - step
+        outside = ~((new >= lo) & (new <= hi))
+        new[outside] = 0.5 * (lo[outside] + hi[outside])
+        x[active] = new
+        floor = LEVEL_RESIDUAL_ULPS * _EPS * (t[active] + k * (abs(log_i0) + np.abs(log_flux)))
+        done = (np.abs(new - xa) <= LEVEL_NEWTON_RTOL * xa) | (np.abs(resid) <= floor)
+        active = active[~done]
+        if active.size == 0:
+            radii[todo] = x
+            return radii
+    raise ConvergenceError(
+        f"level inversion: {active.size} of {todo.size} levels not converged after "
+        f"{LEVEL_NEWTON_MAX_ITER} Newton steps (first t = {t[active[0]]!r})"
+    )
+
+
+def _level_at(pot: RadialPotential, r: np.ndarray) -> np.ndarray:
+    """The level w = (p-1) log(I(r0) / I(r)) at radii r (one flux_integral_at call)."""
+    return (pot.p_value - 1.0) * (math.log(pot.normalizer) - np.log(pot.flux_integral_at(r)))
+
+
+def _w_prime_at(pot: RadialPotential, r: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """w' = (p-1) h^(-q) / I at radii r where the warp is h (one flux_integral_at call)."""
+    k = pot.p_value - 1.0
+    return k * h ** (-2.0 / k) / pot.flux_integral_at(r)
+
+
+def _capacity_at(pot: RadialPotential, h, w_prime):
+    """Normalized capacity of the spheres where the warp is h and w' = w_prime."""
+    return h**2 * (w_prime / (3.0 - pot.p_value)) ** (pot.p_value - 1.0)
 
 
 def capacity(pot: RadialPotential, t: float) -> float:
     """Normalized capacity of the level set {w = t}."""
-    r = radius_of_level(pot, t)
-    return _capacity_at(pot, r, pot.state_at(r).w_prime)
+    r = radius_of_level(pot, [float(t)])
+    h, _, _ = pot.model.warp(r)
+    return float(_capacity_at(pot, h, _w_prime_at(pot, r, h))[0])
 
 
 @dataclass(frozen=True)

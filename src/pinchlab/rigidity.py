@@ -22,12 +22,19 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from . import functionals, geometry
 from .errors import ConvergenceError, DomainError, PinchLabError
-from .potential import PExponent, RadialPotential, as_p, radius_of_level, solve_radial
+from .numerics import cell_integrals
+from .potential import (
+    PExponent,
+    RadialPotential,
+    _level_at,
+    as_p,
+    radius_of_level,
+    solve_radial,
+)
 from .report import ScenarioReport, StageVerdict
 
 __all__ = [
@@ -44,6 +51,7 @@ __all__ = [
 
 FOUR_PI = 4.0 * math.pi
 ODE_STEP = 1e-3  # RK4 step of the comparison ODE
+SLAB_CELLS = 128  # cells of the level partition the coarea slab integral uses
 
 
 # ---------------------------------------------------------------------------
@@ -276,38 +284,33 @@ class OrderingReport:
 
 def ordering_check(pot: RadialPotential, levels) -> OrderingReport:
     """Verify 0 <= G <= F at the given levels and fit the dG/dt proportionality."""
-    levels = [float(t) for t in levels]
-    if not levels:
+    levels = np.array([float(t) for t in levels])
+    if not levels.size:
         raise DomainError("ordering_check needs at least one level")
-    for t in levels:
-        if not 0.0 <= t <= pot.t_max:
-            raise DomainError(f"level {t} outside [0, {pot.t_max:.6g}]")
     p = pot.p_value
     m = 3.0 - p
-    states = [functionals._level(pot, t) for t in levels]
-    f_vals = [lv.F for lv in states]
-    g_vals = [lv.G for lv in states]
+    n = levels.size
+    in_window = (functionals.FD_STEP <= levels) & (levels <= pot.t_max - functionals.FD_STEP)
+    lv = functionals._level(pot, np.concatenate([levels, functionals._stencil(levels[in_window])]))
+    f_vals, g_vals = lv.F[:n].tolist(), lv.G[:n].tolist()
     ordering_ok = all(
         -1e-9 * (1.0 + abs(f)) <= g <= f + 1e-9 * (1.0 + abs(f))
         for f, g in zip(f_vals, g_vals)
     )
-    ratios = []
-    for t, f, g in zip(levels, f_vals, g_vals):
-        if abs(g - f) <= 1e-12 * (1.0 + abs(f)):
-            continue  # flat/cone equality case: the proportionality is 0 = 0
-        if not functionals.FD_STEP <= t <= pot.t_max - functionals.FD_STEP:
-            continue
-        _, dg = functionals._fd_derivatives(pot, t)
-        ratios.append(dg / ((m * m / (p - 1.0)) * (g - f)))
-    if ratios:
+    f_win, g_win = lv.F[:n][in_window], lv.G[:n][in_window]
+    # flat/cone equality case G = F: the proportionality is 0 = 0, skipped
+    unequal = ~(np.abs(g_win - f_win) <= 1e-12 * (1.0 + np.abs(f_win)))
+    dg = functionals._fd_derivative(lv.G[n:])
+    ratios = dg[unequal] / ((m * m / (p - 1.0)) * (g_win - f_win)[unequal])
+    if ratios.size:
         constant = float(np.median(ratios))
-        max_dev = float(np.max(np.abs(np.asarray(ratios) / constant - 1.0)))
+        max_dev = float(np.max(np.abs(ratios / constant - 1.0)))
     else:
         constant = math.nan
         max_dev = 0.0
     order = np.argsort(levels)
     return OrderingReport(
-        levels=tuple(levels),
+        levels=tuple(levels.tolist()),
         F_values=tuple(f_vals),
         G_values=tuple(g_vals),
         ordering_ok=bool(ordering_ok),
@@ -518,7 +521,8 @@ def run_contradiction_scenario(
     )
 
     f_first = rows[0]["F"]
-    if f_first < FOUR_PI:
+    # relative margin: flat space has F = 4 pi exactly, up to last-bit rounding
+    if f_first < FOUR_PI * (1.0 - 1e-12):
         traj = _run_stage(
             "decay-dichotomy",
             lambda: decay_dichotomy(p, eps_used, f_first),
@@ -548,10 +552,6 @@ def run_contradiction_scenario(
 
     # --- coarea envelope ----------------------------------------------------
     envelope_exponent = (9.0 - p.value) / (m * m)
-
-    def coarea_at(t: float) -> float:
-        level = functionals._level(pot, t)
-        return level.geo.area / level.wp
 
     window = [row for row in rows if 0.2 * t_hi <= row["t"] <= 0.8 * t_hi] or rows
     kappa = min(
@@ -598,9 +598,17 @@ def run_contradiction_scenario(
     constants["R_T1"] = r_t1
 
     # --- slab volume two-route check -----------------------------------------
+    def coarea_at(t: np.ndarray) -> np.ndarray:
+        level = functionals._level(pot, t)
+        return level.geo.area / level.wp
+
     def slab_check():
-        integral, _ = quad(coarea_at, t0v, t1v, epsabs=0.0, epsrel=1e-10, limit=200)
         r_t0 = radius_of_level(pot, t0v)
+        # cell edges at the levels w(r) of geometrically spaced radii: where w is
+        # nearly flat in r, r(t) is steep, and equal steps in t would miss it
+        radii = np.geomspace(r_t0, r_t1, SLAB_CELLS + 1)[1:-1]
+        edges = np.concatenate([[t0v], _level_at(pot, radii), [t1v]])
+        integral = float(np.sum(cell_integrals(coarea_at, edges)))
         direct = geometry.ball_volume(model, r_t1) - geometry.ball_volume(model, r_t0)
         return integral, direct
 

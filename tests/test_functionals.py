@@ -11,7 +11,9 @@ The variant of div X with a bare mean-curvature term evaluates to -0.148 at
 r = 5 and must be visibly rejected by the audit.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -209,11 +211,12 @@ def test_holder_chain_is_equality(solved, name):
 
 
 def _count_inversions(monkeypatch):
+    """The number of levels of each radius_of_level call made through functionals."""
     calls = []
     inner = functionals.radius_of_level
 
     def counting(pot, t):
-        calls.append(t)
+        calls.append(int(np.size(t)))
         return inner(pot, t)
 
     monkeypatch.setattr(functionals, "radius_of_level", counting)
@@ -225,14 +228,37 @@ def test_level_rows_invert_each_level_once(solved, monkeypatch):
     pl.audit_constants(1.5)  # warm: count the rows' own levels only
     calls = _count_inversions(monkeypatch)
     functionals.level_rows(pot, 64)
-    # t, t +- dt and t +- dt/2 per row, plus cap(0)
-    assert len(calls) == 5 * 64 + 1
+    # t, t +- dt and t +- dt/2 per row, plus cap(0), all in one batch
+    assert sum(calls) == 5 * 64 + 1
+    assert len(calls) == 1
 
 
 def test_cold_audit_inverts_each_level_once(monkeypatch):
     calls = _count_inversions(monkeypatch)
     functionals._audit_constants_cached.__wrapped__(1.5)
-    assert len(calls) == 17 * 5
+    assert sum(calls) == 17 * 5
+    assert len(calls) == 1
+
+
+def test_audit_frees_its_potential(monkeypatch):
+    # the audit's 16384-node potential must die with the audit, by reference
+    # counting alone: nothing (no cache of splines) may keep it alive
+    refs = []
+    inner = functionals.solve_radial
+
+    def recording(*args, **kwargs):
+        pot = inner(*args, **kwargs)
+        refs.append(weakref.ref(pot))
+        return pot
+
+    monkeypatch.setattr(functionals, "solve_radial", recording)
+    gc.disable()
+    try:
+        pl.audit_constants(1.4321)
+        assert len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["flat", "cone", "power_warp"])

@@ -149,12 +149,74 @@ def test_level_radius_roundtrip(solved, rng):
         assert abs(pot.state_at(r).w - t) < 1e-10 * (1.0 + t)
 
 
+# h = c r^beta for the three noncompact library models (fixture names)
+POWER_LAWS = {"flat": 1.0, "cone": 1.0, "power_warp": 0.75}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_LAWS))
+@pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
+def test_batched_radii_equal_single_calls_bitwise(solved, name, p):
+    pot = solved(name, p)
+    levels = np.linspace(0.0, pot.t_max, 41)
+    batch = pl.radius_of_level(pot, levels)
+    assert batch.shape == levels.shape
+    assert [float(r) for r in batch] == [pl.radius_of_level(pot, float(t)) for t in levels]
+
+
+@pytest.mark.parametrize("name", sorted(POWER_LAWS))
+def test_batched_radii_match_closed_form(solved, name):
+    # r(t) = r0 exp(t / ((p-1)(q beta - 1))), q = 2/(p-1), on a 321-level batch
+    # holding t = 0, t = t_max, 16 exact grid nodes and 303 levels between
+    p = 1.5
+    pot = solved(name, p)
+    nodes = np.arange(0, pot.grid.size, 256)
+    levels = np.concatenate(
+        [[0.0, pot.t_max], pot.w[nodes], np.linspace(0.0, pot.t_max, 305)[1:-1]]
+    )
+    assert levels.size == 321
+    radii = pl.radius_of_level(pot, levels)
+    rate = (p - 1.0) * (2.0 / (p - 1.0) * POWER_LAWS[name] - 1.0)
+    exact = pot.r0 * np.exp(levels / rate)
+    assert np.max(np.abs(radii / exact - 1.0)) < 1e-12
+    assert radii[0] == pot.r0
+    assert radii[1] == pot.r_trunc
+    assert np.array_equal(radii[2:18], pot.grid[nodes])
+
+
+def test_interval_integrals_do_not_depend_on_the_batch(rng):
+    # each interval's integral is summed in the same order whatever the batch
+    # size, so a level's numbers do not depend on the batch it came in
+    from pinchlab.numerics import interval_integrals
+
+    a = rng.uniform(1.0, 2.0, 321)
+    b = a + rng.uniform(0.0, 0.5, 321)
+
+    def f(x):
+        return np.sin(7.0 * x) + x**-3
+
+    batch = interval_integrals(f, a, b)
+    single = [interval_integrals(f, a[i], b[i])[0] for i in range(a.size)]
+    assert batch.tolist() == single
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_levels_rejected(solved, bad):
+    pot = solved("flat", 1.5)
+    with pytest.raises(pl.DomainError, match="not a finite number"):
+        pl.radius_of_level(pot, bad)
+    with pytest.raises(pl.DomainError, match="not a finite number"):
+        pl.radius_of_level(pot, np.array([1.0, bad]))
+    for level_function in (pl.capacity, pl.holder_chain, pl.gauss_bonnet):
+        with pytest.raises(pl.DomainError, match="not a finite number"):
+            level_function(pot, bad)
+
+
 def test_level_inversion_keeps_no_reference_cycle():
     # the potential must be freed by reference counting alone once dropped
     gc.disable()
     try:
         pot = pl.solve_radial(pl.flat_model(), 1.5, 1.0, n_grid=256)
-        pl.radius_of_level(pot, 0.5 * pot.t_max + 1e-7)  # between nodes: runs brentq
+        pl.radius_of_level(pot, 0.5 * pot.t_max + 1e-7)  # between nodes: runs Newton
         ref = weakref.ref(pot)
         del pot
         assert ref() is None

@@ -294,6 +294,30 @@ def test_scenario_boundary_cone_run():
     assert report.verdict("volume-growth-consistency").status == "pass"
 
 
+def test_scenario_slab_check_on_a_neck():
+    # h dips to ~28 near r = 700, so at p = 1.1 w is nearly flat in r over
+    # hundreds of units: level inversion meets its rounding floor there, and
+    # r(t) is too steep for equal steps in t
+    knots = [0, 1, 2, 4, 8, 16, 100, 1000]
+    values = [0, 1, 1.8, 3.0, 5.0, 9.0, 40.0, 300.0]
+    model = pl.ManifoldModel(pl.geometry.spline_warp(knots, values), 0.0, 1000.0)
+    report = pl.run_contradiction_scenario(model, 1.1)
+    assert report.verdict("slab-volume-consistency").status == "pass"
+    assert report.failed_hypothesis == "pinching"
+
+
+def test_scenario_flat_dichotomy_status_does_not_depend_on_p():
+    # flat space has F = 4 pi exactly: the comparison ODE hypothesis F < 4 pi
+    # must not switch on and off with the last bit of F as p varies
+    statuses = {
+        p: pl.run_contradiction_scenario(pl.flat_model(), p, {"n_levels": 16})
+        .verdict("decay-dichotomy")
+        .status
+        for p in (1.1, 1.2, 1.37, 1.5, 1.75, 1.9)
+    }
+    assert set(statuses.values()) == {"not-applicable"}, statuses
+
+
 @pytest.mark.parametrize("option", ["bogus", "dt", "eps_threshold", "ode_step", "ode_horizon"])
 def test_scenario_option_validation(option):
     with pytest.raises(pl.DomainError, match="unknown scenario options"):
