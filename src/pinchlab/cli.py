@@ -22,7 +22,14 @@ import numpy as np
 from . import functionals, geometry, rigidity
 from .errors import ConfigError, PinchLabError
 from .potential import as_p, capacity, solve_radial
-from .report import ROW_COLUMNS, ScenarioReport, StageVerdict
+from .report import (
+    DEFAULT_TOLERANCES,
+    ROW_COLUMNS,
+    SCENARIO_DEFAULTS,
+    SCENARIO_TOLERANCES,
+    ScenarioReport,
+    StageVerdict,
+)
 
 __all__ = [
     "RunConfig",
@@ -38,20 +45,6 @@ SCENARIOS = ("solve", "monotone", "contradict", "check-identities", "willmore-ex
 FORMATS = ("csv", "json")
 MODEL_KINDS = ("flat", "cone", "power_warp", "positive_cap", "spline_cap")
 
-DEFAULT_TOLERANCES = {
-    "capacity": 1e-6,
-    "monotone": 1e-9,
-    "derivative": 1e-4,
-    "divergence": 1e-5,
-    "identity": 1e-10,
-    "gauss_bonnet": 1e-8,
-    "holder": 1e-8,
-    "willmore_coefficient": 0.02,
-    "slab": 1e-6,
-    "umbilicity": 1e-12,
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated description of one scenario run."""
@@ -59,16 +52,16 @@ class RunConfig:
     model: dict
     scenario: str
     p: float | str = "auto"
-    r0: float = 1.0
-    r_max: float | None = None
-    n_grid: int = 4096
-    n_levels: int = 64
+    r0: float = SCENARIO_DEFAULTS["r0"]
+    r_max: float | None = SCENARIO_DEFAULTS["r_max"]
+    n_grid: int = SCENARIO_DEFAULTS["n_grid"]
+    n_levels: int = SCENARIO_DEFAULTS["n_levels"]
     tolerances: dict = field(default_factory=dict)
     out: str | None = None
     format: str = "csv"
     seed: int = 0
     margin: float = 0.5
-    eps: float | None = None
+    eps: float | None = SCENARIO_DEFAULTS["eps"]
 
     def tolerance(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
@@ -124,8 +117,8 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "top-level", "expected a JSON object")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(raw) - known
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    unknown = set(raw) - set(defaults)
     _expect(not unknown, "top-level", f"unknown keys: {sorted(unknown)}")
     _expect("model" in raw, "model", "missing required key")
     _expect("scenario" in raw, "scenario", "missing required key")
@@ -134,7 +127,7 @@ def parse_config(text: str) -> RunConfig:
     scenario = raw["scenario"]
     _expect(scenario in SCENARIOS, "scenario", f"unknown scenario {scenario!r}; choices: {SCENARIOS}")
 
-    p = raw.get("p", "auto")
+    p = raw.get("p", defaults["p"])
     if p != "auto":
         p = _check_number(p, "p")
         try:
@@ -142,21 +135,21 @@ def parse_config(text: str) -> RunConfig:
         except PinchLabError as exc:
             raise ConfigError(f"p: {exc}") from exc
 
-    r0 = _check_number(raw.get("r0", 1.0), "r0")
+    r0 = _check_number(raw.get("r0", defaults["r0"]), "r0")
     _expect(r0 > 0.0, "r0", f"must be positive, got {r0}")
-    r_max = raw.get("r_max", None)
+    r_max = raw.get("r_max", defaults["r_max"])
     if r_max is not None:
         r_max = _check_number(r_max, "r_max")
         _expect(r_max > r0, "r_max", f"must exceed r0 = {r0}, got {r_max}")
-    n_grid = _check_number(raw.get("n_grid", 4096), "n_grid", integer=True)
+    n_grid = _check_number(raw.get("n_grid", defaults["n_grid"]), "n_grid", integer=True)
     _expect(n_grid >= 16, "n_grid", f"needs at least 16 points, got {n_grid}")
-    n_levels = _check_number(raw.get("n_levels", 64), "n_levels", integer=True)
+    n_levels = _check_number(raw.get("n_levels", defaults["n_levels"]), "n_levels", integer=True)
     _expect(n_levels >= 2, "n_levels", f"needs at least 2 levels, got {n_levels}")
-    seed = _check_number(raw.get("seed", 0), "seed", integer=True)
+    seed = _check_number(raw.get("seed", defaults["seed"]), "seed", integer=True)
     _expect(seed >= 0, "seed", f"must be nonnegative, got {seed}")
-    margin = _check_number(raw.get("margin", 0.5), "margin")
+    margin = _check_number(raw.get("margin", defaults["margin"]), "margin")
     _expect(0.0 < margin < 1.0, "margin", f"must lie in (0, 1), got {margin}")
-    eps = raw.get("eps", None)
+    eps = raw.get("eps", defaults["eps"])
     if eps is not None:
         eps = _check_number(eps, "eps")
         _expect(0.0 < eps <= 1.0 / 3.0, "eps", f"must lie in (0, 1/3], got {eps}")
@@ -171,10 +164,10 @@ def parse_config(text: str) -> RunConfig:
         _expect(value > 0.0, f"tolerances.{key}", f"must be positive, got {value}")
         cleaned[key] = value
 
-    out = raw.get("out", None)
+    out = raw.get("out", defaults["out"])
     if out is not None:
         _expect(isinstance(out, str) and out, "out", "expected a non-empty path string")
-    fmt = raw.get("format", "csv")
+    fmt = raw.get("format", defaults["format"])
     _expect(fmt in FORMATS, "format", f"unknown format {fmt!r}; choices: {FORMATS}")
 
     return RunConfig(
@@ -432,16 +425,8 @@ def _scenario_willmore(config: RunConfig, model: geometry.ManifoldModel) -> Scen
 
 def _scenario_contradict(config: RunConfig, model: geometry.ManifoldModel) -> ScenarioReport:
     p = _resolve_p(config, model)
-    options = {
-        "r0": config.r0,
-        "r_max": config.r_max,
-        "n_grid": config.n_grid,
-        "n_levels": config.n_levels,
-        "eps": config.eps,
-        "capacity_tol": config.tolerance("capacity"),
-        "holder_tol": config.tolerance("holder"),
-        "slab_tol": config.tolerance("slab"),
-    }
+    options = {f"{name}_tol": config.tolerance(name) for name in SCENARIO_TOLERANCES}
+    options |= {key: getattr(config, key) for key in SCENARIO_DEFAULTS.keys() - options.keys()}
     report = rigidity.run_contradiction_scenario(model, p, options)
     report.config = _config_echo(config, p.value) | {"stage_options": report.config}
     return report

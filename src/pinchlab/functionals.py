@@ -17,7 +17,8 @@ derivative integrands are audited against centered finite differences by
 
 c_G differs from 1 because the raw integrand omits the 1/m^2 normalization
 that G itself carries; the audit measures the constant instead of trusting
-any printed formula.  The divergence identities for the radial fields
+any printed formula.  The report rows carry the exact constants; the
+``solve`` and ``monotone`` scenarios report the measured ones.  The divergence identities for the radial fields
 X = |grad w| grad w and Y = (Laplacian w) - w'' - |grad w|^2/m are checked
 the same way: an independent spline-derivative route is compared against the
 candidate right-hand sides, and the dimensionally inhomogeneous variant of
@@ -33,7 +34,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import geometry
 from .errors import DomainError
@@ -257,10 +257,16 @@ def _fd_derivative(values: np.ndarray) -> np.ndarray:
     return (4.0 * ((hi2 - lo2) / dt) - (hi - lo) / (2.0 * dt)) / 3.0
 
 
+def _exact_constants(p: float) -> tuple[float, float]:
+    """The exact derivative constants (c_F, c_G) = (1, (3-p)^-2) that :func:`audit_constants` measures."""
+    m = 3.0 - p
+    return 1.0, 1.0 / (m * m)
+
+
 def _sample_levels(pot: RadialPotential, ts) -> tuple[list[MonotoneSample], float]:
     """The samples at the levels ts and cap(0), from one batch: 0, ts and their stencils.
 
-    The closed forms carry the cached :func:`audit_constants` of the exponent.
+    The closed forms carry the exact constants of :func:`_exact_constants`.
     """
     ts = np.asarray(ts, dtype=float)
     outside = (ts - FD_STEP < 0.0) | (ts + FD_STEP > pot.t_max)
@@ -269,7 +275,7 @@ def _sample_levels(pot: RadialPotential, ts) -> tuple[list[MonotoneSample], floa
             f"level range violation: need dt <= t <= t_max - dt, "
             f"got t = {ts[outside][0]}, dt = {FD_STEP}, t_max = {pot.t_max:.6g}"
         )
-    constants = audit_constants(pot.p_value)
+    c_f, c_g = _exact_constants(pot.p_value)
     n = ts.size
     lv = _level(pot, np.concatenate([[0.0], ts, _stencil(ts)]))
     at = slice(1, n + 1)
@@ -284,8 +290,8 @@ def _sample_levels(pot: RadialPotential, ts) -> tuple[list[MonotoneSample], floa
         "G": lv.G[at],
         "dF_fd": _fd_derivative(lv.F[n + 1 :]),
         "dG_fd": _fd_derivative(lv.G[n + 1 :]),
-        "dF_cf": constants.c_F * lv.dF_raw[at],
-        "dG_cf": constants.c_G * lv.dG_raw[at],
+        "dF_cf": c_f * lv.dF_raw[at],
+        "dG_cf": c_g * lv.dG_raw[at],
         "cap": lv.cap[at],
         "gb": (geo.sc_tangential * geo.area)[at],
         "willmore": (geo.mean_curvature**2 * geo.area)[at],
@@ -414,6 +420,8 @@ def audit_constants(p) -> AuditConstants:
 
 def _div_splines(pot: RadialPotential):
     """Log-r spline derivatives of h^2 w'^2 and h^2 Y_r, the measured route of :func:`div_fields`."""
+    from scipy.interpolate import CubicSpline  # imported here: only this route needs scipy
+
     h, h1, _ = pot.model.warp(pot.grid)
     m = 3.0 - pot.p_value
     wp = pot.w_prime

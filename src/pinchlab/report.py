@@ -2,14 +2,47 @@
 
 The per-level row schema is a fixed contract: CSV output uses exactly these
 columns in exactly this order, so downstream plotting scripts can rely on
-column positions.
+column positions.  The default tolerances and run options live here too, as
+the one table that both the command line and the scenario runner read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ROW_COLUMNS", "StageVerdict", "ScenarioReport"]
+__all__ = [
+    "ROW_COLUMNS",
+    "DEFAULT_TOLERANCES",
+    "SCENARIO_TOLERANCES",
+    "SCENARIO_DEFAULTS",
+    "StageVerdict",
+    "ScenarioReport",
+]
+
+DEFAULT_TOLERANCES = {
+    "capacity": 1e-6,
+    "monotone": 1e-9,
+    "derivative": 1e-4,
+    "divergence": 1e-5,
+    "identity": 1e-10,
+    "gauss_bonnet": 1e-8,
+    "holder": 1e-8,
+    "willmore_coefficient": 0.02,
+    "slab": 1e-6,
+    "umbilicity": 1e-12,
+}
+
+SCENARIO_TOLERANCES = ("capacity", "holder", "slab")  # read by the contradiction scenario
+
+# options of the contradiction scenario; the run options double as cli.RunConfig's defaults
+SCENARIO_DEFAULTS = {
+    "r0": 1.0,
+    "r_max": None,
+    "n_grid": 4096,
+    "n_levels": 64,
+    "eps": None,  # explicit pinching constant; default: measured margin
+    **{f"{name}_tol": DEFAULT_TOLERANCES[name] for name in SCENARIO_TOLERANCES},
+}
 
 ROW_COLUMNS = (
     "t",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import functionals, geometry
 from .errors import ConvergenceError, DomainError, PinchLabError
@@ -35,7 +34,7 @@ from .potential import (
     radius_of_level,
     solve_radial,
 )
-from .report import ScenarioReport, StageVerdict
+from .report import SCENARIO_DEFAULTS, ScenarioReport, StageVerdict
 
 __all__ = [
     "ThresholdReport",
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 FOUR_PI = 4.0 * math.pi
-ODE_STEP = 1e-3  # RK4 step of the comparison ODE
+ODE_STEP = 1e-3  # time step at which the comparison envelope is sampled
 SLAB_CELLS = 128  # cells of the level partition the coarea slab integral uses
 
 
@@ -152,8 +151,7 @@ class DichotomyTrajectory:
     it the pure exponential branch takes over.  From any F0 < 4 pi the linear
     branch crosses the constant in the finite closed-form time stored in
     ``crossing_time_linear``, so the 'stuck' branch is impossible given
-    enough horizon; after the crossing the envelope sits below
-    K e^(-2t/(3-p)) with the fitted K.
+    enough horizon; after the crossing the envelope equals K e^(-2t/(3-p)).
     """
 
     p: float
@@ -170,7 +168,16 @@ class DichotomyTrajectory:
 
 
 def decay_dichotomy(p, eps: float, F0: float, *, horizon: float = 20.0) -> DichotomyTrajectory:
-    """Integrate the comparison ODE for F and locate the dichotomy crossing."""
+    """Solve the comparison ODE for F in closed form and locate the dichotomy crossing.
+
+    Both branches of the right-hand side are linear in F and meet at the
+    dichotomy constant f_d, so the envelope is piecewise exponential:
+    4 pi - (4 pi - F0) e^(2 eps t/m) up to the crossing time T, then
+    f_d e^(-2(t-T)/m), with m = 3-p (from F0 <= f_d, T = 0 and the envelope is
+    F0 e^(-2t/m)).  It is sampled every ODE_STEP up to the horizon; the branch
+    is 'stuck' when T lies past the last sample, and K is the largest
+    F e^(2t/m) over the samples.
+    """
     p = as_p(p)
     eps = functionals._check_eps(eps)
     F0 = float(F0)
@@ -183,64 +190,24 @@ def decay_dichotomy(p, eps: float, F0: float, *, horizon: float = 20.0) -> Dicho
         raise DomainError(f"need 0 < step < horizon, got step = {step}, horizon = {horizon}")
     m = 3.0 - p.value
     f_d = 8.0 * math.pi * eps / (2.0 + 2.0 * eps)
-
-    def rhs(f):
-        return max(-2.0 * f / m, -(eps / m) * (8.0 * math.pi - 2.0 * f))
-
     n_steps = int(math.ceil(horizon / step))
     times = np.linspace(0.0, n_steps * step, n_steps + 1)
-    env = np.empty(n_steps + 1)
-    env[0] = F0
-    f = F0
-    for i in range(n_steps):
-        k1 = rhs(f)
-        k2 = rhs(f + 0.5 * step * k1)
-        k3 = rhs(f + 0.5 * step * k2)
-        k4 = rhs(f + step * k3)
-        f = f + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        env[i + 1] = f
 
-    # closed-form crossing of the linear branch F' = -(eps/m)(8 pi - 2F):
-    # F(t) = 4 pi + (F0 - 4 pi) e^((2 eps/m) t) reaches f_d at
     if F0 <= f_d:
-        crossing_linear = 0.0
+        crossing_linear, f_cross = 0.0, F0
     else:
-        crossing_linear = (m / (2.0 * eps)) * math.log((FOUR_PI - f_d) / (FOUR_PI - F0))
+        crossing_linear, f_cross = (m / (2.0 * eps)) * math.log((FOUR_PI - f_d) / (FOUR_PI - F0)), f_d
+    # both exponents are clamped to their own branch, so neither can overflow
+    linear = F0 - (FOUR_PI - F0) * np.expm1((2.0 * eps / m) * np.minimum(times, crossing_linear))
+    decay = f_cross * np.exp(-(2.0 / m) * np.maximum(times - crossing_linear, 0.0))
+    env = np.where(times < crossing_linear, linear, decay)
 
-    crossing: float | None
-    if F0 <= f_d:
-        crossing = 0.0
+    # F e^(2t/m) grows along the linear branch and is constant after the crossing
+    crossing = crossing_linear if crossing_linear <= times[-1] else None
+    if crossing is not None:
+        k_fit = float(f_cross * np.exp(2.0 * crossing / m))
     else:
-        below = np.nonzero(env < f_d)[0]
-        if below.size == 0:
-            crossing = None
-        else:
-            j = int(below[0])
-            t0, t1 = float(times[j - 1]), float(times[j])
-            f0v, f1v = float(env[j - 1]), float(env[j])
-            if f0v == f_d:
-                crossing = t0
-            else:
-                d0, d1 = rhs(f0v), rhs(f1v)
-
-                def hermite(t):
-                    s = (t - t0) / (t1 - t0)
-                    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-                    h10 = s * (1.0 - s) ** 2
-                    h01 = s * s * (3.0 - 2.0 * s)
-                    h11 = s * s * (s - 1.0)
-                    dt_ = t1 - t0
-                    return h00 * f0v + h10 * dt_ * d0 + h01 * f1v + h11 * dt_ * d1 - f_d
-
-                crossing = float(brentq(hermite, t0, t1, xtol=1e-14, rtol=1e-15))
-
-    branch = "decay" if crossing is not None else "stuck"
-    t0_level = crossing
-    if t0_level is not None:
-        tail = times >= t0_level
-        k_fit = float(np.max(env[tail] * np.exp(2.0 * times[tail] / m)))
-    else:
-        k_fit = float(np.max(env * np.exp(2.0 * times / m)))
+        k_fit = float(env[-1] * np.exp(2.0 * times[-1] / m))
     return DichotomyTrajectory(
         p=p.value,
         eps=eps,
@@ -248,8 +215,8 @@ def decay_dichotomy(p, eps: float, F0: float, *, horizon: float = 20.0) -> Dicho
         dichotomy_constant=f_d,
         times=times,
         envelope=env,
-        branch=branch,
-        T0=t0_level,
+        branch="decay" if crossing is not None else "stuck",
+        T0=crossing,
         crossing_time=crossing,
         crossing_time_linear=crossing_linear,
         K=k_fit,
@@ -326,16 +293,6 @@ def ordering_check(pot: RadialPotential, levels) -> OrderingReport:
 # the contradiction scenario
 # ---------------------------------------------------------------------------
 
-_SCENARIO_DEFAULTS = {
-    "r0": 1.0,
-    "r_max": None,
-    "n_grid": 4096,
-    "n_levels": 64,
-    "eps": None,  # explicit pinching constant; default: measured margin
-    "capacity_tol": 1e-6,
-    "holder_tol": 1e-8,
-    "slab_tol": 1e-6,
-}
 EPS_THRESHOLD = 0.01  # smallest pinching margin the pinching gate accepts
 
 WILLMORE_GATE = "initial-willmore-gate"
@@ -372,7 +329,7 @@ def run_contradiction_scenario(
     (their conclusions are only forced under the full hypothesis set).  The
     volume stages still verify that no numerical contradiction materializes.
     """
-    opts = dict(_SCENARIO_DEFAULTS)
+    opts = dict(SCENARIO_DEFAULTS)
     if config:
         unknown = set(config) - set(opts)
         if unknown:
@@ -396,9 +353,7 @@ def run_contradiction_scenario(
         "solve",
         lambda: solve_radial(model, p, r0, n_grid=int(opts["n_grid"]), r_max=opts["r_max"]),
     )
-    audited = _run_stage("constants-audit", lambda: functionals.audit_constants(p.value))
-    constants["c_F"] = audited.c_F
-    constants["c_G"] = audited.c_G
+    constants["c_F"], constants["c_G"] = functionals._exact_constants(p.value)
 
     rows, _, holders = _run_stage(
         "level-sampling", lambda: functionals.level_rows(pot, int(opts["n_levels"]))
@@ -578,9 +533,7 @@ def run_contradiction_scenario(
         * (math.exp(envelope_exponent * t1v) - math.exp(envelope_exponent * t0v))
     )
     fit_radii = np.geomspace(r_lo_fit, max(r_hi_fit, r_t1), 16)
-    k_vol = max(
-        geometry.ball_volume(model, float(r)) / float(r) ** (1.0 + alpha_used) for r in fit_radii
-    )
+    k_vol = float(np.max(geometry.ball_volume(model, fit_radii) / fit_radii ** (1.0 + alpha_used)))
     slab_upper = k_vol * r_t1 ** (1.0 + alpha_used)
     contradiction = slab_lower > slab_upper * (1.0 + 1e-9)
     verdicts.append(
@@ -609,7 +562,8 @@ def run_contradiction_scenario(
         radii = np.geomspace(r_t0, r_t1, SLAB_CELLS + 1)[1:-1]
         edges = np.concatenate([[t0v], _level_at(pot, radii), [t1v]])
         integral = float(np.sum(cell_integrals(coarea_at, edges)))
-        direct = geometry.ball_volume(model, r_t1) - geometry.ball_volume(model, r_t0)
+        v0, v1 = geometry.ball_volume(model, [r_t0, r_t1])
+        direct = float(v1 - v0)
         return integral, direct
 
     integral, direct = _run_stage("slab-volume-consistency", slab_check)

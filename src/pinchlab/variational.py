@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from . import geometry
 from .errors import ConvergenceError, DomainError, LineSearchError
@@ -219,6 +218,8 @@ def minimize_energy(
     """
     if tol <= 0.0:
         raise DomainError(f"gradient tolerance must be positive, got {tol}")
+    from scipy.linalg import solveh_banded  # imported here: only this oracle needs scipy
+
     if initial is None:
         psi = _default_initial(problem)
     else:

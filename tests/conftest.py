@@ -41,3 +41,34 @@ def solved():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260819)
+
+
+def integrate_dichotomy(p: float, eps: float, f0: float, times: np.ndarray):
+    """Independent oracle for the comparison ODE F' = max(-2F/m, -(eps/m)(8 pi - 2F)), m = 3-p.
+
+    Integrates with scipy's DOP853 (rtol 1e-13, atol 1e-14) and an event at the
+    dichotomy constant; returns the envelope at ``times`` and the first crossing
+    time (0 when F0 starts at or below the constant, None when it is not reached).
+    """
+    from scipy.integrate import solve_ivp
+
+    m = 3.0 - p
+    f_d = 8.0 * np.pi * eps / (2.0 + 2.0 * eps)
+
+    def rhs(t, f):
+        return [max(-2.0 * f[0] / m, -(eps / m) * (8.0 * np.pi - 2.0 * f[0]))]
+
+    def reach_constant(t, f):
+        return f[0] - f_d
+
+    reach_constant.direction = -1.0
+    sol = solve_ivp(
+        rhs, (0.0, float(times[-1])), [f0], method="DOP853", rtol=1e-13, atol=1e-14,
+        t_eval=times, events=reach_constant,
+    )
+    assert sol.success, sol.message
+    if f0 <= f_d:
+        crossing = 0.0
+    else:
+        crossing = float(sol.t_events[0][0]) if sol.t_events[0].size else None
+    return sol.y[0], crossing

@@ -13,7 +13,7 @@ import numpy as np
 
 import pinchlab as pl
 
-from conftest import _solve
+from conftest import _solve, integrate_dichotomy
 
 FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
@@ -194,14 +194,17 @@ def test_criterion_7_threshold_equivalence():
 def test_criterion_8_decay_dichotomy():
     eps, f0 = 0.1, 3.9 * math.pi
     traj = pl.decay_dichotomy(1.5, eps, f0, horizon=40.0)
-    crossing_err = abs(traj.crossing_time - traj.crossing_time_linear)
+    env, crossing = integrate_dichotomy(1.5, eps, f0, traj.times)
+    crossing_err = abs(traj.crossing_time - crossing)
+    env_err = float(np.max(np.abs(traj.envelope - env))) / f0
     const_err = abs(pl.decay_dichotomy(1.5, 1.0 / 3.0, math.pi).dichotomy_constant - math.pi)
-    ok = traj.branch == "decay" and crossing_err <= 1e-6 and const_err <= 1e-12
+    ok = traj.branch == "decay" and max(crossing_err, env_err) <= 1e-6 and const_err <= 1e-12
     _verdict(
         8,
         "decay dichotomy",
         ok,
-        f"integrated vs closed-form crossing time differ by {crossing_err:.3e} (tol 1e-6); "
+        f"DOP853-integrated vs closed-form crossing time differ by {crossing_err:.3e}, "
+        f"envelopes by {env_err:.3e} relative (tol 1e-6); "
         f"dichotomy constant at eps = 1/3 off pi by {const_err:.1e} (tol 1e-12)",
     )
 

@@ -325,6 +325,36 @@ def test_python_m_pinchlab_runs_cleanly(tmp_path):
     assert "[PASS] solve:" in proc.stdout
 
 
+_SCIPY_PROBE = """
+import runpy, sys
+sys.argv = ["pinchlab", "contradict", "--model", sys.argv[1], "--out", sys.argv[2]]
+try:
+    runpy.run_module("pinchlab", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("model", ["power_warp_1.5", "flat"])
+def test_contradict_loads_no_scipy(model, tmp_path):
+    src = Path(pl.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    for argv in (
+        ["-c", _SCIPY_PROBE, model, str(tmp_path / "out.csv")],
+        ["-c", "import sys, pinchlab; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+    assert (tmp_path / "out.csv").exists()
+
+
 def test_main_rejects_unreadable_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

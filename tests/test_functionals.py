@@ -225,7 +225,6 @@ def _count_inversions(monkeypatch):
 
 def test_level_rows_invert_each_level_once(solved, monkeypatch):
     pot = solved("cone", 1.5)
-    pl.audit_constants(1.5)  # warm: count the rows' own levels only
     calls = _count_inversions(monkeypatch)
     functionals.level_rows(pot, 64)
     # t, t +- dt and t +- dt/2 per row, plus cap(0), all in one batch

@@ -164,20 +164,53 @@ def test_pinching_wide_cone_has_negative_ricci():
 
 
 def test_ball_volume_closed_forms():
-    assert math.isclose(pl.ball_volume(pl.flat_model(), 2.0), 32.0 * math.pi / 3.0, rel_tol=1e-10)
+    assert math.isclose(pl.ball_volume(pl.flat_model(), 2.0), 32.0 * math.pi / 3.0, rel_tol=1e-13)
     a = 0.8
     assert math.isclose(
         pl.ball_volume(pl.cone_model(a), 3.0),
-        a * a * FOUR_PI * 27.0 / 3.0,
-        rel_tol=1e-8,
+        a * a * FOUR_PI * (27.0 - 1e-12) / 3.0,  # from the inner radius 1e-4
+        rel_tol=1e-13,
     )
     # int_0^r sin^2 = r/2 - sin(2r)/4
     r = 1.0
     assert math.isclose(
         pl.ball_volume(pl.positive_cap_model(1.0), r),
         FOUR_PI * (r / 2.0 - math.sin(2.0 * r) / 4.0),
-        rel_tol=1e-9,
+        rel_tol=1e-13,
     )
+    # h = r^(alpha/2) from r_min: 4 pi (r^(1+alpha) - r_min^(1+alpha)) / (1+alpha)
+    alpha, r_min = 1.5, 0.25
+    for r in (0.25, 0.3, 7.0, 1e4):
+        assert math.isclose(
+            pl.ball_volume(pl.power_warp_model(alpha, r_min=r_min), r),
+            FOUR_PI * (r ** (1.0 + alpha) - r_min ** (1.0 + alpha)) / (1.0 + alpha),
+            rel_tol=1e-13,
+            abs_tol=0.0 if r > r_min else 1e-300,
+        )
+
+
+@pytest.mark.parametrize("name", ["flat", "cone_0.8", "power_warp_1.5", "positive_cap_1", "spline_cap_0.5"])
+def test_ball_volume_array_matches_scalar_calls_bitwise(name):
+    model = pl.library()[name]
+    lo = model.r_min if model.r_min > 0.0 else 1e-12 * model.r_max
+    radii = np.geomspace(lo, model.r_max, 37)[::-1].reshape(37, 1)
+    volumes = pl.ball_volume(model, radii)
+    assert volumes.shape == radii.shape
+    scalars = [pl.ball_volume(model, float(r)) for r in radii.ravel()]
+    assert all(isinstance(v, float) for v in scalars)
+    assert volumes.ravel().tolist() == scalars
+    assert np.all(np.diff(volumes.ravel()) < 0.0)
+
+
+def test_ball_volume_rejects_radii_outside_the_domain():
+    with pytest.raises(pl.DomainError, match="outside the model domain"):
+        pl.ball_volume(pl.flat_model(), 0.0)
+    with pytest.raises(pl.DomainError, match="outside the model domain"):
+        pl.ball_volume(pl.cone_model(0.8), [1.0, 2e4])
+    with pytest.raises(pl.DomainError, match="outside the model domain"):
+        pl.ball_volume(pl.power_warp_model(1.5), np.array([0.2, 1.0]))
+    with pytest.raises(pl.DomainError, match="outside the model domain"):
+        pl.ball_volume(pl.flat_model(), [1.0, math.nan])
 
 
 def test_growth_exponent_flat():

@@ -5,10 +5,12 @@ Frozen closed forms used as oracles:
   * contradiction_possible is algebraically equivalent to alpha > 4/(5-p).
   * dichotomy constant 8 pi eps/(2+2eps) equals pi exactly at eps = 1/3.
   * linear-branch crossing time (m/(2 eps)) log((4pi - Fd)/(4pi - F0)).
+  * the comparison ODE integrated independently by DOP853 (conftest).
   * ordering proportionality dG/dt = (G-F)/(p-1), audited constant 1/(3-p)^2.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinchlab as pl
+
+from conftest import integrate_dichotomy
 
 FOUR_PI = 4.0 * math.pi
 
@@ -131,9 +135,18 @@ def test_dichotomy_crossing_matches_closed_form():
     m = 1.5
     fd = traj.dichotomy_constant
     closed = (m / (2.0 * eps)) * math.log((FOUR_PI - fd) / (FOUR_PI - f0))
-    assert traj.crossing_time is not None
-    assert abs(traj.crossing_time - closed) < 1e-6
     assert abs(traj.crossing_time_linear - closed) < 1e-15
+    # the closed-form envelope and crossing against an independent DOP853
+    # integration of the comparison ODE, over a grid of exponents and data
+    for p in (1.1, 1.37, 1.5, 1.9):
+        for eps in (0.02, 0.1, 1.0 / 3.0):
+            for f0 in (math.pi / 2.0, 2.0 * math.pi, 3.5 * math.pi, 3.9 * math.pi):
+                traj = pl.decay_dichotomy(p, eps, f0, horizon=40.0)
+                env, crossing = integrate_dichotomy(p, eps, f0, traj.times[::50])
+                assert np.max(np.abs(traj.envelope[::50] - env)) <= 1e-10 * f0, (p, eps, f0)
+                assert (crossing is None) == (traj.crossing_time is None), (p, eps, f0)
+                if crossing is not None:
+                    assert abs(traj.crossing_time - crossing) <= 1e-10, (p, eps, f0)
 
 
 def test_dichotomy_starts_below_constant():
@@ -254,6 +267,15 @@ def test_scenario_no_numerical_contradiction(scenario_reports):
         assert report.constants["slab_lower_bound"] <= report.constants["slab_upper_bound"] * (
             1.0 + 1e-9
         )
+
+
+def test_scenario_slab_gap_and_exact_constants(scenario_reports):
+    reason = scenario_reports["power_warp_1.5"].verdict("slab-volume-consistency").reason
+    gap = float(re.search(r"relative gap ([-+.e0-9]+)", reason).group(1))
+    assert gap <= 1e-13, reason
+    for name, report in scenario_reports.items():
+        assert report.constants["c_F"] == 1.0, name
+        assert report.constants["c_G"] == 1.0 / 1.5**2, name
 
 
 def test_scenario_capacity_and_holder_always_verify(scenario_reports):
