@@ -24,7 +24,6 @@ from .errors import ConfigError, PinchLabError
 from .potential import as_p, capacity, solve_radial
 from .report import (
     DEFAULT_TOLERANCES,
-    ROW_COLUMNS,
     SCENARIO_DEFAULTS,
     SCENARIO_TOLERANCES,
     ScenarioReport,

@@ -75,28 +75,37 @@ class WarpFunction:
     ``kind`` tags the family (flat | cone | power_warp | positive_cap |
     custom_spline); ``params`` echoes the construction parameters for
     serialization and equality checks.  Calling the warp with a float or an
-    ndarray returns the triple (h, h', h'') with matching shape.
-    ``critical_radii`` lists the zeros of h' where the family knows them (spline
-    warps), so a model can check positivity at every interior minimum of h.
+    ndarray returns the triple (h, h', h'') with matching shape; :meth:`h`
+    returns h alone, computed as in the triple.  ``critical_radii`` lists the
+    zeros of h' where the family knows them (spline warps), so a model can
+    check positivity at every interior minimum of h.
     """
 
     kind: str
     params: Mapping[str, float]
     smooth_pole: bool
     _evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
+    _value: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     critical_radii: tuple[float, ...] = field(default=(), repr=False)
 
     def __call__(self, r):
         return self._evaluate(np.asarray(r, dtype=float))
 
+    def h(self, r):
+        """The warp h alone, for integrands that need no derivative."""
+        return self._value(np.asarray(r, dtype=float))
+
 
 def flat_warp() -> WarpFunction:
     """h(r) = r: Euclidean space."""
 
-    def ev(r):
-        return r, np.ones_like(r), np.zeros_like(r)
+    def h(r):
+        return r
 
-    return WarpFunction("flat", {}, True, ev)
+    def ev(r):
+        return h(r), np.ones_like(r), np.zeros_like(r)
+
+    return WarpFunction("flat", {}, True, ev, h)
 
 
 def cone_warp(a: float) -> WarpFunction:
@@ -105,10 +114,13 @@ def cone_warp(a: float) -> WarpFunction:
     if a <= 0.0:
         raise DomainError(f"cone slope must be positive, got {a}")
 
-    def ev(r):
-        return a * r, np.full_like(r, a), np.zeros_like(r)
+    def h(r):
+        return a * r
 
-    return WarpFunction("cone", {"a": a}, abs(a - 1.0) < 1e-15, ev)
+    def ev(r):
+        return h(r), np.full_like(r, a), np.zeros_like(r)
+
+    return WarpFunction("cone", {"a": a}, abs(a - 1.0) < 1e-15, ev, h)
 
 
 def power_warp(alpha: float) -> WarpFunction:
@@ -118,11 +130,13 @@ def power_warp(alpha: float) -> WarpFunction:
         raise DomainError(f"power_warp exponent alpha must lie in (0, 2], got {alpha}")
     beta = 0.5 * alpha
 
-    def ev(r):
-        h = r**beta
-        return h, beta * r ** (beta - 1.0), beta * (beta - 1.0) * r ** (beta - 2.0)
+    def h(r):
+        return r**beta
 
-    return WarpFunction("power_warp", {"alpha": alpha}, abs(alpha - 2.0) < 1e-15, ev)
+    def ev(r):
+        return h(r), beta * r ** (beta - 1.0), beta * (beta - 1.0) * r ** (beta - 2.0)
+
+    return WarpFunction("power_warp", {"alpha": alpha}, abs(alpha - 2.0) < 1e-15, ev, h)
 
 
 def positive_cap_warp(k: float) -> WarpFunction:
@@ -132,10 +146,13 @@ def positive_cap_warp(k: float) -> WarpFunction:
         raise DomainError(f"positive_cap curvature must be positive, got {k}")
     s = math.sqrt(k)
 
-    def ev(r):
-        return np.sin(s * r) / s, np.cos(s * r), -s * np.sin(s * r)
+    def h(r):
+        return np.sin(s * r) / s
 
-    return WarpFunction("positive_cap", {"k": k}, True, ev)
+    def ev(r):
+        return h(r), np.cos(s * r), -s * np.sin(s * r)
+
+    return WarpFunction("positive_cap", {"k": k}, True, ev, h)
 
 
 def spline_warp(knots, values, *, smooth_pole: bool = False) -> WarpFunction:
@@ -159,7 +176,7 @@ def spline_warp(knots, values, *, smooth_pole: bool = False) -> WarpFunction:
 
     params = {"knots": tuple(map(float, knots)), "values": tuple(map(float, values))}
     critical = tuple(float(r) for r in d1.roots() if math.isfinite(r))
-    return WarpFunction("custom_spline", params, smooth_pole, ev, critical)
+    return WarpFunction("custom_spline", params, smooth_pole, ev, spline, critical)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +207,7 @@ class ManifoldModel:
             raise DomainError(f"need r_min < r_max < inf, got [{self.r_min}, {self.r_max}]")
         lo = self.r_min if self.r_min > 0.0 else self.r_max * 1e-9
         interior_critical = [r for r in self.warp.critical_radii if self.r_min < r < self.r_max]
-        h, _, _ = self.warp(np.concatenate([np.geomspace(lo, self.r_max, 16), interior_critical]))
+        h = self.warp.h(np.concatenate([np.geomspace(lo, self.r_max, 16), interior_critical]))
         if not np.all(np.isfinite(h)) or np.any(h <= 0.0):
             raise DomainError("warp function must be positive and finite on the domain")
 
@@ -471,7 +488,7 @@ def ball_volume(model: ManifoldModel, r):
     lo = POLE_CUT * model.r_max if model.has_pole else model.r_min
 
     def integrand(s):
-        h, _, _ = model.warp(s)
+        h = model.warp.h(s)
         return 4.0 * math.pi * h * h
 
     n_cells = max(int(math.log(np.max(flat) / lo) / math.log(VOLUME_CELL_RATIO)), 0) + 1

@@ -18,6 +18,7 @@ __all__ = ["cell_integrals", "interval_integrals", "log_log_fit"]
 # 12-point Gauss-Legendre rule on [-1, 1]; exactness through degree 23 makes a
 # single panel per geometric cell effectively exact for analytic integrands.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_BLOCK = 4096  # intervals per evaluation of the integrand
 
 
 def cell_integrals(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
@@ -29,16 +30,25 @@ def cell_integrals(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> 
 
 
 def interval_integrals(f, a, b) -> np.ndarray:
-    """Integral of ``f`` over each interval [a_i, b_i] (broadcast over arrays)."""
+    """Integral of ``f`` over each interval [a_i, b_i] (broadcast over arrays).
+
+    ``f`` is called on the Gauss points of at most _BLOCK intervals at a time,
+    so the temporaries of a call are bounded by the block, not by the batch.
+    """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
-    # einsum sums each row in the same order whatever the number of rows (a BLAS
-    # gemv does not), so an interval's integral does not depend on its batch
-    return half * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
+    a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
+    out = np.empty(a.shape)
+    for start in range(0, a.size, _BLOCK):
+        lo, hi = a[start : start + _BLOCK], b[start : start + _BLOCK]
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+        vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
+        # einsum sums each row in the same order whatever the number of rows (a
+        # BLAS gemv does not), so an interval's integral does not depend on its
+        # batch or its block
+        out[start : start + _BLOCK] = half * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
+    return out
 
 
 def log_log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

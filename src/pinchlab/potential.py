@@ -114,9 +114,9 @@ class RadialPotential:
     def t_max(self) -> float:
         return float(self.w[-1])
 
-    def _integrand(self, s):
-        h, _, _ = self.model.warp(s)
-        return h ** (-2.0 / (self.p.value - 1.0))
+    @property
+    def _integrand(self):
+        return _flux_density(self.model.warp, self.p.value)
 
     def require_radius(self, r: float) -> float:
         r = float(r)
@@ -144,12 +144,17 @@ class RadialPotential:
         """(u, u', w, w') at one radius, from the quadrature representation."""
         r = self.require_radius(r)
         flux = float(self.flux_integral_at(r)[0])
-        h, _, _ = self.model.warp(np.asarray(r))
-        hq = float(h) ** (-2.0 / (self.p.value - 1.0))
+        hq = float(self.model.warp.h(r)) ** (-2.0 / (self.p.value - 1.0))
         k = self.p.value - 1.0
         u = flux / self.normalizer
         w = k * (math.log(self.normalizer) - math.log(flux))
         return PotentialSample(u, -hq / self.normalizer, w, k * hq / flux, w)
+
+
+def _flux_density(warp: geometry.WarpFunction, p_value: float):
+    """The integrand s -> h(s)^(-2/(p-1)) of I."""
+    exponent = -2.0 / (p_value - 1.0)
+    return lambda s: warp.h(s) ** exponent
 
 
 def solve_radial(
@@ -185,13 +190,8 @@ def solve_radial(
 
     q = 2.0 / (p.value - 1.0)
     grid = np.geomspace(r0, r_max, int(n_grid))
-    h, _, _ = model.warp(grid)
-
-    def integrand(s):
-        hs, _, _ = model.warp(s)
-        return hs ** (-q)
-
-    cells = cell_integrals(integrand, grid)
+    h = model.warp.h(grid)
+    cells = cell_integrals(_flux_density(model.warp, p.value), grid)
     if np.any(~np.isfinite(cells)) or np.any(cells <= 0.0):
         raise ConvergenceError("flux quadrature produced non-positive or non-finite cells")
 
@@ -334,7 +334,7 @@ def _capacity_at(pot: RadialPotential, h, w_prime):
 def capacity(pot: RadialPotential, t: float) -> float:
     """Normalized capacity of the level set {w = t}."""
     r = radius_of_level(pot, [float(t)])
-    h, _, _ = pot.model.warp(r)
+    h = pot.model.warp.h(r)
     return float(_capacity_at(pot, h, _w_prime_at(pot, r, h))[0])
 
 

@@ -176,7 +176,7 @@ def decay_dichotomy(p, eps: float, F0: float, *, horizon: float = 20.0) -> Dicho
     f_d e^(-2(t-T)/m), with m = 3-p (from F0 <= f_d, T = 0 and the envelope is
     F0 e^(-2t/m)).  It is sampled every ODE_STEP up to the horizon; the branch
     is 'stuck' when T lies past the last sample, and K is the largest
-    F e^(2t/m) over the samples.
+    F e^(2t/m) over the samples; a K past the float range raises DomainError.
     """
     p = as_p(p)
     eps = functionals._check_eps(eps)
@@ -204,10 +204,18 @@ def decay_dichotomy(p, eps: float, F0: float, *, horizon: float = 20.0) -> Dicho
 
     # F e^(2t/m) grows along the linear branch and is constant after the crossing
     crossing = crossing_linear if crossing_linear <= times[-1] else None
-    if crossing is not None:
-        k_fit = float(f_cross * np.exp(2.0 * crossing / m))
-    else:
-        k_fit = float(env[-1] * np.exp(2.0 * times[-1] / m))
+    try:
+        with np.errstate(over="raise"):
+            if crossing is not None:
+                k_fit = float(f_cross * np.exp(2.0 * crossing / m))
+            else:
+                k_fit = float(env[-1] * np.exp(2.0 * times[-1] / m))
+    except FloatingPointError:
+        where, t_k = ("crossing time", crossing) if crossing is not None else ("horizon", times[-1])
+        raise DomainError(
+            f"K = F e^(2t/(3-p)) passes the float range at the {where} t = {t_k:.6g} "
+            f"(p = {p.value}, eps = {eps})"
+        ) from None
     return DichotomyTrajectory(
         p=p.value,
         eps=eps,

@@ -72,6 +72,11 @@ class DiscreteProblem:
     def n_cells(self) -> int:
         return self.mesh.size - 1
 
+    @cached_property
+    def dx(self) -> np.ndarray:
+        """Cell widths."""
+        return np.diff(self.mesh)
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteSolution:
@@ -111,7 +116,7 @@ def discretize(
     mesh[0], mesh[-1] = r0, r_cut
 
     def area_density(r):
-        h, _, _ = model.warp(r)
+        h = model.warp.h(r)
         return 4.0 * math.pi * h * h
 
     weights = cell_integrals(area_density, mesh)
@@ -125,42 +130,12 @@ def energy(problem: DiscreteProblem, psi: np.ndarray) -> float:
     psi = np.asarray(psi, dtype=float)
     if psi.shape != problem.mesh.shape:
         raise DomainError(f"profile shape {psi.shape} does not match mesh shape {problem.mesh.shape}")
-    slopes = np.diff(psi) / np.diff(problem.mesh)
+    return _slope_energy(problem, np.diff(psi) / problem.dx)
+
+
+def _slope_energy(problem: DiscreteProblem, slopes: np.ndarray) -> float:
+    """The energy sum_i m_i |s_i|^p from the cell slopes s_i."""
     return float(np.sum(problem.weights * np.abs(slopes) ** problem.p.value))
-
-
-def _flux(problem: DiscreteProblem, psi: np.ndarray) -> np.ndarray:
-    """Discrete flux through each cell: m_i p |s_i|^(p-2) s_i / dx_i."""
-    p = problem.p.value
-    dx = np.diff(problem.mesh)
-    slopes = np.diff(psi) / dx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flux = problem.weights * p * np.abs(slopes) ** (p - 2.0) * slopes / dx
-    return np.where(slopes == 0.0, 0.0, flux)
-
-
-def _gradient(problem: DiscreteProblem, psi: np.ndarray) -> np.ndarray:
-    """Interior-node gradient: consecutive flux differences."""
-    flux = _flux(problem, psi)
-    return flux[:-1] - flux[1:]
-
-
-def _hessian_banded(problem: DiscreteProblem, psi: np.ndarray) -> np.ndarray:
-    """Upper-banded tridiagonal Hessian with the slope floor applied."""
-    p = problem.p.value
-    dx = np.diff(problem.mesh)
-    slopes = np.diff(psi) / dx
-    d2 = (
-        problem.weights
-        * p
-        * (p - 1.0)
-        * np.maximum(np.abs(slopes), _SLOPE_FLOOR) ** (p - 2.0)
-        / (dx * dx)
-    )
-    ab = np.zeros((2, psi.size - 2))
-    ab[1, :] = d2[:-1] + d2[1:]
-    ab[0, 1:] = -d2[1:-1]
-    return ab
 
 
 def _default_initial(problem: DiscreteProblem) -> np.ndarray:
@@ -181,7 +156,7 @@ def constant_flux_profile(problem: DiscreteProblem) -> np.ndarray:
     keeps the (possibly denormal-small) tail values exactly representable.
     """
     p = problem.p.value
-    dx = np.diff(problem.mesh)
+    dx = problem.dx
     log_drops = (np.log(dx) - np.log(problem.weights)) / (p - 1.0) + np.log(dx)
     log_drops -= log_drops.max()  # scale before normalizing to avoid overflow
     drops = np.exp(log_drops)
@@ -235,12 +210,23 @@ def minimize_energy(
             )
         psi[0], psi[-1] = 1.0, 0.0
 
-    dx = np.diff(problem.mesh)
-    current = energy(problem, psi)
+    p = problem.p.value
+    weights, dx = problem.weights, problem.dx
+    # the slope floor's power goes through the array power like every other
+    # entry: numpy's vectorized pow can differ from a scalar pow in the last bit
+    floor_power = (np.full(1, _SLOPE_FLOOR) ** (p - 2.0))[0]
+    slopes = np.diff(psi) / dx
+    current = _slope_energy(problem, slopes)
     history = [current]
     rel_grad = math.inf
     for iteration in range(_MAX_NEWTON_ITERATIONS):
-        flux = _flux(problem, psi)
+        # one pass per iterate: |s|^(p-2) serves the flux m p |s|^(p-2) s / dx
+        # and, floored at _SLOPE_FLOOR, the tridiagonal Hessian
+        abs_slopes = np.abs(slopes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            power = abs_slopes ** (p - 2.0)
+            flux = weights * p * power * slopes / dx
+        flux = np.where(slopes == 0.0, 0.0, flux)
         grad = flux[:-1] - flux[1:]
         scale = max(1.0, float(np.median(np.abs(flux))))
         rel_grad = float(np.max(np.abs(grad))) / scale
@@ -254,7 +240,12 @@ def minimize_energy(
                 grad_norm=rel_grad,
                 energy_history=tuple(history),
             )
-        direction = solveh_banded(_hessian_banded(problem, psi), -grad)
+        floored = np.where(abs_slopes >= _SLOPE_FLOOR, power, floor_power)
+        d2 = weights * p * (p - 1.0) * floored / (dx * dx)
+        hessian = np.zeros((2, psi.size - 2))
+        hessian[1, :] = d2[:-1] + d2[1:]
+        hessian[0, 1:] = -d2[1:-1]
+        direction = solveh_banded(hessian, -grad)
         slope = float(grad @ direction)
         if slope >= 0.0:
             raise ConvergenceError(
@@ -263,14 +254,14 @@ def minimize_energy(
             )
         # trust region: cap the relative slope change before line searching
         dslope = np.diff(np.concatenate([[0.0], direction, [0.0]])) / dx
-        slopes = np.diff(psi) / dx
-        rel_change = np.abs(dslope) / np.maximum(np.abs(slopes), 1e-300)
+        rel_change = np.abs(dslope) / np.maximum(abs_slopes, 1e-300)
         max_rel = float(np.max(rel_change))
         step = min(1.0, _TRUST_FACTOR / max_rel) if max_rel > 0.0 else 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = psi.copy()
             trial[1:-1] += step * direction
-            trial_energy = energy(problem, trial)
+            trial_slopes = np.diff(trial) / dx
+            trial_energy = _slope_energy(problem, trial_slopes)
             if trial_energy <= current + _ARMIJO_C * step * slope:
                 break
             step *= _ARMIJO_FACTOR
@@ -280,7 +271,7 @@ def minimize_energy(
                 f"scaled gradient {rel_grad:.3e}, directional derivative {slope:.3e}, "
                 f"final step {step:.3e}"
             )
-        psi = trial
+        psi, slopes = trial, trial_slopes
         current = trial_energy
         history.append(current)
     raise ConvergenceError(

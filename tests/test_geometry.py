@@ -270,6 +270,17 @@ def test_spline_warp_positive_at_interior_minimum():
     assert pl.ManifoldModel(positive, 1.0, 4.0).r_max == 4.0
 
 
+def test_warp_h_alone_equals_the_triple_bitwise(rng):
+    warps = [model.warp for model in pl.library().values()]
+    warps.append(pl.geometry.spline_warp([0, 1, 2, 3, 4], [0.2, 1, 0.5, 1, 2]))
+    radii = rng.uniform(0.05, 1.4, 257)
+    for warp in warps:
+        h = warp.h(radii)
+        assert h.shape == radii.shape
+        assert h.tobytes() == warp(radii)[0].tobytes()
+        assert float(warp.h(0.7)) == float(warp(0.7)[0])
+
+
 def test_require_radius_bounds():
     flat = pl.flat_model()
     with pytest.raises(pl.DomainError):

@@ -9,6 +9,7 @@ These exact forms are the oracles for every assertion here.
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -185,11 +186,13 @@ def test_batched_radii_match_closed_form(solved, name):
 
 def test_interval_integrals_do_not_depend_on_the_batch(rng):
     # each interval's integral is summed in the same order whatever the batch
-    # size, so a level's numbers do not depend on the batch it came in
-    from pinchlab.numerics import interval_integrals
+    # size, so a level's numbers do not depend on the batch it came in; the
+    # batch spans more than two evaluation blocks and ends in a partial one
+    from pinchlab.numerics import _BLOCK, interval_integrals
 
-    a = rng.uniform(1.0, 2.0, 321)
-    b = a + rng.uniform(0.0, 0.5, 321)
+    n = 2 * _BLOCK + 321
+    a = rng.uniform(1.0, 2.0, n)
+    b = a + rng.uniform(0.0, 0.5, n)
 
     def f(x):
         return np.sin(7.0 * x) + x**-3
@@ -197,6 +200,21 @@ def test_interval_integrals_do_not_depend_on_the_batch(rng):
     batch = interval_integrals(f, a, b)
     single = [interval_integrals(f, a[i], b[i])[0] for i in range(a.size)]
     assert batch.tolist() == single
+
+
+@pytest.mark.parametrize("factory", [pl.flat_model, pl.power_warp_model])
+def test_solve_radial_peak_memory_is_bounded_by_its_result(factory):
+    # the quadrature evaluates its integrand block by block, so a large solve
+    # allocates less scratch memory than the arrays the potential keeps
+    model = factory()
+    tracemalloc.start()
+    try:
+        pot = pl.solve_radial(model, 1.5, 1.0, n_grid=2**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (pot.grid, pot.u, pot.u_prime, pot.w, pot.w_prime, pot.suffix))
+    assert peak <= 2 * kept
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

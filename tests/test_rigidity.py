@@ -166,6 +166,18 @@ def test_dichotomy_stuck_within_short_horizon():
     assert traj.crossing_time_linear > 20.0
 
 
+@pytest.mark.parametrize(
+    "F0, horizon, where",
+    [(3.9 * math.pi, 600.0, "horizon t = 600"), (FOUR_PI - 5.64, 700.0, "crossing time t = 600.1")],
+    ids=["stuck", "decay"],
+)
+def test_dichotomy_constant_past_the_float_range_is_refused(F0, horizon, where):
+    # 2t/(3-p) = 800 at the horizon (stuck branch) or at the crossing (decay
+    # branch): e^800 is not a float, so K cannot be reported
+    with pytest.raises(pl.DomainError, match=f"float range at the {where}"):
+        pl.decay_dichotomy(1.5, 0.001, F0, horizon=horizon)
+
+
 def test_dichotomy_envelope_bound():
     traj = pl.decay_dichotomy(1.5, 0.2, 3.5 * math.pi, horizon=30.0)
     assert np.all(np.diff(traj.envelope) <= 0.0)

@@ -9,6 +9,7 @@ the minimizer itself.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,18 @@ def test_mesh_is_geometric():
     assert prob.weights.shape == (128,)
 
 
+def test_discretize_peak_memory_is_bounded_by_its_result():
+    # the cell weights come from block-wise quadrature, so the scratch memory
+    # of a large mesh stays below the mesh and weights the problem keeps
+    tracemalloc.start()
+    try:
+        prob = pl.discretize(pl.power_warp_model(), 1.5, 1.0, 2**17, 1e3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (prob.mesh.nbytes + prob.weights.nbytes)
+
+
 def test_cone_weights_scale_like_a_squared():
     flat = _problem("flat", 1.5, n=64)
     cone = _problem("cone", 1.5, n=64)
@@ -79,6 +92,21 @@ def test_cold_start_flat_converges(solved):
     assert np.all(np.diff(hist) <= 1e-12 * (1.0 + np.abs(hist[:-1])))
     cap = pl.capacity_from_energy(sol)
     assert abs(cap - pl.capacity(solved("flat", 1.5), 0.0)) < 2e-3
+
+
+@pytest.mark.parametrize(
+    "name, p, iterations",
+    [("flat", 1.5, 33), ("cone_0.8", 1.65, 23), ("power_warp_1.5", 1.8, 10)],
+)
+def test_newton_path_is_pinned(name, p, iterations):
+    # iteration counts of the default start on 2^12 cells; any drift in the
+    # flux, the Hessian or the line search moves them
+    prob = pl.discretize(pl.library()[name], p, 1.0, 2**12, 1e3)
+    sol = pl.minimize_energy(prob)
+    assert sol.iterations == iterations
+    assert sol.energy == pl.energy(prob, sol.psi)
+    assert sol.energy_history[-1] == sol.energy
+    assert len(sol.energy_history) == iterations + 1
 
 
 def test_inner_radius_scaling():
