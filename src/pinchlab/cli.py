@@ -239,37 +239,33 @@ def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
     p = _resolve_p(config, model)
     pot = solve_radial(model, p, config.r0, n_grid=config.n_grid, r_max=config.r_max)
     rows, _, _ = functionals.level_rows(pot, config.n_levels)
-    audited = functionals.audit_constants(p.value)
+    c_f, c_g = functionals._exact_constants(p.value)
+    boundary_ok = abs(pot.u[0] - 1.0) <= 1e-12 and abs(pot.w[0]) <= 1e-12
+    cap_tol = config.tolerance("capacity")
+    cap_dev = max(abs(row["cap_ratio_to_exp_t"] - 1.0) for row in rows)
     verdicts = [
         StageVerdict(
             "solve",
             "pass",
             f"potential on [{pot.grid[0]:.6g}, {pot.r_trunc:.6g}] with {pot.grid.size} nodes; "
             f"t_max = {pot.t_max:.6g}, tail exponent beta = {pot.tail_beta:.6g}",
-        )
-    ]
-    boundary_ok = abs(pot.u[0] - 1.0) <= 1e-12 and abs(pot.w[0]) <= 1e-12
-    verdicts.append(
+        ),
         StageVerdict(
             "boundary-normalization",
             "pass" if boundary_ok else "fail",
             f"u(r0) = {float(pot.u[0])!r}, w(r0) = {float(pot.w[0])!r}",
-        )
-    )
-    cap_tol = config.tolerance("capacity")
-    cap_dev = max(abs(row["cap_ratio_to_exp_t"] - 1.0) for row in rows)
-    verdicts.append(
+        ),
         StageVerdict(
             "capacity-law",
             "pass" if cap_dev <= cap_tol else "fail",
             f"max |cap(t) e^-t / cap(0) - 1| = {cap_dev:.3e} (tol {cap_tol:.1e})",
-        )
-    )
+        ),
+    ]
     return ScenarioReport(
         config=_config_echo(config, p.value),
         rows=rows,
         verdicts=verdicts,
-        constants={"c_F": audited.c_F, "c_G": audited.c_G, "cap_0": capacity(pot, 0.0)},
+        constants={"c_F": c_f, "c_G": c_g, "cap_0": capacity(pot, 0.0)},
     )
 
 
@@ -277,7 +273,7 @@ def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> Scen
     p = _resolve_p(config, model)
     pot = solve_radial(model, p, config.r0, n_grid=config.n_grid, r_max=config.r_max)
     rows, samples, holders = functionals.level_rows(pot, config.n_levels)
-    audited = functionals.audit_constants(p.value)
+    c_f, c_g = functionals._exact_constants(p.value)
     tol_mono = config.tolerance("monotone")
     tol_deriv = config.tolerance("derivative")
     tol_holder = config.tolerance("holder")
@@ -292,6 +288,13 @@ def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> Scen
     g_vals = [row["G"] for row in rows]
     worst_f, ok_f = non_increasing(f_vals)
     worst_g, ok_g = non_increasing(g_vals)
+    order_ok = all(
+        -tol_mono * (1.0 + abs(f)) <= g <= f + tol_mono * (1.0 + abs(f))
+        for f, g in zip(f_vals, g_vals)
+    )
+    dev_f = max(abs(s.dF_fd - s.dF_cf) / (1.0 + abs(s.dF_cf)) for s in samples)
+    dev_g = max(abs(s.dG_fd - s.dG_cf) / (1.0 + abs(s.dG_cf)) for s in samples)
+    holder_dev = max(abs(h.equality_gap) / (1.0 + abs(h.rhs)) for h in holders)
     verdicts = [
         StageVerdict(
             "monotone-F",
@@ -303,40 +306,28 @@ def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> Scen
             "pass" if ok_g else "fail",
             f"max normalized increment of G = {worst_g:.3e} (tol {tol_mono:.1e})",
         ),
-    ]
-    order_ok = all(
-        -tol_mono * (1.0 + abs(f)) <= g <= f + tol_mono * (1.0 + abs(f))
-        for f, g in zip(f_vals, g_vals)
-    )
-    verdicts.append(
         StageVerdict(
             "ordering",
             "pass" if order_ok else "fail",
             f"0 <= G <= F across {len(rows)} levels (tol {tol_mono:.1e} relative)",
-        )
-    )
-    dev_f = max(abs(s.dF_fd - s.dF_cf) / (1.0 + abs(s.dF_cf)) for s in samples)
-    dev_g = max(abs(s.dG_fd - s.dG_cf) / (1.0 + abs(s.dG_cf)) for s in samples)
-    verdicts.append(
+        ),
         StageVerdict(
             "derivative-match",
             "pass" if max(dev_f, dev_g) <= tol_deriv else "fail",
             f"max relative FD-vs-closed-form deviation: dF {dev_f:.3e}, dG {dev_g:.3e} "
-            f"(tol {tol_deriv:.1e})",
-        )
-    )
-    holder_dev = max(abs(h.equality_gap) / (1.0 + abs(h.rhs)) for h in holders)
-    verdicts.append(
+            f"(tol {tol_deriv:.1e}); the closed forms carry c_F = 1 and c_G = (3-p)^-2 = "
+            f"{c_g:.12g}, the normalization the raw dG/dt integrand omits",
+        ),
         StageVerdict(
             "holder-chain",
             "pass" if holder_dev <= tol_holder else "fail",
             f"max relative interpolation-chain gap = {holder_dev:.3e} (tol {tol_holder:.1e})",
-        )
-    )
+        ),
+    ]
     ordering = rigidity.ordering_check(pot, [row["t"] for row in rows[:: max(1, len(rows) // 16)]])
     constants = {
-        "c_F": audited.c_F,
-        "c_G": audited.c_G,
+        "c_F": c_f,
+        "c_G": c_g,
         "dG_proportionality": ordering.proportionality_constant,
         "dG_proportionality_expected": ordering.proportionality_expected,
     }

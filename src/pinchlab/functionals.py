@@ -7,23 +7,24 @@ set area, H its mean curvature, and w' = |grad w| on the level set:
          = A * (H w'/m - w'^2/m^2)                        (expanded, radial)
     G(t) = integral of (|grad w|/m)^2 = A * w'^2 / m^2    (gradient energy)
 
-Both are non-increasing in t when Ricci is nonnegative.  The closed-form
-derivative integrands are audited against centered finite differences by
-:func:`audit_constants`, which pins the two proportionality constants
+Both are non-increasing in t when Ricci is nonnegative.  Their closed-form
+derivative integrands match dF/dt and dG/dt up to two exact constants
 
-    c_F : finite-difference dF/dt vs the closed-form integrand   (exactly 1)
-    c_G : finite-difference dG/dt vs the raw integrand
+    c_F : dF/dt vs the closed-form integrand                      (exactly 1)
+    c_G : dG/dt vs the raw integrand
           (1/(p-1)) * integral of 2|grad w|^2 - m H |grad w|     (exactly 1/m^2)
 
 c_G differs from 1 because the raw integrand omits the 1/m^2 normalization
-that G itself carries; the audit measures the constant instead of trusting
-any printed formula.  The report rows carry the exact constants; the
-``solve`` and ``monotone`` scenarios report the measured ones.  The divergence identities for the radial fields
-X = |grad w| grad w and Y = (Laplacian w) - w'' - |grad w|^2/m are checked
-the same way: an independent spline-derivative route is compared against the
-candidate right-hand sides, and the dimensionally inhomogeneous variant of
-div(X) (a bare mean-curvature term without its gradient factor) is measured
-so tests can reject it explicitly.
+that G itself carries.  ``tests/test_symbolic.py`` proves both constants, and
+the divergence identities for the radial fields X = |grad w| grad w and
+Y = (Laplacian w) - w'' - |grad w|^2/m, for a generic warp by eliminating w''
+with the radial p-harmonic ODE; the report rows and every scenario carry the
+exact constants of :func:`_exact_constants`.  :func:`audit_constants` stays as
+a numerical oracle: it measures the constants as medians of centered
+finite-difference ratios and compares an independent spline-derivative route
+for the divergences against the candidate right-hand sides, including the
+dimensionally inhomogeneous variant of div(X) (a bare mean-curvature term
+without its gradient factor), which it reports so tests can reject it.
 """
 
 from __future__ import annotations
@@ -196,40 +197,48 @@ class _Level(NamedTuple):
     cap: np.ndarray
 
 
-def _level(pot: RadialPotential, t) -> _Level:
-    """Invert the levels t at once and derive every per-level quantity from their spheres.
+def _closed_forms(geo: LevelSetData, wp, p):
+    """F, G, dF_raw and dG_raw on the spheres of geo where |grad w| = wp.
 
-    One inversion, one warp call and one flux_integral_at call serve the whole
-    batch, and every step is elementwise, so a level's numbers do not depend on
-    the batch it was computed in.  dF_raw is the closed-form dF/dt integrand
-    evaluated radially and dG_raw the raw dG/dt integrand
-    (1/(p-1)) * (2 w'^2 - m H w') * area, neither with its audited constant
-    applied.  The full dF/dt integrand is
+    dF_raw is the closed-form dF/dt integrand evaluated radially and dG_raw
+    the raw dG/dt integrand (1/(p-1)) * (2 w'^2 - m H w') * area, neither with
+    its constant of :func:`_exact_constants` applied.  The full dF/dt integrand is
         Ric(nu,nu) + |traceless II|^2 + |tangential grad of |grad w||^2/|grad w|^2
                    + (m/(2(p-1))) (H - 2|grad w|/m)^2,
     times -area/m.  On a rotationally symmetric model the traceless second
     fundamental form vanishes and |grad w| is constant on each level set, so
     the middle two terms are kept as explicit zeros rather than dropped.
+    Plain arithmetic only: floats, arrays and symbolic expressions all pass,
+    which lets the tests prove these very expressions exact.
     """
-    r = radius_of_level(pot, np.atleast_1d(np.asarray(t, dtype=float)))
-    h, h1, h2 = pot.model.warp(r)
-    geo = geometry._levelset_data(r, h, h1, h2)
-    wp = _w_prime_at(pot, r, h)
-    p = pot.p_value
     m = 3.0 - p
     tangential_gradient_term = 0.0  # |grad w| is constant on radial level sets
     square = geo.mean_curvature - 2.0 * wp / m
     integrand = geo.ric_normal + geo.traceless_sff_norm_sq + tangential_gradient_term
     integrand += (m / (2.0 * (p - 1.0))) * square * square
+    return (
+        geo.area * (geo.mean_curvature * wp / m - wp * wp / (m * m)),
+        geo.area * wp * wp / (m * m),
+        -(geo.area / m) * integrand,
+        (geo.area / (p - 1.0)) * (2.0 * wp * wp - m * geo.mean_curvature * wp),
+    )
+
+
+def _level(pot: RadialPotential, t) -> _Level:
+    """Invert the levels t at once and derive every per-level quantity from their spheres.
+
+    One inversion, one warp call and one flux_integral_at call serve the whole
+    batch, and every step is elementwise, so a level's numbers do not depend on
+    the batch it was computed in.  F, G, dF_raw and dG_raw are those of
+    :func:`_closed_forms`.
+    """
+    r = radius_of_level(pot, np.atleast_1d(np.asarray(t, dtype=float)))
+    h, h1, h2 = pot.model.warp(r)
+    geo = geometry._levelset_data(r, h, h1, h2)
+    wp = _w_prime_at(pot, r, h)
+    F, G, dF_raw, dG_raw = _closed_forms(geo, wp, pot.p_value)
     return _Level(
-        r=r,
-        geo=geo,
-        wp=wp,
-        F=geo.area * (geo.mean_curvature * wp / m - wp * wp / (m * m)),
-        G=geo.area * wp * wp / (m * m),
-        dF_raw=-(geo.area / m) * integrand,
-        dG_raw=(geo.area / (p - 1.0)) * (2.0 * wp * wp - m * geo.mean_curvature * wp),
-        cap=_capacity_at(pot, h, wp),
+        r=r, geo=geo, wp=wp, F=F, G=G, dF_raw=dF_raw, dG_raw=dG_raw, cap=_capacity_at(pot, h, wp)
     )
 
 
@@ -407,13 +416,15 @@ def _audit_constants_cached(p: float) -> AuditConstants:
 
 
 def audit_constants(p) -> AuditConstants:
-    """Audit c_F and c_G once per exponent on a high-resolution power-law model.
+    """Measure c_F and c_G once per exponent on a high-resolution power-law model.
 
-    The derivative formulas are trusted only through this measurement: the
-    constants are the medians of finite-difference/closed-form ratios across
-    17 interior levels of a 16384-node solve on the alpha = 1.5 power warp,
-    and the divergence identities are checked against an independent
-    spline-derivative route at the same time.  Cached per exponent.
+    A numerical oracle of the exact constants (c_F, c_G) = (1, (3-p)^-2),
+    which ``tests/test_symbolic.py`` proves and the scenarios report: the
+    measured constants are the medians of finite-difference/closed-form
+    ratios across 17 interior levels of a 16384-node solve on the
+    alpha = 1.5 power warp, and the divergence identities are checked
+    against an independent spline-derivative route at the same time.  No
+    scenario calls it.  Cached per exponent.
     """
     return _audit_constants_cached(as_p(p).value)
 
@@ -454,22 +465,29 @@ def div_fields(pot: RadialPotential, r: float) -> DivergenceSample:
     return _div_sample(pot, float(r), _div_splines(pot))
 
 
+def _div_claims(geo: LevelSetData, wp, p):
+    """The candidate right-hand sides of :func:`div_fields` on the spheres of geo.
+
+    Plain arithmetic only, like :func:`_closed_forms`.
+    """
+    m = 3.0 - p
+    claim_x = wp * wp * (2.0 * wp - m * geo.mean_curvature) / (p - 1.0)
+    square = geo.mean_curvature - 2.0 * wp / m
+    claim_y = -(geo.ric_normal * wp + wp * (m / (2.0 * (p - 1.0))) * square * square)
+    claim_x_inhomogeneous = wp * (2.0 * wp * wp - m * geo.mean_curvature) / (p - 1.0)
+    return claim_x, claim_y, claim_x_inhomogeneous
+
+
 def _div_sample(pot: RadialPotential, r: float, splines) -> DivergenceSample:
     pot.require_radius(r)
     spline_x, spline_y = splines
     geo = geometry.levelset_geometry(pot.model, r)
     state = pot.state_at(r)
-    wp = float(state.w_prime)
-    p = pot.p_value
-    m = 3.0 - p
     h_sq = geo.area / (4.0 * math.pi)
     x = math.log(r)
     div_x = float(spline_x(x)) / (r * h_sq)
     div_y = float(spline_y(x)) / (r * h_sq)
-    claim_x = wp * wp * (2.0 * wp - m * geo.mean_curvature) / (p - 1.0)
-    square = geo.mean_curvature - 2.0 * wp / m
-    claim_y = -(geo.ric_normal * wp + wp * (m / (2.0 * (p - 1.0))) * square * square)
-    claim_x_inhomogeneous = wp * (2.0 * wp * wp - m * geo.mean_curvature) / (p - 1.0)
+    claim_x, claim_y, claim_x_inhomogeneous = _div_claims(geo, float(state.w_prime), pot.p_value)
     near_edge = bool(r < pot.grid[2] or r > pot.grid[-3])
     return DivergenceSample(
         r=r,

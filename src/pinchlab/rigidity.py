@@ -241,9 +241,8 @@ class OrderingReport:
     """Ordering 0 <= G <= F across levels, with the derivative proportionality fit.
 
     The exact radial identity dG/dt = (G - F)/(p-1) is fitted as
-    dG_fd = c * [(3-p)^2/(p-1)](G - F); the audited constant c must come out
-    as (3-p)^(-2), matching the normalization adjudicated in the functionals
-    audit.
+    dG_fd = c * [(3-p)^2/(p-1)](G - F); the fitted constant c must come out
+    as (3-p)^(-2), the exact c_G of the functionals module.
     """
 
     levels: tuple

@@ -123,6 +123,9 @@ def test_run_solve_flat(solve_report):
     first = report.rows[0]
     assert abs(first["F"] - 4.0 * math.pi) < 1e-8
     assert abs(first["cap_ratio_to_exp_t"] - 1.0) < 1e-9
+    # the exact constants, proved in test_symbolic.py, not a measurement
+    assert report.constants["c_F"] == 1.0
+    assert report.constants["c_G"] == 1.0 / 1.5**2
 
 
 def test_run_monotone_has_derivative_audit():
@@ -137,7 +140,9 @@ def test_run_monotone_has_derivative_audit():
     assert "monotone-F" in names and "monotone-G" in names
     assert "derivative-match" in names
     assert report.verdict("monotone-F").status == "pass"
-    assert abs(report.constants["c_F"] - 1.0) < 1e-6
+    assert report.constants["c_F"] == 1.0
+    assert report.constants["c_G"] == 1.0 / (3.0 - 1.5) ** 2
+    assert "c_G = (3-p)^-2 = 0.444444444444" in report.verdict("derivative-match").reason
 
 
 def test_run_check_identities():
@@ -353,6 +358,36 @@ def test_contradict_loads_no_scipy(model, tmp_path):
         assert proc.stderr == ""
         assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
     assert (tmp_path / "out.csv").exists()
+
+
+_SCENARIO_PROBE = """
+import runpy, sys
+sys.argv = ["pinchlab", *sys.argv[1:]]
+try:
+    runpy.run_module("pinchlab", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("model", ["power_warp_1.5", "flat"])
+@pytest.mark.parametrize("command", ["solve", "monotone", "check"])
+def test_scenarios_load_no_scipy(command, model, tmp_path):
+    # the reported constants are exact, so no scenario runs the spline-based audit
+    src = Path(pl.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out.csv"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _SCENARIO_PROBE,
+         command, "--model", model, "--p", "1.5", "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+    assert out.exists()
 
 
 def test_main_rejects_unreadable_config(tmp_path, capsys):
