@@ -324,7 +324,15 @@ def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> Scen
             f"max relative interpolation-chain gap = {holder_dev:.3e} (tol {tol_holder:.1e})",
         ),
     ]
-    ordering = rigidity.ordering_check(pot, [row["t"] for row in rows[:: max(1, len(rows) // 16)]])
+    # about 16 of the row levels, read off their samples: no level is inverted twice
+    picked = samples[:: max(1, len(samples) // 16)]
+    ordering = rigidity._ordering_report(
+        pot,
+        np.array([s.t for s in picked]),
+        np.array([s.F for s in picked]),
+        np.array([s.G for s in picked]),
+        np.array([s.dG_fd for s in picked]),
+    )
     constants = {
         "c_F": c_f,
         "c_G": c_g,

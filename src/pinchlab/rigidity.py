@@ -261,21 +261,32 @@ def ordering_check(pot: RadialPotential, levels) -> OrderingReport:
     levels = np.array([float(t) for t in levels])
     if not levels.size:
         raise DomainError("ordering_check needs at least one level")
+    n = levels.size
+    stencil = functionals._stencil(levels[_fd_window(pot, levels)])
+    lv = functionals._level(pot, np.concatenate([levels, stencil]))
+    return _ordering_report(pot, levels, lv.F[:n], lv.G[:n], functionals._fd_derivative(lv.G[n:]))
+
+
+def _fd_window(pot: RadialPotential, levels: np.ndarray) -> np.ndarray:
+    """Which levels have their finite-difference stencil inside [0, t_max]."""
+    return (functionals.FD_STEP <= levels) & (levels <= pot.t_max - functionals.FD_STEP)
+
+
+def _ordering_report(pot: RadialPotential, levels, F, G, dG) -> OrderingReport:
+    """The report of :func:`ordering_check` from F and G at the levels and dG/dt at
+    those of them inside :func:`_fd_window`, however these were computed."""
     p = pot.p_value
     m = 3.0 - p
-    n = levels.size
-    in_window = (functionals.FD_STEP <= levels) & (levels <= pot.t_max - functionals.FD_STEP)
-    lv = functionals._level(pot, np.concatenate([levels, functionals._stencil(levels[in_window])]))
-    f_vals, g_vals = lv.F[:n].tolist(), lv.G[:n].tolist()
+    in_window = _fd_window(pot, levels)
+    f_vals, g_vals = F.tolist(), G.tolist()
     ordering_ok = all(
         -1e-9 * (1.0 + abs(f)) <= g <= f + 1e-9 * (1.0 + abs(f))
         for f, g in zip(f_vals, g_vals)
     )
-    f_win, g_win = lv.F[:n][in_window], lv.G[:n][in_window]
+    f_win, g_win = F[in_window], G[in_window]
     # flat/cone equality case G = F: the proportionality is 0 = 0, skipped
     unequal = ~(np.abs(g_win - f_win) <= 1e-12 * (1.0 + np.abs(f_win)))
-    dg = functionals._fd_derivative(lv.G[n:])
-    ratios = dg[unequal] / ((m * m / (p - 1.0)) * (g_win - f_win)[unequal])
+    ratios = dG[unequal] / ((m * m / (p - 1.0)) * (g_win - f_win)[unequal])
     if ratios.size:
         constant = float(np.median(ratios))
         max_dev = float(np.max(np.abs(ratios / constant - 1.0)))

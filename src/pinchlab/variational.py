@@ -7,13 +7,14 @@ vanishing at a truncation radius.  Minimizing the discrete energy therefore
 OVERestimates the capacity (smaller competitor class), which the
 cross-validation report asserts as a signed gap.
 
-A structural fact worth knowing when reading the tests: on a geometric mesh
-over a power-law warp, the exact truncated continuum solution already has
-exactly constant discrete flux (the cell powers cancel), so it is the exact
-minimizer of the discrete energy — Newton started there converges in zero
-iterations.  :func:`constant_flux_profile` builds that profile for any
-problem directly from the stationarity condition (constant flux through
-every cell), without reference to the quadrature solver.
+In 1-D the discrete Euler-Lagrange equation is solved in closed form: the
+interior gradient vanishes exactly when the flux through every cell is the
+same.  :func:`constant_flux_profile` builds that profile for any cell weights
+(any warp, not only power laws), and the energy is strictly convex, so it is
+the global minimizer.  :func:`minimize_energy` starts there by default; its
+first gradient evaluation certifies the start, and the damped Newton loop
+(with its scipy banded solve) runs only if the certificate fails or an
+explicit ``initial`` profile is given.
 """
 
 from __future__ import annotations
@@ -138,14 +139,6 @@ def _slope_energy(problem: DiscreteProblem, slopes: np.ndarray) -> float:
     return float(np.sum(problem.weights * np.abs(slopes) ** problem.p.value))
 
 
-def _default_initial(problem: DiscreteProblem) -> np.ndarray:
-    """Linear interpolation in log r between the boundary values."""
-    mesh = problem.mesh
-    psi = 1.0 - np.log(mesh / mesh[0]) / math.log(mesh[-1] / mesh[0])
-    psi[0], psi[-1] = 1.0, 0.0
-    return psi
-
-
 def constant_flux_profile(problem: DiscreteProblem) -> np.ndarray:
     """The exact discrete minimizer, from the stationarity condition.
 
@@ -173,7 +166,15 @@ def minimize_energy(
     *,
     initial: np.ndarray | None = None,
 ) -> DiscreteSolution:
-    """Damped Newton minimization of the discrete energy.
+    """Minimize the discrete energy: certify the exact start, else damped Newton.
+
+    By default the start is :func:`constant_flux_profile`, the exact
+    stationary point for any cell weights; the energy is strictly convex, so
+    a stationary point is the global minimizer.  The first gradient
+    evaluation certifies it (scaled gradient <= tol, ~1e-11 in practice) and
+    the call returns at iteration 0 without loading scipy.  An explicit
+    ``initial`` profile, or a start whose certificate fails, goes through the
+    damped Newton loop.
 
     Newton steps are safeguarded twice: the step is first shortened so that
     no cell's slope changes by more than a factor _TRUST_FACTOR of itself
@@ -183,20 +184,20 @@ def minimize_energy(
     times the median cell flux — gradient entries are flux differences, so
     the median flux is their natural scale.
 
-    For aggressive truncation radii (several decades) with p well below 2,
-    the exact minimizer's outer drops fall below the resolution that
-    additive Newton updates can reach, and the scaled gradient plateaus
-    (around 1e-2 at p = 1.5 with four decades and 2048 cells) even though
-    the iterate's node values are essentially exact; choose tol accordingly
-    or start from :func:`constant_flux_profile`, which represents those
-    drops exactly.
+    Two limits of that loop.  From other starts (e.g. log-linear in r) on
+    aggressive truncation radii (several decades) with p well below 2, the
+    exact minimizer's outer drops fall below the resolution that additive
+    Newton updates can reach, and the scaled gradient plateaus (around 1e-2
+    at p = 1.5 with four decades and 2048 cells) even though the node values
+    are essentially exact.  And for p close to 1 (flat: p = 1.01 with three
+    or four decades of r_cut, p = 1.02 with four) the outer drops underflow
+    to the smallest floats, where |s|^(p-2) overflows: the flux is then not
+    finite and ConvergenceError is raised, from any start.
     """
     if tol <= 0.0:
         raise DomainError(f"gradient tolerance must be positive, got {tol}")
-    from scipy.linalg import solveh_banded  # imported here: only this oracle needs scipy
-
     if initial is None:
-        psi = _default_initial(problem)
+        psi = constant_flux_profile(problem)
     else:
         psi = np.array(initial, dtype=float)
         if psi.shape != problem.mesh.shape:
@@ -223,11 +224,17 @@ def minimize_energy(
         # one pass per iterate: |s|^(p-2) serves the flux m p |s|^(p-2) s / dx
         # and, floored at _SLOPE_FLOOR, the tridiagonal Hessian
         abs_slopes = np.abs(slopes)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             power = abs_slopes ** (p - 2.0)
-            flux = weights * p * power * slopes / dx
-        flux = np.where(slopes == 0.0, 0.0, flux)
-        grad = flux[:-1] - flux[1:]
+            flux = np.where(slopes == 0.0, 0.0, weights * p * power * slopes / dx)
+            grad = flux[:-1] - flux[1:]
+        # every cell's flux enters the gradient, so this checks both
+        if not np.all(np.isfinite(grad)):
+            raise ConvergenceError(
+                f"non-finite flux at iteration {iteration} (p = {p!r}): the profile's outer "
+                f"drops underflow to the smallest floats, where |s|^(p-2) overflows; "
+                f"p this close to 1 needs fewer decades of truncation radius"
+            )
         scale = max(1.0, float(np.median(np.abs(flux))))
         rel_grad = float(np.max(np.abs(grad))) / scale
         if rel_grad <= tol:
@@ -240,6 +247,8 @@ def minimize_energy(
                 grad_norm=rel_grad,
                 energy_history=tuple(history),
             )
+        from scipy.linalg import solveh_banded  # a certified start never loads scipy
+
         floored = np.where(abs_slopes >= _SLOPE_FLOOR, power, floor_power)
         d2 = weights * p * (p - 1.0) * floored / (dx * dx)
         hessian = np.zeros((2, psi.size - 2))
@@ -277,7 +286,8 @@ def minimize_energy(
     raise ConvergenceError(
         f"Newton did not reach the scaled gradient tolerance {tol:.1e} in {_MAX_NEWTON_ITERATIONS} "
         f"iterations (last scaled gradient {rel_grad:.3e}); the outer-cell drops may sit below "
-        f"additive machine resolution — loosen tol or warm-start from constant_flux_profile"
+        f"additive machine resolution — loosen tol or start from constant_flux_profile "
+        f"(the default start)"
     )
 
 

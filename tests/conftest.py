@@ -9,6 +9,7 @@ models carry closures and are not hashable by value.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ def solved():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260819)
+
+
+def log_linear_profile(problem: pl.variational.DiscreteProblem) -> np.ndarray:
+    """A start that is not the minimizer, for exercising the Newton loop: linear
+    in log r between the boundary values."""
+    mesh = problem.mesh
+    psi = 1.0 - np.log(mesh / mesh[0]) / math.log(mesh[-1] / mesh[0])
+    psi[0], psi[-1] = 1.0, 0.0
+    return psi
 
 
 def integrate_dichotomy(p: float, eps: float, f0: float, times: np.ndarray):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pinchlab as pl
@@ -143,6 +144,37 @@ def test_run_monotone_has_derivative_audit():
     assert report.constants["c_F"] == 1.0
     assert report.constants["c_G"] == 1.0 / (3.0 - 1.5) ** 2
     assert "c_G = (3-p)^-2 = 0.444444444444" in report.verdict("derivative-match").reason
+
+
+def test_monotone_inverts_its_levels_in_one_call(monkeypatch):
+    # the ordering report reads the samples of the rows, so the only level
+    # inversion is the rows' own batch; its numbers are ordering_check's
+    calls, pots = [], []
+    for module in (pl.functionals, pl.rigidity):
+        inner = module.radius_of_level
+
+        def counting(pot, t, inner=inner):
+            calls.append(int(np.size(t)))
+            return inner(pot, t)
+
+        monkeypatch.setattr(module, "radius_of_level", counting)
+    solve = pl.cli.solve_radial
+
+    def recording(*args, **kwargs):
+        pots.append(solve(*args, **kwargs))
+        return pots[-1]
+
+    monkeypatch.setattr(pl.cli, "solve_radial", recording)
+    report = pl.run(pl.parse_config(json.dumps({
+        "model": {"kind": "power_warp", "alpha": 1.5},
+        "scenario": "monotone",
+        "p": 1.5,
+        "n_grid": 1024,
+    })))
+    assert calls == [5 * 64 + 1]
+    ordering = pl.ordering_check(pots[0], [row["t"] for row in report.rows[::4]])
+    assert report.constants["dG_proportionality"] == ordering.proportionality_constant
+    assert report.constants["dG_proportionality_expected"] == ordering.proportionality_expected
 
 
 def test_run_check_identities():
@@ -388,6 +420,34 @@ def test_scenarios_load_no_scipy(command, model, tmp_path):
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
     assert out.exists()
+
+
+_VARIATIONAL_PROBE = """
+import sys
+import pinchlab as pl
+model = {"flat": pl.flat_model, "power_warp_1.5": pl.power_warp_model}[sys.argv[1]]()
+problem = pl.discretize(model, 1.5, 1.0, 2**10, 1e3)
+solution = pl.minimize_energy(problem)
+assert solution.iterations == 0, solution.iterations
+assert pl.cross_validate(solution, pl.solve_radial(model, 1.5, 1.0)).passed
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("model", ["power_warp_1.5", "flat"])
+def test_variational_oracle_loads_no_scipy(model, tmp_path):
+    # the default start is certified before any Newton step, and only a
+    # Newton step needs scipy's banded solver
+    src = Path(pl.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _VARIATIONAL_PROBE, model],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
 
 
 def test_main_rejects_unreadable_config(tmp_path, capsys):

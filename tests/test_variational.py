@@ -1,18 +1,22 @@
 """Discrete p-Dirichlet minimization cross-checked against the quadrature solver.
 
-The key structural fact exploited throughout: on a geometric mesh over a
-power-law warp the continuum solution restricted to the nodes has exactly
-constant discrete flux, i.e. it is a stationary point of the discrete energy.
-``constant_flux_profile`` builds that profile directly, which makes warm
-starts converge in at most one Newton step and provides an exact oracle for
-the minimizer itself.
+The key structural fact exploited throughout: the profile with the same flux
+through every cell, ``constant_flux_profile``, is the exact stationary point
+of the discrete energy for any cell weights, hence its global minimizer.
+``minimize_energy`` starts there by default and certifies it in 0 Newton
+iterations; the Newton loop itself is exercised from the log-linear start of
+``conftest.log_linear_profile``.
 """
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from conftest import log_linear_profile
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pinchlab as pl
 
@@ -81,7 +85,7 @@ def test_cone_weights_scale_like_a_squared():
 
 def test_cold_start_flat_converges(solved):
     prob = _problem("flat", 1.5, n=2048)
-    sol = pl.minimize_energy(prob)
+    sol = pl.minimize_energy(prob, initial=log_linear_profile(prob))
     assert sol.iterations < 200
     assert sol.grad_norm <= 1e-9
     psi = sol.psi
@@ -99,14 +103,63 @@ def test_cold_start_flat_converges(solved):
     [("flat", 1.5, 33), ("cone_0.8", 1.65, 23), ("power_warp_1.5", 1.8, 10)],
 )
 def test_newton_path_is_pinned(name, p, iterations):
-    # iteration counts of the default start on 2^12 cells; any drift in the
-    # flux, the Hessian or the line search moves them
+    # iteration counts of the log-linear start on 2^12 cells; any drift in
+    # the flux, the Hessian or the line search moves them
     prob = pl.discretize(pl.library()[name], p, 1.0, 2**12, 1e3)
-    sol = pl.minimize_energy(prob)
+    sol = pl.minimize_energy(prob, initial=log_linear_profile(prob))
     assert sol.iterations == iterations
     assert sol.energy == pl.energy(prob, sol.psi)
     assert sol.energy_history[-1] == sol.energy
     assert len(sol.energy_history) == iterations + 1
+
+
+@pytest.mark.parametrize(
+    "p, n_cells, r_cut",
+    [
+        (1.37, 2**12, 1e3),  # the log-linear start plateaus at a scaled gradient of 3.8e-2
+        (1.6114222135737322, 2**17, 1e3),  # the log-linear start sits at the rounding floor
+        (1.5, 2048, 1e4),  # the deep tail
+    ],
+)
+def test_default_start_is_certified_without_newton_steps(p, n_cells, r_cut):
+    prob = pl.discretize(pl.flat_model(), p, 1.0, n_cells, r_cut)
+    sol = pl.minimize_energy(prob, tol=1e-9)
+    assert sol.iterations == 0
+    assert sol.grad_norm <= 1e-9
+    assert np.array_equal(sol.psi, pl.constant_flux_profile(prob))
+    assert sol.energy_history == (sol.energy,)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    p=st.floats(min_value=1.05, max_value=1.95),
+    name=st.sampled_from(sorted(MODELS)),
+    n_cells=st.sampled_from([64, 512, 2**12]),
+    r_cut=st.sampled_from([1e3, 1e4]),
+)
+def test_default_start_is_the_minimizer(p, name, n_cells, r_cut):
+    prob = _problem(name, p, n=n_cells, r_cut=r_cut)
+    sol = pl.minimize_energy(prob)
+    assert sol.iterations == 0
+    assert sol.grad_norm <= 1e-9
+    try:
+        cold = pl.minimize_energy(prob, initial=log_linear_profile(prob))
+    except pl.ConvergenceError:
+        return  # the log-linear start may plateau; there is nothing to compare
+    assert sol.energy <= cold.energy * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("p, r_cut", [(1.01, 1e3), (1.01, 1e4), (1.02, 1e4)])
+@pytest.mark.parametrize("start", ["default", "explicit"])
+def test_underflowing_drops_raise_convergence_error(p, r_cut, start):
+    # the outer drops underflow to the smallest floats, where |s|^(p-2)
+    # overflows: a clear error, with no warning first
+    prob = pl.discretize(pl.flat_model(), p, 1.0, 64, r_cut)
+    initial = pl.constant_flux_profile(prob) if start == "explicit" else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pl.ConvergenceError, match="underflow"):
+            pl.minimize_energy(prob, initial=initial)
 
 
 def test_inner_radius_scaling():
@@ -138,10 +191,11 @@ def test_cone_minimizer_equals_flat():
 
 
 def test_deep_tail_needs_loose_tolerance_but_stays_accurate(solved):
-    # Four decades of truncation radius: additive Newton updates bottom out
-    # before the default tolerance, but the iterate is already node-accurate.
+    # Four decades of truncation radius: from the log-linear start, additive
+    # Newton updates bottom out before the default tolerance, but the iterate
+    # is already node-accurate.
     prob = pl.discretize(pl.flat_model(), 1.5, 1.0, 2048, 1e4)
-    sol = pl.minimize_energy(prob, tol=1e-2)
+    sol = pl.minimize_energy(prob, tol=1e-2, initial=log_linear_profile(prob))
     pot = solved("flat", 1.5)
     exact = pot.flux_integral_at(prob.mesh) / pot.normalizer
     exact = (exact - exact[-1]) / (exact[0] - exact[-1])
