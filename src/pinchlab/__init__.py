@@ -8,7 +8,7 @@ pinched-Ricci rigidity argument, and runs the full contradiction scenario to
 report which geometric hypothesis breaks on each model.
 """
 
-from .errors import ConfigError, ConvergenceError, DomainError, LineSearchError, PinchLabError
+from .errors import ConfigError, ConvergenceError, DomainError, PinchLabError
 from .geometry import (
     ManifoldModel,
     ball_volume,
@@ -67,7 +67,6 @@ __all__ = [
     "PinchLabError",
     "DomainError",
     "ConvergenceError",
-    "LineSearchError",
     "ConfigError",
     # geometry
     "ManifoldModel",

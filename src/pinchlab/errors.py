@@ -10,7 +10,6 @@ __all__ = [
     "PinchLabError",
     "DomainError",
     "ConvergenceError",
-    "LineSearchError",
     "ConfigError",
 ]
 
@@ -25,10 +24,6 @@ class DomainError(PinchLabError, ValueError):
 
 class ConvergenceError(PinchLabError, RuntimeError):
     """A numerical procedure failed to converge or produced an unusable result."""
-
-
-class LineSearchError(ConvergenceError):
-    """Backtracking line search could not find sufficient decrease."""
 
 
 class ConfigError(PinchLabError, ValueError):

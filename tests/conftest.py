@@ -45,8 +45,8 @@ def rng():
 
 
 def log_linear_profile(problem: pl.variational.DiscreteProblem) -> np.ndarray:
-    """A start that is not the minimizer, for exercising the Newton loop: linear
-    in log r between the boundary values."""
+    """A profile that is not the minimizer: linear in log r between the boundary
+    values."""
     mesh = problem.mesh
     psi = 1.0 - np.log(mesh / mesh[0]) / math.log(mesh[-1] / mesh[0])
     psi[0], psi[-1] = 1.0, 0.0

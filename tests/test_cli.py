@@ -425,24 +425,40 @@ def test_scenarios_load_no_scipy(command, model, tmp_path):
 _VARIATIONAL_PROBE = """
 import sys
 import pinchlab as pl
+sys.path.insert(0, sys.argv[2])
+from conftest import log_linear_profile
+
+
+def refused(problem, initial, reason):
+    try:
+        pl.minimize_energy(problem, initial=initial)
+    except pl.ConvergenceError as exc:
+        assert reason in str(exc), exc
+    else:
+        raise AssertionError(f"certified a profile that should fail: {reason}")
+
+
 model = {"flat": pl.flat_model, "power_warp_1.5": pl.power_warp_model}[sys.argv[1]]()
 problem = pl.discretize(model, 1.5, 1.0, 2**10, 1e3)
 solution = pl.minimize_energy(problem)
 assert solution.iterations == 0, solution.iterations
 assert pl.cross_validate(solution, pl.solve_radial(model, 1.5, 1.0)).passed
+refused(problem, log_linear_profile(problem), "scaled gradient")
+refused(pl.discretize(pl.flat_model(), 1.01, 1.0, 16, 1e3), None, "underflow")
 print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 """
 
 
 @pytest.mark.parametrize("model", ["power_warp_1.5", "flat"])
 def test_variational_oracle_loads_no_scipy(model, tmp_path):
-    # the default start is certified before any Newton step, and only a
-    # Newton step needs scipy's banded solver
+    # the certificate is one gradient evaluation, and a refused profile,
+    # underflowing or not, raises without loading scipy
     src = Path(pl.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    tests = str(Path(__file__).resolve().parent)
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", _VARIATIONAL_PROBE, model],
+        [sys.executable, "-W", "error", "-c", _VARIATIONAL_PROBE, model, tests],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

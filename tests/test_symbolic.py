@@ -18,7 +18,13 @@ Y_r = H w' - w'^2/(3-p).  The expressions under test are the program's own:
 symbols.  Their float literals (4 pi among them) become exact rationals
 before simplification.  This is the proof behind the exact constants that
 every scenario reports; ``audit_constants`` stays as a numerical oracle of it.
+
+The traced Gauss equation that ``geometry.gauss_identity_residual`` checks in
+floats, sc_tangential = scalar - 2 Ric(nu,nu) + H^2 - |II|^2, is proved the
+same way on ``geometry._curvature_arrays`` and ``geometry._levelset_data``.
 """
+
+from types import SimpleNamespace
 
 import sympy as sp
 
@@ -38,6 +44,10 @@ def _exact(*exprs):
 
 GEO = geometry._levelset_data(r, h, h.diff(r), h.diff(r, 2))
 MEAN_CODE, RIC, TRACELESS = _exact(GEO.mean_curvature, GEO.ric_normal, GEO.traceless_sff_norm_sq)
+SC_TANGENTIAL, SFF_SQ = _exact(GEO.sc_tangential, GEO.sff_norm_sq)
+# a stand-in model whose warp is the generic h
+WARPED = SimpleNamespace(warp=lambda radius: (h, h.diff(r), h.diff(r, 2)))
+RIC_RADIAL, RIC_TANGENTIAL, SCALAR = _exact(*geometry._curvature_arrays(WARPED, r))
 F, G, DF_RAW, DG_RAW = _exact(*functionals._closed_forms(GEO, W, p))
 CLAIM_X, CLAIM_Y, CLAIM_X_INHOMOGENEOUS = _exact(*functionals._div_claims(GEO, W, p))
 C_F, C_G = _exact(*functionals._exact_constants(p))
@@ -85,3 +95,11 @@ def test_divergence_identities():
     assert _vanishes(_div(MEAN * W - W**2 / (3 - p)) - CLAIM_Y)
     # the variant with a bare mean-curvature term is not an identity
     assert not _vanishes(_div(W**2) - CLAIM_X_INHOMOGENEOUS)
+
+
+def test_gauss_identity():
+    assert _vanishes(RIC_RADIAL - RIC)
+    # the terms of gauss_identity_residual
+    assert _vanishes(SC_TANGENTIAL - (SCALAR - 2 * RIC + MEAN_CODE**2 - SFF_SQ))
+    # the tangential Ricci curvature in place of Ric(nu, nu) breaks it
+    assert not _vanishes(SC_TANGENTIAL - (SCALAR - 2 * RIC_TANGENTIAL + MEAN_CODE**2 - SFF_SQ))
