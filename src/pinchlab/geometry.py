@@ -32,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .numerics import cell_integrals, interval_integrals, log_log_fit
+from .numerics import MAX_ORDER, cell_integrals, gauss_order, interval_integrals, log_log_fit
 
 __all__ = [
     "WarpFunction",
@@ -78,7 +78,9 @@ class WarpFunction:
     ndarray returns the triple (h, h', h'') with matching shape; :meth:`h`
     returns h alone, computed as in the triple.  ``critical_radii`` lists the
     zeros of h' where the family knows them (spline warps), so a model can
-    check positivity at every interior minimum of h.
+    check positivity at every interior minimum of h.  :attr:`power_law`
+    follows from ``kind`` and ``params``; quadrature sizes its Gauss rule
+    from it.
     """
 
     kind: str
@@ -94,6 +96,23 @@ class WarpFunction:
     def h(self, r):
         """The warp h alone, for integrands that need no derivative."""
         return self._value(np.asarray(r, dtype=float))
+
+    @property
+    def power_law(self) -> float | None:
+        """The exponent beta when h = c r^beta holds exactly (flat and cone 1,
+        power_warp alpha/2), else None."""
+        if self.kind in ("flat", "cone"):
+            return 1.0
+        if self.kind == "power_warp":
+            return 0.5 * self.params["alpha"]
+        return None
+
+    def gauss_order(self, power: float, ratio: float) -> int:
+        """Gauss order for h^power on cells [a, ratio a]: from the a-priori bound
+        of :func:`numerics.gauss_order` when h is an exact power law, else 12."""
+        if self.power_law is None:
+            return MAX_ORDER
+        return gauss_order(power * self.power_law, ratio)
 
 
 def flat_warp() -> WarpFunction:

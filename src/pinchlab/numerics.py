@@ -1,60 +1,120 @@
 """Small shared numerical helpers.
 
-Composite fixed-order Gauss cells (used by the radial solver and the discrete
+Composite Gauss-Legendre cells (used by the radial solver and the discrete
 energy weights, where the integrand is smooth and the cells are geometrically
-thin) and a least-squares slope fit in log-log coordinates.
+thin), the a-priori choice of their order for power-law integrands, and a
+least-squares slope fit in log-log coordinates.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 
-__all__ = ["cell_integrals", "interval_integrals", "log_log_fit"]
+__all__ = ["gauss_order", "cell_integrals", "interval_integrals", "log_log_fit"]
 
-# 12-point Gauss-Legendre rule on [-1, 1]; exactness through degree 23 makes a
-# single panel per geometric cell effectively exact for analytic integrands.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_BLOCK = 4096  # intervals per evaluation of the integrand
+# Orders 2..12 of the Gauss-Legendre rule; 12 points are exact through degree
+# 23, which makes a single panel per geometric cell effectively exact for
+# analytic integrands, and is the rule of every integrand without a bound.
+MIN_ORDER = 2
+MAX_ORDER = 12
+_BLOCK_POINTS = 4096 * MAX_ORDER  # integrand points per evaluation
+_TARGET = float(np.finfo(float).eps) / 4.0  # relative truncation error gauss_order aims for
+_rule = functools.cache(leggauss)  # (nodes, weights) of the order-point rule, shared read-only
 
 
-def cell_integrals(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
+def gauss_order(gamma: float, ratio: float) -> int:
+    """Smallest Gauss-Legendre order in 2..12 that integrates r^gamma to eps/4.
+
+    The bound is for one cell [a, ratio a]: the n-point error is
+    C_n (b-a)^(2n+1) f^(2n)(xi) with C_n = (n!)^4 / ((2n+1) ((2n)!)^3), and
+    f^(2n) = gamma (gamma-1) ... (gamma-2n+1) r^(gamma-2n), while the integral
+    is at least (b-a) a^gamma min(1, ratio^gamma).  The relative error is thus
+    at most
+
+        C_n |gamma (gamma-1) ... (gamma-2n+1)| (ratio-1)^(2n)
+            max(1, ratio^(gamma-2n)) / min(1, ratio^gamma),
+
+    whatever a is, and it only shrinks on a sub-cell.  Order 12 is returned
+    when no order meets the target.
+    """
+    gamma, ratio = float(gamma), float(ratio)
+    if not (math.isfinite(gamma) and math.isfinite(ratio) and ratio > 1.0):
+        raise DomainError(
+            f"gauss_order needs a finite gamma and a cell ratio > 1, got {gamma}, {ratio}"
+        )
+    log_ratio = math.log(ratio)
+    log_width = math.log(ratio - 1.0)
+    log_target = math.log(_TARGET)
+    log_falling = 0.0
+    for n in range(1, MAX_ORDER + 1):
+        for k in (2 * n - 2, 2 * n - 1):
+            if gamma == k:  # r^gamma is a polynomial of degree < 2n: exact
+                return max(n, MIN_ORDER)
+            log_falling += math.log(abs(gamma - k))
+        if n < MIN_ORDER:
+            continue
+        log_c = 4 * math.lgamma(n + 1) - math.log(2 * n + 1) - 3 * math.lgamma(2 * n + 1)
+        log_bound = (
+            log_c
+            + log_falling
+            + 2 * n * log_width
+            + max(0.0, (gamma - 2 * n) * log_ratio)
+            - min(0.0, gamma * log_ratio)
+        )
+        if log_bound <= log_target:
+            return n
+    return MAX_ORDER
+
+
+def cell_integrals(
+    f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, order: int = MAX_ORDER
+) -> np.ndarray:
     """Integral of ``f`` over each cell of the increasing edge array ``edges``."""
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise DomainError("cell_integrals needs at least two edges")
-    return interval_integrals(f, edges[:-1], edges[1:])
+    return interval_integrals(f, edges[:-1], edges[1:], order)
 
 
-def interval_integrals(f, a, b) -> np.ndarray:
-    """Integral of ``f`` over each interval [a_i, b_i] (broadcast over arrays).
+def interval_integrals(f, a, b, order: int = MAX_ORDER) -> np.ndarray:
+    """Integral of ``f`` over each interval [a_i, b_i] (broadcast over arrays),
+    by the ``order``-point Gauss-Legendre rule.
 
-    ``f`` is called on the Gauss points of at most _BLOCK intervals at a time,
-    so the temporaries of a call are bounded by the block, not by the batch.
+    ``f`` is called on at most _BLOCK_POINTS points at a time, so the
+    temporaries of a call are bounded by the block, not by the batch or the
+    order, and a low order takes more intervals per call of ``f``.
     """
+    nodes, weights = _rule(order)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
     out = np.empty(a.shape)
-    for start in range(0, a.size, _BLOCK):
-        lo, hi = a[start : start + _BLOCK], b[start : start + _BLOCK]
+    block = _BLOCK_POINTS // order
+    for start in range(0, a.size, block):
+        lo, hi = a[start : start + block], b[start : start + block]
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+        pts = mid[:, None] + half[:, None] * nodes[None, :]
         vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
         # einsum sums each row in the same order whatever the number of rows (a
         # BLAS gemv does not), so an interval's integral does not depend on its
         # batch or its block
-        out[start : start + _BLOCK] = half * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
+        out[start : start + block] = half * np.einsum("ij,j->i", vals, weights)
     return out
 
 
 def log_log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares (slope, intercept) of log y against log x.
 
-    Requires strictly positive data and at least two distinct abscissae.
+    Closed form about the means: slope = sum(dx dy) / sum(dx^2) with dx, dy
+    the centered logs.  Requires strictly positive data and at least two
+    distinct abscissae.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -66,5 +126,9 @@ def log_log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     ly = np.log(y)
     if np.ptp(lx) <= 0.0:
         raise DomainError("log_log_fit abscissae are degenerate (zero spread)")
-    slope, intercept = np.polyfit(lx, ly, 1)
-    return float(slope), float(intercept)
+    mx, my = lx.mean(), ly.mean()
+    dx = lx - mx
+    # numpy's pairwise sums, not a BLAS dot: no thread start-up, and the same
+    # rounding whatever the thread count
+    slope = np.sum(dx * (ly - my)) / np.sum(dx * dx)
+    return float(slope), float(my - slope * mx)

@@ -86,7 +86,8 @@ class RadialPotential:
     Grid samples of (u, u', w, w') live on a geometric grid; ``normalizer``
     is I(r0).  ``suffix`` holds I at every grid node (tail included), which
     lets any quantity be re-evaluated at off-grid radii by one extra panel of
-    quadrature rather than interpolation (see :meth:`state_at`).
+    quadrature rather than interpolation (see :meth:`state_at`).  ``order``
+    is the Gauss order of the grid cells, which every later panel reuses.
     """
 
     model: geometry.ManifoldModel
@@ -101,6 +102,7 @@ class RadialPotential:
     suffix: np.ndarray
     tail: float
     tail_beta: float
+    order: int
 
     @property
     def p_value(self) -> float:
@@ -127,14 +129,18 @@ class RadialPotential:
         return r
 
     def flux_integral_at(self, r) -> np.ndarray:
-        """I(r) evaluated exactly (suffix sums plus one partial Gauss panel)."""
+        """I(r) evaluated exactly (suffix sums plus one partial Gauss panel).
+
+        The partial panel [r, next node] lies inside a grid cell, so the grid's
+        Gauss order bounds its error at least as well as the cell's.
+        """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < self.grid[0]) or np.any(r > self.grid[-1]):
             raise DomainError("flux integral requested outside the solved range")
         j = np.searchsorted(self.grid, r, side="right") - 1
         j = np.clip(j, 0, self.grid.size - 2)
         upper = self.grid[j + 1]
-        partial = interval_integrals(self._integrand, r, upper)
+        partial = interval_integrals(self._integrand, r, upper, self.order)
         out = self.suffix[j + 1] + partial
         exact = r == self.grid[j]
         out[exact] = self.suffix[j][exact]
@@ -171,6 +177,11 @@ def solve_radial(
     I beyond truncation is completed in closed form from a power-law fit of h
     over the outermost decade of the grid; if the fitted growth is too slow
     for the tail integral to converge the solver refuses loudly.
+
+    The integrand h^(-q) of a power-law warp h = c r^beta is r^(-q beta) up to
+    a constant, so its cells take the lowest Gauss order whose a-priori bound
+    on the grid ratio is eps/4 (:func:`numerics.gauss_order`); any other warp
+    takes 12 points.
     """
     p = as_p(p)
     r0 = float(r0)
@@ -191,7 +202,8 @@ def solve_radial(
     q = 2.0 / (p.value - 1.0)
     grid = np.geomspace(r0, r_max, int(n_grid))
     h = model.warp.h(grid)
-    cells = cell_integrals(_flux_density(model.warp, p.value), grid)
+    order = model.warp.gauss_order(-q, (r_max / r0) ** (1.0 / (grid.size - 1)))
+    cells = cell_integrals(_flux_density(model.warp, p.value), grid, order)
     if np.any(~np.isfinite(cells)) or np.any(cells <= 0.0):
         raise ConvergenceError("flux quadrature produced non-positive or non-finite cells")
 
@@ -233,6 +245,7 @@ def solve_radial(
         suffix=suffix,
         tail=float(tail),
         tail_beta=float(beta),
+        order=order,
     )
 
 

@@ -12,6 +12,7 @@ import math
 import tracemalloc
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -184,22 +185,169 @@ def test_batched_radii_match_closed_form(solved, name):
     assert np.array_equal(radii[2:18], pot.grid[nodes])
 
 
-def test_interval_integrals_do_not_depend_on_the_batch(rng):
+@pytest.mark.parametrize("order", [2, 3, 5, 12])
+def test_interval_integrals_do_not_depend_on_the_batch(rng, order):
     # each interval's integral is summed in the same order whatever the batch
     # size, so a level's numbers do not depend on the batch it came in; the
-    # batch spans more than two evaluation blocks and ends in a partial one
-    from pinchlab.numerics import _BLOCK, interval_integrals
+    # batch spans more than two evaluation blocks and ends in a partial one.
+    # The 12-point batch is checked whole; the longer low-order batches are
+    # checked on the partial block, the first and last interval of every block
+    # and every 61st interval
+    from pinchlab.numerics import _BLOCK_POINTS, interval_integrals
 
-    n = 2 * _BLOCK + 321
+    block = _BLOCK_POINTS // order
+    n = 2 * block + 321
     a = rng.uniform(1.0, 2.0, n)
     b = a + rng.uniform(0.0, 0.5, n)
 
     def f(x):
         return np.sin(7.0 * x) + x**-3
 
-    batch = interval_integrals(f, a, b)
-    single = [interval_integrals(f, a[i], b[i])[0] for i in range(a.size)]
-    assert batch.tolist() == single
+    batch = interval_integrals(f, a, b, order)
+    if order == 12:
+        checked = np.arange(n)
+    else:
+        starts = np.arange(0, n, block)
+        checked = np.unique(np.concatenate(
+            [np.arange(0, n, 61), np.arange(n - 321, n), starts, starts[1:] - 1]
+        ))
+    single = [interval_integrals(f, a[i], b[i], order)[0] for i in checked]
+    assert batch[checked].tolist() == single
+
+
+# ---------------------------------------------------------------------------
+# Gauss order from the a-priori bound
+# ---------------------------------------------------------------------------
+
+EPS = float(np.finfo(float).eps)
+BOUND_MODELS = {
+    "flat": pl.flat_model,
+    "cone_0.8": lambda: pl.cone_model(0.8),
+    "power_warp_1.5": pl.power_warp_model,
+}
+
+
+def _sample_cells(n_grid):
+    """First, last and evenly spread cells of solve_radial's grid on [1, 1e4]."""
+    grid = np.geomspace(1.0, 1e4, n_grid)
+    idx = np.unique(np.concatenate([np.arange(8), np.linspace(0, n_grid - 2, 16).astype(int),
+                                    np.arange(n_grid - 9, n_grid - 1)]))
+    return grid[idx], grid[idx + 1]
+
+
+def _rule_error(order, gamma, a, b):
+    """Largest relative error over the cells [a_i, b_i] of the order-point rule
+    for r^gamma, evaluated at 40 digits, against the closed-form integral."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    worst = 0.0
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma)
+        for lo, hi in zip(a, b):
+            lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+            mid, half = (lo + hi) / 2, (hi - lo) / 2
+            rule = half * mpmath.fsum(w * (mid + half * x) ** g for x, w in zip(nodes, weights))
+            exact = (hi ** (g + 1) - lo ** (g + 1)) / (g + 1)
+            worst = max(worst, abs(float(rule / exact - 1)))
+    return worst
+
+
+def _flux_order(model, p, n_grid):
+    """The order solve_radial picks for I on [1, 1e4] with n_grid nodes."""
+    return model.warp.gauss_order(-2.0 / (p - 1.0), 1e4 ** (1.0 / (n_grid - 1)))
+
+
+@pytest.mark.parametrize("n_grid", [256, 4096, 2**20])
+@pytest.mark.parametrize("p", [1.05, 1.1, 1.5, 1.9])
+@pytest.mark.parametrize("name", sorted(BOUND_MODELS))
+def test_chosen_rule_is_exact_to_rounding_per_cell(name, p, n_grid):
+    # the rule's own error (rounding of the integrand aside) on r^(-q beta),
+    # which is h^(-q) up to a constant, stays within 4 eps on every sampled cell
+    model = BOUND_MODELS[name]()
+    beta = model.warp.power_law
+    assert np.allclose(model.warp.h([2.0, 3.0]), model.warp.h(1.0) * np.array([2.0, 3.0]) ** beta,
+                       rtol=1e-15, atol=0.0)
+    order = _flux_order(model, p, n_grid)
+    if n_grid < 2**20:
+        assert pl.solve_radial(model, p, 1.0, n_grid=n_grid).order == order
+    assert _rule_error(order, -2.0 / (p - 1.0) * beta, *_sample_cells(n_grid)) <= 4 * EPS
+
+
+def test_chosen_order_is_the_lowest_that_works():
+    # flat, p = 1.1, 4096 nodes: the bound picks 4 points, and 3 miss the target
+    pot = pl.solve_radial(pl.flat_model(), 1.1, 1.0, n_grid=4096)
+    assert pot.order == 4
+    assert _rule_error(3, -20.0, *_sample_cells(4096)) > 4 * EPS
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_MODELS))
+def test_chosen_orders_per_grid(name):
+    model = BOUND_MODELS[name]()
+    for p in np.linspace(1.1, 1.9, 9):
+        assert _flux_order(model, p, 2**20) == 2
+        assert 3 <= _flux_order(model, p, 4096) <= 4
+        assert 5 <= _flux_order(model, p, 256) <= 7
+    assert model.warp.gauss_order(2.0, 1e3 ** (1.0 / 2**17)) == 2  # variational weights
+
+
+def test_gauss_order_limits():
+    from pinchlab.numerics import gauss_order
+
+    assert gauss_order(0.0, 2.0) == 2  # constants and low-degree polynomials are exact
+    assert gauss_order(5.0, 2.0) == 3
+    assert gauss_order(-40.0, 10.0) == 12  # no order meets the target: the 12-point rule
+    for bad in (1.0, 0.5, float("nan")):
+        with pytest.raises(pl.DomainError):
+            gauss_order(-2.0, bad)
+
+
+def test_log_log_fit_matches_least_squares(rng):
+    # the closed-form centered fit against numpy's least-squares reference,
+    # to 64 eps: on exact power laws over the tail window of a 2^20 grid, and
+    # on scattered data
+    from pinchlab.numerics import log_log_fit
+
+    x = np.geomspace(1.0, 1e4, 2**20)
+    x = x[x >= 1e3]
+    for beta, c in ((1.0, 1.0), (0.75, 1.0), (1.0, 0.8)):
+        slope, intercept = log_log_fit(x, c * x**beta)
+        assert abs(slope - beta) <= 64 * EPS
+        assert abs(intercept - math.log(c)) <= 64 * EPS
+    x, y = rng.uniform(0.5, 50.0, 1000), rng.uniform(0.1, 10.0, 1000)
+    reference = np.polyfit(np.log(x), np.log(y), 1)
+    assert np.allclose(log_log_fit(x, y), reference, rtol=0.0, atol=64 * EPS)
+
+
+def test_warps_without_power_law_keep_the_twelve_point_rule():
+    cap = pl.solve_radial(pl.positive_cap_model(1.0), 1.5, 1.0, n_grid=256)
+    spline = pl.solve_radial(pl.spline_cap_model(0.5), 1.5, 0.05, n_grid=256)
+    assert cap.model.warp.power_law is None and spline.model.warp.power_law is None
+    assert cap.order == spline.order == 12
+
+
+def test_fine_flat_solve_takes_two_points_per_cell(monkeypatch):
+    # a work count in place of a clock: the 2^20-node flux quadrature evaluates
+    # its integrand on exactly 2 points per cell
+    from pinchlab import potential
+
+    points = []
+    density = potential._flux_density
+
+    def counting_density(warp, p_value):
+        f = density(warp, p_value)
+
+        def counted(s):
+            points.append(s.size)
+            return f(s)
+
+        return counted
+
+    monkeypatch.setattr(potential, "_flux_density", counting_density)
+    n = 2**20
+    pot = pl.solve_radial(pl.flat_model(), 1.5, 1.0, n_grid=n)
+    assert pot.order == 2
+    assert sum(points) == 2 * (n - 1)
+    # I(r) = r^(1-q) / (q-1) on flat space, q = 4
+    assert np.max(np.abs(pot.suffix * 3.0 * pot.grid**3 - 1.0)) < 5e-14
 
 
 @pytest.mark.parametrize("factory", [pl.flat_model, pl.power_warp_model])

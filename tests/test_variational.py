@@ -231,6 +231,29 @@ def test_initial_guess_validation():
         pl.minimize_energy(prob, initial=bad)
 
 
+def test_non_finite_initial_profile_is_refused():
+    # a NaN is a bad input, not an underflow of the minimizer's drops
+    prob = _problem("flat", 1.5, n=64)
+    psi = pl.constant_flux_profile(prob)
+    psi[10] = np.nan
+    with pytest.raises(pl.DomainError, match="not finite at node 10"):
+        pl.minimize_energy(prob, initial=psi)
+
+
+def test_weights_of_a_warp_without_power_law_keep_the_twelve_point_rule():
+    from pinchlab.numerics import cell_integrals
+
+    model = pl.positive_cap_model(1.0)
+    prob = pl.discretize(model, 1.5, 0.01, 256, 1.0)
+
+    def area_density(r):
+        h = model.warp.h(r)
+        return 4.0 * math.pi * h * h
+
+    assert model.warp.power_law is None
+    assert np.array_equal(prob.weights, cell_integrals(area_density, prob.mesh, 12))
+
+
 def test_energy_matches_direct_formula():
     # Independent assembly for the flat model, where the cell weights are the
     # exact sphere-area integrals (4 pi / 3)(b^3 - a^3).
