@@ -240,7 +240,8 @@ def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
     pot = solve_radial(model, p, config.r0, n_grid=config.n_grid, r_max=config.r_max)
     rows, _, _ = functionals.level_rows(pot, config.n_levels)
     c_f, c_g = functionals._exact_constants(p.value)
-    boundary_ok = abs(pot.u[0] - 1.0) <= 1e-12 and abs(pot.w[0]) <= 1e-12
+    u0 = pot.state_at(pot.r0).u  # one value, not the node array of u
+    boundary_ok = abs(u0 - 1.0) <= 1e-12 and abs(pot.w[0]) <= 1e-12
     cap_tol = config.tolerance("capacity")
     cap_dev = max(abs(row["cap_ratio_to_exp_t"] - 1.0) for row in rows)
     verdicts = [
@@ -253,7 +254,7 @@ def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
         StageVerdict(
             "boundary-normalization",
             "pass" if boundary_ok else "fail",
-            f"u(r0) = {float(pot.u[0])!r}, w(r0) = {float(pot.w[0])!r}",
+            f"u(r0) = {u0!r}, w(r0) = {float(pot.w[0])!r}",
         ),
         StageVerdict(
             "capacity-law",

@@ -235,7 +235,7 @@ def _level(pot: RadialPotential, t) -> _Level:
     r = radius_of_level(pot, np.atleast_1d(np.asarray(t, dtype=float)))
     h, h1, h2 = pot.model.warp(r)
     geo = geometry._levelset_data(r, h, h1, h2)
-    wp = _w_prime_at(pot, r, h)
+    wp = _w_prime_at(pot, r)
     F, G, dF_raw, dG_raw = _closed_forms(geo, wp, pot.p_value)
     return _Level(
         r=r, geo=geo, wp=wp, F=F, G=G, dF_raw=dF_raw, dG_raw=dG_raw, cap=_capacity_at(pot, h, wp)

@@ -87,9 +87,15 @@ def interval_integrals(f, a, b, order: int = MAX_ORDER) -> np.ndarray:
     """Integral of ``f`` over each interval [a_i, b_i] (broadcast over arrays),
     by the ``order``-point Gauss-Legendre rule.
 
-    ``f`` is called on at most _BLOCK_POINTS points at a time, so the
+    ``f`` is called once per block of at most _BLOCK_POINTS points, so the
     temporaries of a call are bounded by the block, not by the batch or the
-    order, and a low order takes more intervals per call of ``f``.
+    order, and a low order takes more intervals per call of ``f``.  One call
+    per block, not one per Gauss node, matters: an integrand such as the
+    coarea slab check's inverts levels on every call.  A block is laid out
+    node-major, one row of intervals per Gauss node, so every numpy loop runs
+    along a row; the rows of ``f``'s result (which must be a new array) are
+    scaled by the weights in place and added up one after another, so each
+    interval is summed in the same order whatever its batch or block.
     """
     nodes, weights = _rule(order)
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -100,12 +106,13 @@ def interval_integrals(f, a, b, order: int = MAX_ORDER) -> np.ndarray:
         lo, hi = a[start : start + block], b[start : start + block]
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
+        pts = half * nodes[:, None] + mid
         vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
-        # einsum sums each row in the same order whatever the number of rows (a
-        # BLAS gemv does not), so an interval's integral does not depend on its
-        # batch or its block
-        out[start : start + block] = half * np.einsum("ij,j->i", vals, weights)
+        vals *= weights[:, None]
+        total = vals[0]
+        for row in vals[1:]:
+            total += row
+        np.multiply(half, total, out=out[start : start + block])
     return out
 
 

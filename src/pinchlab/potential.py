@@ -16,8 +16,7 @@ parameter of the potential is
 so w = 0 on the inner sphere and w increases monotonically outward.  The
 normalized capacity of the level set {w = t} is
 
-    cap(t) = h^2 (w'/(3-p))^(p-1) / (4 pi / (4 pi)) ... written out:
-    cap(t) = h(r)^2 * (w'(r)/(3-p))^(p-1)   at r = radius_of_level(t),
+    cap(t) = h(r)^2 (w'(r)/(3-p))^(p-1)   at r = radius_of_level(t),
 
 normalized so the unit sphere in flat space has capacity 1, and satisfies the
 exact exponential law cap(t) = e^t cap(0).
@@ -29,6 +28,7 @@ by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -83,11 +83,13 @@ class PotentialSample(NamedTuple):
 class RadialPotential:
     """Solved radial capacitary potential on [r0, r_trunc].
 
-    Grid samples of (u, u', w, w') live on a geometric grid; ``normalizer``
-    is I(r0).  ``suffix`` holds I at every grid node (tail included), which
-    lets any quantity be re-evaluated at off-grid radii by one extra panel of
-    quadrature rather than interpolation (see :meth:`state_at`).  ``order``
-    is the Gauss order of the grid cells, which every later panel reuses.
+    ``grid`` is a geometric grid, ``normalizer`` is I(r0), and ``suffix``
+    holds I at every grid node (tail included), which lets any quantity be
+    re-evaluated at off-grid radii by one extra panel of quadrature rather
+    than interpolation (see :meth:`state_at`).  ``w`` is kept at the nodes;
+    the node samples of u, u' and w' are built from ``suffix`` on first use.
+    ``order`` is the Gauss order of the grid cells, which every later panel
+    reuses.
     """
 
     model: geometry.ManifoldModel
@@ -95,10 +97,7 @@ class RadialPotential:
     r0: float
     normalizer: float
     grid: np.ndarray
-    u: np.ndarray
-    u_prime: np.ndarray
     w: np.ndarray
-    w_prime: np.ndarray
     suffix: np.ndarray
     tail: float
     tail_beta: float
@@ -116,9 +115,21 @@ class RadialPotential:
     def t_max(self) -> float:
         return float(self.w[-1])
 
-    @property
+    @functools.cached_property
     def _integrand(self):
         return _flux_density(self.model.warp, self.p.value)
+
+    @functools.cached_property
+    def u(self) -> np.ndarray:
+        return self.suffix / self.normalizer
+
+    @functools.cached_property
+    def u_prime(self) -> np.ndarray:
+        return -self._integrand(self.grid) / self.normalizer
+
+    @functools.cached_property
+    def w_prime(self) -> np.ndarray:
+        return (self.p.value - 1.0) * self._integrand(self.grid) / self.suffix
 
     def require_radius(self, r: float) -> float:
         r = float(r)
@@ -150,7 +161,7 @@ class RadialPotential:
         """(u, u', w, w') at one radius, from the quadrature representation."""
         r = self.require_radius(r)
         flux = float(self.flux_integral_at(r)[0])
-        hq = float(self.model.warp.h(r)) ** (-2.0 / (self.p.value - 1.0))
+        hq = float(self._integrand(r))
         k = self.p.value - 1.0
         u = flux / self.normalizer
         w = k * (math.log(self.normalizer) - math.log(flux))
@@ -158,9 +169,18 @@ class RadialPotential:
 
 
 def _flux_density(warp: geometry.WarpFunction, p_value: float):
-    """The integrand s -> h(s)^(-2/(p-1)) of I."""
+    """The integrand s -> h(s)^(-2/(p-1)) of I.
+
+    For a power law h = c r^beta it is c^(-q) r^(-q beta): one power per
+    point, and no rounding of h for q = 2/(p-1) to amplify.
+    """
     exponent = -2.0 / (p_value - 1.0)
-    return lambda s: warp.h(s) ** exponent
+    beta = warp.power_law
+    if beta is None:
+        return lambda s: warp.h(s) ** exponent
+    scale = float(warp.h(1.0)) ** exponent
+    power = exponent * beta
+    return lambda s: scale * np.asarray(s, dtype=float) ** power
 
 
 def solve_radial(
@@ -174,9 +194,11 @@ def solve_radial(
     """Solve the exterior capacitary problem for the radial p-Laplacian.
 
     The truncation radius defaults to min(1e4 * r0, model.r_max).  The tail of
-    I beyond truncation is completed in closed form from a power-law fit of h
-    over the outermost decade of the grid; if the fitted growth is too slow
-    for the tail integral to converge the solver refuses loudly.
+    I beyond truncation is completed in closed form for h = c r^beta: exactly
+    when the warp is a power law (beta = ``warp.power_law``, c = h(1)), else
+    from a least-squares fit of h over the outermost decade of the grid.  If
+    the growth is too slow for the tail integral to converge the solver
+    refuses loudly.
 
     The integrand h^(-q) of a power-law warp h = c r^beta is r^(-q beta) up to
     a constant, so its cells take the lowest Gauss order whose a-priori bound
@@ -201,22 +223,28 @@ def solve_radial(
 
     q = 2.0 / (p.value - 1.0)
     grid = np.geomspace(r0, r_max, int(n_grid))
-    h = model.warp.h(grid)
     order = model.warp.gauss_order(-q, (r_max / r0) ** (1.0 / (grid.size - 1)))
     cells = cell_integrals(_flux_density(model.warp, p.value), grid, order)
     if np.any(~np.isfinite(cells)) or np.any(cells <= 0.0):
         raise ConvergenceError("flux quadrature produced non-positive or non-finite cells")
 
-    # power-law completion of the tail: fit h ~ c r^beta on the last decade
-    mask = grid >= grid[-1] / 10.0
-    beta, log_c = log_log_fit(grid[mask], h[mask])
+    # power-law completion of the tail, h = c r^beta: exact when the warp is a
+    # power law, else fitted on the last decade
+    beta = model.warp.power_law
+    fitted = beta is None
+    if fitted:
+        mask = grid >= grid[-1] / 10.0
+        beta, log_c = log_log_fit(grid[mask], model.warp.h(grid[mask]))
+        scale = math.exp(-q * log_c)
+    else:
+        scale = float(model.warp.h(1.0)) ** -q
     if q * beta <= 1.0 + 1e-9:
         raise ConvergenceError(
-            "tail integral of h^(-2/(p-1)) diverges: fitted warp exponent "
+            f"tail integral of h^(-2/(p-1)) diverges: {'fitted ' if fitted else ''}warp exponent "
             f"beta = {beta:.4f} means volume growth alpha = {2 * beta:.4f} <= p - 1 = {p.value - 1:.4f}; "
             "the exterior problem needs alpha > p - 1"
         )
-    tail = math.exp(-q * log_c) * r_max ** (1.0 - q * beta) / (q * beta - 1.0)
+    tail = scale * r_max ** (1.0 - q * beta) / (q * beta - 1.0)
 
     suffix = np.empty_like(grid)
     suffix[-1] = tail
@@ -225,23 +253,14 @@ def solve_radial(
         raise ConvergenceError("flux integral failed to be strictly decreasing")
 
     normalizer = float(suffix[0])
-    u = suffix / normalizer
-    hq = h ** (-q)
-    u_prime = -hq / normalizer
-    k = p.value - 1.0
-    w = k * (math.log(normalizer) - np.log(suffix))
-    w_prime = k * hq / suffix
-
+    w = (p.value - 1.0) * (math.log(normalizer) - np.log(suffix))
     return RadialPotential(
         model=model,
         p=p,
         r0=r0,
         normalizer=normalizer,
         grid=grid,
-        u=u,
-        u_prime=u_prime,
         w=w,
-        w_prime=w_prime,
         suffix=suffix,
         tail=float(tail),
         tail_beta=float(beta),
@@ -333,10 +352,9 @@ def _level_at(pot: RadialPotential, r: np.ndarray) -> np.ndarray:
     return (pot.p_value - 1.0) * (math.log(pot.normalizer) - np.log(pot.flux_integral_at(r)))
 
 
-def _w_prime_at(pot: RadialPotential, r: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """w' = (p-1) h^(-q) / I at radii r where the warp is h (one flux_integral_at call)."""
-    k = pot.p_value - 1.0
-    return k * h ** (-2.0 / k) / pot.flux_integral_at(r)
+def _w_prime_at(pot: RadialPotential, r: np.ndarray) -> np.ndarray:
+    """w' = (p-1) h^(-q) / I at radii r (one flux_integral_at call)."""
+    return (pot.p_value - 1.0) * pot._integrand(r) / pot.flux_integral_at(r)
 
 
 def _capacity_at(pot: RadialPotential, h, w_prime):
@@ -348,7 +366,7 @@ def capacity(pot: RadialPotential, t: float) -> float:
     """Normalized capacity of the level set {w = t}."""
     r = radius_of_level(pot, [float(t)])
     h = pot.model.warp.h(r)
-    return float(_capacity_at(pot, h, _w_prime_at(pot, r, h))[0])
+    return float(_capacity_at(pot, h, _w_prime_at(pot, r))[0])
 
 
 @dataclass(frozen=True)
