@@ -37,7 +37,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ConvergenceError, DomainError
-from .numerics import cell_integrals, interval_integrals, log_log_fit
+from .numerics import cell_integrals, geometric_grid, interval_integrals, log_log_fit
 
 __all__ = [
     "PExponent",
@@ -148,13 +148,13 @@ class RadialPotential:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < self.grid[0]) or np.any(r > self.grid[-1]):
             raise DomainError("flux integral requested outside the solved range")
-        j = np.searchsorted(self.grid, r, side="right") - 1
-        j = np.clip(j, 0, self.grid.size - 2)
-        upper = self.grid[j + 1]
-        partial = interval_integrals(self._integrand, r, upper, self.order)
-        out = self.suffix[j + 1] + partial
+        j = np.searchsorted(self.grid, r, side="right")
+        j -= 1
+        np.clip(j, 0, self.grid.size - 2, out=j)
+        out = interval_integrals(self._integrand, r, self.grid[j + 1], self.order)
+        out += self.suffix[j + 1]
         exact = r == self.grid[j]
-        out[exact] = self.suffix[j][exact]
+        out[exact] = self.suffix[j[exact]]
         return out
 
     def state_at(self, r: float) -> PotentialSample:
@@ -172,15 +172,40 @@ def _flux_density(warp: geometry.WarpFunction, p_value: float):
     """The integrand s -> h(s)^(-2/(p-1)) of I.
 
     For a power law h = c r^beta it is c^(-q) r^(-q beta): one power per
-    point, and no rounding of h for q = 2/(p-1) to amplify.
+    point, scaled in place, and no rounding of h for q = 2/(p-1) to amplify.
     """
     exponent = -2.0 / (p_value - 1.0)
     beta = warp.power_law
     if beta is None:
         return lambda s: warp.h(s) ** exponent
-    scale = float(warp.h(1.0)) ** exponent
+    scale = _power_law_scale(-exponent, c=float(warp.h(1.0)))
     power = exponent * beta
-    return lambda s: scale * np.asarray(s, dtype=float) ** power
+
+    def density(s):
+        values = np.power(s, power)
+        values *= scale
+        return values
+
+    return density
+
+
+def _power_law_scale(q: float, c: float | None = None, log_c: float | None = None) -> float:
+    """c^(-q) for the power law h = c r^beta: ``c**-q`` for an exact c = h(1),
+    ``exp(-q log_c)`` for a fitted one.
+
+    It can overflow while h^(-q) stays in range on the grid (c = 1e-4 at
+    q = 80 with r >= 1e4); then the solve is refused.  The power law is not
+    renormalized at r0 instead: the quotient r/r0 would be rounded, and q
+    would amplify that rounding.
+    """
+    try:
+        return c**-q if log_c is None else math.exp(-q * log_c)
+    except OverflowError:
+        known = f"c = h(1) = {c!r}" if log_c is None else f"fitted log c = {log_c!r}"
+        raise ConvergenceError(
+            f"power-law scale c^(-q) overflows: {known}, q = 2/(p-1) = {q!r}; "
+            "the tail, and the integrand of a power-law warp, take the form c^(-q) r^(-q beta)"
+        ) from None
 
 
 def solve_radial(
@@ -204,6 +229,15 @@ def solve_radial(
     a constant, so its cells take the lowest Gauss order whose a-priori bound
     on the grid ratio is eps/4 (:func:`numerics.gauss_order`); any other warp
     takes 12 points.
+
+    A solve allocates only the arrays it keeps, ``grid``, ``suffix`` and
+    ``w``, plus one block of quadrature scratch: the cells are written into
+    ``suffix``, summed there from the outer end and completed by the tail,
+    and ``w`` is built in the array of log I.  Every value rounds as the
+    same formulas with fresh arrays would.  ConvergenceError refuses, in this
+    order: an overflowing scale c^(-q) of an exact power law, a non-positive
+    or non-finite cell, an overflowing fitted scale, a divergent tail, an
+    overflowing I(r0), and an I that fails to decrease.
     """
     p = as_p(p)
     r0 = float(r0)
@@ -222,11 +256,15 @@ def solve_radial(
         raise DomainError("n_grid must be at least 16")
 
     q = 2.0 / (p.value - 1.0)
-    grid = np.geomspace(r0, r_max, int(n_grid))
+    grid = geometric_grid(r0, r_max, int(n_grid))
     order = model.warp.gauss_order(-q, (r_max / r0) ** (1.0 / (grid.size - 1)))
-    cells = cell_integrals(_flux_density(model.warp, p.value), grid, order)
+    # I at the nodes is built in place: the cells go into suffix[:-1] and are
+    # summed from the outer end, then the tail is added to every sum
+    suffix = np.empty_like(grid)
+    cells = cell_integrals(_flux_density(model.warp, p.value), grid, order, out=suffix[:-1])
     if np.any(~np.isfinite(cells)) or np.any(cells <= 0.0):
         raise ConvergenceError("flux quadrature produced non-positive or non-finite cells")
+    np.cumsum(cells[::-1], out=cells[::-1])
 
     # power-law completion of the tail, h = c r^beta: exact when the warp is a
     # power law, else fitted on the last decade
@@ -235,9 +273,9 @@ def solve_radial(
     if fitted:
         mask = grid >= grid[-1] / 10.0
         beta, log_c = log_log_fit(grid[mask], model.warp.h(grid[mask]))
-        scale = math.exp(-q * log_c)
+        scale = _power_law_scale(q, log_c=log_c)
     else:
-        scale = float(model.warp.h(1.0)) ** -q
+        scale = _power_law_scale(q, c=float(model.warp.h(1.0)))
     if q * beta <= 1.0 + 1e-9:
         raise ConvergenceError(
             f"tail integral of h^(-2/(p-1)) diverges: {'fitted ' if fitted else ''}warp exponent "
@@ -246,14 +284,19 @@ def solve_radial(
         )
     tail = scale * r_max ** (1.0 - q * beta) / (q * beta - 1.0)
 
-    suffix = np.empty_like(grid)
+    cells += tail
     suffix[-1] = tail
-    suffix[:-1] = tail + np.cumsum(cells[::-1])[::-1]
-    if np.any(np.diff(suffix) >= 0.0):
+    normalizer = float(suffix[0])
+    if not math.isfinite(normalizer):
+        raise ConvergenceError(
+            f"flux integral I(r0) overflows: the cells and tail = {tail!r} sum to {normalizer!r}"
+        )
+    if np.any(suffix[1:] >= suffix[:-1]):
         raise ConvergenceError("flux integral failed to be strictly decreasing")
 
-    normalizer = float(suffix[0])
-    w = (p.value - 1.0) * (math.log(normalizer) - np.log(suffix))
+    w = np.log(suffix)
+    np.subtract(math.log(normalizer), w, out=w)
+    w *= p.value - 1.0
     return RadialPotential(
         model=model,
         p=p,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ConvergenceError, DomainError
-from .numerics import cell_integrals
+from .numerics import cell_integrals, geometric_grid
 from .potential import PExponent, RadialPotential, as_p
 
 __all__ = [
@@ -112,12 +112,13 @@ def discretize(
         raise DomainError(f"inner radius {r0} below the model's inner boundary {model.r_min}")
     if r_cut > model.r_max:
         raise DomainError(f"truncation radius {r_cut} exceeds the model's outer bound {model.r_max}")
-    mesh = np.geomspace(r0, r_cut, n_cells + 1)
-    mesh[0], mesh[-1] = r0, r_cut
+    mesh = geometric_grid(r0, r_cut, n_cells + 1)
 
     def area_density(r):
         h = model.warp.h(r)
-        return 4.0 * math.pi * h * h
+        density = 4.0 * math.pi * h
+        density *= h
+        return density
 
     order = model.warp.gauss_order(2.0, (r_cut / r0) ** (1.0 / n_cells))
     weights = cell_integrals(area_density, mesh, order)
@@ -149,14 +150,19 @@ def constant_flux_profile(problem: DiscreteProblem) -> np.ndarray:
     keeps the (possibly denormal-small) tail values exactly representable.
     """
     p = problem.p.value
-    dx = problem.dx
-    log_drops = (np.log(dx) - np.log(problem.weights)) / (p - 1.0) + np.log(dx)
+    log_dx = np.log(problem.dx)
+    log_drops = np.log(problem.weights)
+    np.subtract(log_dx, log_drops, out=log_drops)
+    log_drops /= p - 1.0
+    log_drops += log_dx
     log_drops -= log_drops.max()  # scale before normalizing to avoid overflow
-    drops = np.exp(log_drops)
+    drops = np.exp(log_drops, out=log_drops)
     drops /= drops.sum()
-    psi = np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]])
+    psi = np.empty(drops.size + 1)
+    np.cumsum(drops[::-1], out=psi[-2::-1])
+    psi[-1] = 0.0
     psi /= psi[0]
-    psi[0], psi[-1] = 1.0, 0.0
+    psi[0] = 1.0
     return psi
 
 

@@ -7,6 +7,7 @@ On h = r^(alpha/2) with inner radius 1 the solution is fully explicit:
 These exact forms are the oracles for every assertion here.
 """
 
+import functools
 import gc
 import math
 import tracemalloc
@@ -121,6 +122,51 @@ def test_divergent_tail_refused():
     spline = pl.ManifoldModel(geometry.spline_warp(knots, knots**0.3), 0.1, 100.0)
     with pytest.raises(pl.ConvergenceError, match=r"fitted warp exponent beta = 0\.29"):
         pl.solve_radial(spline, 1.8, 1.0)
+
+
+def _windowed_model(inside):
+    """h = r^0.1 on [1, 100], except h = ``inside`` on 2 < r < 2.5.  The window
+    misses the 16 radii ManifoldModel checks h at and holds whole cells of a
+    256-node grid, so only the flux quadrature sees it."""
+    from pinchlab import geometry
+
+    def h(r):
+        return np.where((r > 2.0) & (r < 2.5), inside, r**0.1)
+
+    def ev(r):
+        return h(r), 0.1 * r**-0.9, -0.09 * r**-1.9
+
+    return pl.ManifoldModel(geometry.WarpFunction("custom", {}, False, ev, h), 1.0, 100.0)
+
+
+@pytest.mark.parametrize("inside", [float("nan"), 1e200, 0.0], ids=["nan", "zero", "inf"])
+def test_bad_cells_are_refused_before_the_tail(inside):
+    # h^(-q) is NaN, underflows to 0 or is +inf on the window, so some cells
+    # are NaN, zero or +inf.  The fitted tail of r^0.1 diverges at p = 1.5
+    # (q beta = 0.4), so the cell check must come first to be the one raised
+    solve = functools.partial(pl.solve_radial, p=1.5, r0=1.0, r_max=100.0, n_grid=256)
+    with np.errstate(divide="ignore"):
+        with pytest.raises(pl.ConvergenceError, match="non-positive or non-finite cells"):
+            solve(_windowed_model(inside))
+    with pytest.raises(pl.ConvergenceError, match="fitted warp exponent beta = 0.1000"):
+        solve(_windowed_model(1.0))
+
+
+def test_overflowing_power_law_scale_is_refused():
+    # h = 1e-4 r on [1e4, 1e5] keeps h^(-q) in [1e-80, 1] at p = 1.025 (q = 80),
+    # but the scale c^(-q) = 1e320 of h = c r overflows.  A fitted scale can
+    # overflow too: h = (r/100)^15 on [80, 100] fits c = 1e-30, and q = 20
+    from pinchlab import geometry
+
+    cone = pl.cone_model(1e-4, r_min=1.0, r_max=1e6)
+    with pytest.raises(
+        pl.ConvergenceError, match=r"c\^\(-q\) overflows: c = h\(1\) = 0\.0001, q = 2/\(p-1\) = 80\.0"
+    ):
+        pl.solve_radial(cone, 1.025, 1e4, r_max=1e5, n_grid=256)
+    knots = np.linspace(80.0, 100.0, 40)
+    spline = pl.ManifoldModel(geometry.spline_warp(knots, (knots / 100.0) ** 15), 80.0, 100.0)
+    with pytest.raises(pl.ConvergenceError, match=r"c\^\(-q\) overflows: fitted log c = -69\.07"):
+        pl.solve_radial(spline, 1.1, 85.0, r_max=100.0, n_grid=256)
 
 
 def test_solver_input_validation():
@@ -241,6 +287,35 @@ def test_interval_integrals_call_f_once_per_block(order):
         interval_integrals(f, a, a + 0.5, order)
         assert len(calls) == math.ceil(n / block)
         assert sum(calls) == order * n
+
+
+@pytest.mark.parametrize("order", [2, 5, 12])
+def test_interval_integrals_write_into_out(rng, order):
+    # into a view of a larger array, with the bits of the allocating call
+    from pinchlab.numerics import _BLOCK_POINTS, interval_integrals
+
+    n = _BLOCK_POINTS // order + 321
+    a = rng.uniform(1.0, 2.0, n)
+    b = a + rng.uniform(0.0, 0.5, n)
+
+    def f(x):
+        return np.sin(7.0 * x) + x**-3
+
+    buf = np.full(n + 1, -1.0)
+    out = buf[:-1]
+    assert interval_integrals(f, a, b, order, out=out) is out
+    assert np.array_equal(out, interval_integrals(f, a, b, order))
+    assert buf[-1] == -1.0
+    with pytest.raises(pl.DomainError, match="out of"):
+        interval_integrals(f, a, b, order, out=buf)
+
+
+def test_geometric_grid_is_geomspace():
+    from pinchlab.numerics import geometric_grid
+
+    for start, stop in ((1.0, 1e4), (0.05, 0.45 * math.pi), (1e-4, 1e4), (3.0, 7.0), (1e3, 1.0)):
+        for num in (2, 3, 16, 257, 4097, 2**17 + 1):
+            assert np.array_equal(geometric_grid(start, stop, num), np.geomspace(start, stop, num))
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +515,80 @@ def test_power_law_cells_skip_the_rounding_of_h():
     assert worst <= 32 * EPS
 
 
+def _reference_cells(f, edges, order):
+    """The Gauss cells as a sum of fresh arrays, in one block: each cell's sum
+    does not depend on its block."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    vals = f((half * nodes[:, None] + mid).reshape(-1)).reshape(order, -1) * weights[:, None]
+    total = vals[0]
+    for row in vals[1:]:
+        total = total + row
+    return half * total
+
+
+def _reference_solve(model, p, r0, n_grid):
+    """(grid, suffix, w, tail) of solve_radial from the formulas with fresh
+    arrays: np.geomspace, the cells, tail + the reversed cumulative sum, and
+    (p-1)(log I0 - log I)."""
+    from pinchlab.numerics import log_log_fit
+
+    q = 2.0 / (p - 1.0)
+    r_max = min(1e4 * r0, model.r_max)
+    grid = np.geomspace(r0, r_max, n_grid)
+    order = model.warp.gauss_order(-q, (r_max / r0) ** (1.0 / (n_grid - 1)))
+    beta = model.warp.power_law
+    if beta is None:
+        cells = _reference_cells(lambda s: model.warp.h(s) ** -q, grid, order)
+        mask = grid >= grid[-1] / 10.0
+        beta, log_c = log_log_fit(grid[mask], model.warp.h(grid[mask]))
+        scale = math.exp(-q * log_c)
+    else:
+        scale = float(model.warp.h(1.0)) ** -q
+        cells = _reference_cells(lambda s: scale * s ** (-q * beta), grid, order)
+    tail = scale * r_max ** (1.0 - q * beta) / (q * beta - 1.0)
+    suffix = np.append(tail + np.cumsum(cells[::-1])[::-1], tail)
+    w = (p - 1.0) * (math.log(suffix[0]) - np.log(suffix))
+    return grid, suffix, w, tail
+
+
+LIBRARY_R0 = {
+    "flat": 1.0,
+    "cone_0.8": 1.0,
+    "power_warp_1.5": 1.0,
+    "positive_cap_1": 0.05,
+    "spline_cap_0.5": 0.05,
+}
+
+
+@pytest.mark.parametrize(
+    "name, p, n_grid",
+    [(name, p, n) for name in sorted(LIBRARY_R0) for p in (1.1, 1.5) for n in (256, 4096)]
+    + [("flat", 1.5, 2**20)],
+)
+def test_solve_radial_has_the_bits_of_fresh_arrays(name, p, n_grid):
+    # the in-place grid, cells, sums and logs round exactly as the formulas do
+    model = pl.library()[name]
+    pot = pl.solve_radial(model, p, LIBRARY_R0[name], n_grid=n_grid)
+    grid, suffix, w, tail = _reference_solve(model, p, LIBRARY_R0[name], n_grid)
+    assert np.array_equal(pot.grid, grid)
+    assert np.array_equal(pot.suffix, suffix)
+    assert np.array_equal(pot.w, w)
+    assert pot.normalizer == suffix[0]
+    assert pot.tail == tail
+
+
 @pytest.mark.parametrize("factory", [pl.flat_model, pl.power_warp_model])
 def test_solve_radial_peak_memory_is_bounded_by_its_result(factory):
-    # the quadrature evaluates its integrand block by block, so a large solve
-    # allocates less scratch memory than the node arrays it builds eagerly
-    # (u, u' and w' are built on first use)
+    # a solve allocates only the arrays it keeps, grid, suffix and w, plus one
+    # block of quadrature scratch (u, u' and w' are built on first use).  The
+    # scratch of a block is its points, midpoints and half-widths (at most two
+    # arrays of _BLOCK_POINTS floats together) and the integrand's values with
+    # at most two temporaries of them
+    from pinchlab.numerics import _BLOCK_POINTS
+
     model = factory()
     tracemalloc.start()
     try:
@@ -453,7 +597,7 @@ def test_solve_radial_peak_memory_is_bounded_by_its_result(factory):
     finally:
         tracemalloc.stop()
     kept = sum(a.nbytes for a in (pot.grid, pot.w, pot.suffix))
-    assert peak <= 2 * kept
+    assert peak <= kept + 5 * 8 * _BLOCK_POINTS
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

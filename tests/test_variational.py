@@ -64,15 +64,17 @@ def test_mesh_is_geometric():
 
 
 def test_discretize_peak_memory_is_bounded_by_its_result():
-    # the cell weights come from block-wise quadrature, so the scratch memory
-    # of a large mesh stays below the mesh and weights the problem keeps
+    # discretize allocates only the mesh and weights it keeps plus one block
+    # of quadrature scratch, as solve_radial does (see its test there)
+    from pinchlab.numerics import _BLOCK_POINTS
+
     tracemalloc.start()
     try:
         prob = pl.discretize(pl.power_warp_model(), 1.5, 1.0, 2**17, 1e3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * (prob.mesh.nbytes + prob.weights.nbytes)
+    assert peak <= prob.mesh.nbytes + prob.weights.nbytes + 5 * 8 * _BLOCK_POINTS
 
 
 def test_cone_weights_scale_like_a_squared():
