@@ -21,13 +21,14 @@ import numpy as np
 
 from . import functionals, geometry, rigidity
 from .errors import ConfigError, PinchLabError
-from .potential import as_p, capacity, solve_radial
+from .potential import as_p, solve_radial
 from .report import (
     DEFAULT_TOLERANCES,
     SCENARIO_DEFAULTS,
     SCENARIO_TOLERANCES,
     ScenarioReport,
     StageVerdict,
+    table_rows,
 )
 
 __all__ = [
@@ -84,6 +85,14 @@ def _expect(condition: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
+def _check_with(check, value, path: str):
+    """Validate value with a library check, reporting its error as a ConfigError at path."""
+    try:
+        check(value)
+    except PinchLabError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _check_number(value, path: str, *, integer: bool = False) -> float:
     ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
     _expect(ok, path, f"expected a finite number, got {value!r}")
@@ -129,10 +138,7 @@ def parse_config(text: str) -> RunConfig:
     p = raw.get("p", defaults["p"])
     if p != "auto":
         p = _check_number(p, "p")
-        try:
-            as_p(p)
-        except PinchLabError as exc:
-            raise ConfigError(f"p: {exc}") from exc
+        _check_with(as_p, p, "p")
 
     r0 = _check_number(raw.get("r0", defaults["r0"]), "r0")
     _expect(r0 > 0.0, "r0", f"must be positive, got {r0}")
@@ -151,7 +157,7 @@ def parse_config(text: str) -> RunConfig:
     eps = raw.get("eps", defaults["eps"])
     if eps is not None:
         eps = _check_number(eps, "eps")
-        _expect(0.0 < eps <= 1.0 / 3.0, "eps", f"must lie in (0, 1/3], got {eps}")
+        _check_with(functionals._check_eps, eps, "eps")
 
     tolerances = raw.get("tolerances", {})
     _expect(isinstance(tolerances, dict), "tolerances", "expected an object")
@@ -238,12 +244,12 @@ def _config_echo(config: RunConfig, p_value: float | None) -> dict:
 def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> ScenarioReport:
     p = _resolve_p(config, model)
     pot = solve_radial(model, p, config.r0, n_grid=config.n_grid, r_max=config.r_max)
-    rows, _, _ = functionals.level_rows(pot, config.n_levels)
+    table = functionals.level_table(pot, config.n_levels)
     c_f, c_g = functionals._exact_constants(p.value)
     u0 = pot.state_at(pot.r0).u  # one value, not the node array of u
     boundary_ok = abs(u0 - 1.0) <= 1e-12 and abs(pot.w[0]) <= 1e-12
     cap_tol = config.tolerance("capacity")
-    cap_dev = max(abs(row["cap_ratio_to_exp_t"] - 1.0) for row in rows)
+    cap_dev = float(np.max(np.abs(table["cap_ratio_to_exp_t"] - 1.0)))
     verdicts = [
         StageVerdict(
             "solve",
@@ -264,38 +270,36 @@ def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
     ]
     return ScenarioReport(
         config=_config_echo(config, p.value),
-        rows=rows,
+        rows=table_rows(table),
         verdicts=verdicts,
-        constants={"c_F": c_f, "c_G": c_g, "cap_0": capacity(pot, 0.0)},
+        constants={"c_F": c_f, "c_G": c_g, "cap_0": table["cap_0"]},
     )
 
 
 def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> ScenarioReport:
     p = _resolve_p(config, model)
     pot = solve_radial(model, p, config.r0, n_grid=config.n_grid, r_max=config.r_max)
-    rows, samples, holders = functionals.level_rows(pot, config.n_levels)
+    table = functionals.level_table(pot, config.n_levels)
     c_f, c_g = functionals._exact_constants(p.value)
     tol_mono = config.tolerance("monotone")
     tol_deriv = config.tolerance("derivative")
     tol_holder = config.tolerance("holder")
 
     def non_increasing(values):
-        worst = max(
-            (values[i + 1] - values[i]) / (1.0 + abs(values[i])) for i in range(len(values) - 1)
-        )
+        worst = float(np.max(np.diff(values) / (1.0 + np.abs(values[:-1]))))
         return worst, worst <= tol_mono
 
-    f_vals = [row["F"] for row in rows]
-    g_vals = [row["G"] for row in rows]
+    def relative_gap(measured, reference):
+        return float(np.max(np.abs(measured - reference) / (1.0 + np.abs(reference))))
+
+    f_vals, g_vals = table["F"], table["G"]
     worst_f, ok_f = non_increasing(f_vals)
     worst_g, ok_g = non_increasing(g_vals)
-    order_ok = all(
-        -tol_mono * (1.0 + abs(f)) <= g <= f + tol_mono * (1.0 + abs(f))
-        for f, g in zip(f_vals, g_vals)
-    )
-    dev_f = max(abs(s.dF_fd - s.dF_cf) / (1.0 + abs(s.dF_cf)) for s in samples)
-    dev_g = max(abs(s.dG_fd - s.dG_cf) / (1.0 + abs(s.dG_cf)) for s in samples)
-    holder_dev = max(abs(h.equality_gap) / (1.0 + abs(h.rhs)) for h in holders)
+    slack = tol_mono * (1.0 + np.abs(f_vals))
+    order_ok = bool(np.all((-slack <= g_vals) & (g_vals <= f_vals + slack)))
+    dev_f = relative_gap(table["dF_fd"], table["dF_cf"])
+    dev_g = relative_gap(table["dG_fd"], table["dG_cf"])
+    holder_dev = relative_gap(table["cap"], table["holder_rhs"])
     verdicts = [
         StageVerdict(
             "monotone-F",
@@ -310,7 +314,7 @@ def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> Scen
         StageVerdict(
             "ordering",
             "pass" if order_ok else "fail",
-            f"0 <= G <= F across {len(rows)} levels (tol {tol_mono:.1e} relative)",
+            f"0 <= G <= F across {f_vals.size} levels (tol {tol_mono:.1e} relative)",
         ),
         StageVerdict(
             "derivative-match",
@@ -325,14 +329,10 @@ def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> Scen
             f"max relative interpolation-chain gap = {holder_dev:.3e} (tol {tol_holder:.1e})",
         ),
     ]
-    # about 16 of the row levels, read off their samples: no level is inverted twice
-    picked = samples[:: max(1, len(samples) // 16)]
+    # about 16 of the row levels, read off the table: no level is inverted twice
+    picked = slice(None, None, max(1, config.n_levels // 16))
     ordering = rigidity._ordering_report(
-        pot,
-        np.array([s.t for s in picked]),
-        np.array([s.F for s in picked]),
-        np.array([s.G for s in picked]),
-        np.array([s.dG_fd for s in picked]),
+        pot, *(table[name][picked] for name in ("t", "F", "G", "dG_fd"))
     )
     constants = {
         "c_F": c_f,
@@ -341,7 +341,10 @@ def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> Scen
         "dG_proportionality_expected": ordering.proportionality_expected,
     }
     return ScenarioReport(
-        config=_config_echo(config, p.value), rows=rows, verdicts=verdicts, constants=constants
+        config=_config_echo(config, p.value),
+        rows=table_rows(table),
+        verdicts=verdicts,
+        constants=constants,
     )
 
 
@@ -636,10 +639,7 @@ def _config_from_args(args) -> RunConfig:
     if p_flag is not None:
         p = p_flag if p_flag == "auto" else float(p_flag)
         if p != "auto":
-            try:
-                as_p(p)
-            except PinchLabError as exc:
-                raise ConfigError(f"--p: {exc}") from exc
+            _check_with(as_p, p, "--p")
         updates["p"] = p
     tol = _parse_tol_flag(getattr(args, "tol", None))
     if tol:

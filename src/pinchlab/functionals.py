@@ -30,7 +30,7 @@ without its gradient factor), which it reports so tests can reject it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -60,7 +60,7 @@ __all__ = [
     "value_G",
     "monotone_sample",
     "monotone_levels",
-    "level_rows",
+    "level_table",
     "audit_constants",
     "div_fields",
     "gauss_bonnet",
@@ -272,91 +272,88 @@ def _exact_constants(p: float) -> tuple[float, float]:
     return 1.0, 1.0 / (m * m)
 
 
-def _sample_levels(pot: RadialPotential, ts) -> tuple[list[MonotoneSample], float]:
-    """The samples at the levels ts and cap(0), from one batch: 0, ts and their stencils.
+def _in_fd_window(pot: RadialPotential, t) -> np.ndarray:
+    """Which levels t have their finite-difference stencil inside [0, t_max]:
+    FD_STEP <= t <= t_max - FD_STEP."""
+    return (FD_STEP <= t) & (t <= pot.t_max - FD_STEP)
 
-    The closed forms carry the exact constants of :func:`_exact_constants`.
-    """
+
+def _libm_exp(x: np.ndarray) -> np.ndarray:
+    """math.exp at each element.  numpy's SIMD exp rounds some arguments
+    differently, and these values reach the emitted report bytes."""
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
+def _table(pot: RadialPotential, ts) -> dict:
+    """The level table at the levels ts (see :func:`level_table`), from one
+    batch: 0, ts and their stencils."""
     ts = np.asarray(ts, dtype=float)
-    outside = (ts - FD_STEP < 0.0) | (ts + FD_STEP > pot.t_max)
+    outside = ~_in_fd_window(pot, ts)
     if np.any(outside):
         raise DomainError(
             f"level range violation: need dt <= t <= t_max - dt, "
             f"got t = {ts[outside][0]}, dt = {FD_STEP}, t_max = {pot.t_max:.6g}"
         )
-    c_f, c_g = _exact_constants(pot.p_value)
+    p = pot.p_value
+    c_f, c_g = _exact_constants(p)
     n = ts.size
     lv = _level(pot, np.concatenate([[0.0], ts, _stencil(ts)]))
     at = slice(1, n + 1)
     geo = lv.geo
-    columns = {
+    area, wp, cap = geo.area[at], lv.wp[at], lv.cap[at]
+    cap0 = float(lv.cap[0])
+    holder_rhs = np.array([_holder_rhs(p, a, g) for a, g in zip(area.tolist(), wp.tolist())])
+    return {
         "t": ts,
         "r": lv.r[at],
-        "area": geo.area[at],
-        "mean_curvature": geo.mean_curvature[at],
-        "grad_w": lv.wp[at],
+        "area": area,
+        "H": geo.mean_curvature[at],
+        "grad_w": wp,
         "F": lv.F[at],
         "G": lv.G[at],
         "dF_fd": _fd_derivative(lv.F[n + 1 :]),
-        "dG_fd": _fd_derivative(lv.G[n + 1 :]),
         "dF_cf": c_f * lv.dF_raw[at],
+        "dG_fd": _fd_derivative(lv.G[n + 1 :]),
         "dG_cf": c_g * lv.dG_raw[at],
-        "cap": lv.cap[at],
+        "cap": cap,
+        "cap_ratio_to_exp_t": cap / (cap0 * _libm_exp(ts)),
         "gb": (geo.sc_tangential * geo.area)[at],
         "willmore": (geo.mean_curvature**2 * geo.area)[at],
+        "holder_gap": holder_rhs - cap,
+        "holder_rhs": holder_rhs,
+        "cap_0": cap0,
     }
-    values = zip(*(column.tolist() for column in columns.values()))
-    samples = [MonotoneSample(**dict(zip(columns, row))) for row in values]
-    return samples, float(lv.cap[0])
+
+
+def level_table(pot: RadialPotential, n_levels: int) -> dict:
+    """The report columns (``report.ROW_COLUMNS``) as arrays at n_levels evenly
+    spaced levels in [dt, t_max - dt], plus the Hölder bound ``holder_rhs`` and
+    the float ``cap_0`` = cap(0), from one :func:`_level` batch.  Each value has
+    the bits of its single-level query; the closed-form derivatives carry the
+    exact constants of :func:`_exact_constants`."""
+    if n_levels < 2:
+        raise DomainError(f"need at least 2 levels, got {n_levels}")
+    ts = np.linspace(FD_STEP, pot.t_max - FD_STEP, n_levels)
+    if not ts[0] < ts[-1]:
+        raise DomainError(f"empty level window [{ts[0]}, {ts[-1]}]")
+    return _table(pot, ts)
+
+
+def _samples(table: dict) -> list[MonotoneSample]:
+    """The rows of a level table as samples (column H is the field mean_curvature)."""
+    names = [f.name for f in fields(MonotoneSample)]
+    columns = [table["H" if name == "mean_curvature" else name].tolist() for name in names]
+    return [MonotoneSample(*row) for row in zip(*columns)]
 
 
 def monotone_sample(pot: RadialPotential, t: float) -> MonotoneSample:
     """Evaluate F, G, their finite-difference and closed-form derivatives at level t."""
-    return _sample_levels(pot, [float(t)])[0][0]
-
-
-def _level_window(pot: RadialPotential, n_levels: int) -> np.ndarray:
-    if n_levels < 2:
-        raise DomainError(f"need at least 2 levels, got {n_levels}")
-    lo, hi = FD_STEP, pot.t_max - FD_STEP
-    if not lo < hi:
-        raise DomainError(f"empty level window [{lo}, {hi}]")
-    return np.linspace(lo, hi, n_levels)
+    return _samples(_table(pot, [float(t)]))[0]
 
 
 def monotone_levels(pot: RadialPotential, n_levels: int = 64) -> list[MonotoneSample]:
     """Sample the monotone quantities at n_levels evenly spaced levels in [dt, t_max - dt]."""
-    return _sample_levels(pot, _level_window(pot, n_levels))[0]
-
-
-def level_rows(
-    pot: RadialPotential, n_levels: int
-) -> tuple[list[dict], list[MonotoneSample], list[HolderChainSample]]:
-    """The per-level report rows (``report.ROW_COLUMNS``), with their samples and Hölder chains."""
-    samples, cap0 = _sample_levels(pot, _level_window(pot, n_levels))
-    holders = [_holder(pot.p_value, s.t, cap0, s.cap, s.area, s.grad_w) for s in samples]
-    rows = [
-        {
-            "t": s.t,
-            "r": s.r,
-            "area": s.area,
-            "H": s.mean_curvature,
-            "grad_w": s.grad_w,
-            "F": s.F,
-            "G": s.G,
-            "dF_fd": s.dF_fd,
-            "dF_cf": s.dF_cf,
-            "dG_fd": s.dG_fd,
-            "dG_cf": s.dG_cf,
-            "cap": s.cap,
-            "cap_ratio_to_exp_t": s.cap / (cap0 * math.exp(s.t)),
-            "gb": s.gb,
-            "willmore": s.willmore,
-            "holder_gap": h.equality_gap,
-        }
-        for s, h in zip(samples, holders)
-    ]
-    return rows, samples, holders
+    return _samples(level_table(pot, n_levels))
 
 
 @lru_cache(maxsize=32)
@@ -569,21 +566,23 @@ def holder_chain(pot: RadialPotential, t: float) -> HolderChainSample:
     t = float(t)
     lv = _level(pot, [0.0, t])
     cap0, cap = lv.cap.tolist()
-    return _holder(pot.p_value, t, cap0, cap, float(lv.geo.area[1]), float(lv.wp[1]))
+    rhs = _holder_rhs(pot.p_value, float(lv.geo.area[1]), float(lv.wp[1]))
+    return HolderChainSample(t=t, lhs=math.exp(t) * cap0, mid=cap, rhs=rhs, equality_gap=rhs - cap)
 
 
-def _holder(p: float, t: float, cap0: float, cap: float, area: float, wp: float) -> HolderChainSample:
+def _holder_rhs(p: float, area: float, wp: float) -> float:
+    """The interpolation bound of :func:`holder_chain` on a sphere of the given
+    area where |grad w| = wp.  Python floats: numpy's SIMD pow rounds some
+    arguments differently from ``**``."""
     m = 3.0 - p
-    lhs = math.exp(t) * cap0
     int_grad_sq = wp * wp * area
     int_grad_inv = area / wp
-    rhs = (
+    return (
         (1.0 / (4.0 * math.pi))
         * m ** (1.0 - p)
         * int_grad_sq ** (p / 3.0)
         * int_grad_inv ** (m / 3.0)
     )
-    return HolderChainSample(t=t, lhs=lhs, mid=cap, rhs=rhs, equality_gap=rhs - cap)
 
 
 def willmore(model: ManifoldModel, r: float) -> float:

@@ -193,19 +193,24 @@ def _power_law_scale(q: float, c: float | None = None, log_c: float | None = Non
     """c^(-q) for the power law h = c r^beta: ``c**-q`` for an exact c = h(1),
     ``exp(-q log_c)`` for a fitted one.
 
-    It can overflow while h^(-q) stays in range on the grid (c = 1e-4 at
-    q = 80 with r >= 1e4); then the solve is refused.  The power law is not
-    renormalized at r0 instead: the quotient r/r0 would be rounded, and q
-    would amplify that rounding.
+    It can overflow, or underflow to 0.0, while h^(-q) stays in range on the
+    grid (c = 1e-4 at q = 80 with r >= 1e4; c = 30 at q = 320 with r <= 0.1);
+    then the solve is refused.  The power law is not renormalized at r0
+    instead: the quotient r/r0 would be rounded, and q would amplify that
+    rounding.
     """
     try:
-        return c**-q if log_c is None else math.exp(-q * log_c)
+        scale = c**-q if log_c is None else math.exp(-q * log_c)
     except OverflowError:
+        scale = math.inf
+    if scale == 0.0 or scale == math.inf:
         known = f"c = h(1) = {c!r}" if log_c is None else f"fitted log c = {log_c!r}"
         raise ConvergenceError(
-            f"power-law scale c^(-q) overflows: {known}, q = 2/(p-1) = {q!r}; "
-            "the tail, and the integrand of a power-law warp, take the form c^(-q) r^(-q beta)"
-        ) from None
+            f"power-law scale c^(-q) {'overflows' if scale else 'underflows to 0.0'}: {known}, "
+            f"q = 2/(p-1) = {q!r}; the tail, and the integrand of a power-law warp, take the "
+            "form c^(-q) r^(-q beta)"
+        )
+    return scale
 
 
 def solve_radial(
@@ -235,8 +240,9 @@ def solve_radial(
     ``suffix``, summed there from the outer end and completed by the tail,
     and ``w`` is built in the array of log I.  Every value rounds as the
     same formulas with fresh arrays would.  ConvergenceError refuses, in this
-    order: an overflowing scale c^(-q) of an exact power law, a non-positive
-    or non-finite cell, an overflowing fitted scale, a divergent tail, an
+    order: a scale c^(-q) of an exact power law that overflows or underflows
+    to 0.0, a non-positive or non-finite cell, a fitted scale that overflows
+    or underflows, a divergent tail, a tail that underflows to 0.0, an
     overflowing I(r0), and an I that fails to decrease.
     """
     p = as_p(p)
@@ -283,6 +289,12 @@ def solve_radial(
             "the exterior problem needs alpha > p - 1"
         )
     tail = scale * r_max ** (1.0 - q * beta) / (q * beta - 1.0)
+    if tail == 0.0:
+        raise ConvergenceError(
+            f"tail integral of h^(-2/(p-1)) underflows to 0.0: c^(-q) = {scale!r} times "
+            f"r_max^(1 - q beta) with r_max = {r_max!r}, {'fitted ' if fitted else ''}beta = "
+            f"{beta!r}, q = 2/(p-1) = {q!r}; I(r_max) and t_max need a positive tail"
+        )
 
     cells += tail
     suffix[-1] = tail

@@ -17,13 +17,13 @@ __all__ = [
     "SCENARIO_DEFAULTS",
     "StageVerdict",
     "ScenarioReport",
+    "table_rows",
 ]
 
 DEFAULT_TOLERANCES = {
     "capacity": 1e-6,
     "monotone": 1e-9,
     "derivative": 1e-4,
-    "divergence": 1e-5,
     "identity": 1e-10,
     "gauss_bonnet": 1e-8,
     "holder": 1e-8,
@@ -64,6 +64,12 @@ ROW_COLUMNS = (
 )
 
 _STATUSES = ("pass", "fail", "not-applicable")
+
+
+def table_rows(table) -> list[dict]:
+    """The per-level row dicts of a column table such as ``functionals.level_table``."""
+    columns = [table[name].tolist() for name in ROW_COLUMNS]
+    return [dict(zip(ROW_COLUMNS, row)) for row in zip(*columns)]
 
 
 @dataclass(frozen=True)

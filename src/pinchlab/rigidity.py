@@ -34,7 +34,7 @@ from .potential import (
     radius_of_level,
     solve_radial,
 )
-from .report import SCENARIO_DEFAULTS, ScenarioReport, StageVerdict
+from .report import SCENARIO_DEFAULTS, ScenarioReport, StageVerdict, table_rows
 
 __all__ = [
     "ThresholdReport",
@@ -161,7 +161,6 @@ class DichotomyTrajectory:
     times: np.ndarray
     envelope: np.ndarray
     branch: str  # "decay" | "stuck"
-    T0: float | None
     crossing_time: float | None
     crossing_time_linear: float
     K: float
@@ -224,7 +223,6 @@ def decay_dichotomy(p, eps: float, F0: float, *, horizon: float = 20.0) -> Dicho
         times=times,
         envelope=env,
         branch="decay" if crossing is not None else "stuck",
-        T0=crossing,
         crossing_time=crossing,
         crossing_time_linear=crossing_linear,
         K=k_fit,
@@ -262,22 +260,17 @@ def ordering_check(pot: RadialPotential, levels) -> OrderingReport:
     if not levels.size:
         raise DomainError("ordering_check needs at least one level")
     n = levels.size
-    stencil = functionals._stencil(levels[_fd_window(pot, levels)])
+    stencil = functionals._stencil(levels[functionals._in_fd_window(pot, levels)])
     lv = functionals._level(pot, np.concatenate([levels, stencil]))
     return _ordering_report(pot, levels, lv.F[:n], lv.G[:n], functionals._fd_derivative(lv.G[n:]))
 
 
-def _fd_window(pot: RadialPotential, levels: np.ndarray) -> np.ndarray:
-    """Which levels have their finite-difference stencil inside [0, t_max]."""
-    return (functionals.FD_STEP <= levels) & (levels <= pot.t_max - functionals.FD_STEP)
-
-
 def _ordering_report(pot: RadialPotential, levels, F, G, dG) -> OrderingReport:
     """The report of :func:`ordering_check` from F and G at the levels and dG/dt at
-    those of them inside :func:`_fd_window`, however these were computed."""
+    those of them inside ``functionals._in_fd_window``, however these were computed."""
     p = pot.p_value
     m = 3.0 - p
-    in_window = _fd_window(pot, levels)
+    in_window = functionals._in_fd_window(pot, levels)
     f_vals, g_vals = F.tolist(), G.tolist()
     ordering_ok = all(
         -1e-9 * (1.0 + abs(f)) <= g <= f + 1e-9 * (1.0 + abs(f))
@@ -373,10 +366,11 @@ def run_contradiction_scenario(
     )
     constants["c_F"], constants["c_G"] = functionals._exact_constants(p.value)
 
-    rows, _, holders = _run_stage(
-        "level-sampling", lambda: functionals.level_rows(pot, int(opts["n_levels"]))
+    table = _run_stage(
+        "level-sampling", lambda: functionals.level_table(pot, int(opts["n_levels"]))
     )
-    t_hi = rows[-1]["t"]
+    t, F = table["t"], table["F"]
+    t_hi = float(t[-1])
 
     # --- hypothesis gates -------------------------------------------------
     w0 = _run_stage(WILLMORE_GATE, lambda: functionals.willmore(model, r0))
@@ -435,9 +429,8 @@ def run_contradiction_scenario(
     constants["f_p"] = thr.f_p
 
     # --- capacity law and interpolation chain ------------------------------
-    cap_dev = max(
-        abs(row["cap_ratio_to_exp_t"] - 1.0) for row in rows if row["t"] <= 10.0 + functionals.FD_STEP
-    )
+    cap_ratio = table["cap_ratio_to_exp_t"][t <= 10.0 + functionals.FD_STEP]
+    cap_dev = float(np.max(np.abs(cap_ratio - 1.0)))
     verdicts.append(
         StageVerdict(
             "capacity-law",
@@ -447,10 +440,11 @@ def run_contradiction_scenario(
     )
     constants["capacity_law_deviation"] = cap_dev
 
-    holder_dev = max(abs(h.equality_gap) / (1.0 + abs(h.rhs)) for h in holders)
+    holder_rhs = table["holder_rhs"]
+    holder_dev = float(np.max(np.abs(table["holder_gap"]) / (1.0 + np.abs(holder_rhs))))
     holder_tol = float(opts["holder_tol"])
-    holder_ok = holder_dev <= holder_tol and all(
-        h.mid <= h.rhs + holder_tol * (1.0 + abs(h.rhs)) for h in holders
+    holder_ok = holder_dev <= holder_tol and bool(
+        np.all(table["cap"] <= holder_rhs + holder_tol * (1.0 + np.abs(holder_rhs)))
     )
     verdicts.append(
         StageVerdict(
@@ -461,12 +455,10 @@ def run_contradiction_scenario(
     )
 
     # --- decay rate of F ----------------------------------------------------
-    tail_rows = [row for row in rows if row["t"] >= 0.6 * t_hi and row["F"] > 0.0]
+    tail = (t >= 0.6 * t_hi) & (F > 0.0)
     slope_expected = -2.0 / m
-    if len(tail_rows) >= 4:
-        ts = np.array([row["t"] for row in tail_rows])
-        fs = np.array([row["F"] for row in tail_rows])
-        slope_measured = float(np.polyfit(ts, np.log(fs), 1)[0])
+    if np.count_nonzero(tail) >= 4:
+        slope_measured = float(np.polyfit(t[tail], np.log(F[tail]), 1)[0])
     else:
         slope_measured = math.nan
     decay_ok = slope_measured <= slope_expected * (1.0 - 0.05)
@@ -489,11 +481,9 @@ def run_contradiction_scenario(
         )
     constants["decay_slope_measured"] = slope_measured
     constants["decay_slope_pinched"] = slope_expected
-    constants["K_envelope_measured"] = max(
-        row["F"] * math.exp(2.0 * row["t"] / m) for row in rows
-    )
+    constants["K_envelope_measured"] = float(np.max(F * functionals._libm_exp(2.0 * t / m)))
 
-    f_first = rows[0]["F"]
+    f_first = float(F[0])
     # relative margin: flat space has F = 4 pi exactly, up to last-bit rounding
     if f_first < FOUR_PI * (1.0 - 1e-12):
         traj = _run_stage(
@@ -526,10 +516,11 @@ def run_contradiction_scenario(
     # --- coarea envelope ----------------------------------------------------
     envelope_exponent = (9.0 - p.value) / (m * m)
 
-    window = [row for row in rows if 0.2 * t_hi <= row["t"] <= 0.8 * t_hi] or rows
-    kappa = min(
-        (row["area"] / row["grad_w"]) * math.exp(-envelope_exponent * row["t"]) for row in window
-    )
+    window = (0.2 * t_hi <= t) & (t <= 0.8 * t_hi)
+    if not np.any(window):
+        window[:] = True
+    coarea = table["area"][window] / table["grad_w"][window]
+    kappa = float(np.min(coarea * functionals._libm_exp(-envelope_exponent * t[window])))
     constants["kappa"] = kappa
     constants["envelope_exponent"] = envelope_exponent
     verdicts.append(
@@ -604,7 +595,7 @@ def run_contradiction_scenario(
     }
     return ScenarioReport(
         config=config_echo,
-        rows=rows,
+        rows=table_rows(table),
         verdicts=verdicts,
         constants=constants,
         failed_hypothesis=failed,

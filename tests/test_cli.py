@@ -63,6 +63,10 @@ def test_parse_minimal_defaults():
             "unknown tolerance",
         ),
         (
+            '{"model": {"kind": "flat"}, "scenario": "solve", "tolerances": {"divergence": 1e-5}}',
+            "unknown tolerance",
+        ),
+        (
             '{"model": {"kind": "flat"}, "scenario": "solve", "tolerances": {"capacity": -1}}',
             "positive",
         ),

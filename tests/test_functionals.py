@@ -11,7 +11,9 @@ The variant of div X with a bare mean-curvature term evaluates to -0.148 at
 r = 5 and must be visibly rejected by the audit.
 """
 
+import dataclasses
 import gc
+import json
 import math
 import weakref
 
@@ -223,10 +225,10 @@ def _count_inversions(monkeypatch):
     return calls
 
 
-def test_level_rows_invert_each_level_once(solved, monkeypatch):
+def test_level_table_inverts_each_level_once(solved, monkeypatch):
     pot = solved("cone", 1.5)
     calls = _count_inversions(monkeypatch)
-    functionals.level_rows(pot, 64)
+    functionals.level_table(pot, 64)
     # t, t +- dt and t +- dt/2 per row, plus cap(0), all in one batch
     assert sum(calls) == 5 * 64 + 1
     assert len(calls) == 1
@@ -262,11 +264,43 @@ def test_audit_frees_its_potential(monkeypatch):
 
 @pytest.mark.parametrize("name", ["flat", "cone", "power_warp"])
 def test_rows_match_holder_chain_and_capacity_bitwise(solved, name):
+    # every column of the level table has the bits of its single-level query,
+    # and exp and the Hölder bound's powers round as math.exp and ** on floats
     pot = solved(name, 1.5)
-    rows, _, _ = functionals.level_rows(pot, 8)
-    for row in rows:
-        assert pl.holder_chain(pot, row["t"]).equality_gap == row["holder_gap"]
-        assert pl.capacity(pot, row["t"]) == row["cap"]
+    table = functionals.level_table(pot, 64)
+    assert table["cap_0"] == pl.capacity(pot, 0.0)
+    config = {"model": {"kind": name}, "scenario": "solve", "p": 1.5}
+    report = pl.run(pl.parse_config(json.dumps(config)))
+    assert report.constants["cap_0"] == pl.capacity(pot, 0.0)
+    for i, t in enumerate(table["t"].tolist()):
+        sample = pl.monotone_sample(pot, t)
+        holder = pl.holder_chain(pot, t)
+        expected = {f.name: getattr(sample, f.name) for f in dataclasses.fields(sample)}
+        expected["H"] = expected.pop("mean_curvature")
+        expected |= {
+            "cap_ratio_to_exp_t": holder.mid / holder.lhs,
+            "holder_gap": holder.equality_gap,
+            "holder_rhs": holder.rhs,
+        }
+        assert set(expected) | {"cap_0"} == set(table)
+        assert {key: table[key][i] for key in expected} == expected
+        assert (expected["F"], expected["G"]) == (pl.value_F(pot, t), pl.value_G(pot, t))
+        assert expected["cap"] == pl.capacity(pot, t) == holder.mid
+        assert holder.lhs == math.exp(t) * table["cap_0"]
+        area, wp = sample.area, sample.grad_w
+        constant = (1.0 / (4.0 * math.pi)) * 1.5 ** (1.0 - 1.5)  # p = m = 3 - p = 1.5
+        assert holder.rhs == constant * (wp * wp * area) ** 0.5 * (area / wp) ** 0.5
+
+
+def test_scenarios_build_no_per_level_samples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scenario built a per-level sample")
+
+    monkeypatch.setattr(functionals, "MonotoneSample", refuse)
+    monkeypatch.setattr(functionals, "HolderChainSample", refuse)
+    for scenario in ("solve", "monotone", "contradict"):
+        config = {"model": {"kind": "power_warp"}, "scenario": scenario, "p": 1.5, "n_levels": 16}
+        assert len(pl.run(pl.parse_config(json.dumps(config))).rows) == 16
 
 
 # ---------------------------------------------------------------------------

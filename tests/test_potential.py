@@ -169,6 +169,24 @@ def test_overflowing_power_law_scale_is_refused():
         pl.solve_radial(spline, 1.1, 85.0, r_max=100.0, n_grid=256)
 
 
+def test_underflowing_power_law_scale_and_tail_are_refused():
+    # h = 30 r on [0.01, 0.1] keeps h^(-q) in [1e-153, 1e167] at p = 1.00625
+    # (q = 320), but the scale 30^(-320) of h = c r underflows to 0.0, which
+    # would make 0 * inf cells.  A fitted tail can underflow too: h ~ (r/10)^15
+    # on the outer decade of [1, 100] gives c^(-q) ~ 1e300 times 100^(-299)
+    from pinchlab import geometry
+
+    cone = pl.cone_model(30.0, r_min=0.01, r_max=1.0)
+    scale = r"c\^\(-q\) underflows to 0\.0: c = h\(1\) = 30\.0, q = 2/\(p-1\) = 319\.99"
+    with pytest.raises(pl.ConvergenceError, match=scale):
+        pl.solve_radial(cone, 1.00625, 0.01, r_max=0.1, n_grid=256)
+    k = np.geomspace(1.0, 100.0, 80)
+    warp = geometry.spline_warp(k, np.maximum(1.0, (k / 10.0) ** 15))
+    tail = r"tail integral .* underflows to 0\.0: .* fitted beta = 14\.99"
+    with pytest.raises(pl.ConvergenceError, match=tail):
+        pl.solve_radial(pl.ManifoldModel(warp, 1.0, 100.0), 1.1, 1.0, r_max=100.0, n_grid=256)
+
+
 def test_solver_input_validation():
     flat = pl.flat_model()
     cone = pl.cone_model(0.8)

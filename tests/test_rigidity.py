@@ -152,7 +152,6 @@ def test_dichotomy_crossing_matches_closed_form():
 def test_dichotomy_starts_below_constant():
     traj = pl.decay_dichotomy(1.5, 1.0 / 3.0, math.pi / 2.0)
     assert traj.branch == "decay"
-    assert traj.T0 == 0.0
     assert traj.crossing_time == 0.0
     assert traj.crossing_time_linear == 0.0
 
@@ -182,7 +181,7 @@ def test_dichotomy_envelope_bound():
     traj = pl.decay_dichotomy(1.5, 0.2, 3.5 * math.pi, horizon=30.0)
     assert np.all(np.diff(traj.envelope) <= 0.0)
     m = 1.5
-    tail = traj.times >= traj.T0
+    tail = traj.times >= traj.crossing_time
     bound = traj.K * np.exp(-2.0 * traj.times[tail] / m)
     assert np.all(traj.envelope[tail] <= bound * (1.0 + 1e-9))
 
