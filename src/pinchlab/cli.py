@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -295,8 +296,7 @@ def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> Scen
     f_vals, g_vals = table["F"], table["G"]
     worst_f, ok_f = non_increasing(f_vals)
     worst_g, ok_g = non_increasing(g_vals)
-    slack = tol_mono * (1.0 + np.abs(f_vals))
-    order_ok = bool(np.all((-slack <= g_vals) & (g_vals <= f_vals + slack)))
+    order_ok = rigidity._ordered(f_vals, g_vals, tol_mono)
     dev_f = relative_gap(table["dF_fd"], table["dF_cf"])
     dev_g = relative_gap(table["dG_fd"], table["dG_cf"])
     holder_dev = relative_gap(table["cap"], table["holder_rhs"])
@@ -332,7 +332,7 @@ def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> Scen
     # about 16 of the row levels, read off the table: no level is inverted twice
     picked = slice(None, None, max(1, config.n_levels // 16))
     ordering = rigidity._ordering_report(
-        pot, *(table[name][picked] for name in ("t", "F", "G", "dG_fd"))
+        pot, *(table[name][picked] for name in ("t", "F", "G", "dG_fd")), tol_mono
     )
     constants = {
         "c_F": c_f,
@@ -653,6 +653,10 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    # What the imports built (modules, classes, functions) lives until the
+    # process exits.  Freezing it keeps every later collection, the final ones
+    # at shutdown among them, from walking it again; no object's lifetime changes.
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

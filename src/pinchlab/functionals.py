@@ -30,7 +30,6 @@ without its gradient factor), which it reports so tests can reject it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -77,8 +76,7 @@ SPHERE_FIT_MAX = 0.05  # the small-sphere fit uses radii in (0, SPHERE_FIT_MAX]
 SPHERE_FIT_SAMPLES = 64
 
 
-@dataclass(frozen=True)
-class MonotoneSample:
+class MonotoneSample(NamedTuple):
     """All level-set quantities evaluated at a single level t."""
 
     t: float
@@ -97,8 +95,7 @@ class MonotoneSample:
     willmore: float
 
 
-@dataclass(frozen=True)
-class AuditConstants:
+class AuditConstants(NamedTuple):
     """Proportionality constants between finite differences and closed forms."""
 
     p: float
@@ -132,8 +129,7 @@ class GaussBonnetResult(NamedTuple):
     nearest_multiple: int
 
 
-@dataclass(frozen=True)
-class DivergenceSample:
+class DivergenceSample(NamedTuple):
     """Spline-derivative divergences vs candidate closed-form right-hand sides."""
 
     r: float
@@ -145,8 +141,7 @@ class DivergenceSample:
     near_edge: bool
 
 
-@dataclass(frozen=True)
-class PinchedInequalityReport:
+class PinchedInequalityReport(NamedTuple):
     """Both sides of the sphere-branch pinching inequality on one level set."""
 
     t: float
@@ -161,8 +156,7 @@ class PinchedInequalityReport:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class HolderChainSample:
+class HolderChainSample(NamedTuple):
     """Capacity growth law chained against its interpolation upper bound."""
 
     t: float
@@ -172,8 +166,7 @@ class HolderChainSample:
     equality_gap: float
 
 
-@dataclass(frozen=True)
-class SmallSphereExpansion:
+class SmallSphereExpansion(NamedTuple):
     """Fitted r^2 coefficient of the Willmore deficit near the pole."""
 
     coefficient: float
@@ -341,9 +334,8 @@ def level_table(pot: RadialPotential, n_levels: int) -> dict:
 
 def _samples(table: dict) -> list[MonotoneSample]:
     """The rows of a level table as samples (column H is the field mean_curvature)."""
-    names = [f.name for f in fields(MonotoneSample)]
-    columns = [table["H" if name == "mean_curvature" else name].tolist() for name in names]
-    return [MonotoneSample(*row) for row in zip(*columns)]
+    names = ["H" if name == "mean_curvature" else name for name in MonotoneSample._fields]
+    return [MonotoneSample(*row) for row in zip(*(table[name].tolist() for name in names))]
 
 
 def monotone_sample(pot: RadialPotential, t: float) -> MonotoneSample:

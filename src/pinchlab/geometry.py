@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -323,8 +323,7 @@ def potential_library() -> dict[str, ManifoldModel]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
+class CurvatureSample(NamedTuple):
     """Ricci eigenvalues and scalar curvature at one radius."""
 
     r: float
@@ -333,8 +332,7 @@ class CurvatureSample:
     scalar: float
 
 
-@dataclass(frozen=True)
-class LevelSetData:
+class LevelSetData(NamedTuple):
     """Extrinsic and intrinsic geometry of the centered sphere {r = const}."""
 
     r: float
@@ -414,8 +412,7 @@ def gauss_identity_residual(model: ManifoldModel, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PinchingReport:
+class PinchingReport(NamedTuple):
     """Largest eps with Ric >= eps R g on the sampled grid, plus a sign check on Ric."""
 
     margin: float
@@ -463,8 +460,7 @@ def pinching_margin(model: ManifoldModel) -> PinchingReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Fitted volume-growth exponent alpha (|B_r| ~ r^(1+alpha)) and asymptotic volume ratio."""
 
     alpha_hat: float

@@ -424,8 +424,7 @@ def capacity(pot: RadialPotential, t: float) -> float:
     return float(_capacity_at(pot, h, _w_prime_at(pot, r))[0])
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     """Fitted constant and trend test for the decay bound u <= K r^(-(alpha+1-p)/(p-1))."""
 
     K: float

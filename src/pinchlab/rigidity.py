@@ -18,8 +18,7 @@ verifies the mechanics of each link and labels the first broken gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -34,7 +33,13 @@ from .potential import (
     radius_of_level,
     solve_radial,
 )
-from .report import SCENARIO_DEFAULTS, ScenarioReport, StageVerdict, table_rows
+from .report import (
+    DEFAULT_TOLERANCES,
+    SCENARIO_DEFAULTS,
+    ScenarioReport,
+    StageVerdict,
+    table_rows,
+)
 
 __all__ = [
     "ThresholdReport",
@@ -58,8 +63,7 @@ SLAB_CELLS = 128  # cells of the level partition the coarea slab integral uses
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Growth-exponent bookkeeping of the volume-vs-capacity contradiction.
 
     ``lhs_exponent`` drives the coarea lower bound e^(lhs * t); the model's
@@ -142,8 +146,7 @@ def select_p(alpha: float, margin: float) -> PExponent:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class DichotomyTrajectory:
+class DichotomyTrajectory(NamedTuple):
     """Upper envelope of F under the comparison ODE and its dichotomy data.
 
     The envelope solves F' = max(-2F/(3-p), -(eps/(3-p))(8 pi - 2F)): above
@@ -234,8 +237,7 @@ def decay_dichotomy(p, eps: float, F0: float, *, horizon: float = 20.0) -> Dicho
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderingReport:
+class OrderingReport(NamedTuple):
     """Ordering 0 <= G <= F across levels, with the derivative proportionality fit.
 
     The exact radial identity dG/dt = (G - F)/(p-1) is fitted as
@@ -262,20 +264,26 @@ def ordering_check(pot: RadialPotential, levels) -> OrderingReport:
     n = levels.size
     stencil = functionals._stencil(levels[functionals._in_fd_window(pot, levels)])
     lv = functionals._level(pot, np.concatenate([levels, stencil]))
-    return _ordering_report(pot, levels, lv.F[:n], lv.G[:n], functionals._fd_derivative(lv.G[n:]))
+    return _ordering_report(
+        pot, levels, lv.F[:n], lv.G[:n], functionals._fd_derivative(lv.G[n:]),
+        DEFAULT_TOLERANCES["monotone"],
+    )
 
 
-def _ordering_report(pot: RadialPotential, levels, F, G, dG) -> OrderingReport:
+def _ordered(F: np.ndarray, G: np.ndarray, tol: float) -> bool:
+    """0 <= G <= F at every level, each side relaxed by tol (1 + |F|)."""
+    slack = tol * (1.0 + np.abs(F))
+    return bool(np.all((-slack <= G) & (G <= F + slack)))
+
+
+def _ordering_report(pot: RadialPotential, levels, F, G, dG, tol: float) -> OrderingReport:
     """The report of :func:`ordering_check` from F and G at the levels and dG/dt at
-    those of them inside ``functionals._in_fd_window``, however these were computed."""
+    those of them inside ``functionals._in_fd_window``, however these were computed;
+    the ordering holds to tol, as in :func:`_ordered`."""
     p = pot.p_value
     m = 3.0 - p
     in_window = functionals._in_fd_window(pot, levels)
     f_vals, g_vals = F.tolist(), G.tolist()
-    ordering_ok = all(
-        -1e-9 * (1.0 + abs(f)) <= g <= f + 1e-9 * (1.0 + abs(f))
-        for f, g in zip(f_vals, g_vals)
-    )
     f_win, g_win = F[in_window], G[in_window]
     # flat/cone equality case G = F: the proportionality is 0 = 0, skipped
     unequal = ~(np.abs(g_win - f_win) <= 1e-12 * (1.0 + np.abs(f_win)))
@@ -291,7 +299,7 @@ def _ordering_report(pot: RadialPotential, levels, F, G, dG) -> OrderingReport:
         levels=tuple(levels.tolist()),
         F_values=tuple(f_vals),
         G_values=tuple(g_vals),
-        ordering_ok=bool(ordering_ok),
+        ordering_ok=_ordered(F, G, tol),
         proportionality_constant=constant,
         proportionality_expected=1.0 / (m * m),
         proportionality_max_dev=max_dev,

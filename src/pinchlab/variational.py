@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +75,7 @@ class DiscreteProblem:
         return np.diff(self.mesh)
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteSolution:
+class DiscreteSolution(NamedTuple):
     """Certified minimizer of a DiscreteProblem.
 
     ``grad_norm`` is the max-norm of the interior gradient divided by the
@@ -266,8 +266,7 @@ def capacity_from_energy(solution: DiscreteSolution) -> float:
     return (1.0 / (4.0 * math.pi)) * ((pv - 1.0) / (3.0 - pv)) ** (pv - 1.0) * solution.energy
 
 
-@dataclass(frozen=True)
-class CrossValidationReport:
+class CrossValidationReport(NamedTuple):
     """Agreement between the variational and quadrature routes.
 
     ``capacity_gap`` is signed, (variational - quadrature)/quadrature: the

@@ -1,5 +1,6 @@
 """Config parsing, report emission, determinism, and the command line surface."""
 
+import gc
 import json
 import math
 import os
@@ -364,6 +365,56 @@ def test_python_m_pinchlab_runs_cleanly(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "[PASS] solve:" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (
+            ["contradict", "--model", "cone_0.8", "--p", "1.5", "--out", "run.csv"],
+            {"model": {"kind": "cone", "a": 0.8}, "scenario": "contradict", "p": 1.5,
+             "out": "run.csv"},
+        ),
+        (
+            ["solve", "--model", "flat", "--format", "json", "--out", "run.json"],
+            {"model": {"kind": "flat"}, "scenario": "solve", "format": "json", "out": "run.json"},
+        ),
+    ],
+    ids=["contradict-csv", "solve-json"],
+)
+def test_frozen_exit_prints_and_writes_what_emit_writes(argv, config, tmp_path, monkeypatch, capsys):
+    # main freezes the import heap, so a fresh process exits without collecting
+    # it; it must still print what main prints in process and write the bytes
+    # that emit(run(config)) writes
+    src = Path(pl.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    cold, warm, library = (tmp_path / name for name in ("cold", "warm", "library"))
+    for directory in (cold, warm, library):
+        directory.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pinchlab", *argv],
+        cwd=cold, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    monkeypatch.chdir(warm)
+    gc.unfreeze()
+    assert gc.get_freeze_count() == 0
+    try:
+        assert main(argv) == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert proc.stdout.splitlines() == capsys.readouterr().out.splitlines()
+
+    monkeypatch.chdir(library)
+    cfg = pl.parse_config(json.dumps(config))
+    written = pl.emit(pl.run(cfg), cfg.format, cfg.out)
+    assert sorted(p.name for p in cold.iterdir()) == sorted(written)
+    for name in written:
+        assert (cold / name).read_bytes() == (library / name).read_bytes()
+        assert (warm / name).read_bytes() == (library / name).read_bytes()
 
 
 _SCIPY_PROBE = """

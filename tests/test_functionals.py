@@ -11,7 +11,6 @@ The variant of div X with a bare mean-curvature term evaluates to -0.148 at
 r = 5 and must be visibly rejected by the audit.
 """
 
-import dataclasses
 import gc
 import json
 import math
@@ -275,7 +274,7 @@ def test_rows_match_holder_chain_and_capacity_bitwise(solved, name):
     for i, t in enumerate(table["t"].tolist()):
         sample = pl.monotone_sample(pot, t)
         holder = pl.holder_chain(pot, t)
-        expected = {f.name: getattr(sample, f.name) for f in dataclasses.fields(sample)}
+        expected = sample._asdict()
         expected["H"] = expected.pop("mean_curvature")
         expected |= {
             "cap_ratio_to_exp_t": holder.mid / holder.lhs,

@@ -222,6 +222,19 @@ def test_ordering_flat_degenerate(solved):
     assert rep.proportionality_max_dev == 0.0
 
 
+@pytest.mark.parametrize("tol, ok", [(1e-9, False), (1e-7, True)])
+def test_ordering_honours_its_tolerance(solved, tol, ok):
+    # G above F by 1e-8 relative: outside a 1e-9 slack, inside a 1e-7 one.  The
+    # report and the monotone scenario's ordering verdict share this predicate
+    pot = solved("power_warp", 1.5)
+    levels = np.linspace(0.5, 6.0, 16)
+    F = np.linspace(12.0, 8.0, 16)
+    G = F * (1.0 + 1e-8)
+    rep = pl.rigidity._ordering_report(pot, levels, F, G, G - F, tol)
+    assert rep.ordering_ok is ok
+    assert pl.rigidity._ordered(F, G, tol) is ok
+
+
 def test_ordering_level_validation(solved):
     pot = solved("flat", 1.5)
     with pytest.raises(pl.DomainError):
