@@ -277,9 +277,9 @@ def _libm_exp(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in x.tolist()])
 
 
-def _table(pot: RadialPotential, ts) -> dict:
-    """The level table at the levels ts (see :func:`level_table`), from one
-    batch: 0, ts and their stencils."""
+def _table(pot: RadialPotential, ts, extra=()) -> tuple[dict, np.ndarray]:
+    """The level table at the levels ts (see :func:`level_table`) and the radii
+    of the levels ``extra``, from one batch: 0, ts, their stencils and extra."""
     ts = np.asarray(ts, dtype=float)
     outside = ~_in_fd_window(pot, ts)
     if np.any(outside):
@@ -290,13 +290,14 @@ def _table(pot: RadialPotential, ts) -> dict:
     p = pot.p_value
     c_f, c_g = _exact_constants(p)
     n = ts.size
-    lv = _level(pot, np.concatenate([[0.0], ts, _stencil(ts)]))
+    lv = _level(pot, np.concatenate([[0.0], ts, _stencil(ts), extra]))
     at = slice(1, n + 1)
+    stencil = slice(n + 1, 5 * n + 1)
     geo = lv.geo
     area, wp, cap = geo.area[at], lv.wp[at], lv.cap[at]
     cap0 = float(lv.cap[0])
     holder_rhs = np.array([_holder_rhs(p, a, g) for a, g in zip(area.tolist(), wp.tolist())])
-    return {
+    table = {
         "t": ts,
         "r": lv.r[at],
         "area": area,
@@ -304,9 +305,9 @@ def _table(pot: RadialPotential, ts) -> dict:
         "grad_w": wp,
         "F": lv.F[at],
         "G": lv.G[at],
-        "dF_fd": _fd_derivative(lv.F[n + 1 :]),
+        "dF_fd": _fd_derivative(lv.F[stencil]),
         "dF_cf": c_f * lv.dF_raw[at],
-        "dG_fd": _fd_derivative(lv.G[n + 1 :]),
+        "dG_fd": _fd_derivative(lv.G[stencil]),
         "dG_cf": c_g * lv.dG_raw[at],
         "cap": cap,
         "cap_ratio_to_exp_t": cap / (cap0 * _libm_exp(ts)),
@@ -316,6 +317,17 @@ def _table(pot: RadialPotential, ts) -> dict:
         "holder_rhs": holder_rhs,
         "cap_0": cap0,
     }
+    return table, lv.r[stencil.stop :]
+
+
+def _table_levels(pot: RadialPotential, n_levels: int) -> np.ndarray:
+    """The n_levels evenly spaced levels in [dt, t_max - dt] of :func:`level_table`."""
+    if n_levels < 2:
+        raise DomainError(f"need at least 2 levels, got {n_levels}")
+    ts = np.linspace(FD_STEP, pot.t_max - FD_STEP, n_levels)
+    if not ts[0] < ts[-1]:
+        raise DomainError(f"empty level window [{ts[0]}, {ts[-1]}]")
+    return ts
 
 
 def level_table(pot: RadialPotential, n_levels: int) -> dict:
@@ -324,12 +336,7 @@ def level_table(pot: RadialPotential, n_levels: int) -> dict:
     the float ``cap_0`` = cap(0), from one :func:`_level` batch.  Each value has
     the bits of its single-level query; the closed-form derivatives carry the
     exact constants of :func:`_exact_constants`."""
-    if n_levels < 2:
-        raise DomainError(f"need at least 2 levels, got {n_levels}")
-    ts = np.linspace(FD_STEP, pot.t_max - FD_STEP, n_levels)
-    if not ts[0] < ts[-1]:
-        raise DomainError(f"empty level window [{ts[0]}, {ts[-1]}]")
-    return _table(pot, ts)
+    return _table(pot, _table_levels(pot, n_levels))[0]
 
 
 def _samples(table: dict) -> list[MonotoneSample]:
@@ -340,7 +347,7 @@ def _samples(table: dict) -> list[MonotoneSample]:
 
 def monotone_sample(pot: RadialPotential, t: float) -> MonotoneSample:
     """Evaluate F, G, their finite-difference and closed-form derivatives at level t."""
-    return _samples(_table(pot, [float(t)]))[0]
+    return _samples(_table(pot, [float(t)])[0])[0]
 
 
 def monotone_levels(pot: RadialPotential, n_levels: int = 64) -> list[MonotoneSample]:

@@ -14,7 +14,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 
@@ -27,7 +26,94 @@ MIN_ORDER = 2
 MAX_ORDER = 12
 _BLOCK_POINTS = 4096 * MAX_ORDER  # integrand points per evaluation
 _TARGET = float(np.finfo(float).eps) / 4.0  # relative truncation error gauss_order aims for
-_rule = functools.cache(leggauss)  # (nodes, weights) of the order-point rule, shared read-only
+
+# The Gauss-Legendre rules of orders 2..12 as numpy.polynomial.legendre.leggauss
+# returns them, bit for bit: its nodes are exactly antisymmetric and its
+# weights exactly symmetric, so each order keeps its nonnegative nodes
+# (ascending) and their weights.  Importing numpy.polynomial for leggauss
+# alone would cost every process a few milliseconds.
+_LEGENDRE_HALVES = {
+    2: (
+        (0.5773502691896257,),
+        (1.0,),
+    ),
+    3: (
+        (0.0, 0.7745966692414834),
+        (0.8888888888888888, 0.5555555555555557),
+    ),
+    4: (
+        (0.33998104358485626, 0.8611363115940526),
+        (0.6521451548625464, 0.34785484513745357),
+    ),
+    5: (
+        (0.0, 0.5384693101056831, 0.906179845938664),
+        (0.5688888888888887, 0.4786286704993663, 0.23692688505618928),
+    ),
+    6: (
+        (0.2386191860831969, 0.6612093864662645, 0.9324695142031519),
+        (0.46791393457269104, 0.3607615730481387, 0.17132449237917027),
+    ),
+    7: (
+        (0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427586),
+        (0.4179591836734693, 0.3818300505051187, 0.27970539148927687, 0.12948496616886973),
+    ),
+    8: (
+        (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
+        (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706),
+    ),
+    9: (
+        (0.0, 0.3242534234038089, 0.6133714327005904, 0.8360311073266358, 0.9681602395076261),
+        (
+            0.33023935500125984, 0.3123470770400029, 0.2606106964029356, 0.18064816069485737,
+            0.08127438836157416,
+        ),
+    ),
+    10: (
+        (
+            0.14887433898163122, 0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+            0.9739065285171717,
+        ),
+        (
+            0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+            0.06667134430868814,
+        ),
+    ),
+    11: (
+        (
+            0.0, 0.26954315595234496, 0.5190961292068118, 0.7301520055740494, 0.8870625997680953,
+            0.978228658146057,
+        ),
+        (
+            0.2729250867779005, 0.26280454451024654, 0.23319376459199057, 0.1862902109277343,
+            0.12558036946490433, 0.05566856711617393,
+        ),
+    ),
+    12: (
+        (
+            0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047,
+            0.9041172563704748, 0.9815606342467192,
+        ),
+        (
+            0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642,
+            0.10693932599531907, 0.04717533638651141,
+        ),
+    ),
+}
+
+
+@functools.cache
+def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the order-point Gauss-Legendre rule, shared read-only."""
+    if order not in _LEGENDRE_HALVES:
+        raise DomainError(
+            f"Gauss-Legendre order must lie in {MIN_ORDER}..{MAX_ORDER}, got {order}"
+        )
+    nodes, weights = (np.array(half) for half in _LEGENDRE_HALVES[order])
+    mirrored = order // 2  # the positive nodes, mirrored below zero
+    return (
+        np.concatenate([-nodes[::-1][:mirrored], nodes]),
+        np.concatenate([weights[::-1][:mirrored], weights]),
+    )
 
 
 def geometric_grid(start: float, stop: float, num: int) -> np.ndarray:
@@ -111,7 +197,7 @@ def interval_integrals(
     f, a, b, order: int = MAX_ORDER, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Integral of ``f`` over each interval [a_i, b_i] (broadcast over arrays),
-    by the ``order``-point Gauss-Legendre rule.
+    by the ``order``-point Gauss-Legendre rule (order 2..12).
 
     The integrals go into ``out`` when it is given, a float array of the
     broadcast shape (a view such as ``suffix[:-1]`` will do), which is

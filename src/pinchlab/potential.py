@@ -268,7 +268,8 @@ def solve_radial(
     # summed from the outer end, then the tail is added to every sum
     suffix = np.empty_like(grid)
     cells = cell_integrals(_flux_density(model.warp, p.value), grid, order, out=suffix[:-1])
-    if np.any(~np.isfinite(cells)) or np.any(cells <= 0.0):
+    # two reductions and no temporaries; a NaN cell makes min() NaN, which fails too
+    if not (cells.min() > 0.0 and cells.max() < math.inf):
         raise ConvergenceError("flux quadrature produced non-positive or non-finite cells")
     np.cumsum(cells[::-1], out=cells[::-1])
 
@@ -363,7 +364,7 @@ def radius_of_level(pot: RadialPotential, t):
 
 
 def _invert_levels(pot: RadialPotential, t: np.ndarray) -> np.ndarray:
-    w, grid = pot.w, pot.grid
+    w, grid, suffix = pot.w, pot.grid, pot.suffix
     j = np.searchsorted(w, t, side="left")
     node = np.minimum(j, w.size - 1)
     radii = grid[node]
@@ -372,14 +373,22 @@ def _invert_levels(pot: RadialPotential, t: np.ndarray) -> np.ndarray:
         return radii
     j = j[todo]
     t = t[todo]
-    a, b = grid[j - 1], grid[j]
+    # every iterate stays in its bracket cell [grid[j-1], grid[j]], where I(x) is
+    # the partial panel [x, grid[j]] plus suffix[j], or suffix[j-1] on the lower
+    # node: the values flux_integral_at returns there, without its search
+    lower, upper = grid[j - 1], grid[j]
+    i_lower, i_upper = suffix[j - 1], suffix[j]
+    a, b = lower.copy(), upper.copy()
     x = a + (t - w[j - 1]) / (w[j] - w[j - 1]) * (b - a)
     k = pot.p_value - 1.0
     log_i0 = math.log(pot.normalizer)
     active = np.arange(todo.size)
     for _ in range(LEVEL_NEWTON_MAX_ITER):
         xa = x[active]
-        flux = pot.flux_integral_at(xa)
+        flux = interval_integrals(pot._integrand, xa, upper[active], pot.order)
+        flux += i_upper[active]
+        on_node = xa == lower[active]
+        flux[on_node] = i_lower[active[on_node]]
         log_flux = np.log(flux)
         resid = k * (log_i0 - log_flux) - t[active]
         a[active[resid < 0.0]] = xa[resid < 0.0]

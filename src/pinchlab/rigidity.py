@@ -30,7 +30,6 @@ from .potential import (
     RadialPotential,
     _level_at,
     as_p,
-    radius_of_level,
     solve_radial,
 )
 from .report import (
@@ -374,11 +373,17 @@ def run_contradiction_scenario(
     )
     constants["c_F"], constants["c_G"] = functionals._exact_constants(p.value)
 
-    table = _run_stage(
-        "level-sampling", lambda: functionals.level_table(pot, int(opts["n_levels"]))
+    ts = _run_stage(
+        "level-sampling", lambda: functionals._table_levels(pot, int(opts["n_levels"]))
     )
+    t_hi = float(ts[-1])
+    # the coarea slab's end levels join the table's batch
+    t0v, t1v = 0.2 * t_hi, 0.8 * t_hi
+    table, slab_radii = _run_stage(
+        "level-sampling", lambda: functionals._table(pot, ts, [t0v, t1v])
+    )
+    r_t0, r_t1 = slab_radii.tolist()
     t, F = table["t"], table["F"]
-    t_hi = float(t[-1])
 
     # --- hypothesis gates -------------------------------------------------
     w0 = _run_stage(WILLMORE_GATE, lambda: functionals.willmore(model, r0))
@@ -542,15 +547,16 @@ def run_contradiction_scenario(
     )
 
     # --- volume growth consistency ------------------------------------------
-    t0v, t1v = 0.2 * t_hi, 0.8 * t_hi
-    r_t1 = radius_of_level(pot, t1v)
     slab_lower = (
         kappa
         * (1.0 / envelope_exponent)
         * (math.exp(envelope_exponent * t1v) - math.exp(envelope_exponent * t0v))
     )
     fit_radii = np.geomspace(r_lo_fit, max(r_hi_fit, r_t1), 16)
-    k_vol = float(np.max(geometry.ball_volume(model, fit_radii) / fit_radii ** (1.0 + alpha_used)))
+    # one call for the fit and the slab's two balls: a radius's volume does not
+    # depend on the other radii of its call
+    volumes = geometry.ball_volume(model, np.concatenate([fit_radii, [r_t0, r_t1]]))
+    k_vol = float(np.max(volumes[:-2] / fit_radii ** (1.0 + alpha_used)))
     slab_upper = k_vol * r_t1 ** (1.0 + alpha_used)
     contradiction = slab_lower > slab_upper * (1.0 + 1e-9)
     verdicts.append(
@@ -573,15 +579,12 @@ def run_contradiction_scenario(
         return level.geo.area / level.wp
 
     def slab_check():
-        r_t0 = radius_of_level(pot, t0v)
         # cell edges at the levels w(r) of geometrically spaced radii: where w is
         # nearly flat in r, r(t) is steep, and equal steps in t would miss it
         radii = np.geomspace(r_t0, r_t1, SLAB_CELLS + 1)[1:-1]
         edges = np.concatenate([[t0v], _level_at(pot, radii), [t1v]])
         integral = float(np.sum(cell_integrals(coarea_at, edges)))
-        v0, v1 = geometry.ball_volume(model, [r_t0, r_t1])
-        direct = float(v1 - v0)
-        return integral, direct
+        return integral, float(volumes[-1] - volumes[-2])
 
     integral, direct = _run_stage("slab-volume-consistency", slab_check)
     slab_rel = abs(integral - direct) / max(abs(direct), 1e-300)

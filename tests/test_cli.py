@@ -155,14 +155,13 @@ def test_monotone_inverts_its_levels_in_one_call(monkeypatch):
     # the ordering report reads the samples of the rows, so the only level
     # inversion is the rows' own batch; its numbers are ordering_check's
     calls, pots = [], []
-    for module in (pl.functionals, pl.rigidity):
-        inner = module.radius_of_level
+    inner = pl.potential._invert_levels
 
-        def counting(pot, t, inner=inner):
-            calls.append(int(np.size(t)))
-            return inner(pot, t)
+    def counting(pot, t):
+        calls.append(int(np.size(t)))
+        return inner(pot, t)
 
-        monkeypatch.setattr(module, "radius_of_level", counting)
+    monkeypatch.setattr(pl.potential, "_invert_levels", counting)
     solve = pl.cli.solve_radial
 
     def recording(*args, **kwargs):
@@ -436,6 +435,38 @@ def test_contradict_loads_no_scipy(model, tmp_path):
     for argv in (
         ["-c", _SCIPY_PROBE, model, str(tmp_path / "out.csv")],
         ["-c", "import sys, pinchlab; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+    assert (tmp_path / "out.csv").exists()
+
+
+_POLYNOMIAL_PROBE = """
+import runpy, sys
+sys.argv = ["pinchlab", "contradict", "--model", sys.argv[1], "--out", sys.argv[2]]
+try:
+    runpy.run_module("pinchlab", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(sorted(name for name in sys.modules if name.startswith("numpy.polynomial")))
+"""
+
+
+def test_contradict_loads_no_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rules are tabulated: numpy.polynomial costs a cold
+    # import a few milliseconds, and nothing else in pinchlab needs it
+    src = Path(pl.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    for argv in (
+        ["-c", _POLYNOMIAL_PROBE, "power_warp_1.5", str(tmp_path / "out.csv")],
+        ["-c", "import sys, pinchlab; "
+               "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"],
     ):
         proc = subprocess.run(
             [sys.executable, "-W", "error", *argv],

@@ -421,6 +421,29 @@ def test_gauss_order_limits():
             gauss_order(-2.0, bad)
 
 
+@pytest.mark.parametrize("order", range(2, 13))
+def test_gauss_rule_has_the_bits_of_leggauss(order):
+    # the rules are tabulated, so numerics imports no numpy.polynomial module
+    from numpy.polynomial.legendre import leggauss
+
+    from pinchlab.numerics import _rule
+
+    nodes, weights = _rule(order)
+    want_nodes, want_weights = leggauss(order)
+    assert np.array_equal(nodes, want_nodes)
+    assert np.array_equal(weights, want_weights)
+    assert nodes.tobytes() == want_nodes.tobytes()  # the sign of a zero node too
+    assert weights.tobytes() == want_weights.tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 1, 13])
+def test_gauss_rule_outside_the_table_is_refused(order):
+    from pinchlab.numerics import interval_integrals
+
+    with pytest.raises(pl.DomainError, match="order must lie in 2..12"):
+        interval_integrals(np.exp, 0.0, 1.0, order)
+
+
 def test_log_log_fit_matches_least_squares(rng):
     # the closed-form centered fit against numpy's least-squares reference,
     # to 64 eps: on exact power laws over the tail window of a 2^20 grid, and
@@ -628,6 +651,64 @@ def test_non_finite_levels_rejected(solved, bad):
     for level_function in (pl.capacity, pl.holder_chain, pl.gauss_bonnet):
         with pytest.raises(pl.DomainError, match="not a finite number"):
             level_function(pot, bad)
+
+
+def _reference_inversion(pot, t, on_node):
+    """The level inversion with one flux_integral_at call per Newton step.
+
+    Counts in ``on_node`` the iterates that sit on the lower and on the upper
+    node of their bracket cell.
+    """
+    w, grid = pot.w, pot.grid
+    j = np.searchsorted(w, t, side="left")
+    node = np.minimum(j, w.size - 1)
+    radii = grid[node]
+    todo = np.flatnonzero((j > 0) & (w[node] != t))
+    j, t = j[todo], t[todo]
+    a, b = grid[j - 1], grid[j]
+    x = a + (t - w[j - 1]) / (w[j] - w[j - 1]) * (b - a)
+    k = pot.p_value - 1.0
+    log_i0 = math.log(pot.normalizer)
+    active = np.arange(todo.size)
+    while active.size:
+        xa = x[active]
+        on_node["lower"] += int(np.count_nonzero(xa == grid[j[active] - 1]))
+        on_node["upper"] += int(np.count_nonzero(xa == grid[j[active]]))
+        flux = pot.flux_integral_at(xa)
+        log_flux = np.log(flux)
+        resid = k * (log_i0 - log_flux) - t[active]
+        a[active[resid < 0.0]] = xa[resid < 0.0]
+        b[active[resid > 0.0]] = xa[resid > 0.0]
+        lo, hi = a[active], b[active]
+        new = xa - resid * flux / (k * pot._integrand(xa))
+        outside = ~((new >= lo) & (new <= hi))
+        new[outside] = 0.5 * (lo[outside] + hi[outside])
+        x[active] = new
+        floor = 16 * EPS * (t[active] + k * (abs(log_i0) + np.abs(log_flux)))
+        done = (np.abs(new - xa) <= 1e-13 * xa) | (np.abs(resid) <= floor)
+        active = active[~done]
+    radii[todo] = x
+    return radii
+
+
+@pytest.mark.parametrize("n_grid", [256, 4096])
+@pytest.mark.parametrize("name", sorted(LIBRARY_R0))
+def test_newton_steps_in_the_bracket_cell_keep_the_bits(name, n_grid, rng):
+    # the iteration reads I in its bracket cell instead of calling
+    # flux_integral_at; random levels, plus the levels one ulp inside each
+    # cell, whose first iterate may round onto the cell's lower or upper node
+    model = pl.library()[name]
+    pot = pl.solve_radial(model, 1.5, LIBRARY_R0[name], n_grid=n_grid)
+    cells = np.arange(1, pot.grid.size)
+    levels = np.concatenate([
+        rng.uniform(0.0, pot.t_max, 256),
+        np.nextafter(pot.w[cells - 1], np.inf),
+        np.nextafter(pot.w[cells], -np.inf),
+    ])
+    on_node = {"lower": 0, "upper": 0}
+    want = _reference_inversion(pot, levels, on_node)
+    assert on_node["lower"] > 0 and on_node["upper"] > 0, on_node
+    assert pl.radius_of_level(pot, levels).tobytes() == want.tobytes()
 
 
 def test_level_inversion_keeps_no_reference_cycle():

@@ -364,6 +364,70 @@ def test_scenario_flat_dichotomy_status_does_not_depend_on_p():
     assert set(statuses.values()) == {"not-applicable"}, statuses
 
 
+@pytest.mark.parametrize("name", ["flat", "cone_0.8", "power_warp_1.5", "positive_cap_1"])
+def test_scenario_inverts_and_sums_volumes_in_two_calls_each(name, monkeypatch):
+    # the slab's end levels t0, t1 join the level table's batch, and the K_vol
+    # fit and the slab's two balls share one ball_volume call; R_T1, K_vol, the
+    # slab integral and the direct volume keep the bits of the scalar calls
+    from pinchlab import geometry, potential, rigidity
+
+    model = pl.library()[name]
+    inversions, volume_calls, pots, slab_cells = [], [], [], []
+    invert, ball_volume = potential._invert_levels, geometry.ball_volume
+    solve, cell_integrals = rigidity.solve_radial, rigidity.cell_integrals
+
+    def counting_invert(pot, t):
+        inversions.append(t.size)
+        return invert(pot, t)
+
+    def recording_ball_volume(model, r):
+        volume_calls.append((np.array(r, dtype=float), ball_volume(model, r)))
+        return volume_calls[-1][1]
+
+    def recording_solve(*args, **kwargs):
+        pots.append(solve(*args, **kwargs))
+        return pots[-1]
+
+    def recording_cells(f, edges):
+        slab_cells.append(cell_integrals(f, edges))
+        return slab_cells[-1]
+
+    monkeypatch.setattr(potential, "_invert_levels", counting_invert)
+    monkeypatch.setattr(geometry, "ball_volume", recording_ball_volume)
+    monkeypatch.setattr(rigidity, "solve_radial", recording_solve)
+    monkeypatch.setattr(rigidity, "cell_integrals", recording_cells)
+    report = pl.run_contradiction_scenario(model, 1.5, {"n_levels": 64})
+    monkeypatch.undo()
+
+    assert inversions == [1 + 5 * 64 + 2, 12 * rigidity.SLAB_CELLS]
+    assert [radii.size for radii, _ in volume_calls] == [geometry.GROWTH_SAMPLES, 16 + 2]
+    pot, t_hi = pots[0], report.rows[-1]["t"]
+    t0, t1 = 0.2 * t_hi, 0.8 * t_hi
+    r_t0, r_t1 = pl.radius_of_level(pot, t0), pl.radius_of_level(pot, t1)
+    assert report.constants["R_T1"] == r_t1
+
+    growth_radii = volume_calls[0][0]
+    fit = np.geomspace(growth_radii[0], max(growth_radii[-1], r_t1), 16)
+    alpha = min(max(report.constants["alpha_hat"], 1e-6), 2.0)
+    k_vol = float(np.max(pl.ball_volume(model, fit) / fit ** (1.0 + alpha)))
+    assert report.constants["K_vol"] == k_vol
+    direct = pl.ball_volume(model, r_t1) - pl.ball_volume(model, r_t0)
+    volumes = volume_calls[1][1]
+    assert float(volumes[-1] - volumes[-2]) == direct
+
+    def coarea_at(t):
+        level = pl.functionals._level(pot, t)
+        return level.geo.area / level.wp
+
+    radii = np.geomspace(r_t0, r_t1, rigidity.SLAB_CELLS + 1)[1:-1]
+    edges = np.concatenate([[t0], potential._level_at(pot, radii), [t1]])
+    integral = float(np.sum(cell_integrals(coarea_at, edges)))
+    assert float(np.sum(slab_cells[0])) == integral
+    assert report.verdict("slab-volume-consistency").reason.startswith(
+        f"coarea integral {integral:.12g} vs direct volume difference {direct:.12g} "
+    )
+
+
 @pytest.mark.parametrize("option", ["bogus", "dt", "eps_threshold", "ode_step", "ode_horizon"])
 def test_scenario_option_validation(option):
     with pytest.raises(pl.DomainError, match="unknown scenario options"):
