@@ -151,6 +151,11 @@ class RadialPotential:
         j = np.searchsorted(self.grid, r, side="right")
         j -= 1
         np.clip(j, 0, self.grid.size - 2, out=j)
+        return self._flux_in_cell(r, j)
+
+    def _flux_in_cell(self, r: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """I at radii r inside their grid cells [grid[j], grid[j+1]]: the partial
+        panel [r, grid[j+1]] plus suffix[j+1], or suffix[j] where r is grid[j]."""
         out = interval_integrals(self._integrand, r, self.grid[j + 1], self.order)
         out += self.suffix[j + 1]
         exact = r == self.grid[j]
@@ -364,7 +369,7 @@ def radius_of_level(pot: RadialPotential, t):
 
 
 def _invert_levels(pot: RadialPotential, t: np.ndarray) -> np.ndarray:
-    w, grid, suffix = pot.w, pot.grid, pot.suffix
+    w, grid = pot.w, pot.grid
     j = np.searchsorted(w, t, side="left")
     node = np.minimum(j, w.size - 1)
     radii = grid[node]
@@ -373,22 +378,17 @@ def _invert_levels(pot: RadialPotential, t: np.ndarray) -> np.ndarray:
         return radii
     j = j[todo]
     t = t[todo]
-    # every iterate stays in its bracket cell [grid[j-1], grid[j]], where I(x) is
-    # the partial panel [x, grid[j]] plus suffix[j], or suffix[j-1] on the lower
-    # node: the values flux_integral_at returns there, without its search
-    lower, upper = grid[j - 1], grid[j]
-    i_lower, i_upper = suffix[j - 1], suffix[j]
-    a, b = lower.copy(), upper.copy()
+    a, b = grid[j - 1], grid[j]
+    # every iterate stays in its bracket cell, so I is read there as
+    # flux_integral_at reads it, without its range check and search
+    cell = j - 1
     x = a + (t - w[j - 1]) / (w[j] - w[j - 1]) * (b - a)
     k = pot.p_value - 1.0
     log_i0 = math.log(pot.normalizer)
     active = np.arange(todo.size)
     for _ in range(LEVEL_NEWTON_MAX_ITER):
         xa = x[active]
-        flux = interval_integrals(pot._integrand, xa, upper[active], pot.order)
-        flux += i_upper[active]
-        on_node = xa == lower[active]
-        flux[on_node] = i_lower[active[on_node]]
+        flux = pot._flux_in_cell(xa, cell[active])
         log_flux = np.log(flux)
         resid = k * (log_i0 - log_flux) - t[active]
         a[active[resid < 0.0]] = xa[resid < 0.0]
