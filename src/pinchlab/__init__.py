@@ -34,20 +34,7 @@ from .variational import (
     energy,
     minimize_energy,
 )
-from .functionals import (
-    audit_constants,
-    div_fields,
-    gauss_bonnet,
-    high_genus_branch_slack,
-    holder_chain,
-    monotone_levels,
-    monotone_sample,
-    pinched_inequalities,
-    small_sphere_expansion,
-    value_F,
-    value_G,
-    willmore,
-)
+from .functionals import small_sphere_expansion, willmore
 from .rigidity import (
     decay_dichotomy,
     ordering_check,
@@ -97,16 +84,6 @@ __all__ = [
     "capacity_from_energy",
     "cross_validate",
     # functionals
-    "value_F",
-    "value_G",
-    "monotone_sample",
-    "monotone_levels",
-    "audit_constants",
-    "div_fields",
-    "gauss_bonnet",
-    "pinched_inequalities",
-    "high_genus_branch_slack",
-    "holder_chain",
     "willmore",
     "small_sphere_expansion",
     # rigidity

@@ -158,7 +158,7 @@ def parse_config(text: str) -> RunConfig:
     eps = raw.get("eps", defaults["eps"])
     if eps is not None:
         eps = _check_number(eps, "eps")
-        _check_with(functionals._check_eps, eps, "eps")
+        _check_with(rigidity._check_eps, eps, "eps")
 
     tolerances = raw.get("tolerances", {})
     _expect(isinstance(tolerances, dict), "tolerances", "expected an object")
@@ -245,7 +245,7 @@ def _config_echo(config: RunConfig, p_value: float | None) -> dict:
 def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> ScenarioReport:
     p = _resolve_p(config, model)
     pot = solve_radial(model, p, config.r0, n_grid=config.n_grid, r_max=config.r_max)
-    table = functionals.level_table(pot, config.n_levels)
+    table = functionals.level_table(pot, functionals._table_levels(pot, config.n_levels))
     c_f, c_g = functionals._exact_constants(p.value)
     u0 = pot.state_at(pot.r0).u  # one value, not the node array of u
     boundary_ok = abs(u0 - 1.0) <= 1e-12 and abs(pot.w[0]) <= 1e-12
@@ -280,7 +280,7 @@ def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
 def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> ScenarioReport:
     p = _resolve_p(config, model)
     pot = solve_radial(model, p, config.r0, n_grid=config.n_grid, r_max=config.r_max)
-    table = functionals.level_table(pot, config.n_levels)
+    table = functionals.level_table(pot, functionals._table_levels(pot, config.n_levels))
     c_f, c_g = functionals._exact_constants(p.value)
     tol_mono = config.tolerance("monotone")
     tol_deriv = config.tolerance("derivative")
@@ -564,38 +564,33 @@ def _parse_tol_flag(entries) -> dict:
     return tolerances
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--config", help="path to a JSON run configuration")
-    common.add_argument("--out", help="output path (CSV or JSON); omit for a terminal summary")
-    common.add_argument("--format", choices=FORMATS, help="output format (default csv)")
-    common.add_argument("--grid-n", type=int, dest="grid_n", help="override the radial grid size")
-    common.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    """One parser: the subcommand is a positional choice, and each flag is
+    declared once, so it may stand before or after the subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="pinchlab",
+        description="Numerical laboratory for p-harmonic capacitary potentials on "
+        "rotationally symmetric 3-manifolds.",
+    )
+    parser.add_argument(
+        "command",
+        choices=_SUBCOMMAND_SCENARIO,
+        metavar="command",
+        help="the scenario to run: solve, monotone, contradict, check (check-identities), "
+        "willmore (willmore-expansion), or report (the scenario named in --config)",
+    )
+    parser.add_argument("--config", help="path to a JSON run configuration")
+    parser.add_argument("--out", help="output path (CSV or JSON); omit for a terminal summary")
+    parser.add_argument("--format", choices=FORMATS, help="output format (default csv)")
+    parser.add_argument("--grid-n", type=int, dest="grid_n", help="override the radial grid size")
+    parser.add_argument(
         "--tol",
         action="append",
         metavar="NAME=VALUE",
         help="override a named tolerance (repeatable)",
     )
-    common.add_argument("--model", help="library model name (alternative to --config)")
-    common.add_argument("--p", help='exponent in (1, 2), or "auto"')
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
-    parser = argparse.ArgumentParser(
-        prog="pinchlab",
-        description="Numerical laboratory for p-harmonic capacitary potentials on "
-        "rotationally symmetric 3-manifolds.",
-        parents=[common],
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMAND_SCENARIO:
-        sub.add_parser(
-            name,
-            help=f"run the {_SUBCOMMAND_SCENARIO[name] or 'configured'} scenario",
-            parents=[common],
-        )
+    parser.add_argument("--model", help="library model name (alternative to --config)")
+    parser.add_argument("--p", help='exponent in (1, 2), or "auto"')
     return parser
 
 
@@ -608,18 +603,24 @@ _LIBRARY_SPECS = {
 }
 
 
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"--config: cannot read {path!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"--config: {path!r} is not UTF-8 text: {exc}") from exc
+
+
 def _config_from_args(args) -> RunConfig:
-    config_path = getattr(args, "config", None)
-    model_name = getattr(args, "model", None)
-    if config_path is not None:
-        text = Path(config_path).read_text(encoding="utf-8")
-        config = parse_config(text)
-    elif model_name is not None:
-        if model_name not in _LIBRARY_SPECS:
+    if args.config is not None:
+        config = parse_config(_read_config(args.config))
+    elif args.model is not None:
+        if args.model not in _LIBRARY_SPECS:
             raise ConfigError(
-                f"--model: unknown library model {model_name!r}; choices: {sorted(_LIBRARY_SPECS)}"
+                f"--model: unknown library model {args.model!r}; choices: {sorted(_LIBRARY_SPECS)}"
             )
-        config = RunConfig(model=_LIBRARY_SPECS[model_name], scenario="solve")
+        config = RunConfig(model=_LIBRARY_SPECS[args.model], scenario="solve")
     else:
         raise ConfigError("either --config or --model is required")
 
@@ -627,21 +628,24 @@ def _config_from_args(args) -> RunConfig:
     scenario = _SUBCOMMAND_SCENARIO[args.command]
     if scenario is not None:
         updates["scenario"] = scenario
-    elif config_path is None:
+    elif args.config is None:
         raise ConfigError("the 'report' subcommand needs --config naming a scenario")
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         updates["out"] = args.out
-    if getattr(args, "format", None) is not None:
+    if args.format is not None:
         updates["format"] = args.format
-    if getattr(args, "grid_n", None) is not None:
+    if args.grid_n is not None:
         updates["n_grid"] = args.grid_n
-    p_flag = getattr(args, "p", None)
-    if p_flag is not None:
-        p = p_flag if p_flag == "auto" else float(p_flag)
+    if args.p is not None:
+        p = args.p
         if p != "auto":
+            try:
+                p = float(p)
+            except ValueError as exc:
+                raise ConfigError(f'--p: expected a number or "auto", got {p!r}') from exc
             _check_with(as_p, p, "--p")
         updates["p"] = p
-    tol = _parse_tol_flag(getattr(args, "tol", None))
+    tol = _parse_tol_flag(args.tol)
     if tol:
         unknown = set(tol) - set(DEFAULT_TOLERANCES)
         if unknown:

@@ -168,6 +168,13 @@ class DichotomyTrajectory(NamedTuple):
     K: float
 
 
+def _check_eps(eps: float) -> float:
+    eps = float(eps)
+    if not 0.0 < eps <= 1.0 / 3.0:
+        raise DomainError(f"pinching constant must lie in (0, 1/3], got {eps}")
+    return eps
+
+
 def decay_dichotomy(p, eps: float, F0: float, *, horizon: float = 20.0) -> DichotomyTrajectory:
     """Solve the comparison ODE for F in closed form and locate the dichotomy crossing.
 
@@ -180,7 +187,7 @@ def decay_dichotomy(p, eps: float, F0: float, *, horizon: float = 20.0) -> Dicho
     F e^(2t/m) over the samples; a K past the float range raises DomainError.
     """
     p = as_p(p)
-    eps = functionals._check_eps(eps)
+    eps = _check_eps(eps)
     F0 = float(F0)
     if not 0.0 < F0 < FOUR_PI:
         raise DomainError(
@@ -396,7 +403,7 @@ def run_contradiction_scenario(
 
     pinch = _run_stage(PINCHING_GATE, lambda: geometry.pinching_margin(model))
     if opts["eps"] is not None:
-        eps_used = functionals._check_eps(opts["eps"])
+        eps_used = _check_eps(opts["eps"])
         eps_source = "explicit"
     else:
         eps_used = max(min(pinch.margin, 1.0 / 3.0), 1e-3)

@@ -1,20 +1,34 @@
-"""Shared fixtures.
+"""Shared fixtures and independent oracles.
 
 Solving a potential is the only genuinely expensive setup step, so solved
 potentials are cached per (model, p, grid) key for the whole session.  The
 cache key deliberately uses the factory *name* rather than a model object:
 models carry closures and are not hashable by value.
+
+The oracles here check the program by routes it does not take itself: the
+comparison ODE integrated by DOP853, and the constants audit, which measures
+the derivative constants (c_F, c_G) = (1, (3-p)^-2) as medians of centered
+finite-difference ratios and compares an independent spline-derivative route
+for the divergences of the radial fields X = |grad w| grad w and
+Y = (Laplacian w) - w'' - |grad w|^2/m against the candidate right-hand sides,
+including the dimensionally inhomogeneous variant of div(X) (a bare
+mean-curvature term without its gradient factor), which it reports so tests
+can reject it.  ``tests/test_symbolic.py`` proves what the audit measures.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import pinchlab as pl
+from pinchlab import functionals, geometry
+from pinchlab.geometry import LevelSetData
+from pinchlab.potential import RadialPotential, as_p, solve_radial
 
 MODEL_FACTORIES = {
     "flat": pl.flat_model,
@@ -82,3 +96,191 @@ def integrate_dichotomy(p: float, eps: float, f0: float, times: np.ndarray):
     else:
         crossing = float(sol.t_events[0][0]) if sol.t_events[0].size else None
     return sol.y[0], crossing
+
+
+# ---------------------------------------------------------------------------
+# the constants audit
+# ---------------------------------------------------------------------------
+
+
+class AuditConstants(NamedTuple):
+    """Proportionality constants between finite differences and closed forms."""
+
+    p: float
+    c_F: float
+    c_G: float
+    c_F_spread: float
+    c_G_spread: float
+    c_G_expected: float
+    div_x_mismatch: float
+    div_x_inhomogeneous_mismatch: float
+    div_y_mismatch: float
+    notes: tuple[str, ...]
+
+    def as_dict(self) -> dict:
+        return {
+            "p": self.p,
+            "c_F": self.c_F,
+            "c_G": self.c_G,
+            "c_F_spread": self.c_F_spread,
+            "c_G_spread": self.c_G_spread,
+            "c_G_expected": self.c_G_expected,
+            "div_x_mismatch": self.div_x_mismatch,
+            "div_x_inhomogeneous_mismatch": self.div_x_inhomogeneous_mismatch,
+            "div_y_mismatch": self.div_y_mismatch,
+            "notes": list(self.notes),
+        }
+
+
+class DivergenceSample(NamedTuple):
+    """Spline-derivative divergences vs candidate closed-form right-hand sides."""
+
+    r: float
+    div_x: float
+    div_y: float
+    claim_x: float
+    claim_y: float
+    claim_x_inhomogeneous: float
+    near_edge: bool
+
+
+@functools.lru_cache(maxsize=32)
+def _audit_constants_cached(p: float) -> AuditConstants:
+    pot = solve_radial(geometry.power_warp_model(alpha=1.5), p, r0=1.0, n_grid=16384)
+    m = 3.0 - p
+    t_levels = np.linspace(0.1 * pot.t_max, 0.5 * pot.t_max, 17)
+
+    n = t_levels.size
+    lv = functionals._level(pot, np.concatenate([t_levels, functionals._stencil(t_levels)]))
+    ratios_f = functionals._fd_derivative(lv.F[n:]) / lv.dF_raw[:n]
+    ratios_g = functionals._fd_derivative(lv.G[n:]) / lv.dG_raw[:n]
+    c_f = float(np.median(ratios_f))
+    c_g = float(np.median(ratios_g))
+    spread_f = float(np.max(np.abs(ratios_f / c_f - 1.0)))
+    spread_g = float(np.max(np.abs(ratios_g / c_g - 1.0)))
+
+    splines = _div_splines(pot)
+    mismatch_x = 0.0
+    mismatch_y = 0.0
+    mismatch_x_inhomogeneous = math.inf
+    for r in np.geomspace(3.0, 30.0, 9):
+        sample = _div_sample(pot, float(r), splines)
+        scale_x = max(abs(sample.claim_x), 1e-300)
+        scale_y = max(abs(sample.claim_y), 1e-300)
+        mismatch_x = max(mismatch_x, abs(sample.div_x - sample.claim_x) / scale_x)
+        mismatch_y = max(mismatch_y, abs(sample.div_y - sample.claim_y) / scale_y)
+        mismatch_x_inhomogeneous = min(
+            mismatch_x_inhomogeneous,
+            abs(sample.div_x - sample.claim_x_inhomogeneous) / scale_x,
+        )
+
+    notes = (
+        f"c_F = {c_f:.12g}: the closed-form derivative of the Willmore-proxy quantity "
+        f"matches finite differences with constant 1 (spread {spread_f:.2e})",
+        f"c_G = {c_g:.12g} vs expected (3-p)^-2 = {1.0 / (m * m):.12g}: the raw derivative "
+        f"integrand of the gradient-energy quantity omits the 1/(3-p)^2 normalization "
+        f"carried by the quantity itself (spread {spread_g:.2e})",
+        f"div(X) matches the homogeneous right-hand side |grad w|^2(2|grad w| - (3-p)H)/(p-1) "
+        f"to {mismatch_x:.2e}; the variant with a bare mean-curvature term misses by "
+        f"{mismatch_x_inhomogeneous:.2e} at best and is rejected",
+        f"div(Y) matches -[Ric(nu,nu)|grad w| + |grad w| (3-p)/(2(p-1)) (H - 2|grad w|/(3-p))^2] "
+        f"to {mismatch_y:.2e}",
+    )
+    return AuditConstants(
+        p=p,
+        c_F=c_f,
+        c_G=c_g,
+        c_F_spread=spread_f,
+        c_G_spread=spread_g,
+        c_G_expected=1.0 / (m * m),
+        div_x_mismatch=mismatch_x,
+        div_x_inhomogeneous_mismatch=mismatch_x_inhomogeneous,
+        div_y_mismatch=mismatch_y,
+        notes=notes,
+    )
+
+
+def audit_constants(p) -> AuditConstants:
+    """Measure c_F and c_G once per exponent on a high-resolution power-law model.
+
+    A numerical oracle of the exact constants (c_F, c_G) = (1, (3-p)^-2),
+    which ``tests/test_symbolic.py`` proves and the scenarios report: the
+    measured constants are the medians of finite-difference/closed-form
+    ratios across 17 interior levels of a 16384-node solve on the
+    alpha = 1.5 power warp, and the divergence identities are checked
+    against an independent spline-derivative route at the same time.
+    Cached per exponent.
+    """
+    return _audit_constants_cached(as_p(p).value)
+
+
+def _div_splines(pot: RadialPotential):
+    """Log-r spline derivatives of h^2 w'^2 and h^2 Y_r, the measured route of :func:`div_fields`."""
+    from scipy.interpolate import CubicSpline  # imported here: only this route needs scipy
+
+    h, h1, _ = pot.model.warp(pot.grid)
+    m = 3.0 - pot.p_value
+    wp = pot.w_prime
+    mean = 2.0 * h1 / h
+    h_sq = h * h
+    x = np.log(pot.grid)
+    y_r = mean * wp - wp**2 / m
+    return (
+        CubicSpline(x, h_sq * wp**2).derivative(),
+        CubicSpline(x, h_sq * y_r).derivative(),
+    )
+
+
+def div_fields(pot: RadialPotential, r: float) -> DivergenceSample:
+    """Divergences of the radial fields X and Y by two independent routes.
+
+    The measured route differentiates spline interpolants of h^2 w'^2 and
+    h^2 Y_r in log r (div of a radial field V = V_r d/dr is (h^2 V_r)'/h^2).
+    The candidate closed forms are
+
+        claim_x = |grad w|^2 (2|grad w| - (3-p) H) / (p-1)
+        claim_y = -[Ric(nu,nu) |grad w|
+                    + |grad w| (3-p)/(2(p-1)) (H - 2|grad w|/(3-p))^2]
+
+    plus the dimensionally inhomogeneous div(X) variant
+    |grad w| (2|grad w|^2 - (3-p) H) / (p-1), reported so the audit can
+    reject it.  Points within two cells of either grid edge are flagged
+    near_edge: the spline is one-sided there and its derivative degrades.
+    """
+    return _div_sample(pot, float(r), _div_splines(pot))
+
+
+def _div_claims(geo: LevelSetData, wp, p):
+    """The candidate right-hand sides of :func:`div_fields` on the spheres of geo.
+
+    Plain arithmetic only, like ``functionals._closed_forms``: floats and
+    symbolic expressions both pass, so ``tests/test_symbolic.py`` proves them.
+    """
+    m = 3.0 - p
+    claim_x = wp * wp * (2.0 * wp - m * geo.mean_curvature) / (p - 1.0)
+    square = geo.mean_curvature - 2.0 * wp / m
+    claim_y = -(geo.ric_normal * wp + wp * (m / (2.0 * (p - 1.0))) * square * square)
+    claim_x_inhomogeneous = wp * (2.0 * wp * wp - m * geo.mean_curvature) / (p - 1.0)
+    return claim_x, claim_y, claim_x_inhomogeneous
+
+
+def _div_sample(pot: RadialPotential, r: float, splines) -> DivergenceSample:
+    pot.require_radius(r)
+    spline_x, spline_y = splines
+    geo = geometry.levelset_geometry(pot.model, r)
+    state = pot.state_at(r)
+    h_sq = geo.area / (4.0 * math.pi)
+    x = math.log(r)
+    div_x = float(spline_x(x)) / (r * h_sq)
+    div_y = float(spline_y(x)) / (r * h_sq)
+    claim_x, claim_y, claim_x_inhomogeneous = _div_claims(geo, float(state.w_prime), pot.p_value)
+    near_edge = bool(r < pot.grid[2] or r > pot.grid[-3])
+    return DivergenceSample(
+        r=r,
+        div_x=div_x,
+        div_y=div_y,
+        claim_x=claim_x,
+        claim_y=claim_y,
+        claim_x_inhomogeneous=claim_x_inhomogeneous,
+        near_edge=near_edge,
+    )

@@ -12,8 +12,9 @@ import time
 import numpy as np
 
 import pinchlab as pl
+from pinchlab import functionals
 
-from conftest import _solve, integrate_dichotomy
+from conftest import _solve, audit_constants, integrate_dichotomy
 
 FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
@@ -37,12 +38,12 @@ def test_criterion_1_flat_exactness():
         pot = pl.solve_radial(pl.flat_model(), p, 1.0)  # deliberately uncached: timed
         m = 3.0 - p
         worst_u = max(worst_u, float(np.max(np.abs(pot.u * pot.grid ** (m / (p - 1.0)) - 1.0))))
-        for t in np.linspace(1e-3, pot.t_max - 1e-3, 64):
-            worst_fg = max(
-                worst_fg,
-                abs(pl.value_F(pot, float(t)) - FOUR_PI),
-                abs(pl.value_G(pot, float(t)) - FOUR_PI),
-            )
+        table = functionals.level_table(pot, np.linspace(1e-3, pot.t_max - 1e-3, 64))
+        worst_fg = max(
+            worst_fg,
+            float(np.max(np.abs(table["F"] - FOUR_PI))),
+            float(np.max(np.abs(table["G"] - FOUR_PI))),
+        )
     elapsed = time.perf_counter() - start
     ok = worst_fg <= 1e-8 and worst_u <= 1e-8 and elapsed < 1.0
     _verdict(
@@ -107,10 +108,11 @@ def test_criterion_4_monotonicity():
     for name in NONCOMPACT:
         for p in P_GRID:
             pot = _solve(name, p)
-            samples = pl.monotone_levels(pot, 64)
-            for a, b in zip(samples, samples[1:]):
-                tol_f = 1e-9 * (1.0 + abs(a.F))
-                worst = max(worst, (b.F - a.F) / tol_f, (b.G - a.G) / tol_f)
+            table = functionals.level_table(pot, functionals._table_levels(pot, 64))
+            F, G = table["F"].tolist(), table["G"].tolist()
+            for i in range(len(F) - 1):
+                tol_f = 1e-9 * (1.0 + abs(F[i]))
+                worst = max(worst, (F[i + 1] - F[i]) / tol_f, (G[i + 1] - G[i]) / tol_f)
     ok = worst <= 1.0
     _verdict(
         4,
@@ -125,7 +127,7 @@ def test_criterion_5_derivative_audit():
     ok = True
     details = []
     for p in P_GRID:
-        aud = pl.audit_constants(p)
+        aud = audit_constants(p)
         m = 3.0 - p
         deriv_ok = (
             abs(aud.c_F - 1.0) <= 1e-4

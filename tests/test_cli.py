@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pinchlab as pl
-from pinchlab.cli import main, summary_text
+from pinchlab.cli import _config_from_args, build_parser, main, summary_text
 
 CSV_HEADER = "t,r,area,H,grad_w,F,G,dF_fd,dF_cf,dG_fd,dG_cf,cap,cap_ratio_to_exp_t,gb,willmore,holder_gap"
 
@@ -353,13 +353,17 @@ def test_main_error_paths(argv, fragment, capsys):
     assert fragment in capsys.readouterr().err
 
 
-def test_python_m_pinchlab_runs_cleanly(tmp_path):
+def _src_env() -> dict:
+    """The environment of a child interpreter that imports pinchlab from this checkout."""
     src = Path(pl.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_m_pinchlab_runs_cleanly(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "pinchlab", "solve", "--model", "flat", "--grid-n", "256"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
@@ -385,15 +389,12 @@ def test_frozen_exit_prints_and_writes_what_emit_writes(argv, config, tmp_path, 
     # main freezes the import heap, so a fresh process exits without collecting
     # it; it must still print what main prints in process and write the bytes
     # that emit(run(config)) writes
-    src = Path(pl.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     cold, warm, library = (tmp_path / name for name in ("cold", "warm", "library"))
     for directory in (cold, warm, library):
         directory.mkdir()
     proc = subprocess.run(
         [sys.executable, "-m", "pinchlab", *argv],
-        cwd=cold, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cold, env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -416,95 +417,59 @@ def test_frozen_exit_prints_and_writes_what_emit_writes(argv, config, tmp_path, 
         assert (warm / name).read_bytes() == (library / name).read_bytes()
 
 
-_SCIPY_PROBE = """
-import runpy, sys
-sys.argv = ["pinchlab", "contradict", "--model", sys.argv[1], "--out", sys.argv[2]]
-try:
-    runpy.run_module("pinchlab", run_name="__main__")
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
-print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+_PROBE = """
+import json, runpy, sys
+prefix, argv = sys.argv[1], sys.argv[2:]
+if argv:
+    sys.argv = ["pinchlab", *argv]
+    try:
+        runpy.run_module("pinchlab", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+else:
+    import pinchlab
+print(json.dumps(sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + "."))))
 """
+
+
+def _loaded_under(prefix: str, *argv: str, cwd) -> list[str]:
+    """The modules named prefix or prefix.* that a fresh ``python -W error``
+    has loaded after ``pinchlab *argv`` exits 0, or after ``import pinchlab``
+    when argv is empty; the child must write nothing to stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _PROBE, prefix, *argv],
+        cwd=cwd, env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("model", ["power_warp_1.5", "flat"])
 def test_contradict_loads_no_scipy(model, tmp_path):
-    src = Path(pl.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    for argv in (
-        ["-c", _SCIPY_PROBE, model, str(tmp_path / "out.csv")],
-        ["-c", "import sys, pinchlab; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
-    ):
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""
-        assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
-    assert (tmp_path / "out.csv").exists()
-
-
-_POLYNOMIAL_PROBE = """
-import runpy, sys
-sys.argv = ["pinchlab", "contradict", "--model", sys.argv[1], "--out", sys.argv[2]]
-try:
-    runpy.run_module("pinchlab", run_name="__main__")
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
-print(sorted(name for name in sys.modules if name.startswith("numpy.polynomial")))
-"""
+    out = tmp_path / "out.csv"
+    assert _loaded_under("scipy", "contradict", "--model", model, "--out", str(out), cwd=tmp_path) == []
+    assert _loaded_under("scipy", cwd=tmp_path) == []
+    assert out.exists()
 
 
 def test_contradict_loads_no_numpy_polynomial(tmp_path):
     # the Gauss-Legendre rules are tabulated: numpy.polynomial costs a cold
     # import a few milliseconds, and nothing else in pinchlab needs it
-    src = Path(pl.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    for argv in (
-        ["-c", _POLYNOMIAL_PROBE, "power_warp_1.5", str(tmp_path / "out.csv")],
-        ["-c", "import sys, pinchlab; "
-               "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"],
-    ):
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""
-        assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
-    assert (tmp_path / "out.csv").exists()
-
-
-_SCENARIO_PROBE = """
-import runpy, sys
-sys.argv = ["pinchlab", *sys.argv[1:]]
-try:
-    runpy.run_module("pinchlab", run_name="__main__")
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
-print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
-"""
+    out = tmp_path / "out.csv"
+    argv = ("contradict", "--model", "power_warp_1.5", "--out", str(out))
+    assert _loaded_under("numpy.polynomial", *argv, cwd=tmp_path) == []
+    assert _loaded_under("numpy.polynomial", cwd=tmp_path) == []
+    assert out.exists()
 
 
 @pytest.mark.parametrize("model", ["power_warp_1.5", "flat"])
 @pytest.mark.parametrize("command", ["solve", "monotone", "check"])
 def test_scenarios_load_no_scipy(command, model, tmp_path):
     # the reported constants are exact, so no scenario runs the spline-based audit
-    src = Path(pl.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "out.csv"
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", _SCENARIO_PROBE,
-         command, "--model", model, "--p", "1.5", "--out", str(out)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+    argv = (command, "--model", model, "--p", "1.5", "--out", str(out))
+    assert _loaded_under("scipy", *argv, cwd=tmp_path) == []
     assert out.exists()
 
 
@@ -539,13 +504,10 @@ print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 def test_variational_oracle_loads_no_scipy(model, tmp_path):
     # the certificate is one gradient evaluation, and a refused profile,
     # underflowing or not, raises without loading scipy
-    src = Path(pl.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     tests = str(Path(__file__).resolve().parent)
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", _VARIATIONAL_PROBE, model, tests],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
@@ -557,3 +519,31 @@ def test_main_rejects_unreadable_config(tmp_path, capsys):
     bad.write_text("{nope")
     assert main(["solve", "--config", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_tol_flags_before_and_after_the_command_are_all_kept():
+    argv = ["--tol", "capacity=1", "contradict", "--model", "flat", "--tol", "holder=2"]
+    args = build_parser().parse_args(argv)
+    assert args.tol == ["capacity=1", "holder=2"]
+    assert _config_from_args(args).tolerances == {"capacity": 1.0, "holder": 2.0}
+
+
+def _error_lines(capsys) -> list[str]:
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+
+
+def test_main_rejects_non_numeric_p(capsys):
+    assert main(["contradict", "--model", "flat", "--p", "abc"]) == 2
+    assert [line.startswith("error: --p: ") for line in _error_lines(capsys)] == [True]
+
+
+def test_main_rejects_missing_config(tmp_path, capsys):
+    assert main(["contradict", "--config", str(tmp_path / "missing.json")]) == 2
+    assert [line.startswith("error: --config: ") for line in _error_lines(capsys)] == [True]
+
+
+def test_main_rejects_non_utf8_config(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"model": {"kind": "flat"}, "scenario": "solve", "out": "é.csv"}'.encode("latin-1"))
+    assert main(["solve", "--config", str(bad)]) == 2
+    assert [line.startswith("error: --config: ") for line in _error_lines(capsys)] == [True]

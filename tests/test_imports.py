@@ -1,11 +1,16 @@
-"""Source hygiene: every top-level import of the package is used."""
+"""Source hygiene: every top-level import of the package is used, and every
+name a module exports in ``__all__`` exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "pinchlab").glob("*.py"))
+MODULES = ["pinchlab"] + [
+    f"pinchlab.{path.stem}" for path in SOURCES if path.stem not in ("__init__", "__main__")
+]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -36,3 +41,12 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_top_level_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    # a stale __all__ entry breaks ``from pinchlab.<module> import *`` and any
+    # tool that walks the exports (the benchmark's tracer wraps each of them)
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []

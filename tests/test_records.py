@@ -1,7 +1,8 @@
 """Result types: the records a computation returns are immutable named tuples
 with their fields in a fixed order; only the types that carry behaviour (the
 run config, the models, the exponent, the solved potential, the discrete
-problem and the report) are dataclasses."""
+problem and the report) are dataclasses.  The records of the constants audit
+in ``conftest`` are held to the same layout."""
 
 import dataclasses
 import importlib
@@ -9,6 +10,7 @@ import pkgutil
 
 import pytest
 
+import conftest
 import pinchlab as pl
 from pinchlab import functionals, geometry, potential, rigidity, variational
 
@@ -20,22 +22,13 @@ RECORD_FIELDS = {
     ),
     geometry.PinchingReport: ("margin", "nonneg_ricci", "worst_radius", "n_scalar_positive"),
     geometry.GrowthReport: ("alpha_hat", "avr", "slope", "n_samples"),
-    functionals.MonotoneSample: (
-        "t", "r", "area", "mean_curvature", "grad_w", "F", "G", "dF_fd", "dG_fd", "dF_cf",
-        "dG_cf", "cap", "gb", "willmore",
-    ),
-    functionals.AuditConstants: (
+    conftest.AuditConstants: (
         "p", "c_F", "c_G", "c_F_spread", "c_G_spread", "c_G_expected", "div_x_mismatch",
         "div_x_inhomogeneous_mismatch", "div_y_mismatch", "notes",
     ),
-    functionals.DivergenceSample: (
+    conftest.DivergenceSample: (
         "r", "div_x", "div_y", "claim_x", "claim_y", "claim_x_inhomogeneous", "near_edge",
     ),
-    functionals.PinchedInequalityReport: (
-        "t", "r", "eps", "gb_integral", "ric_normal_integral", "willmore_integral", "lhs", "rhs",
-        "slack", "satisfied",
-    ),
-    functionals.HolderChainSample: ("t", "lhs", "mid", "rhs", "equality_gap"),
     functionals.SmallSphereExpansion: ("coefficient", "expected", "relative_deviation", "n_samples"),
     rigidity.ThresholdReport: (
         "p", "alpha", "f_p", "lhs_exponent", "rhs_exponent", "contradiction_possible",

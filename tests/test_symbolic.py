@@ -13,11 +13,12 @@ for every h and every p:
 
 with (c_F, c_G) = (1, (3-p)^-2), div V = (h^2 V_r)'/h^2, X_r = w'^2 and
 Y_r = H w' - w'^2/(3-p).  The expressions under test are the program's own:
-``geometry._levelset_data``, ``functionals._closed_forms``,
-``functionals._div_claims`` and ``functionals._exact_constants`` evaluated on
-symbols.  Their float literals (4 pi among them) become exact rationals
-before simplification.  This is the proof behind the exact constants that
-every scenario reports; ``audit_constants`` stays as a numerical oracle of it.
+``geometry._levelset_data``, ``functionals._closed_forms`` and
+``functionals._exact_constants`` evaluated on symbols, and the candidate
+divergences ``_div_claims`` of the constants audit in ``conftest``.  Their
+float literals (4 pi among them) become exact rationals before
+simplification.  This is the proof behind the exact constants that every
+scenario reports; ``conftest.audit_constants`` is a numerical oracle of it.
 
 The traced Gauss equation that ``geometry.gauss_identity_residual`` checks in
 floats, sc_tangential = scalar - 2 Ric(nu,nu) + H^2 - |II|^2, is proved the
@@ -29,6 +30,8 @@ from types import SimpleNamespace
 import sympy as sp
 
 from pinchlab import functionals, geometry
+
+from conftest import _div_claims
 
 r, p = sp.symbols("r p", positive=True)
 h = sp.Function("h")(r)
@@ -49,7 +52,7 @@ SC_TANGENTIAL, SFF_SQ = _exact(GEO.sc_tangential, GEO.sff_norm_sq)
 WARPED = SimpleNamespace(warp=lambda radius: (h, h.diff(r), h.diff(r, 2)))
 RIC_RADIAL, RIC_TANGENTIAL, SCALAR = _exact(*geometry._curvature_arrays(WARPED, r))
 F, G, DF_RAW, DG_RAW = _exact(*functionals._closed_forms(GEO, W, p))
-CLAIM_X, CLAIM_Y, CLAIM_X_INHOMOGENEOUS = _exact(*functionals._div_claims(GEO, W, p))
+CLAIM_X, CLAIM_Y, CLAIM_X_INHOMOGENEOUS = _exact(*_div_claims(GEO, W, p))
 C_F, C_G = _exact(*functionals._exact_constants(p))
 
 
