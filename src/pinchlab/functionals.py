@@ -154,6 +154,8 @@ def _table(pot: RadialPotential, ts, extra=()) -> tuple[dict, np.ndarray]:
     """The level table at the levels ts (see :func:`level_table`) and the radii
     of the levels ``extra``, from one batch: 0, ts, their stencils and extra."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.ndim != 1:
+        raise DomainError(f"levels must be a scalar or a 1-D sequence, got shape {ts.shape}")
     outside = ~_in_fd_window(pot, ts)
     if np.any(outside):
         raise DomainError(
@@ -205,9 +207,10 @@ def _table_levels(pot: RadialPotential, n_levels: int) -> np.ndarray:
 
 
 def level_table(pot: RadialPotential, ts) -> dict:
-    """The report columns (``report.ROW_COLUMNS``) as arrays at the levels ts,
-    each in [dt, t_max - dt], plus the Hölder bound ``holder_rhs`` and the float
-    ``cap_0`` = cap(0), from one :func:`_level` batch.
+    """The report columns (``report.ROW_COLUMNS``) as arrays at the levels ts
+    (a scalar or a 1-D sequence), each in [dt, t_max - dt], plus the Hölder
+    bound ``holder_rhs`` and the float ``cap_0`` = cap(0), from one
+    :func:`_level` batch.
 
     Every step is elementwise, so a level's row has the same bits whatever
     other levels share the call: ``level_table(pot, [t])`` is the single-level

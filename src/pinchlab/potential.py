@@ -7,8 +7,14 @@ is therefore
 
     u(r) = I(r) / I(r0),      I(r) = integral_r^inf h(s)^(-2/(p-1)) ds,
 
-which this module evaluates by composite Gauss quadrature on a geometric grid
-plus a closed-form power-law tail beyond the truncation radius.  The level
+For a warp that is a power law h = c r^beta, I has the closed form
+
+    I(r) = c^(-q) r^(1 - q beta) / (q beta - 1),      q = 2/(p-1),
+
+which this module evaluates at every radius it needs, grid nodes and off-grid
+radii alike.  Any other warp is integrated by composite Gauss quadrature on a
+geometric grid, plus the same closed form for a power law fitted to the outer
+decade as the tail beyond the truncation radius.  The level
 parameter of the potential is
 
     w = -(p-1) log u,   t = w(r),   w' = (p-1) |u'| / u > 0,
@@ -84,12 +90,14 @@ class RadialPotential:
     """Solved radial capacitary potential on [r0, r_trunc].
 
     ``grid`` is a geometric grid, ``normalizer`` is I(r0), and ``suffix``
-    holds I at every grid node (tail included), which lets any quantity be
-    re-evaluated at off-grid radii by one extra panel of quadrature rather
-    than interpolation (see :meth:`state_at`).  ``w`` is kept at the nodes;
-    the node samples of u, u' and w' are built from ``suffix`` on first use.
+    holds I at every grid node (tail included).  Any quantity is re-evaluated
+    at off-grid radii from I there rather than by interpolation (see
+    :meth:`state_at`): from the closed form when the warp is a power law,
+    else by one extra panel of quadrature.  ``w`` is kept at the nodes; the
+    node samples of u, u' and w' are built from ``suffix`` on first use.
     ``order`` is the Gauss order of the grid cells, which every later panel
-    reuses.
+    reuses; for a power law it is the order its cells would take, as its I
+    needs no quadrature.
     """
 
     model: geometry.ManifoldModel
@@ -116,6 +124,10 @@ class RadialPotential:
         return float(self.w[-1])
 
     @functools.cached_property
+    def _power_law(self) -> _PowerLawFlux | None:
+        return _exact_power_law(self.model.warp, self.p.value)
+
+    @functools.cached_property
     def _integrand(self):
         return _flux_density(self.model.warp, self.p.value)
 
@@ -140,7 +152,8 @@ class RadialPotential:
         return r
 
     def flux_integral_at(self, r) -> np.ndarray:
-        """I(r) evaluated exactly (suffix sums plus one partial Gauss panel).
+        """I(r) evaluated exactly: the closed form of a power law, else suffix
+        sums plus one partial Gauss panel.
 
         The partial panel [r, next node] lies inside a grid cell, so the grid's
         Gauss order bounds its error at least as well as the cell's.
@@ -148,14 +161,19 @@ class RadialPotential:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < self.grid[0]) or np.any(r > self.grid[-1]):
             raise DomainError("flux integral requested outside the solved range")
-        j = np.searchsorted(self.grid, r, side="right")
-        j -= 1
-        np.clip(j, 0, self.grid.size - 2, out=j)
-        return self._flux_in_cell(r, j)
+        return self._flux_at(r)
 
-    def _flux_in_cell(self, r: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """I at radii r inside their grid cells [grid[j], grid[j+1]]: the partial
-        panel [r, grid[j+1]] plus suffix[j+1], or suffix[j] where r is grid[j]."""
+    def _flux_at(self, r: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
+        """I at radii r in the solved range: the closed form of a power law,
+        else the partial panel [r, grid[j+1]] plus suffix[j+1], or suffix[j]
+        where r is grid[j], with j the grid cell of r (searched when None)."""
+        law = self._power_law
+        if law is not None:
+            return law.flux(r)
+        if j is None:
+            j = np.searchsorted(self.grid, r, side="right")
+            j -= 1
+            np.clip(j, 0, self.grid.size - 2, out=j)
         out = interval_integrals(self._integrand, r, self.grid[j + 1], self.order)
         out += self.suffix[j + 1]
         exact = r == self.grid[j]
@@ -163,7 +181,7 @@ class RadialPotential:
         return out
 
     def state_at(self, r: float) -> PotentialSample:
-        """(u, u', w, w') at one radius, from the quadrature representation."""
+        """(u, u', w, w') at one radius, from I there (see :meth:`flux_integral_at`)."""
         r = self.require_radius(r)
         flux = float(self.flux_integral_at(r)[0])
         hq = float(self._integrand(r))
@@ -173,25 +191,49 @@ class RadialPotential:
         return PotentialSample(u, -hq / self.normalizer, w, k * hq / flux, w)
 
 
-def _flux_density(warp: geometry.WarpFunction, p_value: float):
-    """The integrand s -> h(s)^(-2/(p-1)) of I.
+class _PowerLawFlux(NamedTuple):
+    """The flux of a power law h = c r^beta at q = 2/(p-1): ``scale`` is
+    c^(-q) and ``q_beta`` is q beta, which must exceed 1 for I to converge.
 
-    For a power law h = c r^beta it is c^(-q) r^(-q beta): one power per
-    point, scaled in place, and no rounding of h for q = 2/(p-1) to amplify.
+    Each radius takes one power, scaled in place, and h is not rounded for q
+    to amplify.
     """
-    exponent = -2.0 / (p_value - 1.0)
-    beta = warp.power_law
-    if beta is None:
-        return lambda s: warp.h(s) ** exponent
-    scale = _power_law_scale(-exponent, c=float(warp.h(1.0)))
-    power = exponent * beta
 
-    def density(s):
-        values = np.power(s, power)
-        values *= scale
+    scale: float
+    q_beta: float
+
+    def density(self, s: np.ndarray) -> np.ndarray:
+        """The integrand h(s)^(-q) = c^(-q) s^(-q beta) of I."""
+        values = np.power(s, -self.q_beta)
+        values *= self.scale
         return values
 
-    return density
+    def flux(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """I(r) = c^(-q) r^(1 - q beta) / (q beta - 1), into ``out`` when given."""
+        values = np.power(r, 1.0 - self.q_beta, out=out)
+        values *= self.scale
+        values /= self.q_beta - 1.0
+        return values
+
+
+def _exact_power_law(warp: geometry.WarpFunction, p_value: float) -> _PowerLawFlux | None:
+    """The flux of ``warp`` when it is a power law (beta = ``warp.power_law``,
+    c = h(1)), else None; refuses a scale c^(-q) out of the float range."""
+    beta = warp.power_law
+    if beta is None:
+        return None
+    q = 2.0 / (p_value - 1.0)
+    return _PowerLawFlux(_power_law_scale(q, c=float(warp.h(1.0))), q * beta)
+
+
+def _flux_density(warp: geometry.WarpFunction, p_value: float):
+    """The integrand s -> h(s)^(-2/(p-1)) of I (see :class:`_PowerLawFlux`
+    for a power law)."""
+    law = _exact_power_law(warp, p_value)
+    if law is not None:
+        return law.density
+    exponent = -2.0 / (p_value - 1.0)
+    return lambda s: warp.h(s) ** exponent
 
 
 def _power_law_scale(q: float, c: float | None = None, log_c: float | None = None) -> float:
@@ -212,8 +254,8 @@ def _power_law_scale(q: float, c: float | None = None, log_c: float | None = Non
         known = f"c = h(1) = {c!r}" if log_c is None else f"fitted log c = {log_c!r}"
         raise ConvergenceError(
             f"power-law scale c^(-q) {'overflows' if scale else 'underflows to 0.0'}: {known}, "
-            f"q = 2/(p-1) = {q!r}; the tail, and the integrand of a power-law warp, take the "
-            "form c^(-q) r^(-q beta)"
+            f"q = 2/(p-1) = {q!r}; the tail, and the integrand and I of a power-law warp, "
+            "carry this factor"
         )
     return scale
 
@@ -228,27 +270,30 @@ def solve_radial(
 ) -> RadialPotential:
     """Solve the exterior capacitary problem for the radial p-Laplacian.
 
-    The truncation radius defaults to min(1e4 * r0, model.r_max).  The tail of
-    I beyond truncation is completed in closed form for h = c r^beta: exactly
-    when the warp is a power law (beta = ``warp.power_law``, c = h(1)), else
-    from a least-squares fit of h over the outermost decade of the grid.  If
-    the growth is too slow for the tail integral to converge the solver
-    refuses loudly.
+    The truncation radius defaults to min(1e4 * r0, model.r_max).  When the
+    warp is a power law h = c r^beta (beta = ``warp.power_law``, c = h(1)), I
+    is its closed form c^(-q) r^(1 - q beta) / (q beta - 1) at every node,
+    tail I(r_max) included, and no quadrature runs.  Any other warp is
+    integrated cell by cell with the 12-point Gauss rule, and the tail of I
+    beyond truncation is the same closed form for the power law fitted by
+    least squares to h over the outermost decade of the grid.  If the growth
+    is too slow for the tail integral to converge the solver refuses loudly.
 
-    The integrand h^(-q) of a power-law warp h = c r^beta is r^(-q beta) up to
-    a constant, so its cells take the lowest Gauss order whose a-priori bound
-    on the grid ratio is eps/4 (:func:`numerics.gauss_order`); any other warp
-    takes 12 points.
+    ``order`` is the Gauss order of the cells: 12 without a power law; for a
+    power law, whose I needs no cells, the lowest order whose a-priori bound
+    on the grid ratio is eps/4 for the integrand r^(-q beta)
+    (:func:`numerics.gauss_order`).
 
     A solve allocates only the arrays it keeps, ``grid``, ``suffix`` and
-    ``w``, plus one block of quadrature scratch: the cells are written into
-    ``suffix``, summed there from the outer end and completed by the tail,
-    and ``w`` is built in the array of log I.  Every value rounds as the
-    same formulas with fresh arrays would.  ConvergenceError refuses, in this
-    order: a scale c^(-q) of an exact power law that overflows or underflows
-    to 0.0, a non-positive or non-finite cell, a fitted scale that overflows
-    or underflows, a divergent tail, a tail that underflows to 0.0, an
-    overflowing I(r0), and an I that fails to decrease.
+    ``w``, plus, without a power law, one block of quadrature scratch: the
+    closed form, or the cells summed from the outer end and completed by the
+    tail, is written into ``suffix``, and ``w`` is built in the array of
+    log I.  Every value rounds as the same formulas with fresh arrays would.
+    ConvergenceError refuses, in this order: a scale c^(-q) of an exact power
+    law that overflows or underflows to 0.0, a non-positive or non-finite
+    cell, a fitted scale that overflows or underflows, a divergent tail, a
+    tail that underflows to 0.0, an overflowing I(r0), and an I that fails to
+    decrease.
     """
     p = as_p(p)
     r0 = float(r0)
@@ -269,45 +314,47 @@ def solve_radial(
     q = 2.0 / (p.value - 1.0)
     grid = geometric_grid(r0, r_max, int(n_grid))
     order = model.warp.gauss_order(-q, (r_max / r0) ** (1.0 / (grid.size - 1)))
-    # I at the nodes is built in place: the cells go into suffix[:-1] and are
-    # summed from the outer end, then the tail is added to every sum
     suffix = np.empty_like(grid)
-    cells = cell_integrals(_flux_density(model.warp, p.value), grid, order, out=suffix[:-1])
-    # two reductions and no temporaries; a NaN cell makes min() NaN, which fails too
-    if not (cells.min() > 0.0 and cells.max() < math.inf):
-        raise ConvergenceError("flux quadrature produced non-positive or non-finite cells")
-    np.cumsum(cells[::-1], out=cells[::-1])
-
-    # power-law completion of the tail, h = c r^beta: exact when the warp is a
-    # power law, else fitted on the last decade
-    beta = model.warp.power_law
-    fitted = beta is None
+    law = _exact_power_law(model.warp, p.value)
+    fitted = law is None
     if fitted:
+        # the cells go into suffix[:-1] and are summed from the outer end; the
+        # tail is added to every sum below
+        cells = cell_integrals(_flux_density(model.warp, p.value), grid, order, out=suffix[:-1])
+        # two reductions and no temporaries; a NaN cell makes min() NaN, which fails too
+        if not (cells.min() > 0.0 and cells.max() < math.inf):
+            raise ConvergenceError("flux quadrature produced non-positive or non-finite cells")
+        np.cumsum(cells[::-1], out=cells[::-1])
         mask = grid >= grid[-1] / 10.0
         beta, log_c = log_log_fit(grid[mask], model.warp.h(grid[mask]))
-        scale = _power_law_scale(q, log_c=log_c)
+        law = _PowerLawFlux(_power_law_scale(q, log_c=log_c), q * beta)
     else:
-        scale = _power_law_scale(q, c=float(model.warp.h(1.0)))
-    if q * beta <= 1.0 + 1e-9:
+        beta = model.warp.power_law
+    if law.q_beta <= 1.0 + 1e-9:
         raise ConvergenceError(
             f"tail integral of h^(-2/(p-1)) diverges: {'fitted ' if fitted else ''}warp exponent "
             f"beta = {beta:.4f} means volume growth alpha = {2 * beta:.4f} <= p - 1 = {p.value - 1:.4f}; "
             "the exterior problem needs alpha > p - 1"
         )
-    tail = scale * r_max ** (1.0 - q * beta) / (q * beta - 1.0)
+    if fitted:
+        # libm's scalar power keeps the fitted tail's bits: numpy's SIMD power rounds
+        # some arguments differently
+        tail = law.scale * r_max ** (1.0 - law.q_beta) / (law.q_beta - 1.0)
+        cells += tail
+        suffix[-1] = tail
+    else:
+        tail = float(law.flux(grid, out=suffix)[-1])
     if tail == 0.0:
         raise ConvergenceError(
-            f"tail integral of h^(-2/(p-1)) underflows to 0.0: c^(-q) = {scale!r} times "
+            f"tail integral of h^(-2/(p-1)) underflows to 0.0: c^(-q) = {law.scale!r} times "
             f"r_max^(1 - q beta) with r_max = {r_max!r}, {'fitted ' if fitted else ''}beta = "
             f"{beta!r}, q = 2/(p-1) = {q!r}; I(r_max) and t_max need a positive tail"
         )
-
-    cells += tail
-    suffix[-1] = tail
     normalizer = float(suffix[0])
     if not math.isfinite(normalizer):
         raise ConvergenceError(
-            f"flux integral I(r0) overflows: the cells and tail = {tail!r} sum to {normalizer!r}"
+            f"flux integral I(r0) overflows: I(r0) = {normalizer!r} with the tail "
+            f"I(r_max) = {tail!r}"
         )
     if np.any(suffix[1:] >= suffix[:-1]):
         raise ConvergenceError("flux integral failed to be strictly decreasing")
@@ -388,7 +435,7 @@ def _invert_levels(pot: RadialPotential, t: np.ndarray) -> np.ndarray:
     active = np.arange(todo.size)
     for _ in range(LEVEL_NEWTON_MAX_ITER):
         xa = x[active]
-        flux = pot._flux_in_cell(xa, cell[active])
+        flux = pot._flux_at(xa, cell[active])
         log_flux = np.log(flux)
         resid = k * (log_i0 - log_flux) - t[active]
         a[active[resid < 0.0]] = xa[resid < 0.0]

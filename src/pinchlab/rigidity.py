@@ -54,6 +54,7 @@ __all__ = [
 
 FOUR_PI = 4.0 * math.pi
 ODE_STEP = 1e-3  # time step at which the comparison envelope is sampled
+ODE_HORIZON = 20.0  # default last time of the comparison envelope
 SLAB_CELLS = 128  # cells of the level partition the coarea slab integral uses
 
 
@@ -175,7 +176,9 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def decay_dichotomy(p, eps: float, F0: float, *, horizon: float = 20.0) -> DichotomyTrajectory:
+def decay_dichotomy(
+    p, eps: float, F0: float, *, horizon: float = ODE_HORIZON
+) -> DichotomyTrajectory:
     """Solve the comparison ODE for F in closed form and locate the dichotomy crossing.
 
     Both branches of the right-hand side are linear in F and meet at the
@@ -185,6 +188,22 @@ def decay_dichotomy(p, eps: float, F0: float, *, horizon: float = 20.0) -> Dicho
     F0 e^(-2t/m)).  It is sampled every ODE_STEP up to the horizon; the branch
     is 'stuck' when T lies past the last sample, and K is the largest
     F e^(2t/m) over the samples; a K past the float range raises DomainError.
+    """
+    traj, n_steps = _dichotomy_crossing(p, eps, F0, horizon)
+    times = np.linspace(0.0, n_steps * ODE_STEP, n_steps + 1)
+    return traj._replace(times=times, envelope=_envelope(traj, times))
+
+
+def _dichotomy_crossing(
+    p, eps: float, F0: float, horizon: float
+) -> tuple[DichotomyTrajectory, int]:
+    """:func:`decay_dichotomy` without the samples before the last, and its
+    number of steps: ``times`` and ``envelope`` hold the last sample alone.
+
+    F e^(2t/m) grows along the linear branch and is constant after the
+    crossing, so K is read at the crossing, or at the last sample when the
+    branch is stuck; that sample takes the same numpy operations as in the
+    whole array, so K has the same bits either way.
     """
     p = as_p(p)
     eps = _check_eps(eps)
@@ -199,43 +218,52 @@ def decay_dichotomy(p, eps: float, F0: float, *, horizon: float = 20.0) -> Dicho
     m = 3.0 - p.value
     f_d = 8.0 * math.pi * eps / (2.0 + 2.0 * eps)
     n_steps = int(math.ceil(horizon / step))
-    times = np.linspace(0.0, n_steps * step, n_steps + 1)
+    # the last of np.linspace(0, stop, n_steps + 1) is stop itself
+    last = np.array([n_steps * step])
 
     if F0 <= f_d:
-        crossing_linear, f_cross = 0.0, F0
+        crossing_linear = 0.0
     else:
-        crossing_linear, f_cross = (m / (2.0 * eps)) * math.log((FOUR_PI - f_d) / (FOUR_PI - F0)), f_d
-    # both exponents are clamped to their own branch, so neither can overflow
-    linear = F0 - (FOUR_PI - F0) * np.expm1((2.0 * eps / m) * np.minimum(times, crossing_linear))
-    decay = f_cross * np.exp(-(2.0 / m) * np.maximum(times - crossing_linear, 0.0))
-    env = np.where(times < crossing_linear, linear, decay)
-
-    # F e^(2t/m) grows along the linear branch and is constant after the crossing
-    crossing = crossing_linear if crossing_linear <= times[-1] else None
-    try:
-        with np.errstate(over="raise"):
-            if crossing is not None:
-                k_fit = float(f_cross * np.exp(2.0 * crossing / m))
-            else:
-                k_fit = float(env[-1] * np.exp(2.0 * times[-1] / m))
-    except FloatingPointError:
-        where, t_k = ("crossing time", crossing) if crossing is not None else ("horizon", times[-1])
-        raise DomainError(
-            f"K = F e^(2t/(3-p)) passes the float range at the {where} t = {t_k:.6g} "
-            f"(p = {p.value}, eps = {eps})"
-        ) from None
-    return DichotomyTrajectory(
+        crossing_linear = (m / (2.0 * eps)) * math.log((FOUR_PI - f_d) / (FOUR_PI - F0))
+    crossing = crossing_linear if crossing_linear <= last[-1] else None
+    traj = DichotomyTrajectory(
         p=p.value,
         eps=eps,
         F0=F0,
         dichotomy_constant=f_d,
-        times=times,
-        envelope=env,
+        times=last,
+        envelope=None,
         branch="decay" if crossing is not None else "stuck",
         crossing_time=crossing,
         crossing_time_linear=crossing_linear,
-        K=k_fit,
+        K=math.nan,
     )
+    env = _envelope(traj, last)
+    try:
+        with np.errstate(over="raise"):
+            if crossing is not None:
+                k_fit = float(min(F0, f_d) * np.exp(2.0 * crossing / m))
+            else:
+                k_fit = float(env[-1] * np.exp(2.0 * last[-1] / m))
+    except FloatingPointError:
+        where, t_k = ("crossing time", crossing) if crossing is not None else ("horizon", last[-1])
+        raise DomainError(
+            f"K = F e^(2t/(3-p)) passes the float range at the {where} t = {t_k:.6g} "
+            f"(p = {p.value}, eps = {eps})"
+        ) from None
+    return traj._replace(envelope=env, K=k_fit), n_steps
+
+
+def _envelope(traj: DichotomyTrajectory, times: np.ndarray) -> np.ndarray:
+    """The comparison envelope of ``traj`` at the given times."""
+    m = 3.0 - traj.p
+    F0, crossing_linear = traj.F0, traj.crossing_time_linear
+    f_cross = min(F0, traj.dichotomy_constant)
+    # both exponents are clamped to their own branch, so neither can overflow
+    rate = 2.0 * traj.eps / m
+    linear = F0 - (FOUR_PI - F0) * np.expm1(rate * np.minimum(times, crossing_linear))
+    decay = f_cross * np.exp(-(2.0 / m) * np.maximum(times - crossing_linear, 0.0))
+    return np.where(times < crossing_linear, linear, decay)
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +534,9 @@ def run_contradiction_scenario(
     f_first = float(F[0])
     # relative margin: flat space has F = 4 pi exactly, up to last-bit rounding
     if f_first < FOUR_PI * (1.0 - 1e-12):
-        traj = _run_stage(
+        traj, _ = _run_stage(
             "decay-dichotomy",
-            lambda: decay_dichotomy(p, eps_used, f_first),
+            lambda: _dichotomy_crossing(p, eps_used, f_first, ODE_HORIZON),
         )
         constants["dichotomy_constant"] = traj.dichotomy_constant
         constants["K_envelope_ode"] = traj.K

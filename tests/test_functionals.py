@@ -74,6 +74,16 @@ def test_value_level_guards(solved):
         functionals.level_table(pot, [1.0, pot.t_max + 1.0])
 
 
+def test_level_table_refuses_levels_of_two_dimensions(solved):
+    # a scalar and a 1-D sequence are the level inputs; a 2-D array is named
+    # by its shape, not passed on to the batch's concatenation
+    pot = solved("flat", 1.5)
+    with pytest.raises(pl.DomainError, match=r"1-D sequence, got shape \(1, 2\)"):
+        functionals.level_table(pot, [[1.0, 2.0]])
+    scalar, row = functionals.level_table(pot, 1.0), functionals.level_table(pot, [1.0])
+    assert all(np.array_equal(scalar[k], row[k]) for k in row)
+
+
 # ---------------------------------------------------------------------------
 # derivatives and the constants audit
 # ---------------------------------------------------------------------------

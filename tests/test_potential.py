@@ -170,6 +170,15 @@ def test_overflowing_power_law_scale_is_refused():
         pl.solve_radial(spline, 1.1, 85.0, r_max=100.0, n_grid=256)
 
 
+def test_overflowing_closed_form_is_refused():
+    # flat space at p = 1.01 from r0 = 1e-3: I(r0) = r0^(-199)/199 passes the
+    # float range while the tail I(10) = 10^(-199)/199 does not underflow
+    overflow = r"I\(r0\) overflows: I\(r0\) = inf with the tail I\(r_max\) = 5\.02"
+    with np.errstate(over="ignore"):
+        with pytest.raises(pl.ConvergenceError, match=overflow):
+            pl.solve_radial(pl.flat_model(), 1.01, 1e-3)
+
+
 def test_underflowing_power_law_scale_and_tail_are_refused():
     # h = 30 r on [0.01, 0.1] keeps h^(-q) in [1e-153, 1e167] at p = 1.00625
     # (q = 320), but the scale 30^(-320) of h = c r underflows to 0.0, which
@@ -469,45 +478,62 @@ def test_warps_without_power_law_keep_the_twelve_point_rule():
     assert cap.order == spline.order == 12
 
 
-def test_fine_flat_solve_takes_two_points_per_cell(monkeypatch):
-    # a work count in place of a clock: the 2^20-node flux quadrature evaluates
-    # its integrand on exactly 2 points per cell, and nothing else is evaluated
-    # at the nodes.  The integrand of a power law is c^(-q) r^(-q beta), so h
-    # itself is evaluated only for c = h(1), and the tail is not fitted
+@pytest.mark.parametrize("name", sorted(BOUND_MODELS))
+def test_fine_power_law_solve_integrates_nothing(name, monkeypatch):
+    # a work count in place of a clock: a 2^20-node solve of a power law
+    # evaluates the flux integrand on no point and runs no quadrature, h is
+    # evaluated only for c = h(1), and the tail is not fitted
     from pinchlab import geometry, potential
 
     points = []
     h_args = []
-    density = potential._flux_density
+    density = potential._PowerLawFlux.density
     warp_h = geometry.WarpFunction.h
 
-    def counting_density(warp, p_value):
-        f = density(warp, p_value)
-
-        def counted(s):
-            points.append(s.size)
-            return f(s)
-
-        return counted
+    def counting_density(self, s):
+        points.append(s.size)
+        return density(self, s)
 
     def counting_h(self, r):
         h_args.append(np.asarray(r, dtype=float).copy())
         return warp_h(self, r)
 
-    def no_fit(x, y):
-        raise AssertionError("the tail of a power-law warp is not fitted")
+    def no_call(*args, **kwargs):
+        raise AssertionError("a power-law solve neither integrates nor fits")
 
-    model = pl.flat_model()  # its domain check evaluates h before counting starts
-    monkeypatch.setattr(potential, "_flux_density", counting_density)
+    model = BOUND_MODELS[name]()  # its domain check evaluates h before counting starts
+    monkeypatch.setattr(potential._PowerLawFlux, "density", counting_density)
+    monkeypatch.setattr(potential, "_flux_density", no_call)
+    monkeypatch.setattr(potential, "cell_integrals", no_call)
+    monkeypatch.setattr(potential, "log_log_fit", no_call)
     monkeypatch.setattr(geometry.WarpFunction, "h", counting_h)
-    monkeypatch.setattr(potential, "log_log_fit", no_fit)
-    n = 2**20
-    pot = pl.solve_radial(model, 1.5, 1.0, n_grid=n)
-    assert pot.order == 2
-    assert sum(points) == 2 * (n - 1)
+    pot = pl.solve_radial(model, 1.5, 1.0, n_grid=2**20)
+    assert sum(points) == 0
     assert h_args and all(r.size == 1 and float(r) == 1.0 for r in h_args)
-    # I(r) = r^(1-q) / (q-1) on flat space, q = 4
-    assert np.max(np.abs(pot.suffix * 3.0 * pot.grid**3 - 1.0)) < 5e-14
+    assert pot.tail == pot.suffix[-1]
+
+
+@pytest.mark.parametrize("factory", [pl.flat_model, pl.power_warp_model])
+def test_gauss_cells_agree_with_the_closed_form(factory):
+    # the quadrature oracle of the closed form: the same h declared without a
+    # power law takes the 12-point Gauss cells and the fitted tail, and at
+    # 2^20 nodes its I stays within 5e-14 of c^(-q) r^(1 - q beta) / (q beta - 1)
+    import dataclasses
+
+    model = factory()
+    warp = dataclasses.replace(model.warp, kind="custom")
+    plain = pl.ManifoldModel(warp, model.r_min, model.r_max)
+    assert plain.warp.power_law is None
+    p, n = 1.5, 2**20
+    exact = pl.solve_radial(model, p, 1.0, n_grid=n)
+    quadrature = pl.solve_radial(plain, p, 1.0, n_grid=n)
+    assert quadrature.order == 12
+    assert np.array_equal(quadrature.grid, exact.grid)
+    assert np.max(np.abs(quadrature.suffix / exact.suffix - 1.0)) < 5e-14
+    if factory is pl.flat_model:
+        # I(r) = r^(1-q) / (q-1) on flat space, q = 4
+        for pot in (exact, quadrature):
+            assert np.max(np.abs(pot.suffix * 3.0 * pot.grid**3 - 1.0)) < 5e-14
 
 
 @pytest.mark.parametrize("p", [1.05, 1.1, 1.5, 1.9])
@@ -527,6 +553,53 @@ def test_power_law_tail_is_exact(name, p):
         # by 3.7e-14 (p = 1.05) and 1.8e-14 (p = 1.1) here
         exact = c**-q * pot.grid ** (1.0 - q * beta) / (q * beta - 1.0)
         assert np.max(np.abs(pot.suffix / exact - 1.0)) <= 4e-15
+
+
+@pytest.mark.parametrize("p", [1.05, 1.1, 1.5, 1.9])
+@pytest.mark.parametrize("name", sorted(BOUND_MODELS))
+def test_closed_form_flux_is_within_two_ulp(name, p, rng):
+    # I = c^(-q) r^(1 - q beta) / (q beta - 1) at 64 sampled nodes and at 64
+    # off-grid radii (flux_integral_at) against 40 digits, within 2 eps
+    # relative.  The exponent is the program's own float q beta, as in the
+    # cell test below: for beta = 0.75 the rounding of q beta alone moves I
+    # by up to 74 eps at r = 1e4 and p = 1.05, the input's error, not the
+    # evaluation's (1.14 eps at most over these cases)
+    model = BOUND_MODELS[name]()
+    pot = pl.solve_radial(model, p, 1.0)
+    q = 2.0 / (p - 1.0)
+    q_beta = q * model.warp.power_law
+    c = float(model.warp.h(1.0))
+    nodes = np.unique(np.linspace(0, pot.grid.size - 1, 64).astype(int))
+    off_grid = rng.uniform(pot.grid[0], pot.grid[-1], 64)
+    radii = np.concatenate([pot.grid[nodes], off_grid])
+    values = np.concatenate([pot.suffix[nodes], pot.flux_integral_at(off_grid)])
+    worst = 0.0
+    with mpmath.workdps(40):
+        scale, e = mpmath.mpf(c) ** -mpmath.mpf(q), mpmath.mpf(q_beta)
+        for r, value in zip(radii, values):
+            exact = scale * mpmath.mpf(r) ** (1 - e) / (e - 1)
+            worst = max(worst, abs(float(mpmath.mpf(value) / exact - 1)))
+    assert worst <= 2 * EPS
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [(name, p) for name in ("flat", "cone_0.8") for p in (1.001, 1.01, 1.02)]
+    + [("power_warp_1.5", 1.001), ("power_warp_1.5", 1.01)],
+)
+def test_p_near_one_is_refused_for_its_underflowing_tail(name, p):
+    # the closed-form tail c^(-q) r_max^(1 - q beta) / (q beta - 1) at
+    # r_max = 1e4 falls below the least subnormal double for these q = 2/(p-1):
+    # the contradiction scenario names that cause in stage solve, and p = 1.03
+    # still runs
+    model = pl.library()[name]
+    underflow = r"tail integral .* underflows to 0\.0"
+    with pytest.raises(pl.ConvergenceError, match=underflow) as refused:
+        pl.solve_radial(model, p, 1.0)
+    assert "fitted" not in str(refused.value)
+    with pytest.raises(pl.ConvergenceError, match=r"^stage 'solve': tail integral .* underflows"):
+        pl.run_contradiction_scenario(model, p)
+    assert pl.solve_radial(model, 1.03, 1.0).tail > 0.0
 
 
 def test_power_law_cells_skip_the_rounding_of_h():
@@ -573,25 +646,27 @@ def _reference_cells(f, edges, order):
 
 def _reference_solve(model, p, r0, n_grid):
     """(grid, suffix, w, tail) of solve_radial from the formulas with fresh
-    arrays: np.geomspace, the cells, tail + the reversed cumulative sum, and
+    arrays: np.geomspace; for a power law h = c r^beta the closed form
+    c^(-q) r^(1 - q beta) / (q beta - 1) at every node, else the 12-point
+    cells, the fitted tail + the reversed cumulative sum; and
     (p-1)(log I0 - log I)."""
     from pinchlab.numerics import log_log_fit
 
     q = 2.0 / (p - 1.0)
     r_max = min(1e4 * r0, model.r_max)
     grid = np.geomspace(r0, r_max, n_grid)
-    order = model.warp.gauss_order(-q, (r_max / r0) ** (1.0 / (n_grid - 1)))
     beta = model.warp.power_law
     if beta is None:
-        cells = _reference_cells(lambda s: model.warp.h(s) ** -q, grid, order)
+        cells = _reference_cells(lambda s: model.warp.h(s) ** -q, grid, 12)
         mask = grid >= grid[-1] / 10.0
         beta, log_c = log_log_fit(grid[mask], model.warp.h(grid[mask]))
         scale = math.exp(-q * log_c)
+        tail = scale * r_max ** (1.0 - q * beta) / (q * beta - 1.0)
+        suffix = np.append(tail + np.cumsum(cells[::-1])[::-1], tail)
     else:
         scale = float(model.warp.h(1.0)) ** -q
-        cells = _reference_cells(lambda s: scale * s ** (-q * beta), grid, order)
-    tail = scale * r_max ** (1.0 - q * beta) / (q * beta - 1.0)
-    suffix = np.append(tail + np.cumsum(cells[::-1])[::-1], tail)
+        suffix = scale * grid ** (1.0 - q * beta) / (q * beta - 1.0)
+        tail = suffix[-1]
     w = (p - 1.0) * (math.log(suffix[0]) - np.log(suffix))
     return grid, suffix, w, tail
 

@@ -186,6 +186,34 @@ def test_dichotomy_envelope_bound():
     assert np.all(traj.envelope[tail] <= bound * (1.0 + 1e-9))
 
 
+@pytest.mark.parametrize(
+    "p, eps, F0, horizon",
+    [(1.5, 0.01, 3.9 * math.pi, 20.0), (1.5, 0.2, 3.5 * math.pi, 30.0),
+     (1.37, 1.0 / 3.0, math.pi / 2.0, 20.0), (1.9, 0.02, 2.0 * math.pi, 40.0)],
+    ids=["stuck", "decay", "below", "late"],
+)
+def test_scenario_reads_the_crossing_without_the_samples(p, eps, F0, horizon, monkeypatch):
+    # the contradiction scenario reads K, the branch and the crossing times
+    # from the last sample alone; they have the bits of the sampled trajectory
+    from pinchlab import rigidity
+
+    traj = pl.decay_dichotomy(p, eps, F0, horizon=horizon)
+    crossing, n_steps = rigidity._dichotomy_crossing(p, eps, F0, horizon)
+    assert n_steps + 1 == traj.times.size
+    assert crossing._replace(times=None, envelope=None) == traj._replace(times=None, envelope=None)
+    assert crossing.times.tolist() == traj.times[-1:].tolist()
+    assert crossing.envelope.tobytes() == traj.envelope[-1:].tobytes()
+
+    sizes = []
+    envelope = rigidity._envelope
+    monkeypatch.setattr(
+        rigidity, "_envelope", lambda traj, times: sizes.append(times.size) or envelope(traj, times)
+    )
+    report = rigidity.run_contradiction_scenario(pl.cone_model(0.8), 1.5, {"n_grid": 256})
+    assert report.constants["K_envelope_ode"] > 0.0
+    assert sizes == [1]
+
+
 def test_dichotomy_input_validation():
     with pytest.raises(pl.DomainError, match="Willmore"):
         pl.decay_dichotomy(1.5, 0.1, FOUR_PI)
