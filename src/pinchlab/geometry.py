@@ -32,7 +32,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .numerics import MAX_ORDER, cell_integrals, gauss_order, interval_integrals, log_log_fit
+from .numerics import cell_integrals, interval_integrals, log_log_fit
 
 __all__ = [
     "WarpFunction",
@@ -79,8 +79,9 @@ class WarpFunction:
     returns h alone, computed as in the triple.  ``critical_radii`` lists the
     zeros of h' where the family knows them (spline warps), so a model can
     check positivity at every interior minimum of h.  :attr:`power_law`
-    follows from ``kind`` and ``params``; quadrature sizes its Gauss rule
-    from it.
+    follows from ``kind`` and ``params``; where it is declared, the flux
+    integral I and the variational cell weights take their closed forms, and
+    every other warp is integrated with the 12-point Gauss rule.
     """
 
     kind: str
@@ -106,13 +107,6 @@ class WarpFunction:
         if self.kind == "power_warp":
             return 0.5 * self.params["alpha"]
         return None
-
-    def gauss_order(self, power: float, ratio: float) -> int:
-        """Gauss order for h^power on cells [a, ratio a]: from the a-priori bound
-        of :func:`numerics.gauss_order` when h is an exact power law, else 12."""
-        if self.power_law is None:
-            return MAX_ORDER
-        return gauss_order(power * self.power_law, ratio)
 
 
 def flat_warp() -> WarpFunction:

@@ -95,9 +95,8 @@ class RadialPotential:
     :meth:`state_at`): from the closed form when the warp is a power law,
     else by one extra panel of quadrature.  ``w`` is kept at the nodes; the
     node samples of u, u' and w' are built from ``suffix`` on first use.
-    ``order`` is the Gauss order of the grid cells, which every later panel
-    reuses; for a power law it is the order its cells would take, as its I
-    needs no quadrature.
+    Without a power law, the grid cells and every later panel take the
+    12-point Gauss rule.
     """
 
     model: geometry.ManifoldModel
@@ -109,7 +108,6 @@ class RadialPotential:
     suffix: np.ndarray
     tail: float
     tail_beta: float
-    order: int
 
     @property
     def p_value(self) -> float:
@@ -155,12 +153,17 @@ class RadialPotential:
         """I(r) evaluated exactly: the closed form of a power law, else suffix
         sums plus one partial Gauss panel.
 
-        The partial panel [r, next node] lies inside a grid cell, so the grid's
-        Gauss order bounds its error at least as well as the cell's.
+        The partial panel [r, next node] lies inside a grid cell, so the
+        12-point rule bounds its error at least as well as the cell's.  A
+        radius outside the solved range, NaN included, is refused.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(r < self.grid[0]) or np.any(r > self.grid[-1]):
-            raise DomainError("flux integral requested outside the solved range")
+        inside = (r >= self.grid[0]) & (r <= self.grid[-1])
+        if not inside.all():
+            raise DomainError(
+                f"flux integral requested at r = {float(r[~inside][0])!r}, outside the solved "
+                f"range [{self.grid[0]}, {self.grid[-1]}]"
+            )
         return self._flux_at(r)
 
     def _flux_at(self, r: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
@@ -174,7 +177,7 @@ class RadialPotential:
             j = np.searchsorted(self.grid, r, side="right")
             j -= 1
             np.clip(j, 0, self.grid.size - 2, out=j)
-        out = interval_integrals(self._integrand, r, self.grid[j + 1], self.order)
+        out = interval_integrals(self._integrand, r, self.grid[j + 1])
         out += self.suffix[j + 1]
         exact = r == self.grid[j]
         out[exact] = self.suffix[j[exact]]
@@ -279,11 +282,6 @@ def solve_radial(
     least squares to h over the outermost decade of the grid.  If the growth
     is too slow for the tail integral to converge the solver refuses loudly.
 
-    ``order`` is the Gauss order of the cells: 12 without a power law; for a
-    power law, whose I needs no cells, the lowest order whose a-priori bound
-    on the grid ratio is eps/4 for the integrand r^(-q beta)
-    (:func:`numerics.gauss_order`).
-
     A solve allocates only the arrays it keeps, ``grid``, ``suffix`` and
     ``w``, plus, without a power law, one block of quadrature scratch: the
     closed form, or the cells summed from the outer end and completed by the
@@ -313,14 +311,13 @@ def solve_radial(
 
     q = 2.0 / (p.value - 1.0)
     grid = geometric_grid(r0, r_max, int(n_grid))
-    order = model.warp.gauss_order(-q, (r_max / r0) ** (1.0 / (grid.size - 1)))
     suffix = np.empty_like(grid)
     law = _exact_power_law(model.warp, p.value)
     fitted = law is None
     if fitted:
         # the cells go into suffix[:-1] and are summed from the outer end; the
         # tail is added to every sum below
-        cells = cell_integrals(_flux_density(model.warp, p.value), grid, order, out=suffix[:-1])
+        cells = cell_integrals(_flux_density(model.warp, p.value), grid, out=suffix[:-1])
         # two reductions and no temporaries; a NaN cell makes min() NaN, which fails too
         if not (cells.min() > 0.0 and cells.max() < math.inf):
             raise ConvergenceError("flux quadrature produced non-positive or non-finite cells")
@@ -372,7 +369,6 @@ def solve_radial(
         suffix=suffix,
         tail=float(tail),
         tail_beta=float(beta),
-        order=order,
     )
 
 
@@ -500,6 +496,8 @@ def decay_check(pot: RadialPotential, alpha: float) -> DecayReport:
     the outermost decade (slope <= DECAY_SLOPE_TOL in log-log coordinates).
     """
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise DomainError(f"growth exponent alpha must be a finite number, got {alpha}")
     model = pot.model
     r_hi = pot.r_trunc
     r_lo = max(r_hi / 100.0, model.r_min * 10.0, pot.r0)

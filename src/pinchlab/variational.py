@@ -19,6 +19,7 @@ does not iterate, and this module imports nothing from scipy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -96,12 +97,23 @@ def discretize(
 ) -> DiscreteProblem:
     """Build the discrete problem on a geometric mesh of n_cells cells.
 
-    The weights 4 pi integral h^2 take the Gauss order of the a-priori bound
-    for r^(2 beta) on the mesh ratio when h = c r^beta exactly, else 12 points.
+    When h = c r^beta exactly (beta = ``warp.power_law``, c = h(1)), the
+    weights 4 pi integral h^2 take the closed form 4 pi c^2 a^g
+    expm1(g log1p((b - a)/a)) / g on each cell [a, b], g = 2 beta + 1, which
+    keeps full precision on thin cells where b^g - a^g would cancel; any
+    other warp takes the 12-point Gauss rule.  A non-finite radius, a
+    non-integer n_cells and a weight that is not positive and finite are
+    refused.
     """
     p = as_p(p)
     r0 = float(r0)
     r_cut = float(r_cut)
+    if not (math.isfinite(r0) and math.isfinite(r_cut)):
+        raise DomainError(f"radii must be finite numbers, got r0 = {r0}, r_cut = {r_cut}")
+    try:
+        n_cells = operator.index(n_cells)
+    except TypeError:
+        raise DomainError(f"the number of cells must be an integer, got {n_cells!r}") from None
     if n_cells < 16:
         raise DomainError(f"need at least 16 cells, got {n_cells}")
     if r_cut < 100.0 * r0:
@@ -120,10 +132,29 @@ def discretize(
         density *= h
         return density
 
-    order = model.warp.gauss_order(2.0, (r_cut / r0) ** (1.0 / n_cells))
-    weights = cell_integrals(area_density, mesh, order)
-    if np.any(weights <= 0.0):
-        raise ConvergenceError("nonpositive cell weight from the area quadrature")
+    beta = model.warp.power_law
+    # an overflowing weight is refused by name below
+    with np.errstate(over="ignore"):
+        if beta is None:
+            weights = cell_integrals(area_density, mesh)
+        else:
+            g = 2.0 * beta + 1.0
+            a = mesh[:-1]
+            weights = np.diff(mesh)
+            weights /= a
+            np.log1p(weights, out=weights)
+            weights *= g
+            np.expm1(weights, out=weights)
+            weights *= np.power(a, g)
+            c = float(model.warp.h(1.0))
+            weights *= 4.0 * math.pi * c * c / g
+    # two reductions and no temporaries; a NaN weight makes min() NaN, which fails too
+    if not (weights.min() > 0.0 and weights.max() < math.inf):
+        bad = int(np.argmin((weights > 0.0) & (weights < math.inf)))
+        raise ConvergenceError(
+            f"non-positive or non-finite cell weight {float(weights[bad])!r} in cell {bad} "
+            f"of {n_cells} (4 pi integral of h^2)"
+        )
     return DiscreteProblem(model=model, p=p, r0=r0, mesh=mesh, weights=weights)
 
 

@@ -1,5 +1,6 @@
-"""Source hygiene: every top-level import of the package is used, and every
-name a module exports in ``__all__`` exists."""
+"""Source hygiene: every top-level import of the package is used, every
+module-level private function or class is referenced elsewhere in the
+package, and every name a module exports in ``__all__`` exists."""
 
 import ast
 import importlib
@@ -41,6 +42,39 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_top_level_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes (``_name``, not dunder) that
+    no other top-level statement of any source names, as a variable or as an
+    attribute: a helper that calls only itself counts as unreferenced."""
+    statements = [(stem, node) for stem, text in sources.items() for node in ast.parse(text).body]
+    names_in = {
+        id(node): {sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+        for _, node in statements
+    }
+    return [
+        f"{stem}.{node.name}"
+        for stem, node in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and not any(node.name in names_in[id(other)] for _, other in statements if other is not node)
+    ]
+
+
+def test_dead_private_definition_detector():
+    sources = {
+        "a": "def _used():\n    pass\ndef _dead():\n    return _dead()\nclass _Gone:\n    pass\n",
+        "b": "from a import _used\nx = a._used\n",
+    }
+    assert _unreferenced_private_definitions(sources) == ["a._dead", "a._Gone"]
+
+
+def test_no_dead_private_definitions():
+    # a helper that lost its last caller is deleted with it
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert _unreferenced_private_definitions(sources) == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -267,44 +267,30 @@ def test_batched_radii_match_closed_form(solved, name):
     assert np.array_equal(radii[2:18], pot.grid[nodes])
 
 
-@pytest.mark.parametrize("order", [2, 3, 5, 12])
-def test_interval_integrals_do_not_depend_on_the_batch(rng, order):
+def test_interval_integrals_do_not_depend_on_the_batch(rng):
     # each interval's integral is summed in the same order whatever the batch
     # size, so a level's numbers do not depend on the batch it came in; the
-    # batch spans more than two evaluation blocks and ends in a partial one.
-    # The 12-point batch is checked whole; the longer low-order batches are
-    # checked on the partial block, the first and last interval of every block
-    # and every 61st interval
-    from pinchlab.numerics import _BLOCK_POINTS, interval_integrals
+    # batch spans more than two evaluation blocks and ends in a partial one
+    from pinchlab.numerics import _BLOCK, interval_integrals
 
-    block = _BLOCK_POINTS // order
-    n = 2 * block + 321
+    n = 2 * _BLOCK + 321
     a = rng.uniform(1.0, 2.0, n)
     b = a + rng.uniform(0.0, 0.5, n)
 
     def f(x):
         return np.sin(7.0 * x) + x**-3
 
-    batch = interval_integrals(f, a, b, order)
-    if order == 12:
-        checked = np.arange(n)
-    else:
-        starts = np.arange(0, n, block)
-        checked = np.unique(np.concatenate(
-            [np.arange(0, n, 61), np.arange(n - 321, n), starts, starts[1:] - 1]
-        ))
-    single = [interval_integrals(f, a[i], b[i], order)[0] for i in checked]
-    assert batch[checked].tolist() == single
+    batch = interval_integrals(f, a, b)
+    single = [interval_integrals(f, a[i], b[i])[0] for i in range(n)]
+    assert batch.tolist() == single
 
 
-@pytest.mark.parametrize("order", [2, 3, 5, 12])
-def test_interval_integrals_call_f_once_per_block(order):
+def test_interval_integrals_call_f_once_per_block():
     # one call of the integrand per block of intervals, never one per Gauss
     # node: the coarea slab check's integrand inverts levels on every call
-    from pinchlab.numerics import _BLOCK_POINTS, interval_integrals
+    from pinchlab.numerics import _BLOCK, interval_integrals
 
-    block = _BLOCK_POINTS // order
-    for n in (1, block - 1, block, block + 1, 2 * block + 321):
+    for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 321):
         calls = []
 
         def f(x):
@@ -312,17 +298,16 @@ def test_interval_integrals_call_f_once_per_block(order):
             return np.exp(-x)
 
         a = np.linspace(0.0, 1.0, n)
-        interval_integrals(f, a, a + 0.5, order)
-        assert len(calls) == math.ceil(n / block)
-        assert sum(calls) == order * n
+        interval_integrals(f, a, a + 0.5)
+        assert len(calls) == math.ceil(n / _BLOCK)
+        assert sum(calls) == 12 * n
 
 
-@pytest.mark.parametrize("order", [2, 5, 12])
-def test_interval_integrals_write_into_out(rng, order):
+def test_interval_integrals_write_into_out(rng):
     # into a view of a larger array, with the bits of the allocating call
-    from pinchlab.numerics import _BLOCK_POINTS, interval_integrals
+    from pinchlab.numerics import _BLOCK, interval_integrals
 
-    n = _BLOCK_POINTS // order + 321
+    n = _BLOCK + 321
     a = rng.uniform(1.0, 2.0, n)
     b = a + rng.uniform(0.0, 0.5, n)
 
@@ -331,11 +316,11 @@ def test_interval_integrals_write_into_out(rng, order):
 
     buf = np.full(n + 1, -1.0)
     out = buf[:-1]
-    assert interval_integrals(f, a, b, order, out=out) is out
-    assert np.array_equal(out, interval_integrals(f, a, b, order))
+    assert interval_integrals(f, a, b, out=out) is out
+    assert np.array_equal(out, interval_integrals(f, a, b))
     assert buf[-1] == -1.0
     with pytest.raises(pl.DomainError, match="out of"):
-        interval_integrals(f, a, b, order, out=buf)
+        interval_integrals(f, a, b, out=buf)
 
 
 def test_geometric_grid_is_geomspace():
@@ -347,7 +332,7 @@ def test_geometric_grid_is_geomspace():
 
 
 # ---------------------------------------------------------------------------
-# Gauss order from the a-priori bound
+# the Gauss rule and the closed forms
 # ---------------------------------------------------------------------------
 
 EPS = float(np.finfo(float).eps)
@@ -366,25 +351,22 @@ def _sample_cells(n_grid):
     return grid[idx], grid[idx + 1]
 
 
-def _rule_error(order, gamma, a, b):
-    """Largest relative error over the cells [a_i, b_i] of the order-point rule
-    for r^gamma, evaluated at 40 digits, against the closed-form integral."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def _rule_error(gamma, a, b):
+    """Largest relative error over the cells [a_i, b_i] of the program's
+    12-point rule for r^gamma, evaluated at 40 digits, against the closed-form
+    integral."""
+    from pinchlab.numerics import _NODES, _WEIGHTS
+
     worst = 0.0
     with mpmath.workdps(40):
         g = mpmath.mpf(gamma)
         for lo, hi in zip(a, b):
             lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
             mid, half = (lo + hi) / 2, (hi - lo) / 2
-            rule = half * mpmath.fsum(w * (mid + half * x) ** g for x, w in zip(nodes, weights))
+            rule = half * mpmath.fsum(w * (mid + half * x) ** g for x, w in zip(_NODES, _WEIGHTS))
             exact = (hi ** (g + 1) - lo ** (g + 1)) / (g + 1)
             worst = max(worst, abs(float(rule / exact - 1)))
     return worst
-
-
-def _flux_order(model, p, n_grid):
-    """The order solve_radial picks for I on [1, 1e4] with n_grid nodes."""
-    return model.warp.gauss_order(-2.0 / (p - 1.0), 1e4 ** (1.0 / (n_grid - 1)))
 
 
 @pytest.mark.parametrize("n_grid", [256, 4096, 2**20])
@@ -392,66 +374,27 @@ def _flux_order(model, p, n_grid):
 @pytest.mark.parametrize("name", sorted(BOUND_MODELS))
 def test_chosen_rule_is_exact_to_rounding_per_cell(name, p, n_grid):
     # the rule's own error (rounding of the integrand aside) on r^(-q beta),
-    # which is h^(-q) up to a constant, stays within 4 eps on every sampled cell
+    # which is h^(-q) up to a constant, stays within 4 eps on every sampled
+    # cell: the one Gauss rule is exact to rounding for the integrand of I
+    # whenever h is a power law it is not told about (as in
+    # test_gauss_cells_agree_with_the_closed_form)
     model = BOUND_MODELS[name]()
     beta = model.warp.power_law
     assert np.allclose(model.warp.h([2.0, 3.0]), model.warp.h(1.0) * np.array([2.0, 3.0]) ** beta,
                        rtol=1e-15, atol=0.0)
-    order = _flux_order(model, p, n_grid)
-    if n_grid < 2**20:
-        assert pl.solve_radial(model, p, 1.0, n_grid=n_grid).order == order
-    assert _rule_error(order, -2.0 / (p - 1.0) * beta, *_sample_cells(n_grid)) <= 4 * EPS
+    assert _rule_error(-2.0 / (p - 1.0) * beta, *_sample_cells(n_grid)) <= 4 * EPS
 
 
-def test_chosen_order_is_the_lowest_that_works():
-    # flat, p = 1.1, 4096 nodes: the bound picks 4 points, and 3 miss the target
-    pot = pl.solve_radial(pl.flat_model(), 1.1, 1.0, n_grid=4096)
-    assert pot.order == 4
-    assert _rule_error(3, -20.0, *_sample_cells(4096)) > 4 * EPS
-
-
-@pytest.mark.parametrize("name", sorted(BOUND_MODELS))
-def test_chosen_orders_per_grid(name):
-    model = BOUND_MODELS[name]()
-    for p in np.linspace(1.1, 1.9, 9):
-        assert _flux_order(model, p, 2**20) == 2
-        assert 3 <= _flux_order(model, p, 4096) <= 4
-        assert 5 <= _flux_order(model, p, 256) <= 7
-    assert model.warp.gauss_order(2.0, 1e3 ** (1.0 / 2**17)) == 2  # variational weights
-
-
-def test_gauss_order_limits():
-    from pinchlab.numerics import gauss_order
-
-    assert gauss_order(0.0, 2.0) == 2  # constants and low-degree polynomials are exact
-    assert gauss_order(5.0, 2.0) == 3
-    assert gauss_order(-40.0, 10.0) == 12  # no order meets the target: the 12-point rule
-    for bad in (1.0, 0.5, float("nan")):
-        with pytest.raises(pl.DomainError):
-            gauss_order(-2.0, bad)
-
-
-@pytest.mark.parametrize("order", range(2, 13))
-def test_gauss_rule_has_the_bits_of_leggauss(order):
-    # the rules are tabulated, so numerics imports no numpy.polynomial module
+def test_gauss_rule_has_the_bits_of_leggauss():
+    # the rule is tabulated, so numerics imports no numpy.polynomial module
     from numpy.polynomial.legendre import leggauss
 
-    from pinchlab.numerics import _rule
+    from pinchlab.numerics import _NODES, _WEIGHTS
 
-    nodes, weights = _rule(order)
-    want_nodes, want_weights = leggauss(order)
-    assert np.array_equal(nodes, want_nodes)
-    assert np.array_equal(weights, want_weights)
-    assert nodes.tobytes() == want_nodes.tobytes()  # the sign of a zero node too
-    assert weights.tobytes() == want_weights.tobytes()
-
-
-@pytest.mark.parametrize("order", [0, 1, 13])
-def test_gauss_rule_outside_the_table_is_refused(order):
-    from pinchlab.numerics import interval_integrals
-
-    with pytest.raises(pl.DomainError, match="order must lie in 2..12"):
-        interval_integrals(np.exp, 0.0, 1.0, order)
+    want_nodes, want_weights = leggauss(12)
+    assert _NODES.tobytes() == want_nodes.tobytes()
+    assert _WEIGHTS.tobytes() == want_weights.tobytes()
+    assert not (_NODES.flags.writeable or _WEIGHTS.flags.writeable)
 
 
 def test_log_log_fit_matches_least_squares(rng):
@@ -471,11 +414,19 @@ def test_log_log_fit_matches_least_squares(rng):
     assert np.allclose(log_log_fit(x, y), reference, rtol=0.0, atol=64 * EPS)
 
 
-def test_warps_without_power_law_keep_the_twelve_point_rule():
+def test_warps_without_power_law_keep_the_twelve_point_rule(rng):
+    # an off-grid I is the suffix at the next node plus the partial panel by
+    # the 12-point rule, bit for bit (the grid cells are checked in
+    # test_solve_radial_has_the_bits_of_fresh_arrays)
     cap = pl.solve_radial(pl.positive_cap_model(1.0), 1.5, 1.0, n_grid=256)
     spline = pl.solve_radial(pl.spline_cap_model(0.5), 1.5, 0.05, n_grid=256)
-    assert cap.model.warp.power_law is None and spline.model.warp.power_law is None
-    assert cap.order == spline.order == 12
+    for pot in (cap, spline):
+        assert pot.model.warp.power_law is None
+        r = rng.uniform(pot.grid[0], pot.grid[-1], 64)
+        j = np.searchsorted(pot.grid, r) - 1
+        panels = [_reference_cells(pot._integrand, np.array([x, pot.grid[k + 1]]))[0]
+                  for x, k in zip(r, j)]
+        assert np.array_equal(pot.flux_integral_at(r), panels + pot.suffix[j + 1])
 
 
 @pytest.mark.parametrize("name", sorted(BOUND_MODELS))
@@ -527,7 +478,6 @@ def test_gauss_cells_agree_with_the_closed_form(factory):
     p, n = 1.5, 2**20
     exact = pl.solve_radial(model, p, 1.0, n_grid=n)
     quadrature = pl.solve_radial(plain, p, 1.0, n_grid=n)
-    assert quadrature.order == 12
     assert np.array_equal(quadrature.grid, exact.grid)
     assert np.max(np.abs(quadrature.suffix / exact.suffix - 1.0)) < 5e-14
     if factory is pl.flat_model:
@@ -620,7 +570,7 @@ def test_power_law_cells_skip_the_rounding_of_h():
     pot = pl.solve_radial(pl.power_warp_model(), p, 1.0, n_grid=4096)
     idx = np.linspace(0, pot.grid.size - 2, 300).astype(int)
     a, b = pot.grid[idx], pot.grid[idx + 1]
-    cells = interval_integrals(pot._integrand, a, b, pot.order)
+    cells = interval_integrals(pot._integrand, a, b)
     worst = 0.0
     with mpmath.workdps(40):
         g = mpmath.mpf(exponent * 0.75)
@@ -630,14 +580,14 @@ def test_power_law_cells_skip_the_rounding_of_h():
     assert worst <= 32 * EPS
 
 
-def _reference_cells(f, edges, order):
-    """The Gauss cells as a sum of fresh arrays, in one block: each cell's sum
-    does not depend on its block."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def _reference_cells(f, edges):
+    """The 12-point Gauss cells as a sum of fresh arrays, in one block: each
+    cell's sum does not depend on its block."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    vals = f((half * nodes[:, None] + mid).reshape(-1)).reshape(order, -1) * weights[:, None]
+    vals = f((half * nodes[:, None] + mid).reshape(-1)).reshape(12, -1) * weights[:, None]
     total = vals[0]
     for row in vals[1:]:
         total = total + row
@@ -657,7 +607,7 @@ def _reference_solve(model, p, r0, n_grid):
     grid = np.geomspace(r0, r_max, n_grid)
     beta = model.warp.power_law
     if beta is None:
-        cells = _reference_cells(lambda s: model.warp.h(s) ** -q, grid, 12)
+        cells = _reference_cells(lambda s: model.warp.h(s) ** -q, grid)
         mask = grid >= grid[-1] / 10.0
         beta, log_c = log_log_fit(grid[mask], model.warp.h(grid[mask]))
         scale = math.exp(-q * log_c)
@@ -702,9 +652,9 @@ def test_solve_radial_peak_memory_is_bounded_by_its_result(factory):
     # a solve allocates only the arrays it keeps, grid, suffix and w, plus one
     # block of quadrature scratch (u, u' and w' are built on first use).  The
     # scratch of a block is its points, midpoints and half-widths (at most two
-    # arrays of _BLOCK_POINTS floats together) and the integrand's values with
+    # arrays of 12 _BLOCK floats together) and the integrand's values with
     # at most two temporaries of them
-    from pinchlab.numerics import _BLOCK_POINTS
+    from pinchlab.numerics import _BLOCK
 
     model = factory()
     tracemalloc.start()
@@ -714,7 +664,7 @@ def test_solve_radial_peak_memory_is_bounded_by_its_result(factory):
     finally:
         tracemalloc.stop()
     kept = sum(a.nbytes for a in (pot.grid, pot.w, pot.suffix))
-    assert peak <= kept + 5 * 8 * _BLOCK_POINTS
+    assert peak <= kept + 5 * 8 * 12 * _BLOCK
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -846,3 +796,23 @@ def test_decay_check_rejects_wrong_alpha(solved):
     pot = solved("flat", 1.5)
     with pytest.raises(pl.DomainError, match="inconsistent"):
         pl.decay_check(pot, 1.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_decay_check_refuses_a_non_finite_alpha(solved, bad):
+    # a NaN alpha slips past |alpha - fitted| > 0.05 and would report NaNs
+    with pytest.raises(pl.DomainError, match="alpha must be a finite number"):
+        pl.decay_check(solved("flat", 1.5), bad)
+
+
+@pytest.mark.parametrize("name", ["flat", "positive_cap_1"])
+def test_flux_integral_refuses_radii_outside_the_solved_range(name):
+    # on the closed-form path (flat) and the Gauss path (positive_cap): a NaN
+    # fails both comparisons with the range, so it is refused like any radius
+    # outside it
+    pot = pl.solve_radial(pl.library()[name], 1.5, LIBRARY_R0[name], n_grid=256)
+    inside = 0.5 * (pot.grid[0] + pot.grid[-1])
+    for bad in (float("nan"), pot.grid[0] * (1.0 - 1e-12), pot.grid[-1] * (1.0 + 1e-12), math.inf):
+        with pytest.raises(pl.DomainError, match=r"requested at r = .*outside the solved range"):
+            pot.flux_integral_at([inside, bad])
+    assert np.all(np.isfinite(pot.flux_integral_at([inside, pot.grid[0], pot.grid[-1]])))

@@ -51,6 +51,17 @@ def test_discretize_preconditions():
         pl.discretize(flat, 1.5, 1.0, 64, 2e4)  # beyond the model domain
     with pytest.raises(pl.DomainError):
         pl.discretize(pl.cone_model(0.8), 1.5, 1e-5, 64, 1.0)  # inside the core
+    # non-finite radii: a NaN r0 passes every comparison, on the Gauss route
+    # as on the closed form
+    for model in (flat, pl.positive_cap_model(1.0)):
+        for r0, r_cut in ((math.nan, 1e3), (1.0, math.nan), (math.inf, math.inf), (1e-3, math.inf)):
+            with pytest.raises(pl.DomainError, match="radii must be finite"):
+                pl.discretize(model, 1.5, r0, 64, r_cut)
+    # a fractional cell count would build a mesh with a short last cell
+    for n_cells in (64.5, 64.0, "64"):
+        with pytest.raises(pl.DomainError, match="must be an integer"):
+            pl.discretize(flat, 1.5, 1.0, n_cells, 1e3)
+    assert pl.discretize(flat, 1.5, 1.0, np.int64(64), 1e3).n_cells == 64
 
 
 def test_mesh_is_geometric():
@@ -64,17 +75,22 @@ def test_mesh_is_geometric():
 
 
 def test_discretize_peak_memory_is_bounded_by_its_result():
-    # discretize allocates only the mesh and weights it keeps plus one block
-    # of quadrature scratch, as solve_radial does (see its test there)
-    from pinchlab.numerics import _BLOCK_POINTS
+    # discretize allocates only the mesh and weights it keeps plus, for a
+    # power law, one temporary of the weights' size (a^g in the closed form;
+    # a few kB of Python objects aside), and for any other warp one block of
+    # quadrature scratch, as solve_radial does (see its test there)
+    from pinchlab.numerics import _BLOCK
 
-    tracemalloc.start()
-    try:
-        prob = pl.discretize(pl.power_warp_model(), 1.5, 1.0, 2**17, 1e3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= prob.mesh.nbytes + prob.weights.nbytes + 5 * 8 * _BLOCK_POINTS
+    cases = ((pl.power_warp_model(), 1.0, 1e3), (pl.positive_cap_model(1.0), 0.01, 1.0))
+    for model, r0, r_cut in cases:
+        tracemalloc.start()
+        try:
+            prob = pl.discretize(model, 1.5, r0, 2**17, r_cut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = prob.weights.nbytes + 16384 if model.warp.power_law else 5 * 8 * 12 * _BLOCK
+        assert peak <= prob.mesh.nbytes + prob.weights.nbytes + scratch
 
 
 def test_cone_weights_scale_like_a_squared():
@@ -253,7 +269,99 @@ def test_weights_of_a_warp_without_power_law_keep_the_twelve_point_rule():
         return 4.0 * math.pi * h * h
 
     assert model.warp.power_law is None
-    assert np.array_equal(prob.weights, cell_integrals(area_density, prob.mesh, 12))
+    assert np.array_equal(prob.weights, cell_integrals(area_density, prob.mesh))
+
+
+@pytest.mark.parametrize("gauss", [False, True])
+def test_overflowing_weights_are_refused(gauss):
+    # h^2 = r^2 on [1, 1e200] overflows in the last cells, by the closed form
+    # and, for the same warp declared without its power law, by the Gauss rule
+    import dataclasses
+
+    model = pl.power_warp_model(2.0, r_max=1e300)
+    if gauss:
+        model = pl.ManifoldModel(dataclasses.replace(model.warp, kind="custom"), model.r_min,
+                                 model.r_max)
+    with pytest.raises(pl.ConvergenceError, match=r"non-finite cell weight inf in cell \d+ of 64"):
+        pl.discretize(model, 1.5, 1.0, 64, 1e200)
+
+
+POWER_LAWS = ["flat", "cone_0.8", "power_warp_1.5"]
+
+
+@pytest.mark.parametrize("n_cells", [64, 2**17])
+@pytest.mark.parametrize("name", POWER_LAWS)
+def test_power_law_weights_are_within_four_eps(name, n_cells):
+    # the closed form 4 pi c^2 a^g expm1(g log1p((b-a)/a)) / g, g = 2 beta + 1,
+    # on the cells of [1, 1e3] (2^17 cells: ratio 1 + 5.3e-5, where b^g - a^g
+    # would lose ~1e-11): first, last and spread cells against the integral
+    # 4 pi c^2 (b^g - a^g) / g at 40 digits over the same float mesh
+    model = pl.library()[name]
+    prob = pl.discretize(model, 1.5, 1.0, n_cells, 1e3)
+    n = prob.n_cells
+    cells = np.unique(np.concatenate([np.arange(16), np.linspace(0, n - 1, 200).astype(int),
+                                      np.arange(n - 16, n)]))
+    eps = float(np.finfo(float).eps)
+    with mpmath.workdps(40):
+        g = mpmath.mpf(2.0 * model.warp.power_law + 1.0)
+        scale = 4 * mpmath.pi * mpmath.mpf(float(model.warp.h(1.0))) ** 2 / g
+        for i in cells:
+            a, b = mpmath.mpf(prob.mesh[i]), mpmath.mpf(prob.mesh[i + 1])
+            exact = scale * (b**g - a**g)
+            assert abs(float(mpmath.mpf(prob.weights[i]) / exact - 1)) <= 4 * eps, i
+
+
+@pytest.mark.parametrize("n_cells", [64, 2**17])
+@pytest.mark.parametrize("name", POWER_LAWS)
+def test_power_law_weights_agree_with_the_gauss_rule(name, n_cells):
+    # the 12-point rule as the oracle of the closed form: the same h declared
+    # without a power law gives weights within 8 eps and capacities within
+    # 1e-15 at three exponents
+    import dataclasses
+
+    model = pl.library()[name]
+    plain = pl.ManifoldModel(dataclasses.replace(model.warp, kind="custom"), model.r_min,
+                             model.r_max)
+    assert plain.warp.power_law is None
+    eps = float(np.finfo(float).eps)
+    for p in (1.15, 1.5, 1.85):
+        exact = pl.discretize(model, p, 1.0, n_cells, 1e3)
+        gauss = pl.discretize(plain, p, 1.0, n_cells, 1e3)
+        assert np.max(np.abs(gauss.weights / exact.weights - 1.0)) <= 8 * eps
+        cap_exact = pl.capacity_from_energy(pl.minimize_energy(exact))
+        cap_gauss = pl.capacity_from_energy(pl.minimize_energy(gauss))
+        assert abs(cap_gauss / cap_exact - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("name, r0", [("positive_cap_1", 0.01), ("spline_cap_0.5", 0.005)])
+def test_gauss_weights_have_the_bits_of_fresh_arrays(name, r0):
+    # a warp without a power law keeps the 12-point cells, summed node by node
+    # as the formula with fresh arrays and leggauss(12) sums them
+    model = pl.library()[name]
+    prob = pl.discretize(model, 1.5, r0, 1024, 100.0 * r0)
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    lo, hi = prob.mesh[:-1], prob.mesh[1:]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    h = model.warp.h((half * nodes[:, None] + mid).reshape(-1)).reshape(12, -1)
+    rows = 4.0 * math.pi * h * h * weights[:, None]
+    total = rows[0]
+    for row in rows[1:]:
+        total = total + row
+    assert np.array_equal(prob.weights, half * total)
+
+
+@pytest.mark.parametrize("name", POWER_LAWS)
+def test_power_law_weights_integrate_nothing(name, monkeypatch):
+    from pinchlab import numerics, variational
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("power-law weights are in closed form")
+
+    monkeypatch.setattr(variational, "cell_integrals", no_call)
+    monkeypatch.setattr(numerics, "cell_integrals", no_call)
+    monkeypatch.setattr(numerics, "interval_integrals", no_call)
+    prob = pl.discretize(pl.library()[name], 1.5, 1.0, 2**17, 1e3)
+    assert prob.weights.shape == (2**17,)
 
 
 def test_energy_matches_direct_formula():
