@@ -248,20 +248,20 @@ def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
     table = functionals.level_table(pot, functionals._table_levels(pot, config.n_levels))
     c_f, c_g = functionals._exact_constants(p.value)
     u0 = pot.state_at(pot.r0).u  # one value, not the node array of u
-    boundary_ok = abs(u0 - 1.0) <= 1e-12 and abs(pot.w[0]) <= 1e-12
+    boundary_ok = abs(u0 - 1.0) <= 1e-12 and abs(pot.w0) <= 1e-12
     cap_tol = config.tolerance("capacity")
     cap_dev = float(np.max(np.abs(table["cap_ratio_to_exp_t"] - 1.0)))
     verdicts = [
         StageVerdict(
             "solve",
             "pass",
-            f"potential on [{pot.grid[0]:.6g}, {pot.r_trunc:.6g}] with {pot.grid.size} nodes; "
+            f"potential on [{pot.r0:.6g}, {pot.r_trunc:.6g}] with {pot.n_grid} nodes; "
             f"t_max = {pot.t_max:.6g}, tail exponent beta = {pot.tail_beta:.6g}",
         ),
         StageVerdict(
             "boundary-normalization",
             "pass" if boundary_ok else "fail",
-            f"u(r0) = {u0!r}, w(r0) = {float(pot.w[0])!r}",
+            f"u(r0) = {u0!r}, w(r0) = {pot.w0!r}",
         ),
         StageVerdict(
             "capacity-law",

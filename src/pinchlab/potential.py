@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,7 +44,13 @@ import numpy as np
 
 from . import geometry
 from .errors import ConvergenceError, DomainError
-from .numerics import cell_integrals, geometric_grid, interval_integrals, log_log_fit
+from .numerics import (
+    cell_integrals,
+    geometric_grid,
+    geometric_nodes,
+    interval_integrals,
+    log_log_fit,
+)
 
 __all__ = [
     "PExponent",
@@ -89,37 +96,35 @@ class PotentialSample(NamedTuple):
 class RadialPotential:
     """Solved radial capacitary potential on [r0, r_trunc].
 
-    ``grid`` is a geometric grid, ``normalizer`` is I(r0), and ``suffix``
-    holds I at every grid node (tail included).  Any quantity is re-evaluated
-    at off-grid radii from I there rather than by interpolation (see
-    :meth:`state_at`): from the closed form when the warp is a power law,
-    else by one extra panel of quadrature.  ``w`` is kept at the nodes; the
-    node samples of u, u' and w' are built from ``suffix`` on first use.
-    Without a power law, the grid cells and every later panel take the
-    12-point Gauss rule.
+    The nodes are the geometric grid of ``n_grid`` radii from r0 to
+    ``r_trunc``; ``normalizer`` is I(r0), ``tail`` is I(r_trunc), ``t_max``
+    and ``w0`` are w at the last and the first node.  ``grid``, ``suffix``
+    (I at every node, tail included) and ``w`` are the node arrays.  A
+    fitted warp's solve builds them; a power law's builds them on first
+    read, from the same formulas, so they have the same bits either way, and
+    its levels are bracketed from node values computed at the bracket alone.
+    Any quantity is re-evaluated at off-grid radii from I there rather than
+    by interpolation (see :meth:`state_at`): from the closed form when the
+    warp is a power law, else by one extra panel of quadrature.  The node
+    samples of u, u' and w' are built from ``suffix`` on first use.  Without
+    a power law, the grid cells and every later panel take the 12-point Gauss
+    rule.
     """
 
     model: geometry.ManifoldModel
     p: PExponent
     r0: float
+    r_trunc: float
+    n_grid: int
     normalizer: float
-    grid: np.ndarray
-    w: np.ndarray
-    suffix: np.ndarray
     tail: float
     tail_beta: float
+    w0: float
+    t_max: float
 
     @property
     def p_value(self) -> float:
         return self.p.value
-
-    @property
-    def r_trunc(self) -> float:
-        return float(self.grid[-1])
-
-    @property
-    def t_max(self) -> float:
-        return float(self.w[-1])
 
     @functools.cached_property
     def _power_law(self) -> _PowerLawFlux | None:
@@ -128,6 +133,19 @@ class RadialPotential:
     @functools.cached_property
     def _integrand(self):
         return _flux_density(self.model.warp, self.p.value)
+
+    # a fitted warp's solve seeds grid, suffix and w; these build a power law's
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        return geometric_grid(self.r0, self.r_trunc, self.n_grid)
+
+    @functools.cached_property
+    def suffix(self) -> np.ndarray:
+        return self._power_law.flux(self.grid)
+
+    @functools.cached_property
+    def w(self) -> np.ndarray:
+        return _levels_of(self.suffix, self.normalizer, self.p.value)
 
     @functools.cached_property
     def u(self) -> np.ndarray:
@@ -141,12 +159,16 @@ class RadialPotential:
     def w_prime(self) -> np.ndarray:
         return (self.p.value - 1.0) * self._integrand(self.grid) / self.suffix
 
+    def _nodes(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A power law's (grid[k], w[k]) at integer indices 0 <= k < n_grid,
+        from the arrays' formulas at k alone: the arrays' bits, unbuilt."""
+        radii = geometric_nodes(self.r0, self.r_trunc, self.n_grid, k)
+        return radii, _levels_of(self._power_law.flux(radii), self.normalizer, self.p.value)
+
     def require_radius(self, r: float) -> float:
         r = float(r)
-        if not (self.grid[0] <= r <= self.grid[-1]):
-            raise DomainError(
-                f"radius {r} outside the solved range [{self.grid[0]}, {self.grid[-1]}]"
-            )
+        if not (self.r0 <= r <= self.r_trunc):
+            raise DomainError(f"radius {r} outside the solved range [{self.r0}, {self.r_trunc}]")
         return r
 
     def flux_integral_at(self, r) -> np.ndarray:
@@ -158,11 +180,11 @@ class RadialPotential:
         radius outside the solved range, NaN included, is refused.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        inside = (r >= self.grid[0]) & (r <= self.grid[-1])
+        inside = (r >= self.r0) & (r <= self.r_trunc)
         if not inside.all():
             raise DomainError(
                 f"flux integral requested at r = {float(r[~inside][0])!r}, outside the solved "
-                f"range [{self.grid[0]}, {self.grid[-1]}]"
+                f"range [{self.r0}, {self.r_trunc}]"
             )
         return self._flux_at(r)
 
@@ -176,7 +198,7 @@ class RadialPotential:
         if j is None:
             j = np.searchsorted(self.grid, r, side="right")
             j -= 1
-            np.clip(j, 0, self.grid.size - 2, out=j)
+            np.clip(j, 0, self.n_grid - 2, out=j)
         out = interval_integrals(self._integrand, r, self.grid[j + 1])
         out += self.suffix[j + 1]
         exact = r == self.grid[j]
@@ -273,25 +295,30 @@ def solve_radial(
 ) -> RadialPotential:
     """Solve the exterior capacitary problem for the radial p-Laplacian.
 
-    The truncation radius defaults to min(1e4 * r0, model.r_max).  When the
-    warp is a power law h = c r^beta (beta = ``warp.power_law``, c = h(1)), I
-    is its closed form c^(-q) r^(1 - q beta) / (q beta - 1) at every node,
-    tail I(r_max) included, and no quadrature runs.  Any other warp is
+    The truncation radius defaults to min(1e4 * r0, model.r_max), and the
+    nodes are the geometric grid of ``n_grid`` radii (an integer, at least
+    16) from r0 to it.  When the warp is a power law h = c r^beta (beta =
+    ``warp.power_law``, c = h(1)), I is its closed form c^(-q) r^(1 - q beta)
+    / (q beta - 1) at every radius, and the solve evaluates it at r0 and the
+    truncation radius alone: no quadrature runs and no node array is built
+    until one is read (see :class:`RadialPotential`).  Any other warp is
     integrated cell by cell with the 12-point Gauss rule, and the tail of I
     beyond truncation is the same closed form for the power law fitted by
     least squares to h over the outermost decade of the grid.  If the growth
     is too slow for the tail integral to converge the solver refuses loudly.
 
-    A solve allocates only the arrays it keeps, ``grid``, ``suffix`` and
-    ``w``, plus, without a power law, one block of quadrature scratch: the
-    closed form, or the cells summed from the outer end and completed by the
-    tail, is written into ``suffix``, and ``w`` is built in the array of
-    log I.  Every value rounds as the same formulas with fresh arrays would.
-    ConvergenceError refuses, in this order: a scale c^(-q) of an exact power
-    law that overflows or underflows to 0.0, a non-positive or non-finite
-    cell, a fitted scale that overflows or underflows, a divergent tail, a
-    tail that underflows to 0.0, an overflowing I(r0), and an I that fails to
-    decrease.
+    Without a power law, a solve allocates only the arrays it keeps,
+    ``grid``, ``suffix`` and ``w``, plus one block of quadrature scratch: the
+    cells summed from the outer end and completed by the tail are written
+    into ``suffix``, and ``w`` is built in the array of log I.  Every value
+    rounds as the same formulas with fresh arrays would.  ConvergenceError
+    refuses, in this order: a scale c^(-q) of an exact power law that
+    overflows or underflows to 0.0, a non-positive or non-finite cell, a
+    fitted scale that overflows or underflows, a divergent tail, a tail that
+    underflows to 0.0, an overflowing I(r0), and an I that fails to decrease
+    strictly at the nodes.  A power law's closed form certifies the strict
+    decrease when it can (see :func:`_certainly_decreasing`); else its node
+    arrays are built and checked.
     """
     p = as_p(p)
     r0 = float(r0)
@@ -306,15 +333,19 @@ def solve_radial(
         raise DomainError(f"truncation radius {r_max} exceeds the model domain ({model.r_max})")
     if not r0 < r_max:
         raise DomainError(f"need r0 < r_max, got {r0} >= {r_max}")
+    try:
+        n_grid = operator.index(n_grid)
+    except TypeError:
+        raise DomainError(f"n_grid must be an integer, got {n_grid!r}") from None
     if n_grid < 16:
         raise DomainError("n_grid must be at least 16")
 
     q = 2.0 / (p.value - 1.0)
-    grid = geometric_grid(r0, r_max, int(n_grid))
-    suffix = np.empty_like(grid)
     law = _exact_power_law(model.warp, p.value)
     fitted = law is None
     if fitted:
+        grid = geometric_grid(r0, r_max, n_grid)
+        suffix = np.empty_like(grid)
         # the cells go into suffix[:-1] and are summed from the outer end; the
         # tail is added to every sum below
         cells = cell_integrals(_flux_density(model.warp, p.value), grid, out=suffix[:-1])
@@ -339,37 +370,75 @@ def solve_radial(
         tail = law.scale * r_max ** (1.0 - law.q_beta) / (law.q_beta - 1.0)
         cells += tail
         suffix[-1] = tail
+        flux = suffix
     else:
-        tail = float(law.flux(grid, out=suffix)[-1])
+        # I at the end nodes alone, as the node arrays would hold it
+        flux = law.flux(np.array([r0, r_max]))
+        tail = float(flux[-1])
     if tail == 0.0:
         raise ConvergenceError(
             f"tail integral of h^(-2/(p-1)) underflows to 0.0: c^(-q) = {law.scale!r} times "
             f"r_max^(1 - q beta) with r_max = {r_max!r}, {'fitted ' if fitted else ''}beta = "
             f"{beta!r}, q = 2/(p-1) = {q!r}; I(r_max) and t_max need a positive tail"
         )
-    normalizer = float(suffix[0])
+    normalizer = float(flux[0])
     if not math.isfinite(normalizer):
         raise ConvergenceError(
             f"flux integral I(r0) overflows: I(r0) = {normalizer!r} with the tail "
             f"I(r_max) = {tail!r}"
         )
-    if np.any(suffix[1:] >= suffix[:-1]):
-        raise ConvergenceError("flux integral failed to be strictly decreasing")
 
-    w = np.log(suffix)
-    np.subtract(math.log(normalizer), w, out=w)
-    w *= p.value - 1.0
-    return RadialPotential(
+    w = _levels_of(flux, normalizer, p.value)  # at every node, or at the two ends
+    pot = RadialPotential(
         model=model,
         p=p,
         r0=r0,
+        r_trunc=r_max,
+        n_grid=n_grid,
         normalizer=normalizer,
-        grid=grid,
-        w=w,
-        suffix=suffix,
         tail=float(tail),
         tail_beta=float(beta),
+        w0=float(w[0]),
+        t_max=float(w[-1]),
     )
+    if fitted:
+        # seeded where the cached properties would store them
+        vars(pot).update(grid=grid, suffix=suffix, w=w)
+    if fitted or not _certainly_decreasing(law, r0, r_max, n_grid):
+        if np.any(pot.suffix[1:] >= pot.suffix[:-1]):
+            raise ConvergenceError("flux integral failed to be strictly decreasing")
+    return pot
+
+
+def _levels_of(flux: np.ndarray, normalizer: float, p_value: float) -> np.ndarray:
+    """w = (p-1)(log I(r0) - log I) from I at nodes, built in the array of log I."""
+    w = np.log(flux)
+    np.subtract(math.log(normalizer), w, out=w)
+    w *= p_value - 1.0
+    return w
+
+
+def _certainly_decreasing(law: _PowerLawFlux, r0: float, r_max: float, n_grid: int) -> bool:
+    """Whether I of the power law ``law`` is certain to decrease strictly over
+    the nodes of geometric_grid(r0, r_max, n_grid), from the closed form alone.
+
+    Exact nodes lower I by the relative gap 1 - exp(-(q beta - 1) log(r_max/r0)
+    / (n_grid - 1)) from one to the next.  Rounding in log10, the steps and
+    10**y moves a node's log radius by a few ulps of |log r0| + |log r_max|,
+    which I amplifies by q beta - 1, and pow, the scale and the division add a
+    few ulps of I: the gap must exceed twice 64 times their sum.  The power,
+    the scaled power and I must also be normal floats at both ends (so at
+    every node between), where rounding is relative.
+    """
+    radii = np.array([r0, r_max])
+    power = np.power(radii, 1.0 - law.q_beta)
+    for values in (power, power * law.scale, law.flux(radii)):
+        if not (values.min() >= np.finfo(float).tiny and values.max() < math.inf):
+            return False
+    slope = law.q_beta - 1.0
+    gap = -math.expm1(-slope * math.log(r_max / r0) / (n_grid - 1))
+    noise = 64.0 * _EPS * (1.0 + slope * (1.0 + abs(math.log(r0)) + abs(math.log(r_max))))
+    return gap > 2.0 * noise
 
 
 LEVEL_NEWTON_MAX_ITER = 40  # iteration cap of the batched level inversion
@@ -411,21 +480,47 @@ def radius_of_level(pot: RadialPotential, t):
     return float(radii) if radii.ndim == 0 else radii
 
 
+def _level_cells(pot: RadialPotential, t: np.ndarray):
+    """j = searchsorted(w, t, side="left") for levels t in [0, t_max], with
+    grid and w at nodes max(j - 1, 0) and j: (j, r_lo, w_lo, r_hi, w_hi).
+
+    Built node arrays are searched.  Without them (a power law's), w =
+    (p-1)(q beta - 1) log(r/r0) spaces the nodes evenly in level, so j starts
+    at ceil(t (n_grid - 1) / t_max), which only rounding moves off its cell,
+    and steps one node at a time, against node values with the arrays' bits,
+    until w[j-1] < t <= w[j].
+    """
+    if "w" in vars(pot):
+        j = np.searchsorted(pot.w, t, side="left")
+        nodes = np.concatenate([np.maximum(j - 1, 0), j])
+        radii, levels = pot.grid[nodes], pot.w[nodes]
+    else:
+        j = np.ceil(t * ((pot.n_grid - 1) / pot.t_max)).astype(np.intp)
+        np.clip(j, 0, pot.n_grid - 1, out=j)
+        while True:
+            radii, levels = pot._nodes(np.concatenate([np.maximum(j - 1, 0), j]))
+            up = levels[t.size :] < t
+            down = (j > 0) & (levels[: t.size] >= t)
+            if not (up.any() or down.any()):
+                break
+            j += up
+            j -= down
+    m = t.size
+    return j, radii[:m], levels[:m], radii[m:], levels[m:]
+
+
 def _invert_levels(pot: RadialPotential, t: np.ndarray) -> np.ndarray:
-    w, grid = pot.w, pot.grid
-    j = np.searchsorted(w, t, side="left")
-    node = np.minimum(j, w.size - 1)
-    radii = grid[node]
-    todo = np.flatnonzero((j > 0) & (w[node] != t))
+    j, a, w_lo, radii, w_hi = _level_cells(pot, t)
+    todo = np.flatnonzero((j > 0) & (w_hi != t))
     if todo.size == 0:
         return radii
-    j = j[todo]
-    t = t[todo]
-    a, b = grid[j - 1], grid[j]
+    j, t = j[todo], t[todo]
+    a, b = a[todo], radii[todo]
+    w_lo, w_hi = w_lo[todo], w_hi[todo]
     # every iterate stays in its bracket cell, so I is read there as
     # flux_integral_at reads it, without its range check and search
     cell = j - 1
-    x = a + (t - w[j - 1]) / (w[j] - w[j - 1]) * (b - a)
+    x = a + (t - w_lo) / (w_hi - w_lo) * (b - a)
     k = pot.p_value - 1.0
     log_i0 = math.log(pot.normalizer)
     active = np.arange(todo.size)

@@ -324,9 +324,9 @@ def cross_validate(solution: DiscreteSolution, pot: RadialPotential) -> CrossVal
         raise DomainError(
             f"exponent mismatch: variational p = {problem.p.value}, quadrature p = {pot.p_value}"
         )
-    if abs(problem.r0 - pot.grid[0]) > 1e-12 * problem.r0:
+    if abs(problem.r0 - pot.r0) > 1e-12 * problem.r0:
         raise DomainError(
-            f"inner radius mismatch: variational r0 = {problem.r0}, quadrature r0 = {pot.grid[0]}"
+            f"inner radius mismatch: variational r0 = {problem.r0}, quadrature r0 = {pot.r0}"
         )
     if problem.r_cut > pot.r_trunc * (1.0 + 1e-9):
         raise DomainError(

@@ -547,3 +547,44 @@ def test_main_rejects_non_utf8_config(tmp_path, capsys):
     bad.write_bytes('{"model": {"kind": "flat"}, "scenario": "solve", "out": "é.csv"}'.encode("latin-1"))
     assert main(["solve", "--config", str(bad)]) == 2
     assert [line.startswith("error: --config: ") for line in _error_lines(capsys)] == [True]
+
+
+def _power_law_outputs(directory: Path, monkeypatch, capsys) -> dict:
+    """Every file of solve, monotone and contradict on the three power-law
+    library models at three exponents, as CSV (with its sidecar) and JSON."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    for command in ("solve", "monotone", "contradict"):
+        for model in ("flat", "cone_0.8", "power_warp_1.5"):
+            for p in ("1.15", "1.5", "1.85"):
+                for fmt in ("csv", "json"):
+                    out = f"{command}-{model}-{p}.{fmt}"
+                    try:
+                        assert main([command, "--model", model, "--p", p, "--format", fmt, "--out", out]) == 0
+                    finally:
+                        gc.unfreeze()
+                    capsys.readouterr()
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_outputs_do_not_depend_on_reading_the_node_arrays(tmp_path, monkeypatch, capsys):
+    # a power law's potential builds grid, suffix and w on first read, so the
+    # scenarios run without them unless something reads them; every file is
+    # the same when each solve's arrays are read before it returns
+    unread = _power_law_outputs(tmp_path / "unread", monkeypatch, capsys)
+    solve, solves = pl.solve_radial, []
+
+    def reading(*args, **kwargs):
+        pot = solve(*args, **kwargs)
+        assert not {"grid", "suffix", "w"} & set(vars(pot))
+        pot.grid, pot.suffix, pot.w
+        solves.append(pot)
+        return pot
+
+    # contradict solves through rigidity's binding, the other scenarios through cli's
+    monkeypatch.setattr(pl.cli, "solve_radial", reading)
+    monkeypatch.setattr(pl.rigidity, "solve_radial", reading)
+    read = _power_law_outputs(tmp_path / "read", monkeypatch, capsys)
+    assert len(solves) == 3 * 3 * 3 * 2
+    assert len(unread) == 3 * 3 * 3 * 3
+    assert read == unread

@@ -7,8 +7,10 @@ On h = r^(alpha/2) with inner radius 1 the solution is fully explicit:
 These exact forms are the oracles for every assertion here.
 """
 
+import dataclasses
 import functools
 import gc
+import json
 import math
 import tracemalloc
 import weakref
@@ -210,6 +212,40 @@ def test_solver_input_validation():
         pl.solve_radial(flat, 1.5, 5.0, r_max=2.0)
     with pytest.raises(pl.DomainError):
         pl.solve_radial(flat, 1.5, 1.0, n_grid=8)
+    # the node count is an integer by operator.index, as discretize's n_cells:
+    # 300.7 would solve on 300 nodes, NaN and inf would escape as ValueError
+    # and OverflowError
+    for bad in (300.7, 4096.0, float("nan"), float("inf"), "4096"):
+        with pytest.raises(pl.DomainError, match="n_grid must be an integer"):
+            pl.solve_radial(flat, 1.5, 1.0, n_grid=bad)
+    pot = pl.solve_radial(flat, 1.5, 1.0, n_grid=np.int64(64))
+    assert type(pot.n_grid) is int and pot.n_grid == pot.grid.size == 64
+
+
+@pytest.mark.parametrize("factory", [pl.flat_model, pl.cone_model, pl.power_warp_model])
+def test_strict_decrease_is_refused_where_the_nodes_fail_it(factory):
+    # 4096 nodes on [1, 1 + 1e-13] lie closer than the floats near 1, so I
+    # repeats; on [1, 1 + 1e-10] it decreases.  Between, the closed form
+    # certifies the decrease or the node arrays are built and checked, and
+    # the refusal falls exactly where the arrays of the formulas repeat
+    model = factory()
+    with pytest.raises(pl.ConvergenceError, match="strictly decreasing"):
+        pl.solve_radial(model, 1.5, 1.0, r_max=1 + 1e-13, n_grid=4096)
+    assert np.all(np.diff(pl.solve_radial(model, 1.5, 1.0, r_max=1 + 1e-10, n_grid=4096).suffix) < 0)
+    outcomes = set()
+    for delta in np.geomspace(1e-14, 1e-8, 31):
+        for p in (1.05, 1.5, 1.95):
+            suffix = _reference_solve(model, p, 1.0, 4096, r_max=1.0 + delta)[1]
+            try:
+                pot = pl.solve_radial(model, p, 1.0, r_max=1.0 + delta, n_grid=4096)
+            except pl.ConvergenceError as exc:
+                assert "strictly decreasing" in str(exc)
+                assert np.any(suffix[1:] >= suffix[:-1])
+                outcomes.add("refused")
+            else:
+                assert np.all(suffix[1:] < suffix[:-1])
+                outcomes.add("checked" if "suffix" in vars(pot) else "certified")
+    assert outcomes == {"refused", "checked", "certified"}
 
 
 def test_boundary_model_starts_at_inner_sphere(solved):
@@ -594,7 +630,7 @@ def _reference_cells(f, edges):
     return half * total
 
 
-def _reference_solve(model, p, r0, n_grid):
+def _reference_solve(model, p, r0, n_grid, r_max=None):
     """(grid, suffix, w, tail) of solve_radial from the formulas with fresh
     arrays: np.geomspace; for a power law h = c r^beta the closed form
     c^(-q) r^(1 - q beta) / (q beta - 1) at every node, else the 12-point
@@ -603,7 +639,8 @@ def _reference_solve(model, p, r0, n_grid):
     from pinchlab.numerics import log_log_fit
 
     q = 2.0 / (p - 1.0)
-    r_max = min(1e4 * r0, model.r_max)
+    if r_max is None:
+        r_max = min(1e4 * r0, model.r_max)
     grid = np.geomspace(r0, r_max, n_grid)
     beta = model.warp.power_law
     if beta is None:
@@ -647,24 +684,84 @@ def test_solve_radial_has_the_bits_of_fresh_arrays(name, p, n_grid):
     assert pot.tail == tail
 
 
-@pytest.mark.parametrize("factory", [pl.flat_model, pl.power_warp_model])
-def test_solve_radial_peak_memory_is_bounded_by_its_result(factory):
-    # a solve allocates only the arrays it keeps, grid, suffix and w, plus one
-    # block of quadrature scratch (u, u' and w' are built on first use).  The
-    # scratch of a block is its points, midpoints and half-widths (at most two
-    # arrays of 12 _BLOCK floats together) and the integrand's values with
-    # at most two temporaries of them
-    from pinchlab.numerics import _BLOCK
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param({"kind": "flat"}, id="flat_model"),
+        pytest.param({"kind": "power_warp", "alpha": 1.5}, id="power_warp_model"),
+    ],
+)
+def test_solve_radial_peak_memory_is_bounded_by_its_result(spec, monkeypatch):
+    # a power law's solve keeps scalars and builds no node array: a solve
+    # scenario on 2^20 nodes with 8 levels stays within 1 MB.  The arrays are
+    # built on first read, with the bits of the formulas and of the scalars
+    from pinchlab import cli
 
-    model = factory()
+    pots = []
+
+    def recording(*args, **kwargs):
+        pots.append(cli_solve(*args, **kwargs))
+        return pots[-1]
+
+    cli_solve = cli.solve_radial
+    monkeypatch.setattr(cli, "solve_radial", recording)
+    config = pl.parse_config(json.dumps({"model": spec, "scenario": "solve", "p": 1.5}))
+    cli.run(dataclasses.replace(config, n_grid=256, n_levels=8))  # first-call imports and caches
+    config = dataclasses.replace(config, n_grid=2**20, n_levels=8)
     tracemalloc.start()
     try:
-        pot = pl.solve_radial(model, 1.5, 1.0, n_grid=2**18)
+        cli.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    pot = pots[-1]
+    assert not {"grid", "suffix", "w"} & set(vars(pot))
+    grid, suffix, w, tail = _reference_solve(pot.model, 1.5, 1.0, 2**20)
+    assert np.array_equal(pot.grid, grid)
+    assert np.array_equal(pot.suffix, suffix)
+    assert np.array_equal(pot.w, w)
+    assert (pot.r0, pot.r_trunc, pot.n_grid) == (grid[0], grid[-1], grid.size)
+    assert (pot.normalizer, pot.tail, pot.w0, pot.t_max) == (suffix[0], tail, w[0], w[-1])
+
+
+def test_fitted_solve_peak_memory_is_bounded_by_its_result():
+    # without a power law a solve allocates only the arrays it keeps, grid,
+    # suffix and w, plus one block of quadrature scratch (u, u' and w' are
+    # built on first use).  The scratch of a block is its points, midpoints
+    # and half-widths (at most two arrays of 12 _BLOCK floats together) and
+    # the integrand's values with at most two temporaries of them
+    from pinchlab.numerics import _BLOCK
+
+    model = pl.positive_cap_model(1.0)
+    tracemalloc.start()
+    try:
+        pot = pl.solve_radial(model, 1.5, 0.05, n_grid=2**16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     kept = sum(a.nbytes for a in (pot.grid, pot.w, pot.suffix))
     assert peak <= kept + 5 * 8 * 12 * _BLOCK
+
+
+@pytest.mark.parametrize("n_grid", [16, 4096, 2**20])
+@pytest.mark.parametrize("p", [1.05, 1.5, 1.95])
+@pytest.mark.parametrize("name", ["flat", "cone_0.8", "power_warp_1.5"])
+def test_power_law_nodes_have_the_bits_of_the_arrays(name, p, n_grid, rng):
+    # grid and w at chosen nodes, from the arrays' formulas at those nodes
+    # alone, before and after the arrays are built; and the level cells found
+    # from them are searchsorted's
+    pot = pl.solve_radial(pl.library()[name], p, 1.0, n_grid=n_grid)
+    n = n_grid
+    k = np.concatenate([[0, 1, n // 2, n - 2, n - 1], rng.integers(0, n, 64)])
+    grid, w = pot._nodes(k)
+    levels = np.concatenate([w, np.nextafter(w, np.inf), np.nextafter(w, -np.inf)])
+    levels = np.clip(np.concatenate([levels, rng.uniform(0.0, pot.t_max, 64)]), 0.0, pot.t_max)
+    cells = pl.potential._level_cells(pot, levels)[0]
+    assert not {"grid", "suffix", "w"} & set(vars(pot))
+    assert grid.tobytes() == pot.grid[k].tobytes()
+    assert w.tobytes() == pot.w[k].tobytes()
+    assert np.array_equal(cells, np.searchsorted(pot.w, levels, side="left"))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -725,6 +822,8 @@ def test_newton_steps_in_the_bracket_cell_keep_the_bits(name, n_grid, rng):
     # cell, whose first iterate may round onto the cell's lower or upper node
     model = pl.library()[name]
     pot = pl.solve_radial(model, 1.5, LIBRARY_R0[name], n_grid=n_grid)
+    # a power law's potential, solved again, brackets its levels without arrays
+    unread = pl.solve_radial(model, 1.5, LIBRARY_R0[name], n_grid=n_grid)
     cells = np.arange(1, pot.grid.size)
     levels = np.concatenate([
         rng.uniform(0.0, pot.t_max, 256),
@@ -735,6 +834,8 @@ def test_newton_steps_in_the_bracket_cell_keep_the_bits(name, n_grid, rng):
     want = _reference_inversion(pot, levels, on_node)
     assert on_node["lower"] > 0 and on_node["upper"] > 0, on_node
     assert pl.radius_of_level(pot, levels).tobytes() == want.tobytes()
+    assert pl.radius_of_level(unread, levels).tobytes() == want.tobytes()
+    assert ("w" in vars(unread)) == (model.warp.power_law is None)
 
 
 def test_level_inversion_keeps_no_reference_cycle():
