@@ -484,13 +484,13 @@ def _level_cells(pot: RadialPotential, t: np.ndarray):
     """j = searchsorted(w, t, side="left") for levels t in [0, t_max], with
     grid and w at nodes max(j - 1, 0) and j: (j, r_lo, w_lo, r_hi, w_hi).
 
-    Built node arrays are searched.  Without them (a power law's), w =
-    (p-1)(q beta - 1) log(r/r0) spaces the nodes evenly in level, so j starts
-    at ceil(t (n_grid - 1) / t_max), which only rounding moves off its cell,
-    and steps one node at a time, against node values with the arrays' bits,
-    until w[j-1] < t <= w[j].
+    A fitted warp's node arrays are searched.  A power law's w = (p-1)(q beta
+    - 1) log(r/r0) spaces the nodes evenly in level, so j starts at
+    ceil(t (n_grid - 1) / t_max), which only rounding moves off its cell, and
+    steps one node at a time, against node values with the arrays' bits,
+    until w[j-1] < t <= w[j]; its arrays are never read here.
     """
-    if "w" in vars(pot):
+    if pot._power_law is None:
         j = np.searchsorted(pot.w, t, side="left")
         nodes = np.concatenate([np.maximum(j - 1, 0), j])
         radii, levels = pot.grid[nodes], pot.w[nodes]

@@ -750,7 +750,7 @@ def test_fitted_solve_peak_memory_is_bounded_by_its_result():
 def test_power_law_nodes_have_the_bits_of_the_arrays(name, p, n_grid, rng):
     # grid and w at chosen nodes, from the arrays' formulas at those nodes
     # alone, before and after the arrays are built; and the level cells found
-    # from them are searchsorted's
+    # from them are searchsorted's, whether or not the arrays were read
     pot = pl.solve_radial(pl.library()[name], p, 1.0, n_grid=n_grid)
     n = n_grid
     k = np.concatenate([[0, 1, n // 2, n - 2, n - 1], rng.integers(0, n, 64)])
@@ -762,6 +762,7 @@ def test_power_law_nodes_have_the_bits_of_the_arrays(name, p, n_grid, rng):
     assert grid.tobytes() == pot.grid[k].tobytes()
     assert w.tobytes() == pot.w[k].tobytes()
     assert np.array_equal(cells, np.searchsorted(pot.w, levels, side="left"))
+    assert np.array_equal(pl.potential._level_cells(pot, levels)[0], cells)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -822,7 +823,7 @@ def test_newton_steps_in_the_bracket_cell_keep_the_bits(name, n_grid, rng):
     # cell, whose first iterate may round onto the cell's lower or upper node
     model = pl.library()[name]
     pot = pl.solve_radial(model, 1.5, LIBRARY_R0[name], n_grid=n_grid)
-    # a power law's potential, solved again, brackets its levels without arrays
+    # a power law's potential, solved again, inverts without its arrays ever built
     unread = pl.solve_radial(model, 1.5, LIBRARY_R0[name], n_grid=n_grid)
     cells = np.arange(1, pot.grid.size)
     levels = np.concatenate([
