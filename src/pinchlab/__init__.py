@@ -25,7 +25,7 @@ from .geometry import (
     power_warp_model,
     spline_cap_model,
 )
-from .potential import as_p, capacity, decay_check, radius_of_level, solve_radial
+from .potential import as_p, capacity, radius_of_level, solve_radial
 from .variational import (
     capacity_from_energy,
     constant_flux_profile,
@@ -75,7 +75,6 @@ __all__ = [
     "solve_radial",
     "radius_of_level",
     "capacity",
-    "decay_check",
     # variational
     "discretize",
     "energy",

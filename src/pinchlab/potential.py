@@ -57,11 +57,9 @@ __all__ = [
     "as_p",
     "RadialPotential",
     "PotentialSample",
-    "DecayReport",
     "solve_radial",
     "radius_of_level",
     "capacity",
-    "decay_check",
 ]
 
 
@@ -569,43 +567,3 @@ def capacity(pot: RadialPotential, t: float) -> float:
     r = radius_of_level(pot, [float(t)])
     h = pot.model.warp.h(r)
     return float(_capacity_at(pot, h, _w_prime_at(pot, r))[0])
-
-
-class DecayReport(NamedTuple):
-    """Fitted constant and trend test for the decay bound u <= K r^(-(alpha+1-p)/(p-1))."""
-
-    K: float
-    exponent: float
-    tail_slope: float
-    passed: bool
-
-
-DECAY_SLOPE_TOL = 0.02  # largest log-log slope of u r^e on the outer decade
-
-
-def decay_check(pot: RadialPotential, alpha: float) -> DecayReport:
-    """Check the power decay of u dictated by volume growth r^(1+alpha).
-
-    Fits K = sup over the outer half of the grid of u * r^e with
-    e = (alpha+1-p)/(p-1), and requires log(u r^e) to have no upward trend on
-    the outermost decade (slope <= DECAY_SLOPE_TOL in log-log coordinates).
-    """
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise DomainError(f"growth exponent alpha must be a finite number, got {alpha}")
-    model = pot.model
-    r_hi = pot.r_trunc
-    r_lo = max(r_hi / 100.0, model.r_min * 10.0, pot.r0)
-    fitted = geometry.growth_exponent(model, r_lo, r_hi).alpha_hat
-    if abs(alpha - fitted) > 0.05:
-        raise DomainError(
-            f"alpha = {alpha:.4f} inconsistent with the fitted growth exponent {fitted:.4f} "
-            "(tolerance 0.05)"
-        )
-    e = (alpha + 1.0 - pot.p_value) / (pot.p_value - 1.0)
-    product = pot.u * pot.grid**e
-    outer = pot.grid >= math.sqrt(pot.r0 * r_hi)
-    K = float(np.max(product[outer]))
-    last_decade = pot.grid >= r_hi / 10.0
-    slope, _ = log_log_fit(pot.grid[last_decade], product[last_decade])
-    return DecayReport(K=K, exponent=e, tail_slope=slope, passed=bool(slope <= DECAY_SLOPE_TOL))

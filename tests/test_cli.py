@@ -502,7 +502,7 @@ print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 
 @pytest.mark.parametrize("model", ["power_warp_1.5", "flat"])
 def test_variational_oracle_loads_no_scipy(model, tmp_path):
-    # the certificate is one gradient evaluation, and a refused profile,
+    # the certificate is one flux evaluation, and a refused profile,
     # underflowing or not, raises without loading scipy
     tests = str(Path(__file__).resolve().parent)
     proc = subprocess.run(

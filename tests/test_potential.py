@@ -879,34 +879,6 @@ def test_monotone_profiles(solved):
     assert np.all(pot.w_prime > 0.0)
 
 
-# ---------------------------------------------------------------------------
-# decay bound
-# ---------------------------------------------------------------------------
-
-
-def test_decay_check_flat(solved):
-    pot = solved("flat", 1.5)
-    report = pl.decay_check(pot, 2.0)
-    assert report.passed
-    # u r^((alpha+1-p)/(p-1)) is exactly 1 in flat space
-    assert abs(report.K - 1.0) < 1e-9
-    assert abs(report.exponent - 3.0) < 1e-14
-    assert abs(report.tail_slope) < 1e-9
-
-
-def test_decay_check_rejects_wrong_alpha(solved):
-    pot = solved("flat", 1.5)
-    with pytest.raises(pl.DomainError, match="inconsistent"):
-        pl.decay_check(pot, 1.5)
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_decay_check_refuses_a_non_finite_alpha(solved, bad):
-    # a NaN alpha slips past |alpha - fitted| > 0.05 and would report NaNs
-    with pytest.raises(pl.DomainError, match="alpha must be a finite number"):
-        pl.decay_check(solved("flat", 1.5), bad)
-
-
 @pytest.mark.parametrize("name", ["flat", "positive_cap_1"])
 def test_flux_integral_refuses_radii_outside_the_solved_range(name):
     # on the closed-form path (flat) and the Gauss path (positive_cap): a NaN

@@ -41,7 +41,6 @@ RECORD_FIELDS = {
         "levels", "F_values", "G_values", "ordering_ok", "proportionality_constant",
         "proportionality_expected", "proportionality_max_dev", "tail_F", "tail_G",
     ),
-    potential.DecayReport: ("K", "exponent", "tail_slope", "passed"),
     variational.CrossValidationReport: (
         "max_node_error", "capacity_gap", "capacity_energy", "capacity_quadrature", "passed",
     ),

@@ -3,8 +3,8 @@
 The key structural fact exploited throughout: the profile with the same flux
 through every cell, ``constant_flux_profile``, is the exact stationary point
 of the discrete energy for any cell weights, hence its global minimizer.
-``minimize_energy`` certifies it by one gradient evaluation and refuses any
-other profile.  Its minimality is checked here without a solver: by
+``minimize_energy`` certifies it by the spread of its cell fluxes and refuses
+any other profile.  Its minimality is checked here without a solver: by
 convexity (perturbations and the log-linear profile of
 ``conftest.log_linear_profile`` have larger energy) and by the cell flux
 evaluated at 30 digits with mpmath.
@@ -75,10 +75,10 @@ def test_mesh_is_geometric():
 
 
 def test_discretize_peak_memory_is_bounded_by_its_result():
-    # discretize allocates only the mesh and weights it keeps plus, for a
-    # power law, one temporary of the weights' size (a^g in the closed form;
-    # a few kB of Python objects aside), and for any other warp one block of
-    # quadrature scratch, as solve_radial does (see its test there)
+    # discretize allocates only the mesh, cell widths and weights it keeps
+    # plus, for a power law, one temporary of the weights' size (a^g in the
+    # closed form; a few kB of Python objects aside), and for any other warp
+    # one block of quadrature scratch, as solve_radial does (see its test there)
     from pinchlab.numerics import _BLOCK
 
     cases = ((pl.power_warp_model(), 1.0, 1e3), (pl.positive_cap_model(1.0), 0.01, 1.0))
@@ -90,7 +90,7 @@ def test_discretize_peak_memory_is_bounded_by_its_result():
         finally:
             tracemalloc.stop()
         scratch = prob.weights.nbytes + 16384 if model.warp.power_law else 5 * 8 * 12 * _BLOCK
-        assert peak <= prob.mesh.nbytes + prob.weights.nbytes + scratch
+        assert peak <= prob.mesh.nbytes + prob.dx.nbytes + prob.weights.nbytes + scratch
 
 
 def test_cone_weights_scale_like_a_squared():
@@ -176,20 +176,96 @@ def test_default_start_is_the_minimizer(p, name, n_cells, r_cut):
         (1.01, 16, 1e4),
         (1.01, 32, 1e4),
         (1.02, 16, 1e4),
-        (1.025, 64, 1e4),  # no zero drop: the subnormal ones overflow |s|^(p-2)
+        (1.025, 64, 1e4),  # no zero drop: the smallest is subnormal, 8.7e-312
     ],
 )
 @pytest.mark.parametrize("start", ["default", "explicit"])
 def test_underflowing_drops_raise_convergence_error(p, n_cells, r_cut, start):
-    # the outer drops underflow to 0.0 (or, at p = 1.025, into the subnormals,
-    # where the flux overflows): a clear error that names the underflow, with
-    # no warning first
+    # the outer drops underflow to 0.0 (or, at p = 1.025, into the
+    # subnormals): a clear error that names the underflow, with no warning
+    # first
     prob = pl.discretize(pl.flat_model(), p, 1.0, n_cells, r_cut)
     initial = pl.constant_flux_profile(prob) if start == "explicit" else None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(pl.ConvergenceError, match="underflow"):
             pl.minimize_energy(prob, initial=initial)
+
+
+@pytest.mark.parametrize(
+    "name, p, n_cells",
+    [
+        ("flat", 1.026, 4096),  # smallest drop 3.8e-305
+        ("power_warp_1.5", 1.019, 64),  # smallest drop 1.2e-307
+    ],
+)
+def test_tiny_normal_drops_are_certified(name, p, n_cells):
+    # the drops are normal floats, however small: m |s|^(p-1) stays finite
+    # where the flux written as m p |s|^(p-2) s / dx overflowed in |s|^(p-2)
+    prob = pl.discretize(pl.library()[name], p, 1.0, n_cells, 1e4)
+    psi = pl.constant_flux_profile(prob)
+    assert np.min(psi[:-1] - psi[1:]) >= np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = pl.minimize_energy(prob)
+    assert sol.grad_norm <= 1e-13
+    assert np.array_equal(sol.psi, psi)
+    assert math.isfinite(sol.energy) and sol.energy == pl.energy(prob, psi)
+
+
+def test_non_monotone_profile_is_refused():
+    prob = _problem("flat", 1.5, n=64)
+    psi = pl.constant_flux_profile(prob)
+    psi[[20, 21]] = psi[[21, 20]]
+    with pytest.raises(pl.ConvergenceError, match="not monotone decreasing: .* in cell 20 of 64"):
+        pl.minimize_energy(prob, initial=psi, tol=math.inf)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    p=st.floats(min_value=1.05, max_value=1.95),
+    name=st.sampled_from(sorted(MODELS)),
+    n_cells=st.sampled_from([64, 512, 2**12]),
+    size=st.floats(min_value=1e-4, max_value=0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flux_spread_bounds_the_scaled_gradient(p, name, n_cells, size, seed):
+    # the certificate (max f - min f) / max(1, min f) is at least the scaled
+    # gradient max |f_i - f_(i+1)| / max(1, upper median |f|) of the signed
+    # flux f = m p |s|^(p-2) s / dx, on monotone profiles perturbed from the
+    # minimizer: it is as strict on every profile, up to the few ulps of
+    # max |f| by which the two flux formulas round apart
+    prob = _problem(name, p, n=n_cells)
+    psi = pl.constant_flux_profile(prob)
+    drops = psi[:-1] - psi[1:]
+    drops *= 1.0 + size * np.random.default_rng(seed).uniform(-1.0, 1.0, drops.size)
+    psi[:-1] = np.cumsum(drops[::-1])[::-1]
+    psi /= psi[0]
+    psi[0], psi[-1] = 1.0, 0.0
+    sol = pl.minimize_energy(prob, initial=psi, tol=math.inf)
+
+    slopes = np.diff(psi) / prob.dx
+    flux = prob.weights * p * np.abs(slopes) ** (p - 2.0) * slopes / prob.dx
+    magnitude = np.abs(flux)
+    upper_median = np.partition(magnitude, flux.size // 2)[flux.size // 2]
+    scaled_gradient = np.max(np.abs(flux[:-1] - flux[1:])) / max(1.0, upper_median)
+    rounding = 16 * np.finfo(float).eps * magnitude.max() / max(1.0, magnitude.min())
+    assert sol.grad_norm >= scaled_gradient - rounding
+    assert scaled_gradient > 1e3 * rounding
+
+
+def test_minimize_energy_peak_memory_is_bounded():
+    # beyond the profile it returns, minimize_energy holds two arrays of the
+    # cells' size at a time: the cell slopes and m |s|^(p-1) in the
+    # certificate, log dx and the log drops in constant_flux_profile
+    prob = _problem("power_warp", 1.5, n=2**17)
+    tracemalloc.start()
+    try:
+        sol = pl.minimize_energy(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sol.psi.nbytes + 2 * prob.weights.nbytes + 16384
 
 
 def test_inner_radius_scaling():
@@ -247,6 +323,12 @@ def test_initial_guess_validation():
     bad[0] = 0.5
     with pytest.raises(pl.DomainError):
         pl.minimize_energy(prob, initial=bad)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+def test_tolerance_must_be_positive(tol):
+    with pytest.raises(pl.DomainError, match="gradient tolerance must be positive"):
+        pl.minimize_energy(_problem("flat", 1.5, n=64), tol=tol)
 
 
 def test_non_finite_initial_profile_is_refused():
