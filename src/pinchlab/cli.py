@@ -247,7 +247,7 @@ def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
     pot = solve_radial(model, p, config.r0, n_grid=config.n_grid, r_max=config.r_max)
     table = functionals.level_table(pot, functionals._table_levels(pot, config.n_levels))
     c_f, c_g = functionals._exact_constants(p.value)
-    u0 = pot.state_at(pot.r0).u  # one value, not the node array of u
+    u0 = float(pot.flux_integral_at(pot.r0)[0]) / pot.normalizer
     boundary_ok = abs(u0 - 1.0) <= 1e-12 and abs(pot.w0) <= 1e-12
     cap_tol = config.tolerance("capacity")
     cap_dev = float(np.max(np.abs(table["cap_ratio_to_exp_t"] - 1.0)))
@@ -331,8 +331,8 @@ def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> Scen
     ]
     # about 16 of the row levels, read off the table: no level is inverted twice
     picked = slice(None, None, max(1, config.n_levels // 16))
-    ordering = rigidity._ordering_report(
-        pot, *(table[name][picked] for name in ("t", "F", "G", "dG_fd")), tol_mono
+    ordering = rigidity.ordering_check(
+        pot, {name: table[name][picked] for name in ("t", "F", "G", "dG_fd")}, tol_mono
     )
     constants = {
         "c_F": c_f,

@@ -138,12 +138,6 @@ def _exact_constants(p: float) -> tuple[float, float]:
     return 1.0, 1.0 / (m * m)
 
 
-def _in_fd_window(pot: RadialPotential, t) -> np.ndarray:
-    """Which levels t have their finite-difference stencil inside [0, t_max]:
-    FD_STEP <= t <= t_max - FD_STEP."""
-    return (FD_STEP <= t) & (t <= pot.t_max - FD_STEP)
-
-
 def _libm_exp(x: np.ndarray) -> np.ndarray:
     """math.exp at each element.  numpy's SIMD exp rounds some arguments
     differently, and these values reach the emitted report bytes."""
@@ -156,7 +150,8 @@ def _table(pot: RadialPotential, ts, extra=()) -> tuple[dict, np.ndarray]:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.ndim != 1:
         raise DomainError(f"levels must be a scalar or a 1-D sequence, got shape {ts.shape}")
-    outside = ~_in_fd_window(pot, ts)
+    # the finite-difference stencil of each level must lie inside [0, t_max]
+    outside = ~((FD_STEP <= ts) & (ts <= pot.t_max - FD_STEP))
     if np.any(outside):
         raise DomainError(
             f"level range violation: need dt <= t <= t_max - dt, "

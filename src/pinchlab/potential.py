@@ -56,7 +56,6 @@ __all__ = [
     "PExponent",
     "as_p",
     "RadialPotential",
-    "PotentialSample",
     "solve_radial",
     "radius_of_level",
     "capacity",
@@ -82,14 +81,6 @@ def as_p(p) -> PExponent:
     return p if isinstance(p, PExponent) else PExponent(float(p))
 
 
-class PotentialSample(NamedTuple):
-    u: float
-    u_prime: float
-    w: float
-    w_prime: float
-    t: float
-
-
 @dataclass(frozen=True, eq=False)
 class RadialPotential:
     """Solved radial capacitary potential on [r0, r_trunc].
@@ -101,12 +92,11 @@ class RadialPotential:
     fitted warp's solve builds them; a power law's builds them on first
     read, from the same formulas, so they have the same bits either way, and
     its levels are bracketed from node values computed at the bracket alone.
-    Any quantity is re-evaluated at off-grid radii from I there rather than
-    by interpolation (see :meth:`state_at`): from the closed form when the
-    warp is a power law, else by one extra panel of quadrature.  The node
-    samples of u, u' and w' are built from ``suffix`` on first use.  Without
-    a power law, the grid cells and every later panel take the 12-point Gauss
-    rule.
+    Off-grid radii read I from :meth:`flux_integral_at` rather than by
+    interpolation: from the closed form when the warp is a power law, else by
+    one extra panel of quadrature.  u = I / ``normalizer`` and w' = (p-1)
+    h^(-q) / I follow from I wherever it is read.  Without a power law, the
+    grid cells and every later panel take the 12-point Gauss rule.
     """
 
     model: geometry.ManifoldModel
@@ -145,29 +135,11 @@ class RadialPotential:
     def w(self) -> np.ndarray:
         return _levels_of(self.suffix, self.normalizer, self.p.value)
 
-    @functools.cached_property
-    def u(self) -> np.ndarray:
-        return self.suffix / self.normalizer
-
-    @functools.cached_property
-    def u_prime(self) -> np.ndarray:
-        return -self._integrand(self.grid) / self.normalizer
-
-    @functools.cached_property
-    def w_prime(self) -> np.ndarray:
-        return (self.p.value - 1.0) * self._integrand(self.grid) / self.suffix
-
     def _nodes(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A power law's (grid[k], w[k]) at integer indices 0 <= k < n_grid,
         from the arrays' formulas at k alone: the arrays' bits, unbuilt."""
         radii = geometric_nodes(self.r0, self.r_trunc, self.n_grid, k)
         return radii, _levels_of(self._power_law.flux(radii), self.normalizer, self.p.value)
-
-    def require_radius(self, r: float) -> float:
-        r = float(r)
-        if not (self.r0 <= r <= self.r_trunc):
-            raise DomainError(f"radius {r} outside the solved range [{self.r0}, {self.r_trunc}]")
-        return r
 
     def flux_integral_at(self, r) -> np.ndarray:
         """I(r) evaluated exactly: the closed form of a power law, else suffix
@@ -202,16 +174,6 @@ class RadialPotential:
         exact = r == self.grid[j]
         out[exact] = self.suffix[j[exact]]
         return out
-
-    def state_at(self, r: float) -> PotentialSample:
-        """(u, u', w, w') at one radius, from I there (see :meth:`flux_integral_at`)."""
-        r = self.require_radius(r)
-        flux = float(self.flux_integral_at(r)[0])
-        hq = float(self._integrand(r))
-        k = self.p.value - 1.0
-        u = flux / self.normalizer
-        w = k * (math.log(self.normalizer) - math.log(flux))
-        return PotentialSample(u, -hq / self.normalizer, w, k * hq / flux, w)
 
 
 class _PowerLawFlux(NamedTuple):
@@ -320,13 +282,15 @@ def solve_radial(
     """
     p = as_p(p)
     r0 = float(r0)
-    if r0 <= 0.0:
-        raise DomainError(f"inner radius r0 must be positive, got {r0}")
+    if not 0.0 < r0 < math.inf:
+        raise DomainError(f"inner radius r0 must be a positive finite number, got {r0}")
     if r0 < model.r_min:
         raise DomainError(f"r0 = {r0} lies inside the excluded core (r_min = {model.r_min})")
     if r_max is None:
         r_max = min(1e4 * r0, model.r_max)
     r_max = float(r_max)
+    if not math.isfinite(r_max):
+        raise DomainError(f"truncation radius r_max must be a finite number, got {r_max}")
     if r_max > model.r_max:
         raise DomainError(f"truncation radius {r_max} exceeds the model domain ({model.r_max})")
     if not r0 < r_max:

@@ -53,8 +53,8 @@ __all__ = [
 ]
 
 FOUR_PI = 4.0 * math.pi
-ODE_STEP = 1e-3  # time step at which the comparison envelope is sampled
-ODE_HORIZON = 20.0  # default last time of the comparison envelope
+ODE_STEP = 1e-3  # the horizon is rounded up to whole steps of this size; nothing is sampled
+ODE_HORIZON = 20.0  # default horizon of the comparison ODE
 SLAB_CELLS = 128  # cells of the level partition the coarea slab integral uses
 
 
@@ -147,7 +147,7 @@ def select_p(alpha: float, margin: float) -> PExponent:
 
 
 class DichotomyTrajectory(NamedTuple):
-    """Upper envelope of F under the comparison ODE and its dichotomy data.
+    """The dichotomy data of F under the comparison ODE.
 
     The envelope solves F' = max(-2F/(3-p), -(eps/(3-p))(8 pi - 2F)): above
     the dichotomy constant 8 pi eps/(2+2eps) the linear branch governs, below
@@ -155,14 +155,13 @@ class DichotomyTrajectory(NamedTuple):
     branch crosses the constant in the finite closed-form time stored in
     ``crossing_time_linear``, so the 'stuck' branch is impossible given
     enough horizon; after the crossing the envelope equals K e^(-2t/(3-p)).
+    The envelope is piecewise exponential in closed form and is not stored.
     """
 
     p: float
     eps: float
     F0: float
     dichotomy_constant: float
-    times: np.ndarray
-    envelope: np.ndarray
     branch: str  # "decay" | "stuck"
     crossing_time: float | None
     crossing_time_linear: float
@@ -185,25 +184,12 @@ def decay_dichotomy(
     dichotomy constant f_d, so the envelope is piecewise exponential:
     4 pi - (4 pi - F0) e^(2 eps t/m) up to the crossing time T, then
     f_d e^(-2(t-T)/m), with m = 3-p (from F0 <= f_d, T = 0 and the envelope is
-    F0 e^(-2t/m)).  It is sampled every ODE_STEP up to the horizon; the branch
-    is 'stuck' when T lies past the last sample, and K is the largest
-    F e^(2t/m) over the samples; a K past the float range raises DomainError.
-    """
-    traj, n_steps = _dichotomy_crossing(p, eps, F0, horizon)
-    times = np.linspace(0.0, n_steps * ODE_STEP, n_steps + 1)
-    return traj._replace(times=times, envelope=_envelope(traj, times))
-
-
-def _dichotomy_crossing(
-    p, eps: float, F0: float, horizon: float
-) -> tuple[DichotomyTrajectory, int]:
-    """:func:`decay_dichotomy` without the samples before the last, and its
-    number of steps: ``times`` and ``envelope`` hold the last sample alone.
-
-    F e^(2t/m) grows along the linear branch and is constant after the
-    crossing, so K is read at the crossing, or at the last sample when the
-    branch is stuck; that sample takes the same numpy operations as in the
-    whole array, so K has the same bits either way.
+    F0 e^(-2t/m)).  The horizon, finite and above ODE_STEP, is rounded up to
+    whole steps, and the branch is 'stuck' when T lies past it.  K is the
+    largest F e^(2t/m) up to the rounded horizon: that grows along the linear
+    branch and is constant after the crossing, so K is read at the crossing,
+    or at the rounded horizon when the branch is stuck.  Nothing is sampled.
+    A K past the float range raises DomainError.
     """
     p = as_p(p)
     eps = _check_eps(eps)
@@ -213,12 +199,13 @@ def _dichotomy_crossing(
             f"initial value F0 = {F0} violates the boundary Willmore hypothesis: need 0 < F0 < 4 pi"
         )
     step = ODE_STEP
-    if horizon <= step:
-        raise DomainError(f"need 0 < step < horizon, got step = {step}, horizon = {horizon}")
+    horizon = float(horizon)
+    if not step < horizon < math.inf:
+        raise DomainError(f"need step < horizon < inf, got step = {step}, horizon = {horizon}")
     m = 3.0 - p.value
     f_d = 8.0 * math.pi * eps / (2.0 + 2.0 * eps)
     n_steps = int(math.ceil(horizon / step))
-    # the last of np.linspace(0, stop, n_steps + 1) is stop itself
+    # the horizon rounded up to whole steps
     last = np.array([n_steps * step])
 
     if F0 <= f_d:
@@ -231,8 +218,6 @@ def _dichotomy_crossing(
         eps=eps,
         F0=F0,
         dichotomy_constant=f_d,
-        times=last,
-        envelope=None,
         branch="decay" if crossing is not None else "stuck",
         crossing_time=crossing,
         crossing_time_linear=crossing_linear,
@@ -251,7 +236,7 @@ def _dichotomy_crossing(
             f"K = F e^(2t/(3-p)) passes the float range at the {where} t = {t_k:.6g} "
             f"(p = {p.value}, eps = {eps})"
         ) from None
-    return traj._replace(envelope=env, K=k_fit), n_steps
+    return traj._replace(K=k_fit)
 
 
 def _envelope(traj: DichotomyTrajectory, times: np.ndarray) -> np.ndarray:
@@ -290,38 +275,24 @@ class OrderingReport(NamedTuple):
     tail_G: float
 
 
-def ordering_check(pot: RadialPotential, levels) -> OrderingReport:
-    """Verify 0 <= G <= F at the given levels and fit the dG/dt proportionality."""
-    levels = np.array([float(t) for t in levels])
+def ordering_check(
+    pot: RadialPotential, rows, tol: float = DEFAULT_TOLERANCES["monotone"]
+) -> OrderingReport:
+    """Verify 0 <= G <= F at the rows of a level table and fit the dG/dt proportionality.
+
+    ``rows`` holds the ``t``, ``F``, ``G`` and ``dG_fd`` columns of
+    :func:`functionals.level_table`, or any selection of its rows, with at
+    least one row.  The ordering holds to tol, as in :func:`_ordered`.
+    """
+    levels, F, G, dG = (rows[name] for name in ("t", "F", "G", "dG_fd"))
     if not levels.size:
         raise DomainError("ordering_check needs at least one level")
-    n = levels.size
-    stencil = functionals._stencil(levels[functionals._in_fd_window(pot, levels)])
-    lv = functionals._level(pot, np.concatenate([levels, stencil]))
-    return _ordering_report(
-        pot, levels, lv.F[:n], lv.G[:n], functionals._fd_derivative(lv.G[n:]),
-        DEFAULT_TOLERANCES["monotone"],
-    )
-
-
-def _ordered(F: np.ndarray, G: np.ndarray, tol: float) -> bool:
-    """0 <= G <= F at every level, each side relaxed by tol (1 + |F|)."""
-    slack = tol * (1.0 + np.abs(F))
-    return bool(np.all((-slack <= G) & (G <= F + slack)))
-
-
-def _ordering_report(pot: RadialPotential, levels, F, G, dG, tol: float) -> OrderingReport:
-    """The report of :func:`ordering_check` from F and G at the levels and dG/dt at
-    those of them inside ``functionals._in_fd_window``, however these were computed;
-    the ordering holds to tol, as in :func:`_ordered`."""
     p = pot.p_value
     m = 3.0 - p
-    in_window = functionals._in_fd_window(pot, levels)
     f_vals, g_vals = F.tolist(), G.tolist()
-    f_win, g_win = F[in_window], G[in_window]
     # flat/cone equality case G = F: the proportionality is 0 = 0, skipped
-    unequal = ~(np.abs(g_win - f_win) <= 1e-12 * (1.0 + np.abs(f_win)))
-    ratios = dG[unequal] / ((m * m / (p - 1.0)) * (g_win - f_win)[unequal])
+    unequal = ~(np.abs(G - F) <= 1e-12 * (1.0 + np.abs(F)))
+    ratios = dG[unequal] / ((m * m / (p - 1.0)) * (G - F)[unequal])
     if ratios.size:
         constant = float(np.median(ratios))
         max_dev = float(np.max(np.abs(ratios / constant - 1.0)))
@@ -340,6 +311,12 @@ def _ordering_report(pot: RadialPotential, levels, F, G, dG, tol: float) -> Orde
         tail_F=f_vals[order[-1]],
         tail_G=g_vals[order[-1]],
     )
+
+
+def _ordered(F: np.ndarray, G: np.ndarray, tol: float) -> bool:
+    """0 <= G <= F at every level, each side relaxed by tol (1 + |F|)."""
+    slack = tol * (1.0 + np.abs(F))
+    return bool(np.all((-slack <= G) & (G <= F + slack)))
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +511,7 @@ def run_contradiction_scenario(
     f_first = float(F[0])
     # relative margin: flat space has F = 4 pi exactly, up to last-bit rounding
     if f_first < FOUR_PI * (1.0 - 1e-12):
-        traj, _ = _run_stage(
-            "decay-dichotomy",
-            lambda: _dichotomy_crossing(p, eps_used, f_first, ODE_HORIZON),
-        )
+        traj = _run_stage("decay-dichotomy", lambda: decay_dichotomy(p, eps_used, f_first))
         constants["dichotomy_constant"] = traj.dichotomy_constant
         constants["K_envelope_ode"] = traj.K
         constants["ode_crossing_time"] = traj.crossing_time

@@ -26,9 +26,9 @@ import numpy as np
 import pytest
 
 import pinchlab as pl
-from pinchlab import functionals, geometry
+from pinchlab import functionals, geometry, rigidity
 from pinchlab.geometry import LevelSetData
-from pinchlab.potential import RadialPotential, as_p, solve_radial
+from pinchlab.potential import RadialPotential, _w_prime_at, as_p, solve_radial
 
 MODEL_FACTORIES = {
     "flat": pl.flat_model,
@@ -65,6 +65,14 @@ def log_linear_profile(problem: pl.variational.DiscreteProblem) -> np.ndarray:
     psi = 1.0 - np.log(mesh / mesh[0]) / math.log(mesh[-1] / mesh[0])
     psi[0], psi[-1] = 1.0, 0.0
     return psi
+
+
+def sampled_envelope(traj: rigidity.DichotomyTrajectory, horizon: float):
+    """The comparison envelope of ``traj`` every ``rigidity.ODE_STEP`` up to the
+    horizon rounded up to whole steps: (times, envelope)."""
+    n = math.ceil(horizon / rigidity.ODE_STEP)
+    times = np.linspace(0.0, n * rigidity.ODE_STEP, n + 1)
+    return times, rigidity._envelope(traj, times)
 
 
 def integrate_dichotomy(p: float, eps: float, f0: float, times: np.ndarray):
@@ -220,7 +228,7 @@ def _div_splines(pot: RadialPotential):
 
     h, h1, _ = pot.model.warp(pot.grid)
     m = 3.0 - pot.p_value
-    wp = pot.w_prime
+    wp = _w_prime_at(pot, pot.grid)
     mean = 2.0 * h1 / h
     h_sq = h * h
     x = np.log(pot.grid)
@@ -265,15 +273,14 @@ def _div_claims(geo: LevelSetData, wp, p):
 
 
 def _div_sample(pot: RadialPotential, r: float, splines) -> DivergenceSample:
-    pot.require_radius(r)
     spline_x, spline_y = splines
     geo = geometry.levelset_geometry(pot.model, r)
-    state = pot.state_at(r)
+    wp = float(_w_prime_at(pot, r)[0])  # refuses a radius outside the solved range
     h_sq = geo.area / (4.0 * math.pi)
     x = math.log(r)
     div_x = float(spline_x(x)) / (r * h_sq)
     div_y = float(spline_y(x)) / (r * h_sq)
-    claim_x, claim_y, claim_x_inhomogeneous = _div_claims(geo, float(state.w_prime), pot.p_value)
+    claim_x, claim_y, claim_x_inhomogeneous = _div_claims(geo, wp, pot.p_value)
     near_edge = bool(r < pot.grid[2] or r > pot.grid[-3])
     return DivergenceSample(
         r=r,

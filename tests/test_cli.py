@@ -176,9 +176,37 @@ def test_monotone_inverts_its_levels_in_one_call(monkeypatch):
         "n_grid": 1024,
     })))
     assert calls == [5 * 64 + 1]
-    ordering = pl.ordering_check(pots[0], [row["t"] for row in report.rows[::4]])
+    table = pl.functionals.level_table(pots[0], [row["t"] for row in report.rows[::4]])
+    ordering = pl.ordering_check(pots[0], table)
     assert report.constants["dG_proportionality"] == ordering.proportionality_constant
     assert report.constants["dG_proportionality_expected"] == ordering.proportionality_expected
+
+
+def test_scenarios_call_the_public_dichotomy_and_ordering(monkeypatch):
+    # the comparison ODE and the ordering have one path each, reached through
+    # the rigidity module's bindings; the contradiction reads the envelope at
+    # one time alone
+    calls, sizes = [], []
+    for name in ("decay_dichotomy", "ordering_check"):
+        inner = getattr(pl.rigidity, name)
+        monkeypatch.setattr(
+            pl.rigidity, name,
+            lambda *args, _name=name, _inner=inner, **kwargs: calls.append(_name) or _inner(*args, **kwargs),
+        )
+    envelope = pl.rigidity._envelope
+    monkeypatch.setattr(
+        pl.rigidity, "_envelope", lambda traj, times: sizes.append(times.size) or envelope(traj, times)
+    )
+    report = pl.run(pl.parse_config(json.dumps({
+        "model": {"kind": "cone", "a": 0.8}, "scenario": "contradict", "p": 1.5, "n_grid": 256,
+    })))
+    assert report.constants["K_envelope_ode"] > 0.0
+    assert calls == ["decay_dichotomy"] and sizes == [1]
+    pl.run(pl.parse_config(json.dumps({
+        "model": {"kind": "power_warp", "alpha": 1.5}, "scenario": "monotone", "p": 1.5,
+        "n_grid": 256,
+    })))
+    assert calls == ["decay_dichotomy", "ordering_check"]
 
 
 def test_run_check_identities():

@@ -1,6 +1,6 @@
 """Source hygiene: every top-level import of the package is used, every
-module-level private function or class is referenced elsewhere in the
-package, and every name a module exports in ``__all__`` exists."""
+private function, class or method is referenced elsewhere in the package,
+and every name a module exports in ``__all__`` exists."""
 
 import ast
 import importlib
@@ -45,30 +45,48 @@ def test_no_unused_top_level_imports(path):
 
 
 def _unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions and classes (``_name``, not dunder) that
-    no other top-level statement of any source names, as a variable or as an
-    attribute: a helper that calls only itself counts as unreferenced."""
+    """Private functions and classes (``_name``, not dunder), at module level
+    or in the body of a module-level class, that nothing outside themselves
+    names, as a variable or as an attribute: a top-level definition counts the
+    other top-level statements of every source, a method those and the other
+    members of its class.  A helper that calls only itself is unreferenced."""
     statements = [(stem, node) for stem, text in sources.items() for node in ast.parse(text).body]
-    names_in = {
-        id(node): {sub.id if isinstance(sub, ast.Name) else sub.attr
-                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
-        for _, node in statements
-    }
-    return [
-        f"{stem}.{node.name}"
-        for stem, node in statements
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-        and not any(node.name in names_in[id(other)] for _, other in statements if other is not node)
-    ]
+
+    def names(node) -> set[str]:
+        return {sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+
+    names_in = {id(node): names(node) for _, node in statements}
+    for _, cls in statements:
+        if isinstance(cls, ast.ClassDef):
+            names_in.update((id(member), names(member)) for member in cls.body)
+
+    def private(node) -> bool:
+        return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__"))
+
+    def named(node, others) -> bool:
+        return any(node.name in names_in[id(other)] for other in others if other is not node)
+
+    top = [node for _, node in statements]
+    dead = [f"{stem}.{node.name}" for stem, node in statements if private(node) and not named(node, top)]
+    for stem, cls in statements:
+        if isinstance(cls, ast.ClassDef):
+            others = [node for node in top if node is not cls] + cls.body
+            dead += [f"{stem}.{cls.name}.{member.name}" for member in cls.body
+                     if private(member) and not named(member, others)]
+    return dead
 
 
 def test_dead_private_definition_detector():
     sources = {
-        "a": "def _used():\n    pass\ndef _dead():\n    return _dead()\nclass _Gone:\n    pass\n",
-        "b": "from a import _used\nx = a._used\n",
+        "a": "def _used():\n    pass\ndef _dead():\n    return _dead()\nclass _Gone:\n    pass\n"
+             "class Kept:\n    def _loop(self):\n        return self._loop()\n"
+             "    def _called(self):\n        pass\n    def run(self):\n        return self._called()\n"
+             "    def _outside(self):\n        pass\n    def __init__(self):\n        pass\n",
+        "b": "from a import _used\nx = a._used\ny = a.Kept()._outside\n",
     }
-    assert _unreferenced_private_definitions(sources) == ["a._dead", "a._Gone"]
+    assert _unreferenced_private_definitions(sources) == ["a._dead", "a._Gone", "a.Kept._loop"]
 
 
 def test_no_dead_private_definitions():

@@ -21,6 +21,7 @@ import pytest
 
 import pinchlab as pl
 from pinchlab import functionals
+from pinchlab.potential import _level_at, _w_prime_at
 
 P_VALUES = (1.2, 1.5, 1.8)
 
@@ -52,16 +53,16 @@ def test_flat_nodes_match_closed_form(solved, p):
     pot = solved("flat", p)
     m = 3.0 - p
     exact = pot.grid ** (-m / (p - 1.0))
-    assert np.max(np.abs(pot.u / exact - 1.0)) < 1e-12
+    assert np.max(np.abs(pot.suffix / pot.normalizer / exact - 1.0)) < 1e-12
     # w = m log r / ... : w = (p-1) log(1/u) = m log r
     assert np.max(np.abs(pot.w - m * np.log(pot.grid))) < 1e-10 * (1.0 + pot.w[-1])
 
 
 def test_flat_specific_values(solved):
     pot = solved("flat", 1.5)
-    s = pot.state_at(2.0)
-    assert abs(s.u - 0.125) < 1e-13  # 2^(-m/(p-1)) = 2^-3
-    assert abs(pot.state_at(math.e).w - 1.5) < 1e-12  # w = m log r
+    u = pot.flux_integral_at(2.0)[0] / pot.normalizer
+    assert abs(u - 0.125) < 1e-13  # 2^(-m/(p-1)) = 2^-3
+    assert abs(_level_at(pot, math.e)[0] - 1.5) < 1e-12  # w = m log r
     assert abs(pl.radius_of_level(pot, 3.0) - math.e**2) < 1e-9
     # normalized capacity of the inner sphere is exactly 1 in flat space
     assert abs(pl.capacity(pot, 0.0) - 1.0) < 1e-12
@@ -70,10 +71,12 @@ def test_flat_specific_values(solved):
 @pytest.mark.parametrize("p", P_VALUES)
 def test_first_integral_is_constant(solved, p):
     # h^2 |u'|^(p-1) is the flux first integral; it must be grid-constant.
+    # u = I / I(r0) and |u'| = w' u / (p-1)
     for name in ("flat", "power_warp"):
         pot = solved(name, p)
         h, _, _ = pot.model.warp(pot.grid)
-        flux = h**2 * np.abs(pot.u_prime) ** (p - 1.0)
+        u_prime = _w_prime_at(pot, pot.grid) * pot.suffix / ((p - 1.0) * pot.normalizer)
+        flux = h**2 * u_prime ** (p - 1.0)
         assert np.max(flux) / np.min(flux) - 1.0 < 1e-12
 
 
@@ -85,8 +88,9 @@ def test_w_satisfies_radial_ode(solved):
     grid = pot.grid
     h, h1, _ = pot.model.warp(grid)
     H = 2.0 * h1 / h
-    w2_exact = pot.w_prime * (pot.w_prime - H) / (p - 1.0)
-    w2_fd = np.gradient(pot.w_prime, grid)
+    wp = _w_prime_at(pot, grid)
+    w2_exact = wp * (wp - H) / (p - 1.0)
+    w2_fd = np.gradient(wp, grid)
     inner = slice(grid.size // 4, 3 * grid.size // 4)
     rel = np.abs(w2_fd[inner] - w2_exact[inner]) / np.max(np.abs(w2_exact[inner]))
     assert np.max(rel) < 1e-5
@@ -202,7 +206,7 @@ def test_underflowing_power_law_scale_and_tail_are_refused():
 def test_solver_input_validation():
     flat = pl.flat_model()
     cone = pl.cone_model(0.8)
-    with pytest.raises(pl.DomainError):
+    with pytest.raises(pl.DomainError, match="inner radius r0 must be a positive finite number"):
         pl.solve_radial(flat, 1.5, 0.0)
     with pytest.raises(pl.DomainError):
         pl.solve_radial(cone, 1.5, 1e-5)  # inside the excluded core
@@ -212,6 +216,12 @@ def test_solver_input_validation():
         pl.solve_radial(flat, 1.5, 5.0, r_max=2.0)
     with pytest.raises(pl.DomainError):
         pl.solve_radial(flat, 1.5, 1.0, n_grid=8)
+    # a non-finite radius is refused by name, not as a failed r0 < r_max
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(pl.DomainError, match="inner radius r0 must be a positive finite number"):
+            pl.solve_radial(flat, 1.5, bad)
+        with pytest.raises(pl.DomainError, match="truncation radius r_max must be a finite number"):
+            pl.solve_radial(flat, 1.5, 1.0, r_max=bad)
     # the node count is an integer by operator.index, as discretize's n_cells:
     # 300.7 would solve on 300 nodes, NaN and inf would escape as ValueError
     # and OverflowError
@@ -250,9 +260,8 @@ def test_strict_decrease_is_refused_where_the_nodes_fail_it(factory):
 
 def test_boundary_model_starts_at_inner_sphere(solved):
     pot = solved("cone", 1.5, 1e-4)
-    s = pot.state_at(pot.r0)
-    assert s.u == 1.0
-    assert s.w == 0.0
+    assert pot.flux_integral_at(pot.r0)[0] / pot.normalizer == 1.0
+    assert _level_at(pot, pot.r0)[0] == 0.0
     assert pl.radius_of_level(pot, 0.0) == pot.r0
     assert np.all(np.diff(pot.w) > 0.0)
 
@@ -266,7 +275,7 @@ def test_level_radius_roundtrip(solved, rng):
     pot = solved("flat", 1.8)
     for t in rng.uniform(0.05, 0.9 * pot.t_max, 10):
         r = pl.radius_of_level(pot, float(t))
-        assert abs(pot.state_at(r).w - t) < 1e-10 * (1.0 + t)
+        assert abs(_level_at(pot, r)[0] - t) < 1e-10 * (1.0 + t)
 
 
 # h = c r^beta for the three noncompact library models (fixture names)
@@ -856,27 +865,25 @@ def test_level_beyond_truncation_rejected(solved):
     pot = solved("flat", 1.5)
     with pytest.raises(pl.DomainError, match="beyond truncation"):
         pl.radius_of_level(pot, pot.t_max + 1.0)
-    with pytest.raises(pl.DomainError):
-        pot.state_at(pot.r_trunc * 2.0)
+    with pytest.raises(pl.DomainError, match="outside the solved range"):
+        _level_at(pot, pot.r_trunc * 2.0)
 
 
-def test_node_derivatives_are_built_on_first_use():
-    # a solve keeps grid, w and suffix; u, u' and w' follow from suffix, the
-    # normalizer and h^(-q) at the nodes when first read
+def test_w_prime_at_the_nodes_reads_the_suffix():
+    # a solve keeps grid, w and suffix alone; w' = (p-1) h^(-q) / I at the
+    # nodes reads I where the suffix holds it
     pot = pl.solve_radial(pl.cone_model(0.8), 1.5, 1.0, n_grid=256)
-    assert not {"u", "u_prime", "w_prime"} & set(vars(pot))
     hq = pot.model.warp.h(pot.grid) ** -4.0
-    assert np.array_equal(pot.u, pot.suffix / pot.normalizer)
-    assert np.allclose(pot.u_prime, -hq / pot.normalizer, rtol=1e-14, atol=0.0)
-    assert np.allclose(pot.w_prime, 0.5 * hq / pot.suffix, rtol=1e-14, atol=0.0)
-    assert pot.u is pot.u and pot.w_prime is pot.w_prime
+    assert np.array_equal(pot.flux_integral_at(pot.grid), pot.suffix)
+    assert np.allclose(_w_prime_at(pot, pot.grid), 0.5 * hq / pot.suffix, rtol=1e-14, atol=0.0)
 
 
 def test_monotone_profiles(solved):
     pot = solved("cone", 1.2)
-    assert np.all(np.diff(pot.u) < 0.0)
-    assert pot.u[0] == 1.0
-    assert np.all(pot.w_prime > 0.0)
+    u = pot.suffix / pot.normalizer
+    assert np.all(np.diff(u) < 0.0)
+    assert u[0] == 1.0
+    assert np.all(_w_prime_at(pot, pot.grid) > 0.0)
 
 
 @pytest.mark.parametrize("name", ["flat", "positive_cap_1"])

@@ -34,8 +34,8 @@ RECORD_FIELDS = {
         "p", "alpha", "f_p", "lhs_exponent", "rhs_exponent", "contradiction_possible",
     ),
     rigidity.DichotomyTrajectory: (
-        "p", "eps", "F0", "dichotomy_constant", "times", "envelope", "branch", "crossing_time",
-        "crossing_time_linear", "K",
+        "p", "eps", "F0", "dichotomy_constant", "branch", "crossing_time", "crossing_time_linear",
+        "K",
     ),
     rigidity.OrderingReport: (
         "levels", "F_values", "G_values", "ordering_ok", "proportionality_constant",

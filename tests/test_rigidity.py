@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import pinchlab as pl
 
-from conftest import integrate_dichotomy
+from conftest import integrate_dichotomy, sampled_envelope
 
 FOUR_PI = 4.0 * math.pi
 
@@ -142,8 +142,9 @@ def test_dichotomy_crossing_matches_closed_form():
         for eps in (0.02, 0.1, 1.0 / 3.0):
             for f0 in (math.pi / 2.0, 2.0 * math.pi, 3.5 * math.pi, 3.9 * math.pi):
                 traj = pl.decay_dichotomy(p, eps, f0, horizon=40.0)
-                env, crossing = integrate_dichotomy(p, eps, f0, traj.times[::50])
-                assert np.max(np.abs(traj.envelope[::50] - env)) <= 1e-10 * f0, (p, eps, f0)
+                times, envelope = sampled_envelope(traj, 40.0)
+                env, crossing = integrate_dichotomy(p, eps, f0, times[::50])
+                assert np.max(np.abs(envelope[::50] - env)) <= 1e-10 * f0, (p, eps, f0)
                 assert (crossing is None) == (traj.crossing_time is None), (p, eps, f0)
                 if crossing is not None:
                     assert abs(traj.crossing_time - crossing) <= 1e-10, (p, eps, f0)
@@ -179,11 +180,12 @@ def test_dichotomy_constant_past_the_float_range_is_refused(F0, horizon, where):
 
 def test_dichotomy_envelope_bound():
     traj = pl.decay_dichotomy(1.5, 0.2, 3.5 * math.pi, horizon=30.0)
-    assert np.all(np.diff(traj.envelope) <= 0.0)
+    times, envelope = sampled_envelope(traj, 30.0)
+    assert np.all(np.diff(envelope) <= 0.0)
     m = 1.5
-    tail = traj.times >= traj.crossing_time
-    bound = traj.K * np.exp(-2.0 * traj.times[tail] / m)
-    assert np.all(traj.envelope[tail] <= bound * (1.0 + 1e-9))
+    tail = times >= traj.crossing_time
+    bound = traj.K * np.exp(-2.0 * times[tail] / m)
+    assert np.all(envelope[tail] <= bound * (1.0 + 1e-9))
 
 
 @pytest.mark.parametrize(
@@ -192,26 +194,14 @@ def test_dichotomy_envelope_bound():
      (1.37, 1.0 / 3.0, math.pi / 2.0, 20.0), (1.9, 0.02, 2.0 * math.pi, 40.0)],
     ids=["stuck", "decay", "below", "late"],
 )
-def test_scenario_reads_the_crossing_without_the_samples(p, eps, F0, horizon, monkeypatch):
-    # the contradiction scenario reads K, the branch and the crossing times
-    # from the last sample alone; they have the bits of the sampled trajectory
-    from pinchlab import rigidity
-
+def test_scenario_reads_the_crossing_without_the_samples(p, eps, F0, horizon):
+    # K, read at the crossing (or at the rounded horizon when stuck), is the
+    # largest F e^(2t/m) over the envelope sampled every ODE_STEP
     traj = pl.decay_dichotomy(p, eps, F0, horizon=horizon)
-    crossing, n_steps = rigidity._dichotomy_crossing(p, eps, F0, horizon)
-    assert n_steps + 1 == traj.times.size
-    assert crossing._replace(times=None, envelope=None) == traj._replace(times=None, envelope=None)
-    assert crossing.times.tolist() == traj.times[-1:].tolist()
-    assert crossing.envelope.tobytes() == traj.envelope[-1:].tobytes()
-
-    sizes = []
-    envelope = rigidity._envelope
-    monkeypatch.setattr(
-        rigidity, "_envelope", lambda traj, times: sizes.append(times.size) or envelope(traj, times)
-    )
-    report = rigidity.run_contradiction_scenario(pl.cone_model(0.8), 1.5, {"n_grid": 256})
-    assert report.constants["K_envelope_ode"] > 0.0
-    assert sizes == [1]
+    times, envelope = sampled_envelope(traj, horizon)
+    assert (traj.crossing_time is None) == (traj.crossing_time_linear > times[-1])
+    largest = float(np.max(envelope * np.exp(2.0 * times / (3.0 - p))))
+    assert abs(largest / traj.K - 1.0) <= 1e-12
 
 
 def test_dichotomy_input_validation():
@@ -221,8 +211,11 @@ def test_dichotomy_input_validation():
         pl.decay_dichotomy(1.5, 0.1, 0.0)
     with pytest.raises(pl.DomainError):
         pl.decay_dichotomy(1.5, 0.5, math.pi)  # eps beyond 1/3
-    with pytest.raises(pl.DomainError):
-        pl.decay_dichotomy(1.5, 0.1, math.pi, horizon=0.0)
+    # a horizon must be finite and above one step: NaN and inf once escaped as
+    # ValueError and OverflowError
+    for horizon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(pl.DomainError, match="need step < horizon < inf"):
+            pl.decay_dichotomy(1.5, 0.1, math.pi, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +225,7 @@ def test_dichotomy_input_validation():
 
 def test_ordering_power_warp(solved):
     pot = solved("power_warp", 1.5)
-    rep = pl.ordering_check(pot, np.linspace(0.5, 6.0, 16))
+    rep = pl.ordering_check(pot, pl.functionals.level_table(pot, np.linspace(0.5, 6.0, 16)))
     assert rep.ordering_ok
     assert all(0.0 <= g <= f for f, g in zip(rep.F_values, rep.G_values))
     assert abs(rep.proportionality_constant - 4.0 / 9.0) < 1e-6
@@ -244,7 +237,8 @@ def test_ordering_power_warp(solved):
 def test_ordering_flat_degenerate(solved):
     # G == F identically: every proportionality sample is skipped and the
     # fitted constant is NaN by construction, but the ordering still holds.
-    rep = pl.ordering_check(solved("flat", 1.5), [0.5, 1.0, 2.0])
+    pot = solved("flat", 1.5)
+    rep = pl.ordering_check(pot, pl.functionals.level_table(pot, [0.5, 1.0, 2.0]))
     assert rep.ordering_ok
     assert math.isnan(rep.proportionality_constant)
     assert rep.proportionality_max_dev == 0.0
@@ -258,17 +252,17 @@ def test_ordering_honours_its_tolerance(solved, tol, ok):
     levels = np.linspace(0.5, 6.0, 16)
     F = np.linspace(12.0, 8.0, 16)
     G = F * (1.0 + 1e-8)
-    rep = pl.rigidity._ordering_report(pot, levels, F, G, G - F, tol)
+    rep = pl.ordering_check(pot, {"t": levels, "F": F, "G": G, "dG_fd": G - F}, tol)
     assert rep.ordering_ok is ok
     assert pl.rigidity._ordered(F, G, tol) is ok
 
 
 def test_ordering_level_validation(solved):
     pot = solved("flat", 1.5)
-    with pytest.raises(pl.DomainError):
-        pl.ordering_check(pot, [])
-    with pytest.raises(pl.DomainError):
-        pl.ordering_check(pot, [pot.t_max + 1.0])
+    with pytest.raises(pl.DomainError, match="at least one level"):
+        pl.ordering_check(pot, pl.functionals.level_table(pot, []))
+    with pytest.raises(pl.DomainError, match="level range violation"):
+        pl.ordering_check(pot, pl.functionals.level_table(pot, [pot.t_max + 1.0]))
 
 
 # ---------------------------------------------------------------------------
