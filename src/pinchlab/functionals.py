@@ -27,6 +27,7 @@ the divergence identities behind them lives with the tests (``tests/conftest.py`
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -192,7 +193,12 @@ def _table(pot: RadialPotential, ts, extra=()) -> tuple[dict, np.ndarray]:
 
 def _table_levels(pot: RadialPotential, n_levels: int) -> np.ndarray:
     """n_levels evenly spaced levels in [dt, t_max - dt]: the rows of the
-    ``solve``, ``monotone`` and ``contradict`` scenarios."""
+    ``solve``, ``monotone`` and ``contradict`` scenarios; ``n_levels`` is an
+    integer by operator.index, as solve_radial's ``n_grid``."""
+    try:
+        n_levels = operator.index(n_levels)
+    except TypeError:
+        raise DomainError(f"n_levels must be an integer, got {n_levels!r}") from None
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
     ts = np.linspace(FD_STEP, pot.t_max - FD_STEP, n_levels)

@@ -482,16 +482,18 @@ def ball_volume(model: ManifoldModel, r):
     """Volume of the metric ball {radius <= r}, integrating 4 pi h^2 from r_min.
 
     ``r`` is a scalar (the volume is a float) or an array of radii (an array of
-    the same shape).  One cumulative table serves the whole call: 12-point
-    Gauss-Legendre cells on the geometric edges lo * VOLUME_CELL_RATIO^k, each
-    radius adding the partial cell from the last edge below it.  lo is r_min,
-    or POLE_CUT * r_max on a pole model, where the ball of radius lo is the
-    pole piece of :func:`_pole_volume`.  The edges depend on the model alone and
-    cumulative sums run in order, so a radius's volume does not depend on
-    which other radii share its call.
+    the same shape, empty when it is).  One cumulative table serves the whole
+    call: 12-point Gauss-Legendre cells on the geometric edges lo *
+    VOLUME_CELL_RATIO^k, each radius adding the partial cell from the last
+    edge below it.  lo is r_min, or POLE_CUT * r_max on a pole model, where
+    the ball of radius lo is the pole piece of :func:`_pole_volume`.  The
+    edges depend on the model alone and cumulative sums run in order, so a
+    radius's volume does not depend on which other radii share its call.
     """
     radii = np.asarray(r, dtype=float)
     flat = radii.reshape(-1)
+    if flat.size == 0:
+        return np.empty(radii.shape)
     model.require_radius(np.min(flat))
     model.require_radius(np.max(flat))
     lo = POLE_CUT * model.r_max if model.has_pole else model.r_min

@@ -1,10 +1,10 @@
 """Small shared numerical helpers.
 
-Geometric grids built in one array or at chosen nodes alone, composite
-Gauss-Legendre cells by the one 12-point rule (every quadrature of the
-package uses it: the integrands are smooth and the cells geometrically thin;
-the callers integrate power laws in closed form instead), and a
-least-squares slope fit in log-log coordinates.
+A geometric grid built in one array, composite Gauss-Legendre cells by the
+one 12-point rule (every quadrature of the package uses it: the integrands
+are smooth and the cells geometrically thin; the callers integrate power laws
+in closed form instead), and a least-squares slope fit in log-log
+coordinates.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["geometric_grid", "geometric_nodes", "cell_integrals", "interval_integrals", "log_log_fit"]
+__all__ = ["geometric_grid", "cell_integrals", "interval_integrals", "log_log_fit"]
 
 # The 12-point Gauss-Legendre rule, exact through degree 23, which makes a
 # single panel per geometric cell effectively exact for analytic integrands.
@@ -45,30 +45,14 @@ def geometric_grid(start: float, stop: float, num: int) -> np.ndarray:
     log10(start)) / (num - 1), then 10**y, then both ends pinned to ``start``
     and ``stop``; np.geomspace takes three arrays of ``num`` floats for them.
     """
-    y = _powers_of_ten(start, stop, num, np.arange(num, dtype=float))
-    y[-1] = stop
-    y[0] = start
-    return y
-
-
-def geometric_nodes(start: float, stop: float, num: int, k: np.ndarray) -> np.ndarray:
-    """``geometric_grid(start, stop, num)[k]`` bit for bit at integer indices
-    0 <= k < num, by the grid's own steps on the indices alone."""
-    k = np.asarray(k)
-    y = _powers_of_ten(start, stop, num, k.astype(float))
-    y[k == num - 1] = stop
-    y[k == 0] = start
-    return y
-
-
-def _powers_of_ten(start: float, stop: float, num: int, y: np.ndarray) -> np.ndarray:
-    """10**y_k, y_k = log10(start) + k (log10(stop) - log10(start)) / (num - 1),
-    in place on the float array y = k."""
     log_start, log_stop = np.log10(float(start)), np.log10(float(stop))
+    y = np.arange(num, dtype=float)
     if num > 1:
         y *= (log_stop - log_start) / (num - 1)
     y += log_start
     np.power(10.0, y, out=y)
+    y[-1] = stop
+    y[0] = start
     return y
 
 

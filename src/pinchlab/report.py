@@ -84,10 +84,6 @@ class StageVerdict:
         if self.status not in _STATUSES:
             raise ValueError(f"verdict status must be one of {_STATUSES}, got {self.status!r}")
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
 
 @dataclass
 class ScenarioReport:
@@ -111,7 +107,3 @@ class ScenarioReport:
             if v.name == name:
                 return v
         raise KeyError(f"no stage named {name!r} in this report")
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v.status != "fail" for v in self.verdicts)

@@ -223,13 +223,12 @@ def decay_dichotomy(
         crossing_time_linear=crossing_linear,
         K=math.nan,
     )
-    env = _envelope(traj, last)
     try:
         with np.errstate(over="raise"):
             if crossing is not None:
                 k_fit = float(min(F0, f_d) * np.exp(2.0 * crossing / m))
             else:
-                k_fit = float(env[-1] * np.exp(2.0 * last[-1] / m))
+                k_fit = float(_envelope(traj, last)[-1] * np.exp(2.0 * last[-1] / m))
     except FloatingPointError:
         where, t_k = ("crossing time", crossing) if crossing is not None else ("horizon", last[-1])
         raise DomainError(
@@ -381,12 +380,12 @@ def run_contradiction_scenario(
 
     pot = _run_stage(
         "solve",
-        lambda: solve_radial(model, p, r0, n_grid=int(opts["n_grid"]), r_max=opts["r_max"]),
+        lambda: solve_radial(model, p, r0, n_grid=opts["n_grid"], r_max=opts["r_max"]),
     )
     constants["c_F"], constants["c_G"] = functionals._exact_constants(p.value)
 
     ts = _run_stage(
-        "level-sampling", lambda: functionals._table_levels(pot, int(opts["n_levels"]))
+        "level-sampling", lambda: functionals._table_levels(pot, opts["n_levels"])
     )
     t_hi = float(ts[-1])
     # the coarea slab's end levels join the table's batch

@@ -184,8 +184,8 @@ def test_monotone_inverts_its_levels_in_one_call(monkeypatch):
 
 def test_scenarios_call_the_public_dichotomy_and_ordering(monkeypatch):
     # the comparison ODE and the ordering have one path each, reached through
-    # the rigidity module's bindings; the contradiction reads the envelope at
-    # one time alone
+    # the rigidity module's bindings; a stuck branch (cone_0.8 at eps = 1e-3)
+    # reads the envelope at the rounded horizon alone, a decaying one not at all
     calls, sizes = [], []
     for name in ("decay_dichotomy", "ordering_check"):
         inner = getattr(pl.rigidity, name)
@@ -201,12 +201,16 @@ def test_scenarios_call_the_public_dichotomy_and_ordering(monkeypatch):
         "model": {"kind": "cone", "a": 0.8}, "scenario": "contradict", "p": 1.5, "n_grid": 256,
     })))
     assert report.constants["K_envelope_ode"] > 0.0
+    assert report.constants["ode_crossing_time"] is None
     assert calls == ["decay_dichotomy"] and sizes == [1]
     pl.run(pl.parse_config(json.dumps({
         "model": {"kind": "power_warp", "alpha": 1.5}, "scenario": "monotone", "p": 1.5,
         "n_grid": 256,
     })))
     assert calls == ["decay_dichotomy", "ordering_check"]
+    for F0 in (1.0, 6.0):  # below the dichotomy constant, and crossing it at T > 0
+        assert pl.rigidity.decay_dichotomy(1.5, 0.3, F0).branch == "decay"
+    assert sizes == [1]
 
 
 def test_run_check_identities():
@@ -604,7 +608,7 @@ def test_outputs_do_not_depend_on_reading_the_node_arrays(tmp_path, monkeypatch,
 
     def reading(*args, **kwargs):
         pot = solve(*args, **kwargs)
-        assert not {"grid", "suffix", "w"} & set(vars(pot))
+        assert not {"grid", "suffix"} & set(vars(pot.law)) and "w" not in vars(pot)
         pot.grid, pot.suffix, pot.w
         solves.append(pot)
         return pot

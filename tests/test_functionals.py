@@ -105,6 +105,11 @@ def test_monotone_levels_spacing(solved):
     assert all(b > a for a, b in zip(ts, ts[1:]))
     with pytest.raises(pl.DomainError):
         functionals._table_levels(pot, 1)
+    # an integer by operator.index: 8.9 is refused, not rounded down to 8
+    for bad in (2.5, 8.9, 16.0, float("nan"), "16"):
+        with pytest.raises(pl.DomainError, match="n_levels must be an integer"):
+            functionals._table_levels(pot, bad)
+    assert functionals._table_levels(pot, np.int64(16)).size == 16
 
 
 def test_level_window_guard(solved):

@@ -202,6 +202,14 @@ def test_ball_volume_array_matches_scalar_calls_bitwise(name):
     assert np.all(np.diff(volumes.ravel()) < 0.0)
 
 
+def test_ball_volume_of_no_radii_is_empty():
+    # as radius_of_level(pot, []): an empty array of the input's shape, not
+    # numpy's "zero-size array to reduction operation minimum"
+    for radii in ([], np.empty((0, 3))):
+        volumes = pl.ball_volume(pl.flat_model(), radii)
+        assert volumes.shape == np.shape(radii) and volumes.dtype == float
+
+
 def test_ball_volume_rejects_radii_outside_the_domain():
     with pytest.raises(pl.DomainError, match="outside the model domain"):
         pl.ball_volume(pl.flat_model(), 0.0)

@@ -254,7 +254,7 @@ def test_strict_decrease_is_refused_where_the_nodes_fail_it(factory):
                 outcomes.add("refused")
             else:
                 assert np.all(suffix[1:] < suffix[:-1])
-                outcomes.add("checked" if "suffix" in vars(pot) else "certified")
+                outcomes.add("checked" if "suffix" in vars(pot.law) else "certified")
     assert outcomes == {"refused", "checked", "certified"}
 
 
@@ -294,8 +294,10 @@ def test_batched_radii_equal_single_calls_bitwise(solved, name, p):
 
 @pytest.mark.parametrize("name", sorted(POWER_LAWS))
 def test_batched_radii_match_closed_form(solved, name):
-    # r(t) = r0 exp(t / ((p-1)(q beta - 1))), q = 2/(p-1), on a 321-level batch
-    # holding t = 0, t = t_max, 16 exact grid nodes and 303 levels between
+    # r(t) = r0 exp(t / ((p-1)(q beta - 1))), q = 2/(p-1), with the rate
+    # rounded once as 2 beta - (p-1), bit for bit on a 321-level batch
+    # holding t = 0, t = t_max, 16 grid nodes and 303 levels between; t = 0
+    # is r0 and t_max is pinned to r_trunc
     p = 1.5
     pot = solved(name, p)
     nodes = np.arange(0, pot.grid.size, 256)
@@ -304,12 +306,13 @@ def test_batched_radii_match_closed_form(solved, name):
     )
     assert levels.size == 321
     radii = pl.radius_of_level(pot, levels)
-    rate = (p - 1.0) * (2.0 / (p - 1.0) * POWER_LAWS[name] - 1.0)
+    rate = 2.0 * POWER_LAWS[name] - (p - 1.0)
     exact = pot.r0 * np.exp(levels / rate)
-    assert np.max(np.abs(radii / exact - 1.0)) < 1e-12
     assert radii[0] == pot.r0
     assert radii[1] == pot.r_trunc
-    assert np.array_equal(radii[2:18], pot.grid[nodes])
+    assert radii[2:].tobytes() == exact[2:].tobytes()
+    assert abs(exact[1] / pot.r_trunc - 1.0) < 1e-14
+    assert np.max(np.abs(radii[2:18] / pot.grid[nodes] - 1.0)) < 1e-14
 
 
 def test_interval_integrals_do_not_depend_on_the_batch(rng):
@@ -469,7 +472,7 @@ def test_warps_without_power_law_keep_the_twelve_point_rule(rng):
         assert pot.model.warp.power_law is None
         r = rng.uniform(pot.grid[0], pot.grid[-1], 64)
         j = np.searchsorted(pot.grid, r) - 1
-        panels = [_reference_cells(pot._integrand, np.array([x, pot.grid[k + 1]]))[0]
+        panels = [_reference_cells(pot.law.density, np.array([x, pot.grid[k + 1]]))[0]
                   for x, k in zip(r, j)]
         assert np.array_equal(pot.flux_integral_at(r), panels + pot.suffix[j + 1])
 
@@ -499,7 +502,7 @@ def test_fine_power_law_solve_integrates_nothing(name, monkeypatch):
 
     model = BOUND_MODELS[name]()  # its domain check evaluates h before counting starts
     monkeypatch.setattr(potential._PowerLawFlux, "density", counting_density)
-    monkeypatch.setattr(potential, "_flux_density", no_call)
+    monkeypatch.setattr(potential._CellFlux, "density", no_call)
     monkeypatch.setattr(potential, "cell_integrals", no_call)
     monkeypatch.setattr(potential, "log_log_fit", no_call)
     monkeypatch.setattr(geometry.WarpFunction, "h", counting_h)
@@ -608,14 +611,14 @@ def test_power_law_cells_skip_the_rounding_of_h():
 
     p = 1.05
     exponent = -2.0 / (p - 1.0)
-    flat = potential._flux_density(pl.flat_model().warp, p)
+    flat = pl.solve_radial(pl.flat_model(), p, 1.0).law.density
     s = np.geomspace(1.0, 1e4, 1001)
     assert np.array_equal(flat(s), s**exponent)
 
     pot = pl.solve_radial(pl.power_warp_model(), p, 1.0, n_grid=4096)
     idx = np.linspace(0, pot.grid.size - 2, 300).astype(int)
     a, b = pot.grid[idx], pot.grid[idx + 1]
-    cells = interval_integrals(pot._integrand, a, b)
+    cells = interval_integrals(pot.law.density, a, b)
     worst = 0.0
     with mpmath.workdps(40):
         g = mpmath.mpf(exponent * 0.75)
@@ -691,6 +694,8 @@ def test_solve_radial_has_the_bits_of_fresh_arrays(name, p, n_grid):
     assert np.array_equal(pot.w, w)
     assert pot.normalizer == suffix[0]
     assert pot.tail == tail
+    # the solve's end levels, computed from I at the two ends alone, are w's
+    assert (pot.w0, pot.t_max) == (w[0], w[-1])
 
 
 @pytest.mark.parametrize(
@@ -725,7 +730,7 @@ def test_solve_radial_peak_memory_is_bounded_by_its_result(spec, monkeypatch):
         tracemalloc.stop()
     assert peak < 2**20, peak
     pot = pots[-1]
-    assert not {"grid", "suffix", "w"} & set(vars(pot))
+    assert not {"grid", "suffix"} & set(vars(pot.law)) and "w" not in vars(pot)
     grid, suffix, w, tail = _reference_solve(pot.model, 1.5, 1.0, 2**20)
     assert np.array_equal(pot.grid, grid)
     assert np.array_equal(pot.suffix, suffix)
@@ -735,11 +740,9 @@ def test_solve_radial_peak_memory_is_bounded_by_its_result(spec, monkeypatch):
 
 
 def test_fitted_solve_peak_memory_is_bounded_by_its_result():
-    # without a power law a solve allocates only the arrays it keeps, grid,
-    # suffix and w, plus one block of quadrature scratch (u, u' and w' are
-    # built on first use).  The scratch of a block is its points, midpoints
-    # and half-widths (at most two arrays of 12 _BLOCK floats together) and
-    # the integrand's values with at most two temporaries of them
+    # without a power law a solve allocates the arrays it keeps, grid and
+    # suffix, plus one block of quadrature scratch, within the bytes of grid,
+    # suffix and w (built on first read) and five arrays of 12 _BLOCK floats
     from pinchlab.numerics import _BLOCK
 
     model = pl.positive_cap_model(1.0)
@@ -749,6 +752,7 @@ def test_fitted_solve_peak_memory_is_bounded_by_its_result():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert "w" not in vars(pot)
     kept = sum(a.nbytes for a in (pot.grid, pot.w, pot.suffix))
     assert peak <= kept + 5 * 8 * 12 * _BLOCK
 
@@ -756,22 +760,41 @@ def test_fitted_solve_peak_memory_is_bounded_by_its_result():
 @pytest.mark.parametrize("n_grid", [16, 4096, 2**20])
 @pytest.mark.parametrize("p", [1.05, 1.5, 1.95])
 @pytest.mark.parametrize("name", ["flat", "cone_0.8", "power_warp_1.5"])
-def test_power_law_nodes_have_the_bits_of_the_arrays(name, p, n_grid, rng):
-    # grid and w at chosen nodes, from the arrays' formulas at those nodes
-    # alone, before and after the arrays are built; and the level cells found
-    # from them are searchsorted's, whether or not the arrays were read
+def test_power_law_nodes_have_the_bits_of_the_arrays(name, p, n_grid):
+    # a power law's node arrays are built on first read with the bits of the
+    # formulas on fresh arrays, and the scalars its solve computed at the two
+    # ends alone are their end values; the closed-form radii of the node
+    # levels fall on the nodes to rounding
     pot = pl.solve_radial(pl.library()[name], p, 1.0, n_grid=n_grid)
-    n = n_grid
-    k = np.concatenate([[0, 1, n // 2, n - 2, n - 1], rng.integers(0, n, 64)])
-    grid, w = pot._nodes(k)
-    levels = np.concatenate([w, np.nextafter(w, np.inf), np.nextafter(w, -np.inf)])
-    levels = np.clip(np.concatenate([levels, rng.uniform(0.0, pot.t_max, 64)]), 0.0, pot.t_max)
-    cells = pl.potential._level_cells(pot, levels)[0]
-    assert not {"grid", "suffix", "w"} & set(vars(pot))
-    assert grid.tobytes() == pot.grid[k].tobytes()
-    assert w.tobytes() == pot.w[k].tobytes()
-    assert np.array_equal(cells, np.searchsorted(pot.w, levels, side="left"))
-    assert np.array_equal(pl.potential._level_cells(pot, levels)[0], cells)
+    assert not {"grid", "suffix"} & set(vars(pot.law)) and "w" not in vars(pot)
+    grid, suffix, w, tail = _reference_solve(pot.model, p, 1.0, n_grid)
+    assert pot.grid.tobytes() == grid.tobytes()
+    assert pot.suffix.tobytes() == suffix.tobytes()
+    assert pot.w.tobytes() == w.tobytes()
+    assert (pot.normalizer, pot.tail, pot.w0, pot.t_max) == (suffix[0], tail, w[0], w[-1])
+    radii = pl.radius_of_level(pot, w)
+    assert radii[0] == grid[0] and radii[-1] == grid[-1]
+    assert np.max(np.abs(radii / grid - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("name", sorted(BOUND_MODELS))
+def test_power_law_level_radii_against_forty_digits(name, p, rng):
+    # r(t) = r0 exp(t / (2 beta - (p-1))) of h = c r^beta, at 40 digits from
+    # the float inputs p and beta, on 400 levels below t_max: within 8 eps
+    # relative (4.2 eps at most over these cases; the same rate rounded as
+    # (p-1)(q beta - 1), through q and q beta, reads up to 11.8 eps)
+    model = BOUND_MODELS[name]()
+    pot = pl.solve_radial(model, p, 1.0)
+    levels = np.concatenate([np.linspace(0.0, pot.t_max, 201)[:-1], rng.uniform(0.0, pot.t_max, 200)])
+    radii = pl.radius_of_level(pot, levels)
+    worst = 0.0
+    with mpmath.workdps(40):
+        rate = 2 * mpmath.mpf(model.warp.power_law) - (mpmath.mpf(p) - 1)
+        for t, r in zip(levels, radii):
+            exact = mpmath.mpf(pot.r0) * mpmath.exp(mpmath.mpf(t) / rate)
+            worst = max(worst, abs(float(mpmath.mpf(r) / exact - 1)))
+    assert worst <= 8 * EPS
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -813,7 +836,7 @@ def _reference_inversion(pot, t, on_node):
         a[active[resid < 0.0]] = xa[resid < 0.0]
         b[active[resid > 0.0]] = xa[resid > 0.0]
         lo, hi = a[active], b[active]
-        new = xa - resid * flux / (k * pot._integrand(xa))
+        new = xa - resid * flux / (k * pot.law.density(xa))
         outside = ~((new >= lo) & (new <= hi))
         new[outside] = 0.5 * (lo[outside] + hi[outside])
         x[active] = new
@@ -825,15 +848,17 @@ def _reference_inversion(pot, t, on_node):
 
 
 @pytest.mark.parametrize("n_grid", [256, 4096])
-@pytest.mark.parametrize("name", sorted(LIBRARY_R0))
+@pytest.mark.parametrize("name", ["positive_cap_1", "spline_cap_0.5"])
 def test_newton_steps_in_the_bracket_cell_keep_the_bits(name, n_grid, rng):
-    # the iteration reads I in its bracket cell instead of calling
-    # flux_integral_at; random levels, plus the levels one ulp inside each
-    # cell, whose first iterate may round onto the cell's lower or upper node
+    # the iteration of a cell flux reads I in its bracket cell instead of
+    # calling flux_integral_at; random levels, plus the levels one ulp inside
+    # each cell, whose first iterate may round onto the cell's lower or upper
+    # node
     model = pl.library()[name]
     pot = pl.solve_radial(model, 1.5, LIBRARY_R0[name], n_grid=n_grid)
-    # a power law's potential, solved again, inverts without its arrays ever built
+    # solved again, the potential builds w for its first inversion, with the same bits
     unread = pl.solve_radial(model, 1.5, LIBRARY_R0[name], n_grid=n_grid)
+    assert isinstance(unread.law, pl.potential._CellFlux) and "w" not in vars(unread)
     cells = np.arange(1, pot.grid.size)
     levels = np.concatenate([
         rng.uniform(0.0, pot.t_max, 256),
@@ -845,7 +870,7 @@ def test_newton_steps_in_the_bracket_cell_keep_the_bits(name, n_grid, rng):
     assert on_node["lower"] > 0 and on_node["upper"] > 0, on_node
     assert pl.radius_of_level(pot, levels).tobytes() == want.tobytes()
     assert pl.radius_of_level(unread, levels).tobytes() == want.tobytes()
-    assert ("w" in vars(unread)) == (model.warp.power_law is None)
+    assert "w" in vars(unread)
 
 
 def test_level_inversion_keeps_no_reference_cycle():

@@ -1,7 +1,7 @@
 """Result types: the records a computation returns are immutable named tuples
 with their fields in a fixed order; only the types that carry behaviour (the
-run config, the models, the exponent, the solved potential, the discrete
-problem and the report) are dataclasses.  The records of the constants audit
+run config, the models, the exponent, the solved potential and its two flux
+laws, the discrete problem and the report) are dataclasses.  The records of the constants audit
 in ``conftest`` are held to the same layout."""
 
 import dataclasses
@@ -53,6 +53,8 @@ DATACLASSES = {
     "geometry.ManifoldModel",
     "potential.PExponent",
     "potential.RadialPotential",
+    "potential._PowerLawFlux",
+    "potential._CellFlux",
     "report.StageVerdict",
     "report.ScenarioReport",
     "variational.DiscreteProblem",

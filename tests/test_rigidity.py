@@ -459,3 +459,11 @@ def test_scenario_option_validation(option):
 def test_scenario_stage_labels_errors():
     with pytest.raises(pl.DomainError, match="stage 'solve'"):
         pl.run_contradiction_scenario(pl.cone_model(0.8), 1.5, {"r0": 1e-5})
+    # sizes are refused, not rounded: 300.7 nodes and 8.9 levels would run
+    # on 300 and 8, and a NaN escaped as a ConvergenceError from int()
+    for bad in (300.7, float("nan")):
+        with pytest.raises(pl.DomainError, match="stage 'solve': n_grid must be an integer"):
+            pl.run_contradiction_scenario(pl.flat_model(), 1.5, {"n_grid": bad})
+    for bad in (8.9, float("nan")):
+        with pytest.raises(pl.DomainError, match="stage 'level-sampling': n_levels must be an integer"):
+            pl.run_contradiction_scenario(pl.flat_model(), 1.5, {"n_levels": bad})
