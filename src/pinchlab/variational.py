@@ -49,6 +49,7 @@ __all__ = [
 NODE_TOL = 5e-3  # cross-validation: largest node error against the quadrature potential
 CAPACITY_TOL = 5e-3  # cross-validation: largest |capacity gap|
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
+_TERM_BLOCK = 16384  # cells per block of the energy terms' scratch
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +59,11 @@ class DiscreteProblem:
     The energy of a node profile psi with psi(r0) = 1, psi(r_cut) = 0 is
     E[psi] = sum_i m_i |dpsi_i / dx_i|^p with cell weights m_i = 4 pi
     integral of h^2 over cell i and cell widths dx_i.
+
+    :func:`discretize` builds ``mesh``, ``dx`` and ``weights`` read-only
+    (writing into them raises ValueError): problems on the same mesh share
+    its ``mesh`` and ``dx``, and those of the same power law on it share its
+    ``weights`` too, whatever p.
     """
 
     model: geometry.ManifoldModel
@@ -94,6 +100,14 @@ class DiscreteSolution(NamedTuple):
     grad_norm: float
 
 
+# The one mesh kept between calls of discretize, keyed by (r0, r_cut,
+# n_cells): its nodes, its cell widths and the closed-form weights of at most
+# _LAWS_PER_MESH power laws on it, keyed by (beta, c), the oldest dropped
+# first.  A new mesh drops the old one with its weights.
+_LAWS_PER_MESH = 4
+_meshes: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray, dict]] = {}
+
+
 def discretize(
     model: geometry.ManifoldModel, p, r0: float, n_cells: int, r_cut: float
 ) -> DiscreteProblem:
@@ -106,6 +120,14 @@ def discretize(
     other warp takes the 12-point Gauss rule.  A non-finite radius, a
     non-integer n_cells and a weight that is not positive and finite are
     refused.
+
+    Neither the mesh nor a power law's weights depend on p: the last mesh
+    built, its widths and the closed-form weights of up to four power laws
+    on it are kept, read-only, and shared by every problem built on them, so
+    a new p on the same mesh and law builds no array.  One mesh is kept; a
+    new (r0, r_cut, n_cells) replaces it and its weights.  The 12-point
+    weights of any other warp are integrated on every call.  The inputs are
+    validated and the weights checked on every call, kept or not.
     """
     p = as_p(p)
     r0 = float(r0)
@@ -126,8 +148,7 @@ def discretize(
         raise DomainError(f"inner radius {r0} below the model's inner boundary {model.r_min}")
     if r_cut > model.r_max:
         raise DomainError(f"truncation radius {r_cut} exceeds the model's outer bound {model.r_max}")
-    mesh = geometric_grid(r0, r_cut, n_cells + 1)
-    dx = np.diff(mesh)
+    mesh, dx, laws = _mesh(r0, r_cut, n_cells)
 
     def area_density(r):
         h = model.warp.h(r)
@@ -140,16 +161,14 @@ def discretize(
     with np.errstate(over="ignore"):
         if beta is None:
             weights = cell_integrals(area_density, mesh)
+            weights.flags.writeable = False
         else:
-            g = 2.0 * beta + 1.0
-            a = mesh[:-1]
-            weights = dx / a
-            np.log1p(weights, out=weights)
-            weights *= g
-            np.expm1(weights, out=weights)
-            weights *= np.power(a, g)
-            c = float(model.warp.h(1.0))
-            weights *= 4.0 * math.pi * c * c / g
+            law = (beta, float(model.warp.h(1.0)))
+            weights = laws.get(law)
+            if weights is None:
+                if len(laws) == _LAWS_PER_MESH:
+                    del laws[next(iter(laws))]
+                weights = laws[law] = _power_law_weights(mesh, dx, *law)
     # two reductions and no temporaries; a NaN weight makes min() NaN, which fails too
     if not (weights.min() > 0.0 and weights.max() < math.inf):
         bad = int(np.argmin((weights > 0.0) & (weights < math.inf)))
@@ -160,25 +179,73 @@ def discretize(
     return DiscreteProblem(model=model, p=p, r0=r0, mesh=mesh, weights=weights, dx=dx)
 
 
+def _mesh(r0: float, r_cut: float, n_cells: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The kept (mesh, dx, power-law weights) of (r0, r_cut, n_cells), built
+    read-only in place of the kept ones when the key is new."""
+    key = (r0, r_cut, n_cells)
+    kept = _meshes.get(key)
+    if kept is None:
+        _meshes.clear()
+        mesh = geometric_grid(r0, r_cut, n_cells + 1)
+        dx = np.diff(mesh)
+        mesh.flags.writeable = dx.flags.writeable = False
+        kept = _meshes[key] = (mesh, dx, {})
+    return kept
+
+
+def _power_law_weights(mesh: np.ndarray, dx: np.ndarray, beta: float, c: float) -> np.ndarray:
+    """The read-only cell weights of h = c r^beta in closed form (see
+    :func:`discretize`), built in the one array they fill."""
+    g = 2.0 * beta + 1.0
+    a = mesh[:-1]
+    weights = dx / a
+    np.log1p(weights, out=weights)
+    weights *= g
+    np.expm1(weights, out=weights)
+    weights *= np.power(a, g)
+    weights *= 4.0 * math.pi * c * c / g
+    weights.flags.writeable = False
+    return weights
+
+
 def energy(problem: DiscreteProblem, psi: np.ndarray) -> float:
-    """Discrete p-Dirichlet energy of a node profile."""
+    """Discrete p-Dirichlet energy of a node profile; a profile that is not
+    finite is refused at its first such node."""
     psi = np.asarray(psi, dtype=float)
     if psi.shape != problem.mesh.shape:
         raise DomainError(f"profile shape {psi.shape} does not match mesh shape {problem.mesh.shape}")
+    _check_finite(psi, "profile")
     slopes = np.diff(psi)
     np.abs(slopes, out=slopes)
     slopes /= problem.dx
-    return _cell_terms(problem, slopes)[1]
+    return _cell_terms(problem, slopes)[0]
 
 
-def _cell_terms(problem: DiscreteProblem, slopes: np.ndarray) -> tuple[np.ndarray, float]:
-    """t_i = m_i s_i^(p-1) from the nonnegative cell slopes s_i, and the
-    energy sum_i t_i s_i = sum_i m_i s_i^p; ``slopes`` is overwritten with the
-    terms t_i s_i."""
-    t = np.power(slopes, problem.p.value - 1.0)
-    t *= problem.weights
-    slopes *= t
-    return t, float(slopes.sum())
+def _check_finite(psi: np.ndarray, what: str) -> None:
+    finite = np.isfinite(psi)
+    if not finite.all():
+        raise DomainError(f"{what} is not finite at node {int(np.argmin(finite))}")
+
+
+def _cell_terms(problem: DiscreteProblem, slopes: np.ndarray) -> tuple[float, float, float]:
+    """The energy sum_i t_i s_i = sum_i m_i s_i^p from the nonnegative cell
+    slopes s_i, with t_i = m_i s_i^(p-1), and the least and greatest
+    t_i / dx_i.  ``slopes`` is overwritten with the terms t_i s_i; t is built
+    in one scratch block of _TERM_BLOCK cells at a time, not over the mesh."""
+    q = problem.p.value - 1.0
+    scratch = np.empty(min(slopes.size, _TERM_BLOCK))
+    lows, highs = [], []
+    for i in range(0, slopes.size, _TERM_BLOCK):
+        s = slopes[i : i + _TERM_BLOCK]
+        t = np.power(s, q, out=scratch[: s.size])
+        t *= problem.weights[i : i + _TERM_BLOCK]
+        s *= t
+        with np.errstate(over="ignore"):  # an infinite flux is the caller's to judge
+            t /= problem.dx[i : i + _TERM_BLOCK]
+        lows.append(t.min())
+        highs.append(t.max())
+    # np.min and np.max keep a block's NaN, which Python's min and max can drop
+    return float(slopes.sum()), float(np.min(lows)), float(np.max(highs))
 
 
 def constant_flux_profile(problem: DiscreteProblem) -> np.ndarray:
@@ -196,6 +263,7 @@ def constant_flux_profile(problem: DiscreteProblem) -> np.ndarray:
     np.subtract(log_dx, log_drops, out=log_drops)
     log_drops /= p - 1.0
     log_drops += log_dx
+    del log_dx  # the profile's peak is two mesh-sized arrays, not three
     log_drops -= log_drops.max()  # scale before normalizing to avoid overflow
     drops = np.exp(log_drops, out=log_drops)
     drops /= drops.sum()
@@ -245,10 +313,7 @@ def minimize_energy(
             raise DomainError(
                 f"initial profile shape {psi.shape} does not match mesh shape {problem.mesh.shape}"
             )
-        if not np.all(np.isfinite(psi)):
-            raise DomainError(
-                f"initial profile is not finite at node {int(np.argmin(np.isfinite(psi)))}"
-            )
+        _check_finite(psi, "initial profile")
         if abs(psi[0] - 1.0) > 1e-12 or abs(psi[-1]) > 1e-12:
             raise DomainError(
                 f"initial profile violates the Dirichlet data: psi(r0) = {psi[0]!r}, "
@@ -275,10 +340,9 @@ def minimize_energy(
     slopes = np.divide(drops, problem.dx, out=drops)  # the drops are not read again
     # an overflowing flux makes the spread inf or NaN, which fails the test below
     with np.errstate(over="ignore", invalid="ignore"):
-        t, total = _cell_terms(problem, slopes)
-        t /= problem.dx
+        total, lo, hi = _cell_terms(problem, slopes)
         # f = p t / dx; scaling by p > 0 commutes with min and max
-        lo, hi = p * float(t.min()), p * float(t.max())
+        lo, hi = p * lo, p * hi
         rel_grad = (hi - lo) / max(1.0, lo)
     if not rel_grad <= tol:
         raise ConvergenceError(

@@ -28,6 +28,7 @@ MODELS = {
     "cone": pl.cone_model,
     "power_warp": pl.power_warp_model,
 }
+POWER_LAWS = ["flat", "cone_0.8", "power_warp_1.5"]
 
 
 def _problem(name, p, n=512, r_cut=1e3):
@@ -74,13 +75,16 @@ def test_mesh_is_geometric():
     assert prob.weights.shape == (128,)
 
 
-def test_discretize_peak_memory_is_bounded_by_its_result():
-    # discretize allocates only the mesh, cell widths and weights it keeps
-    # plus, for a power law, one temporary of the weights' size (a^g in the
-    # closed form; a few kB of Python objects aside), and for any other warp
-    # one block of quadrature scratch, as solve_radial does (see its test there)
+def test_discretize_peak_memory_is_bounded_by_its_result(monkeypatch):
+    # the first discretize on a mesh allocates only the mesh, cell widths and
+    # weights it keeps plus, for a power law, one temporary of the weights'
+    # size (a^g in the closed form; a few kB of Python objects aside), and for
+    # any other warp one block of quadrature scratch, as solve_radial does
+    # (see its test there)
+    from pinchlab import variational
     from pinchlab.numerics import _BLOCK
 
+    monkeypatch.setattr(variational, "_meshes", {})
     cases = ((pl.power_warp_model(), 1.0, 1e3), (pl.positive_cap_model(1.0), 0.01, 1.0))
     for model, r0, r_cut in cases:
         tracemalloc.start()
@@ -91,6 +95,134 @@ def test_discretize_peak_memory_is_bounded_by_its_result():
             tracemalloc.stop()
         scratch = prob.weights.nbytes + 16384 if model.warp.power_law else 5 * 8 * 12 * _BLOCK
         assert peak <= prob.mesh.nbytes + prob.dx.nbytes + prob.weights.nbytes + scratch
+        # at another p the kept mesh (and a power law's kept weights) are
+        # reused: only the Gauss weights are allocated again
+        tracemalloc.start()
+        try:
+            again = pl.discretize(model, 1.7, r0, 2**17, r_cut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.mesh is prob.mesh
+        kept = 0 if model.warp.power_law else prob.weights.nbytes + 5 * 8 * 12 * _BLOCK
+        assert peak <= kept + 16384
+
+
+# r0 and r_cut of each model on which the kept mesh is tested
+KEPT = {
+    "flat": (1.0, 1e3),
+    "cone_0.8": (1.0, 1e3),
+    "power_warp_1.5": (1.0, 1e3),
+    "positive_cap_1": (0.01, 1.0),
+}
+
+
+def _route_bits(name, p):
+    # every array and float of discretize -> minimize_energy -> cross_validate
+    # on 1024 cells, as bytes and hex
+    model = pl.library()[name]
+    r0, r_cut = KEPT[name]
+    prob = pl.discretize(model, p, r0, 1024, r_cut)
+    sol = pl.minimize_energy(prob)
+    report = pl.cross_validate(sol, pl.solve_radial(model, p, r0))
+    arrays = [a.tobytes() for a in (prob.mesh, prob.dx, prob.weights, sol.psi)]
+    floats = [float(x).hex() for x in (sol.energy, sol.grad_norm, *report[:4])]
+    return arrays, floats, report.passed
+
+
+@pytest.mark.parametrize("p, before", [(1.2, 1.6), (1.6, 1.2)])
+def test_warm_builds_have_the_bits_of_cold_ones(p, before, monkeypatch):
+    # a build on the kept mesh (and, for a power law, its kept weights) made
+    # at another p has the bits of one made with nothing kept; positive_cap_1
+    # shares the mesh only and integrates its weights again
+    from pinchlab import variational
+
+    monkeypatch.setattr(variational, "_meshes", {})
+    cold = {}
+    for name in KEPT:
+        variational._meshes.clear()
+        cold[name] = _route_bits(name, p)
+    for group in (POWER_LAWS, ["positive_cap_1"]):
+        for name in group:
+            _route_bits(name, before)
+        for name in group:
+            assert _route_bits(name, p) == cold[name], name
+        assert len(variational._meshes) == 1
+
+
+def test_kept_arrays_are_shared_read_only_and_bounded(monkeypatch):
+    from pinchlab import variational
+
+    monkeypatch.setattr(variational, "_meshes", {})
+    lib = pl.library()
+    flat = pl.discretize(lib["flat"], 1.5, 1.0, 256, 1e3)
+    cone = pl.discretize(lib["cone_0.8"], 1.5, 1.0, 256, 1e3)
+    again = pl.discretize(lib["flat"], 1.7, 1.0, 256, 1e3)
+    # one mesh for every problem on it, one weights array per law whatever p
+    assert flat.mesh is cone.mesh is again.mesh and flat.dx is cone.dx is again.dx
+    assert again.weights is flat.weights
+    # flat and cone_0.8 share beta = 1 but not c = h(1)
+    assert cone.weights is not flat.weights
+    assert not np.array_equal(cone.weights, flat.weights)
+    assert np.allclose(cone.weights, 0.64 * flat.weights, rtol=1e-12)
+    # writing into any of them is refused, on the Gauss route as well
+    cap = pl.discretize(lib["positive_cap_1"], 1.5, 0.01, 256, 1.0)
+    for prob in (flat, cap):
+        for array in (prob.mesh, prob.dx, prob.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+    assert flat.mesh[0] == 1.0 and cap.mesh[0] == 0.01
+    # a new (r0, r_cut, n_cells) builds a new mesh and drops the old one with
+    # its weights
+    assert list(variational._meshes) == [(0.01, 1.0, 256)]
+    finer = pl.discretize(lib["flat"], 1.5, 1.0, 512, 1e3)
+    assert list(variational._meshes) == [(1.0, 1e3, 512)]
+    assert finer.mesh is not flat.mesh and finer.weights is not flat.weights
+    rebuilt = pl.discretize(lib["flat"], 1.5, 1.0, 256, 1e3)
+    assert rebuilt.mesh is not flat.mesh and rebuilt.weights is not flat.weights
+    assert rebuilt.mesh.tobytes() == flat.mesh.tobytes()
+    assert rebuilt.weights.tobytes() == flat.weights.tobytes()
+    # at most four power laws per mesh, the oldest dropped first
+    laws = [lib["flat"], lib["cone_0.8"], lib["power_warp_1.5"], pl.cone_model(0.5),
+            pl.power_warp_model(1.0)]
+    probs = [pl.discretize(model, 1.5, 1.0, 256, 1e3) for model in laws]
+    ((key, (_, _, kept)),) = variational._meshes.items()
+    assert key == (1.0, 1e3, 256) and len(kept) == 4
+    assert all(any(w is prob.weights for w in kept.values()) for prob in probs[1:])
+    assert pl.discretize(lib["flat"], 1.5, 1.0, 256, 1e3).weights is not probs[0].weights
+    assert len(kept) == 4 and not any(w is probs[1].weights for w in kept.values())
+
+
+def test_a_p_sweep_on_one_mesh_builds_it_and_each_law_once(monkeypatch):
+    # a work count in place of a clock: three power laws at two exponents on
+    # one mesh build one geometric grid and one weights array per law, and
+    # integrate nothing
+    from pinchlab import variational
+
+    grids, laws = [], []
+    grid, weights = variational.geometric_grid, variational._power_law_weights
+
+    def counting_grid(*args):
+        grids.append(args)
+        return grid(*args)
+
+    def counting_weights(mesh, dx, beta, c):
+        laws.append((beta, c))
+        return weights(mesh, dx, beta, c)
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("power-law weights are in closed form")
+
+    monkeypatch.setattr(variational, "_meshes", {})
+    monkeypatch.setattr(variational, "geometric_grid", counting_grid)
+    monkeypatch.setattr(variational, "_power_law_weights", counting_weights)
+    monkeypatch.setattr(variational, "cell_integrals", no_call)
+    for p in (1.5, 1.7):
+        for name in POWER_LAWS:
+            prob = pl.discretize(pl.library()[name], p, 1.0, 2**12, 1e3)
+            pl.cross_validate(pl.minimize_energy(prob), pl.solve_radial(prob.model, p, 1.0))
+    assert grids == [(1.0, 1e3, 2**12 + 1)]
+    assert laws == [(1.0, 1.0), (1.0, 0.8), (0.75, 1.0)]
 
 
 def test_cone_weights_scale_like_a_squared():
@@ -255,9 +387,11 @@ def test_flux_spread_bounds_the_scaled_gradient(p, name, n_cells, size, seed):
 
 
 def test_minimize_energy_peak_memory_is_bounded():
-    # beyond the profile it returns, minimize_energy holds two arrays of the
-    # cells' size at a time: the cell slopes and m |s|^(p-1) in the
-    # certificate, log dx and the log drops in constant_flux_profile
+    # beyond the profile it returns, minimize_energy holds one array of the
+    # cells' size at a time, plus a block of scratch (an eighth of 2^17 cells
+    # at most): the cell slopes and a block of m |s|^(p-1) in the
+    # certificate; log dx and the log drops in constant_flux_profile come
+    # before the profile, the drops with it
     prob = _problem("power_warp", 1.5, n=2**17)
     tracemalloc.start()
     try:
@@ -265,7 +399,7 @@ def test_minimize_energy_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= sol.psi.nbytes + 2 * prob.weights.nbytes + 16384
+    assert peak <= sol.psi.nbytes + prob.weights.nbytes + prob.weights.nbytes // 8 + 16384
 
 
 def test_inner_radius_scaling():
@@ -340,6 +474,16 @@ def test_non_finite_initial_profile_is_refused():
         pl.minimize_energy(prob, initial=psi)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_energy_of_a_non_finite_profile_is_refused(bad):
+    # a non-finite node would make the energy NaN or inf without a word
+    prob = _problem("flat", 1.5, n=64)
+    psi = pl.constant_flux_profile(prob)
+    psi[10] = bad
+    with pytest.raises(pl.DomainError, match="^profile is not finite at node 10$"):
+        pl.energy(prob, psi)
+
+
 def test_weights_of_a_warp_without_power_law_keep_the_twelve_point_rule():
     from pinchlab.numerics import cell_integrals
 
@@ -367,8 +511,6 @@ def test_overflowing_weights_are_refused(gauss):
     with pytest.raises(pl.ConvergenceError, match=r"non-finite cell weight inf in cell \d+ of 64"):
         pl.discretize(model, 1.5, 1.0, 64, 1e200)
 
-
-POWER_LAWS = ["flat", "cone_0.8", "power_warp_1.5"]
 
 
 @pytest.mark.parametrize("n_cells", [64, 2**17])
@@ -455,6 +597,27 @@ def test_energy_matches_direct_formula():
     slopes = np.diff(psi) / (b - a)
     e_direct = float(np.sum((4.0 * math.pi / 3.0) * (b**3 - a**3) * np.abs(slopes) ** 1.5))
     assert abs(pl.energy(prob, psi) / e_direct - 1.0) < 1e-12
+
+
+def test_cell_terms_in_blocks_have_the_bits_of_whole_arrays():
+    # the energy and the certificate build m |s|^(p-1) one block at a time;
+    # the terms, their sum and the flux extremes have the bits of the same
+    # formulas over whole arrays, across full and partial blocks
+    from pinchlab.variational import _TERM_BLOCK, _cell_terms
+
+    rng = np.random.default_rng(5)
+    for n in (64, _TERM_BLOCK, 2 * _TERM_BLOCK + 321):
+        prob = _problem("power_warp", 1.37, n=n)
+        slopes = rng.uniform(0.0, 2.0, n) / prob.dx
+        # the least flux opens every block and the greatest closes the last
+        slopes[::_TERM_BLOCK] = 0.0
+        slopes[-1] *= 1e6
+        t = np.power(slopes, prob.p.value - 1.0) * prob.weights
+        terms = slopes * t
+        flux = t / prob.dx
+        total, lo, hi = _cell_terms(prob, slopes)
+        assert slopes.tobytes() == terms.tobytes()
+        assert (total, lo, hi) == (float(terms.sum()), float(flux.min()), float(flux.max()))
 
 
 # ---------------------------------------------------------------------------
