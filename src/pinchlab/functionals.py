@@ -35,11 +35,14 @@ import numpy as np
 from . import geometry
 from .errors import DomainError
 from .geometry import EIGHT_PI, LevelSetData, ManifoldModel
-from .potential import RadialPotential, _capacity_at, _w_prime_at, radius_of_level
+# radius_of_level is re-exported: the radii of levels alone, next to the table of
+# their quantities, which reads them from the same level query
+from .potential import RadialPotential, _capacity_at, _levels, radius_of_level
 
 __all__ = [
     "SmallSphereExpansion",
     "level_table",
+    "radius_of_level",
     "willmore",
     "small_sphere_expansion",
 ]
@@ -104,15 +107,15 @@ def _closed_forms(geo: LevelSetData, wp, p):
 def _level(pot: RadialPotential, t) -> _Level:
     """Invert the levels t at once and derive every per-level quantity from their spheres.
 
-    One inversion, one warp call and one flux_integral_at call serve the whole
-    batch, and every step is elementwise, so a level's numbers do not depend on
-    the batch it was computed in.  F, G, dF_raw and dG_raw are those of
-    :func:`_closed_forms`.
+    One level query, which returns I and h^(-q) at the radii with them, and
+    one warp call serve the whole batch: w' = (p-1) h^(-q) / I.  Every step
+    is elementwise, so a level's numbers do not depend on the batch it was
+    computed in.  F, G, dF_raw and dG_raw are those of :func:`_closed_forms`.
     """
-    r = radius_of_level(pot, np.atleast_1d(np.asarray(t, dtype=float)))
+    r, flux, density = _levels(pot, np.atleast_1d(np.asarray(t, dtype=float)))
     h, h1, h2 = pot.model.warp(r)
     geo = geometry._levelset_data(r, h, h1, h2)
-    wp = _w_prime_at(pot, r)
+    wp = (pot.p_value - 1.0) * density / flux
     F, G, dF_raw, dG_raw = _closed_forms(geo, wp, pot.p_value)
     return _Level(
         r=r, geo=geo, wp=wp, F=F, G=G, dF_raw=dF_raw, dG_raw=dG_raw, cap=_capacity_at(pot, h, wp)

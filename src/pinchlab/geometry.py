@@ -32,7 +32,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .numerics import cell_integrals, interval_integrals, log_log_fit
+from .numerics import cell_integrals, geometric_grid, interval_integrals, log_log_fit
 
 __all__ = [
     "WarpFunction",
@@ -163,7 +163,8 @@ def positive_cap_warp(k: float) -> WarpFunction:
         return np.sin(s * r) / s
 
     def ev(r):
-        return h(r), np.cos(s * r), -s * np.sin(s * r)
+        sine = np.sin(s * r)
+        return sine / s, np.cos(s * r), -s * sine
 
     return WarpFunction("positive_cap", {"k": k}, True, ev, h)
 
@@ -220,7 +221,7 @@ class ManifoldModel:
             raise DomainError(f"need r_min < r_max < inf, got [{self.r_min}, {self.r_max}]")
         lo = self.r_min if self.r_min > 0.0 else self.r_max * 1e-9
         interior_critical = [r for r in self.warp.critical_radii if self.r_min < r < self.r_max]
-        h = self.warp.h(np.concatenate([np.geomspace(lo, self.r_max, 16), interior_critical]))
+        h = self.warp.h(np.concatenate([geometric_grid(lo, self.r_max, 16), interior_critical]))
         if not np.all(np.isfinite(h)) or np.any(h <= 0.0):
             raise DomainError("warp function must be positive and finite on the domain")
 
@@ -430,7 +431,7 @@ def pinching_margin(model: ManifoldModel) -> PinchingReport:
     any positive eps and report margin 0 together with nonneg_ricci = False.
     """
     lo = model.r_min if model.r_min > 0.0 else model.r_max * 1e-6
-    grid = np.geomspace(lo, model.r_max, PINCHING_GRID_N)
+    grid = geometric_grid(lo, model.r_max, PINCHING_GRID_N)
     rad, tan, sc = _curvature_arrays(model, grid)
     eig_min = np.minimum(rad, tan)
     scale = 1.0 + np.abs(sc)
@@ -482,8 +483,10 @@ def ball_volume(model: ManifoldModel, r):
     """Volume of the metric ball {radius <= r}, integrating 4 pi h^2 from r_min.
 
     ``r`` is a scalar (the volume is a float) or an array of radii (an array of
-    the same shape, empty when it is).  One cumulative table serves the whole
-    call: 12-point Gauss-Legendre cells on the geometric edges lo *
+    the same shape, empty when it is).  When the warp is a power law h = c
+    r^beta (beta = ``warp.power_law``, c = h(1)), the volume is the closed
+    form of :func:`_power_law_volume`.  Otherwise one cumulative table serves
+    the whole call: 12-point Gauss-Legendre cells on the geometric edges lo *
     VOLUME_CELL_RATIO^k, each radius adding the partial cell from the last
     edge below it.  lo is r_min, or POLE_CUT * r_max on a pole model, where
     the ball of radius lo is the pole piece of :func:`_pole_volume`.  The
@@ -496,6 +499,9 @@ def ball_volume(model: ManifoldModel, r):
         return np.empty(radii.shape)
     model.require_radius(np.min(flat))
     model.require_radius(np.max(flat))
+    if model.warp.power_law is not None:
+        volumes = _power_law_volume(model, flat)
+        return float(volumes[0]) if radii.ndim == 0 else volumes.reshape(radii.shape)
     lo = POLE_CUT * model.r_max if model.has_pole else model.r_min
 
     def integrand(s):
@@ -514,6 +520,33 @@ def ball_volume(model: ManifoldModel, r):
     return float(volumes[0]) if radii.ndim == 0 else volumes.reshape(radii.shape)
 
 
+def _power_law_volume(model: ManifoldModel, r: np.ndarray) -> np.ndarray:
+    """4 pi c^2 (r^g - r_min^g) / g, g = 2 beta + 1, for the power law h = c
+    r^beta of ``model`` at radii r in its domain.
+
+    A pole model has r_min = 0.  On a boundary model a thin shell, r < 2
+    r_min, takes r_min^g expm1(g log1p((r - r_min) / r_min)), as the
+    variational cell weights do: r - r_min is exact there, where r^g -
+    r_min^g would cancel.  A thicker one takes the difference of the powers,
+    which loses at most a factor 1 / (1 - 2^-g) < 2 to cancellation, where
+    exp of g log(r / r_min) would lose the rounding of a large exponent.
+    Python floats, one radius at a time: numpy's SIMD pow rounds some
+    arguments differently with the length of the array, and a radius's
+    volume does not depend on the other radii of its call.
+    """
+    g = 2.0 * model.warp.power_law + 1.0
+    c = float(model.warp.h(1.0))
+    a = model.r_min
+    a_g = a**g
+
+    def difference(x: float) -> float:
+        return a_g * math.expm1(g * math.log1p((x - a) / a)) if x < 2.0 * a else x**g - a_g
+
+    volumes = np.array([difference(x) for x in r.tolist()])
+    volumes *= 4.0 * math.pi * c * c / g
+    return volumes
+
+
 GROWTH_SAMPLES = 32  # radii of the geometric ladder the growth fit uses
 
 
@@ -523,7 +556,7 @@ def growth_exponent(model: ManifoldModel, r_lo: float, r_hi: float) -> GrowthRep
         raise DomainError(
             f"growth window [{r_lo}, {r_hi}] must sit inside ({model.r_min}, {model.r_max}]"
         )
-    radii = np.geomspace(r_lo, r_hi, GROWTH_SAMPLES)
+    radii = geometric_grid(r_lo, r_hi, GROWTH_SAMPLES)
     vols = ball_volume(model, radii)
     slope, _ = log_log_fit(radii, vols)
     alpha_hat = slope - 1.0

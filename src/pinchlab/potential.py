@@ -22,7 +22,11 @@ once.  The level parameter of the potential is
 
 so w = 0 on the inner sphere and w increases monotonically outward.  For a
 power law w = (p-1)(q beta - 1) log(r/r0), so a level's radius is closed form
-too; any other warp's levels are found by Newton's method.  The
+too; any other warp's levels are found by Newton's method, started from the
+cubic Hermite inverse r(w) on the grid cell that brackets the level, with
+the node slopes dr/dw = I / ((p-1) h^(-q)).  On a fine grid that start has
+usually converged already, and a level then costs one 12-point panel of
+h^(-q), whose I and h^(-q) come back with the radius.  The
 normalized capacity of the level set {w = t} is
 
     cap(t) = h(r)^2 (w'(r)/(3-p))^(p-1)   at r = radius_of_level(t),
@@ -84,15 +88,17 @@ class RadialPotential:
     ``law`` is its flux, chosen once by :func:`solve_radial`: a
     :class:`_PowerLawFlux` when the warp is a power law, else a
     :class:`_CellFlux`.  Either answers I at radii, its density h^(-q), the
-    node arrays and the radii of levels.  The nodes are the geometric grid of
-    ``n_grid`` radii from r0 to ``r_trunc``; ``normalizer`` is I(r0),
-    ``tail`` is I(r_trunc), ``t_max`` and ``w0`` are w at the last and the
-    first node.  ``grid``, ``suffix`` (I at every node, tail included) and
-    ``w`` are the node arrays: a cell flux keeps the first two from its solve,
-    a power law builds them on first read, and ``w`` is built from ``suffix``
-    on first read.  Off-grid radii read I from :meth:`flux_integral_at` rather
-    than by interpolation.  u = I / ``normalizer`` and w' = (p-1) h^(-q) / I
-    follow from I wherever it is read.
+    node arrays and, at levels, their radii with I and h^(-q) there.  The
+    nodes are the geometric grid of ``n_grid`` radii from r0 to ``r_trunc``;
+    ``normalizer`` is I(r0), ``tail`` is I(r_trunc), ``t_max`` and ``w0`` are
+    w at the last and the first node.  ``grid``, ``suffix`` (I at every
+    node, tail included) and ``w`` are the node arrays: a cell flux keeps the
+    first two from its solve, a power law builds them on first read, and
+    ``w`` is built from ``suffix`` on first read.  Off-grid radii read I from
+    :meth:`flux_integral_at` rather than by interpolation.  u = I /
+    ``normalizer`` and w' = (p-1) h^(-q) / I follow from I wherever it is
+    read; a level query returns I and h^(-q) with its radii, so w' at a level
+    needs no second read.
     """
 
     model: geometry.ManifoldModel
@@ -184,21 +190,23 @@ class _PowerLawFlux:
         checked on the node arrays, which this builds."""
         return _certainly_decreasing(self) or _strictly_decreasing(self.suffix)
 
-    def radii(self, pot: RadialPotential, t: np.ndarray) -> np.ndarray:
-        """w = (p-1)(q beta - 1) log(r/r0) inverted: r0 exp(t / ((p-1)(q beta
-        - 1))) at levels t in [0, t_max], clipped to [r0, r_trunc], with t_max
-        at r_trunc.  The rate is taken as 2 beta - (p-1) with beta =
-        ``pot.tail_beta``, rounded once (p - 1 is exact for 1 < p < 2)."""
+    def levels(self, pot: RadialPotential, t: np.ndarray):
+        """(r, I, h^(-q)) at levels t in [0, t_max]: w = (p-1)(q beta - 1)
+        log(r/r0) inverted, r0 exp(t / ((p-1)(q beta - 1))), clipped to [r0,
+        r_trunc], with t_max at r_trunc, and I and h^(-q) there in closed form.
+        The rate is taken as 2 beta - (p-1) with beta = ``pot.tail_beta``,
+        rounded once (p - 1 is exact for 1 < p < 2)."""
         radii = np.exp(t / (2.0 * pot.tail_beta - (pot.p_value - 1.0)))
         radii *= self.r0
         np.clip(radii, self.r0, self.r_trunc, out=radii)
         radii[t == pot.t_max] = self.r_trunc
-        return radii
+        return radii, self.flux(radii), self.density(radii)
 
 
 LEVEL_NEWTON_MAX_ITER = 40  # iteration cap of the batched level inversion
 LEVEL_NEWTON_RTOL = 1e-13  # a level has converged once its Newton step is below this, relative...
 LEVEL_RESIDUAL_ULPS = 16  # ...or once w(r) - t is within this many rounding units of its terms
+LEVEL_STEP_ULPS = 4  # a converged level stays at its iterate if the step is within this, relative
 _EPS = float(np.finfo(float).eps)
 
 
@@ -235,48 +243,90 @@ class _CellFlux:
         """Whether I decreases strictly over the nodes."""
         return _strictly_decreasing(self.suffix)
 
-    def radii(self, pot: RadialPotential, t: np.ndarray) -> np.ndarray:
-        """Radii of levels t in [0, t_max] by Newton in their bracket cells
-        (see :func:`radius_of_level`)."""
+    @functools.cached_property
+    def node_density(self) -> np.ndarray:
+        """h^(-q) at the nodes, built on the first inversion of a level
+        between them."""
+        return self.density(self.grid)
+
+    def levels(self, pot: RadialPotential, t: np.ndarray):
+        """(r, I, h^(-q)) at levels t in [0, t_max] by Newton in their bracket
+        cells (see :func:`radius_of_level`).  I and h^(-q) have the bits of
+        ``flux_integral_at(r)`` and ``density(r)``: a level on a node reads
+        them at the node; a level at its residual floor whose Newton step is
+        within LEVEL_STEP_ULPS of its iterate keeps the iterate and the panel
+        read there; any other converged level takes its last step, as every
+        level did before, and pays one more panel at the stepped iterate."""
         w = pot.w
         j = np.searchsorted(w, t, side="left")
-        radii = self.grid[j]
+        radii, flux, density = self.grid[j], self.suffix[j], self.node_density[j]
         todo = np.flatnonzero((j > 0) & (w[j] != t))
         if todo.size == 0:
-            return radii
+            return radii, flux, density
         j, t = j[todo], t[todo]
-        a, b = self.grid[j - 1], radii[todo]
-        w_lo, w_hi = w[j - 1], w[j]
         # every iterate stays in its bracket cell, so I is read there as
         # flux_integral_at reads it, without its range check and search
         cell = j - 1
-        x = a + (t - w_lo) / (w_hi - w_lo) * (b - a)
+        a, b = self.grid[cell], radii[todo]
         k = pot.p_value - 1.0
+        slope_a, slope_b = self._node_slopes(k, cell), self._node_slopes(k, j)
+        x = _hermite_start(a, b, w[cell], w[j], t, slope_a, slope_b)
         log_i0 = math.log(pot.normalizer)
+        flux_at, density_at = np.empty(todo.size), np.empty(todo.size)
+        stepped = []
         active = np.arange(todo.size)
         for _ in range(LEVEL_NEWTON_MAX_ITER):
             xa = x[active]
-            flux = self.flux(xa, cell[active])
-            log_flux = np.log(flux)
+            i_x = self.flux(xa, cell[active])
+            hq_x = self.density(xa)
+            log_flux = np.log(i_x)
             resid = k * (log_i0 - log_flux) - t[active]
             a[active[resid < 0.0]] = xa[resid < 0.0]
             b[active[resid > 0.0]] = xa[resid > 0.0]
             lo, hi = a[active], b[active]
-            step = resid * flux / (k * self.density(xa))
+            step = resid * i_x / (k * hq_x)
             new = xa - step
             outside = ~((new >= lo) & (new <= hi))
             new[outside] = 0.5 * (lo[outside] + hi[outside])
-            x[active] = new
             floor = LEVEL_RESIDUAL_ULPS * _EPS * (t[active] + k * (abs(log_i0) + np.abs(log_flux)))
-            done = (np.abs(new - xa) <= LEVEL_NEWTON_RTOL * xa) | (np.abs(resid) <= floor)
-            active = active[~done]
+            at_floor = np.abs(resid) <= floor
+            settled = at_floor & (np.abs(step) <= LEVEL_STEP_ULPS * _EPS * xa)
+            new[settled] = xa[settled]
+            flux_at[active[settled]] = i_x[settled]
+            density_at[active[settled]] = hq_x[settled]
+            x[active] = new
+            done = ~settled & (at_floor | (np.abs(new - xa) <= LEVEL_NEWTON_RTOL * xa))
+            stepped.append(active[done])
+            active = active[~(settled | done)]
             if active.size == 0:
-                radii[todo] = x
-                return radii
+                stepped = np.concatenate(stepped)
+                if stepped.size:
+                    flux_at[stepped] = self.flux(x[stepped], cell[stepped])
+                    density_at[stepped] = self.density(x[stepped])
+                radii[todo], flux[todo], density[todo] = x, flux_at, density_at
+                return radii, flux, density
         raise ConvergenceError(
             f"level inversion: {active.size} of {todo.size} levels not converged after "
             f"{LEVEL_NEWTON_MAX_ITER} Newton steps (first t = {t[active[0]]!r})"
         )
+
+    def _node_slopes(self, k: float, nodes: np.ndarray) -> np.ndarray:
+        """dr/dw = I / ((p-1) h^(-q)) at the given nodes."""
+        return self.suffix[nodes] / (k * self.node_density[nodes])
+
+
+def _hermite_start(a, b, w_a, w_b, t, slope_a, slope_b) -> np.ndarray:
+    """The cubic Hermite inverse r(w) at the levels t on the cells [a, b],
+    where w runs from w_a to w_b with node slopes dr/dw; linear interpolation
+    where the cubic leaves its cell."""
+    span, width = w_b - w_a, b - a
+    tau = (t - w_a) / span
+    rest = 1.0 - tau
+    x = a + tau * tau * (3.0 - 2.0 * tau) * width
+    x += tau * rest * span * (rest * slope_a - tau * slope_b)
+    outside = ~((x >= a) & (x <= b))
+    x[outside] = a[outside] + tau[outside] * width[outside]
+    return x
 
 
 def _power_law_constants(
@@ -487,30 +537,32 @@ def radius_of_level(pot: RadialPotential, t):
     any other warp, levels on a grid node, t = 0 and t = t_max are answered by
     their node; every other level is bracketed by its two grid nodes and found
     by one safeguarded Newton iteration over all levels at once, started from
-    linear interpolation of w between the nodes.  The update uses dw/dr =
-    (p-1) h^(-q) / I; a step leaving the bracket is replaced by bisection, and
-    a converged level is frozen after its last step.  Where w is nearly flat
-    in r, rounding in w(r) - t bounds how close r can get, so a residual at
-    that rounding floor also counts as converged.
+    the cubic Hermite inverse r(w) on the bracket cell, whose node slopes are
+    dr/dw = I / ((p-1) h^(-q)), or from linear interpolation where the cubic
+    leaves the cell.  The update uses dw/dr = (p-1) h^(-q) / I; a step leaving
+    the bracket is replaced by bisection.  A level has converged once its step
+    is below LEVEL_NEWTON_RTOL or, where w is nearly flat in r and rounding in
+    w(r) - t bounds how close r can get, its residual is at that rounding
+    floor; it then takes its last step, unless the step is within
+    LEVEL_STEP_ULPS of the iterate, which is kept.  On a fine grid the Hermite
+    start is usually kept, and a level then costs one 12-point panel of
+    h^(-q).  The level rows read the same query (the flux's ``levels``),
+    which returns I and h^(-q) at the radii too.
     """
-    levels = _check_levels(pot, t)
-    radii = _invert_levels(pot, levels.reshape(-1)).reshape(levels.shape)
-    return float(radii) if radii.ndim == 0 else radii
+    t = np.asarray(t, dtype=float)
+    radii = _levels(pot, t)[0]
+    return float(radii[0]) if t.ndim == 0 else radii.reshape(t.shape)
 
 
-def _invert_levels(pot: RadialPotential, t: np.ndarray) -> np.ndarray:
-    """Radii of the levels t, a 1-d array in [0, t_max], by the potential's flux."""
-    return pot.law.radii(pot, t)
+def _levels(pot: RadialPotential, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, I, h^(-q)) at the levels t, validated and flattened: the one level
+    entry, the potential's flux's ``levels``."""
+    return pot.law.levels(pot, _check_levels(pot, t).reshape(-1))
 
 
 def _level_at(pot: RadialPotential, r: np.ndarray) -> np.ndarray:
     """The level w = (p-1) log(I(r0) / I(r)) at radii r (one flux_integral_at call)."""
     return (pot.p_value - 1.0) * (math.log(pot.normalizer) - np.log(pot.flux_integral_at(r)))
-
-
-def _w_prime_at(pot: RadialPotential, r: np.ndarray) -> np.ndarray:
-    """w' = (p-1) h^(-q) / I at radii r (one flux_integral_at call)."""
-    return (pot.p_value - 1.0) * pot.law.density(r) / pot.flux_integral_at(r)
 
 
 def _capacity_at(pot: RadialPotential, h, w_prime):
@@ -520,6 +572,6 @@ def _capacity_at(pot: RadialPotential, h, w_prime):
 
 def capacity(pot: RadialPotential, t: float) -> float:
     """Normalized capacity of the level set {w = t}."""
-    r = radius_of_level(pot, [float(t)])
+    r, flux, density = _levels(pot, [float(t)])
     h = pot.model.warp.h(r)
-    return float(_capacity_at(pot, h, _w_prime_at(pot, r))[0])
+    return float(_capacity_at(pot, h, (pot.p_value - 1.0) * density / flux)[0])

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import functionals, geometry
 from .errors import ConvergenceError, DomainError, PinchLabError
-from .numerics import cell_integrals
+from .numerics import cell_integrals, geometric_grid
 from .potential import (
     PExponent,
     RadialPotential,
@@ -560,7 +560,7 @@ def run_contradiction_scenario(
         * (1.0 / envelope_exponent)
         * (math.exp(envelope_exponent * t1v) - math.exp(envelope_exponent * t0v))
     )
-    fit_radii = np.geomspace(r_lo_fit, max(r_hi_fit, r_t1), 16)
+    fit_radii = geometric_grid(r_lo_fit, max(r_hi_fit, r_t1), 16)
     # one call for the fit and the slab's two balls: a radius's volume does not
     # depend on the other radii of its call
     volumes = geometry.ball_volume(model, np.concatenate([fit_radii, [r_t0, r_t1]]))
@@ -589,7 +589,7 @@ def run_contradiction_scenario(
     def slab_check():
         # cell edges at the levels w(r) of geometrically spaced radii: where w is
         # nearly flat in r, r(t) is steep, and equal steps in t would miss it
-        radii = np.geomspace(r_t0, r_t1, SLAB_CELLS + 1)[1:-1]
+        radii = geometric_grid(r_t0, r_t1, SLAB_CELLS + 1)[1:-1]
         edges = np.concatenate([[t0v], _level_at(pot, radii), [t1v]])
         integral = float(np.sum(cell_integrals(coarea_at, edges)))
         return integral, float(volumes[-1] - volumes[-2])

@@ -26,9 +26,9 @@ import numpy as np
 import pytest
 
 import pinchlab as pl
-from pinchlab import functionals, geometry, rigidity
+from pinchlab import functionals, geometry, potential, rigidity
 from pinchlab.geometry import LevelSetData
-from pinchlab.potential import RadialPotential, _w_prime_at, as_p, solve_radial
+from pinchlab.potential import RadialPotential, as_p, solve_radial
 
 MODEL_FACTORIES = {
     "flat": pl.flat_model,
@@ -56,6 +56,27 @@ def solved():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260819)
+
+
+def w_prime_at(pot: RadialPotential, r) -> np.ndarray:
+    """w' = (p-1) h^(-q) / I at radii r, read through flux_integral_at (which
+    refuses a radius outside the solved range)."""
+    return (pot.p_value - 1.0) * pot.law.density(r) / pot.flux_integral_at(r)
+
+
+def count_level_queries(monkeypatch) -> list[int]:
+    """The number of levels of each level query (the ``levels`` method of
+    either flux class) made while ``monkeypatch`` holds."""
+    calls = []
+    for law in (potential._PowerLawFlux, potential._CellFlux):
+        inner = law.levels
+
+        def counting(self, pot, t, _inner=inner):
+            calls.append(int(np.size(t)))
+            return _inner(self, pot, t)
+
+        monkeypatch.setattr(law, "levels", counting)
+    return calls
 
 
 def log_linear_profile(problem: pl.variational.DiscreteProblem) -> np.ndarray:
@@ -228,7 +249,7 @@ def _div_splines(pot: RadialPotential):
 
     h, h1, _ = pot.model.warp(pot.grid)
     m = 3.0 - pot.p_value
-    wp = _w_prime_at(pot, pot.grid)
+    wp = w_prime_at(pot, pot.grid)
     mean = 2.0 * h1 / h
     h_sq = h * h
     x = np.log(pot.grid)
@@ -275,7 +296,7 @@ def _div_claims(geo: LevelSetData, wp, p):
 def _div_sample(pot: RadialPotential, r: float, splines) -> DivergenceSample:
     spline_x, spline_y = splines
     geo = geometry.levelset_geometry(pot.model, r)
-    wp = float(_w_prime_at(pot, r)[0])  # refuses a radius outside the solved range
+    wp = float(w_prime_at(pot, r)[0])  # refuses a radius outside the solved range
     h_sq = geo.area / (4.0 * math.pi)
     x = math.log(r)
     div_x = float(spline_x(x)) / (r * h_sq)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pinchlab as pl
+from conftest import count_level_queries
 from pinchlab.cli import _config_from_args, build_parser, main, summary_text
 
 CSV_HEADER = "t,r,area,H,grad_w,F,G,dF_fd,dF_cf,dG_fd,dG_cf,cap,cap_ratio_to_exp_t,gb,willmore,holder_gap"
@@ -154,14 +155,8 @@ def test_run_monotone_has_derivative_audit():
 def test_monotone_inverts_its_levels_in_one_call(monkeypatch):
     # the ordering report reads the samples of the rows, so the only level
     # inversion is the rows' own batch; its numbers are ordering_check's
-    calls, pots = [], []
-    inner = pl.potential._invert_levels
-
-    def counting(pot, t):
-        calls.append(int(np.size(t)))
-        return inner(pot, t)
-
-    monkeypatch.setattr(pl.potential, "_invert_levels", counting)
+    pots = []
+    calls = count_level_queries(monkeypatch)
     solve = pl.cli.solve_radial
 
     def recording(*args, **kwargs):

@@ -242,22 +242,9 @@ def test_holder_chain_is_equality(solved, name):
 # ---------------------------------------------------------------------------
 
 
-def _count_inversions(monkeypatch):
-    """The number of levels of each radius_of_level call made through functionals."""
-    calls = []
-    inner = functionals.radius_of_level
-
-    def counting(pot, t):
-        calls.append(int(np.size(t)))
-        return inner(pot, t)
-
-    monkeypatch.setattr(functionals, "radius_of_level", counting)
-    return calls
-
-
 def test_level_table_inverts_each_level_once(solved, monkeypatch):
     pot = solved("cone", 1.5)
-    calls = _count_inversions(monkeypatch)
+    calls = conftest.count_level_queries(monkeypatch)
     functionals.level_table(pot, functionals._table_levels(pot, 64))
     # t, t +- dt and t +- dt/2 per row, plus cap(0), all in one batch
     assert sum(calls) == 5 * 64 + 1
@@ -265,7 +252,7 @@ def test_level_table_inverts_each_level_once(solved, monkeypatch):
 
 
 def test_cold_audit_inverts_each_level_once(monkeypatch):
-    calls = _count_inversions(monkeypatch)
+    calls = conftest.count_level_queries(monkeypatch)
     conftest._audit_constants_cached.__wrapped__(1.5)
     assert sum(calls) == 17 * 5
     assert len(calls) == 1

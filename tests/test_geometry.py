@@ -189,6 +189,44 @@ def test_ball_volume_closed_forms():
         )
 
 
+@pytest.mark.parametrize("name", ["flat", "cone_0.8", "power_warp_1.5"])
+def test_power_law_ball_volume_against_forty_digits(name, rng, monkeypatch):
+    # 4 pi c^2 (r^g - r_min^g) / g, g = 2 beta + 1, at 40 digits from the float
+    # inputs, within 4 eps relative: radii over the whole domain, thin shells
+    # just above r_min and radii at both sides of 2 r_min, where the form
+    # switches; no quadrature runs
+    import mpmath
+
+    from pinchlab import geometry
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a power-law ball volume ran quadrature")
+
+    monkeypatch.setattr(geometry, "cell_integrals", no_quadrature)
+    monkeypatch.setattr(geometry, "interval_integrals", no_quadrature)
+    model = pl.library()[name]
+    a = model.r_min
+    lo = a if a > 0.0 else 1e-9 * model.r_max
+    radii = np.concatenate([
+        np.exp(rng.uniform(math.log(lo), math.log(model.r_max), 200)),
+        lo * (1.0 + np.exp(rng.uniform(-30.0, 0.7, 100))),
+        [lo, np.nextafter(lo, math.inf), 2.0 * lo, np.nextafter(2.0 * lo, 0.0), model.r_max],
+    ])
+    radii = radii[radii <= model.r_max]
+    volumes = pl.ball_volume(model, radii)
+    worst = 0.0
+    with mpmath.workdps(40):
+        g = 2 * mpmath.mpf(model.warp.power_law) + 1
+        scale = 4 * mpmath.pi * mpmath.mpf(float(model.warp.h(1.0))) ** 2 / g
+        for r, volume in zip(radii.tolist(), volumes.tolist()):
+            exact = scale * (mpmath.mpf(r) ** g - mpmath.mpf(a) ** g)
+            if exact == 0:
+                assert volume == 0.0
+            else:
+                worst = max(worst, abs(float(mpmath.mpf(volume) / exact - 1)))
+    assert worst <= 4 * float(np.finfo(float).eps)
+
+
 @pytest.mark.parametrize("name", ["flat", "cone_0.8", "power_warp_1.5", "positive_cap_1", "spline_cap_0.5"])
 def test_ball_volume_array_matches_scalar_calls_bitwise(name):
     model = pl.library()[name]

@@ -21,7 +21,8 @@ import pytest
 
 import pinchlab as pl
 from pinchlab import functionals
-from pinchlab.potential import _level_at, _w_prime_at
+from conftest import w_prime_at
+from pinchlab.potential import LEVEL_NEWTON_RTOL, LEVEL_RESIDUAL_ULPS, _level_at
 
 P_VALUES = (1.2, 1.5, 1.8)
 
@@ -75,7 +76,7 @@ def test_first_integral_is_constant(solved, p):
     for name in ("flat", "power_warp"):
         pot = solved(name, p)
         h, _, _ = pot.model.warp(pot.grid)
-        u_prime = _w_prime_at(pot, pot.grid) * pot.suffix / ((p - 1.0) * pot.normalizer)
+        u_prime = w_prime_at(pot, pot.grid) * pot.suffix / ((p - 1.0) * pot.normalizer)
         flux = h**2 * u_prime ** (p - 1.0)
         assert np.max(flux) / np.min(flux) - 1.0 < 1e-12
 
@@ -88,7 +89,7 @@ def test_w_satisfies_radial_ode(solved):
     grid = pot.grid
     h, h1, _ = pot.model.warp(grid)
     H = 2.0 * h1 / h
-    wp = _w_prime_at(pot, grid)
+    wp = w_prime_at(pot, grid)
     w2_exact = wp * (wp - H) / (p - 1.0)
     w2_fd = np.gradient(wp, grid)
     inner = slice(grid.size // 4, 3 * grid.size // 4)
@@ -811,68 +812,94 @@ def test_non_finite_levels_rejected(solved, bad):
             level_function(pot, bad)
 
 
-def _reference_inversion(pot, t, on_node):
-    """The level inversion with one flux_integral_at call per Newton step.
-
-    Counts in ``on_node`` the iterates that sit on the lower and on the upper
-    node of their bracket cell.
-    """
+def _level_radius_to_30_digits(pot, h, breaks, t):
+    """The radius of the level t of ``pot`` at 30 digits: Newton on w(r) = t in
+    the bracket cell [grid[j-1], grid[j]], with I(r) = suffix[j] plus the
+    integral of h^(-q) from r to grid[j] (h the mpmath warp, split at the
+    radii ``breaks`` where it is C^2 only), from the float radius of the
+    bracket's linear interpolation."""
     w, grid = pot.w, pot.grid
-    j = np.searchsorted(w, t, side="left")
-    node = np.minimum(j, w.size - 1)
-    radii = grid[node]
-    todo = np.flatnonzero((j > 0) & (w[node] != t))
-    j, t = j[todo], t[todo]
-    a, b = grid[j - 1], grid[j]
-    x = a + (t - w[j - 1]) / (w[j] - w[j - 1]) * (b - a)
-    k = pot.p_value - 1.0
-    log_i0 = math.log(pot.normalizer)
-    active = np.arange(todo.size)
-    while active.size:
-        xa = x[active]
-        on_node["lower"] += int(np.count_nonzero(xa == grid[j[active] - 1]))
-        on_node["upper"] += int(np.count_nonzero(xa == grid[j[active]]))
-        flux = pot.flux_integral_at(xa)
-        log_flux = np.log(flux)
-        resid = k * (log_i0 - log_flux) - t[active]
-        a[active[resid < 0.0]] = xa[resid < 0.0]
-        b[active[resid > 0.0]] = xa[resid > 0.0]
-        lo, hi = a[active], b[active]
-        new = xa - resid * flux / (k * pot.law.density(xa))
-        outside = ~((new >= lo) & (new <= hi))
-        new[outside] = 0.5 * (lo[outside] + hi[outside])
-        x[active] = new
-        floor = 16 * EPS * (t[active] + k * (abs(log_i0) + np.abs(log_flux)))
-        done = (np.abs(new - xa) <= 1e-13 * xa) | (np.abs(resid) <= floor)
-        active = active[~done]
-    radii[todo] = x
-    return radii
+    j = int(np.searchsorted(w, t, side="left"))
+    k, q = mpmath.mpf(pot.p_value) - 1, 2 / (mpmath.mpf(pot.p_value) - 1)
+    log_i0, target = mpmath.log(mpmath.mpf(pot.normalizer)), mpmath.mpf(t)
+    upper, suffix = mpmath.mpf(grid[j]), mpmath.mpf(pot.suffix[j])
+    r = mpmath.mpf(grid[j - 1]) + (target - w[j - 1]) / (w[j] - w[j - 1]) * (upper - grid[j - 1])
+    for _ in range(8):
+        inside = [mpmath.mpf(x) for x in breaks if r < x < upper]
+        flux = suffix + mpmath.quad(lambda s: h(s) ** -q, [r, *inside, upper])
+        step = (k * (log_i0 - mpmath.log(flux)) - target) * flux / (k * h(r) ** -q)
+        r -= step
+        if abs(step) < mpmath.mpf(10) ** -26 * r:
+            return r
+    raise AssertionError(f"30-digit level {t!r} not converged")
+
+
+def _mpmath_warp(model):
+    """(h, knots) of a library cap model in mpmath: sin(sqrt(k) r)/sqrt(k)
+    and no knots, or the spline's cubic pieces from its float coefficients
+    and its knots."""
+    if model.warp.kind == "positive_cap":
+        s = mpmath.sqrt(mpmath.mpf(model.warp.params["k"]))
+        return (lambda r: mpmath.sin(s * r) / s), ()
+    from scipy.interpolate import CubicSpline
+
+    spline = CubicSpline(model.warp.params["knots"], model.warp.params["values"])
+    knots = spline.x
+
+    def h(r):
+        i = min(max(int(np.searchsorted(knots, float(r), side="right")) - 1, 0), knots.size - 2)
+        d = r - mpmath.mpf(knots[i])
+        return sum(mpmath.mpf(c) * d ** (3 - m) for m, c in enumerate(spline.c[:, i]))
+
+    return h, knots.tolist()
 
 
 @pytest.mark.parametrize("n_grid", [256, 4096])
 @pytest.mark.parametrize("name", ["positive_cap_1", "spline_cap_0.5"])
-def test_newton_steps_in_the_bracket_cell_keep_the_bits(name, n_grid, rng):
-    # the iteration of a cell flux reads I in its bracket cell instead of
-    # calling flux_integral_at; random levels, plus the levels one ulp inside
-    # each cell, whose first iterate may round onto the cell's lower or upper
-    # node
+def test_level_query_returns_converged_radii_with_their_flux_and_density(name, n_grid, rng):
+    # the contract of a cell flux's level query, on random levels, the levels
+    # one ulp inside each cell, whose start may lie on a node, and levels on
+    # nodes: I and
+    # h^(-q) come back with the bits flux_integral_at and density give at the
+    # radius; every radius meets the residual floor or the step rule, measured
+    # afresh; and it lies within 5e-15 relative of the 30-digit radius
     model = pl.library()[name]
     pot = pl.solve_radial(model, 1.5, LIBRARY_R0[name], n_grid=n_grid)
-    # solved again, the potential builds w for its first inversion, with the same bits
-    unread = pl.solve_radial(model, 1.5, LIBRARY_R0[name], n_grid=n_grid)
-    assert isinstance(unread.law, pl.potential._CellFlux) and "w" not in vars(unread)
     cells = np.arange(1, pot.grid.size)
     levels = np.concatenate([
         rng.uniform(0.0, pot.t_max, 256),
         np.nextafter(pot.w[cells - 1], np.inf),
         np.nextafter(pot.w[cells], -np.inf),
+        pot.w[::17],
+        [pot.t_max],
     ])
-    on_node = {"lower": 0, "upper": 0}
-    want = _reference_inversion(pot, levels, on_node)
-    assert on_node["lower"] > 0 and on_node["upper"] > 0, on_node
-    assert pl.radius_of_level(pot, levels).tobytes() == want.tobytes()
-    assert pl.radius_of_level(unread, levels).tobytes() == want.tobytes()
-    assert "w" in vars(unread)
+    radii, flux, density = pot.law.levels(pot, levels)
+    assert flux.tobytes() == pot.flux_integral_at(radii).tobytes()
+    assert density.tobytes() == pot.law.density(radii).tobytes()
+
+    k, log_i0 = pot.p_value - 1.0, math.log(pot.normalizer)
+    log_flux = np.log(flux)
+    resid = k * (log_i0 - log_flux) - levels
+    floor = LEVEL_RESIDUAL_ULPS * EPS * (levels + k * (abs(log_i0) + np.abs(log_flux)))
+    step = resid * flux / (k * density)
+    assert np.all((np.abs(resid) <= floor) | (np.abs(step) <= LEVEL_NEWTON_RTOL * radii))
+
+    # solved again, the potential builds w and the node density on its first
+    # inversion, and radius_of_level reads the same query
+    unread = pl.solve_radial(model, 1.5, LIBRARY_R0[name], n_grid=n_grid)
+    assert "w" not in vars(unread) and "node_density" not in vars(unread.law)
+    assert pl.radius_of_level(unread, levels).tobytes() == radii.tobytes()
+
+    h, breaks = _mpmath_warp(model)
+    inside = rng.choice(np.arange(256, levels.size), 16, replace=False)
+    sample = np.concatenate([np.arange(16), inside])
+    sample = sample[(levels[sample] > 0.0) & ~np.isin(levels[sample], pot.w)]
+    worst = 0.0
+    with mpmath.workdps(30):
+        for i in sample:
+            exact = _level_radius_to_30_digits(pot, h, breaks, float(levels[i]))
+            worst = max(worst, abs(float(mpmath.mpf(radii[i]) / exact - 1)))
+    assert worst <= 5e-15
 
 
 def test_level_inversion_keeps_no_reference_cycle():
@@ -902,7 +929,7 @@ def test_w_prime_at_the_nodes_reads_the_suffix():
     pot = pl.solve_radial(pl.cone_model(0.8), 1.5, 1.0, n_grid=256)
     hq = pot.model.warp.h(pot.grid) ** -4.0
     assert np.array_equal(pot.flux_integral_at(pot.grid), pot.suffix)
-    assert np.allclose(_w_prime_at(pot, pot.grid), 0.5 * hq / pot.suffix, rtol=1e-14, atol=0.0)
+    assert np.allclose(w_prime_at(pot, pot.grid), 0.5 * hq / pot.suffix, rtol=1e-14, atol=0.0)
 
 
 def test_monotone_profiles(solved):
@@ -910,7 +937,7 @@ def test_monotone_profiles(solved):
     u = pot.suffix / pot.normalizer
     assert np.all(np.diff(u) < 0.0)
     assert u[0] == 1.0
-    assert np.all(_w_prime_at(pot, pot.grid) > 0.0)
+    assert np.all(w_prime_at(pot, pot.grid) > 0.0)
 
 
 @pytest.mark.parametrize("name", ["flat", "positive_cap_1"])

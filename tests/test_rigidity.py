@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import pinchlab as pl
 
-from conftest import integrate_dichotomy, sampled_envelope
+from conftest import count_level_queries, integrate_dichotomy, sampled_envelope
 
 FOUR_PI = 4.0 * math.pi
 
@@ -394,13 +394,9 @@ def test_scenario_inverts_and_sums_volumes_in_two_calls_each(name, monkeypatch):
     from pinchlab import geometry, potential, rigidity
 
     model = pl.library()[name]
-    inversions, volume_calls, pots, slab_cells = [], [], [], []
-    invert, ball_volume = potential._invert_levels, geometry.ball_volume
+    volume_calls, pots, slab_cells = [], [], []
+    ball_volume = geometry.ball_volume
     solve, cell_integrals = rigidity.solve_radial, rigidity.cell_integrals
-
-    def counting_invert(pot, t):
-        inversions.append(t.size)
-        return invert(pot, t)
 
     def recording_ball_volume(model, r):
         volume_calls.append((np.array(r, dtype=float), ball_volume(model, r)))
@@ -414,7 +410,7 @@ def test_scenario_inverts_and_sums_volumes_in_two_calls_each(name, monkeypatch):
         slab_cells.append(cell_integrals(f, edges))
         return slab_cells[-1]
 
-    monkeypatch.setattr(potential, "_invert_levels", counting_invert)
+    inversions = count_level_queries(monkeypatch)
     monkeypatch.setattr(geometry, "ball_volume", recording_ball_volume)
     monkeypatch.setattr(rigidity, "solve_radial", recording_solve)
     monkeypatch.setattr(rigidity, "cell_integrals", recording_cells)
@@ -448,6 +444,51 @@ def test_scenario_inverts_and_sums_volumes_in_two_calls_each(name, monkeypatch):
     assert report.verdict("slab-volume-consistency").reason.startswith(
         f"coarea integral {integral:.12g} vs direct volume difference {direct:.12g} "
     )
+
+
+def test_a_cell_flux_contradict_reads_one_panel_per_inverted_level(monkeypatch):
+    # at 4096 nodes the Hermite start of every level between two nodes is
+    # converged: each such level reads one 12-point panel of h^(-q) through
+    # _CellFlux.flux, and _level takes I and h^(-q) from the level query, never
+    # from flux_integral_at; only the slab's cell edges read that
+    from pinchlab import functionals, potential, rigidity
+
+    radii, inverted, reads, inside_level = [], [], [], []
+    flux, levels = potential._CellFlux.flux, potential._CellFlux.levels
+    flux_integral_at, level = potential.RadialPotential.flux_integral_at, functionals._level
+
+    def counting_flux(law, r, j=None):
+        radii.append(np.size(r))
+        return flux(law, r, j)
+
+    def counting_levels(law, pot, t):
+        j = np.searchsorted(pot.w, t, side="left")
+        inverted.append(int(np.count_nonzero((j > 0) & (pot.w[j] != t))))
+        return levels(law, pot, t)
+
+    def recording_flux_integral_at(pot, r):
+        reads.append((bool(inside_level), np.size(r)))
+        return flux_integral_at(pot, r)
+
+    def flagged_level(pot, t):
+        inside_level.append(True)
+        try:
+            return level(pot, t)
+        finally:
+            inside_level.pop()
+
+    monkeypatch.setattr(potential._CellFlux, "flux", counting_flux)
+    monkeypatch.setattr(potential._CellFlux, "levels", counting_levels)
+    monkeypatch.setattr(potential.RadialPotential, "flux_integral_at", recording_flux_integral_at)
+    monkeypatch.setattr(functionals, "_level", flagged_level)
+    model = pl.library()["positive_cap_1"]
+    pl.run_contradiction_scenario(model, 1.5, {"n_levels": 64, "n_grid": 4096})
+    monkeypatch.undo()
+
+    edges = rigidity.SLAB_CELLS - 1
+    assert len(inverted) == 2 and sum(inverted) > 12 * rigidity.SLAB_CELLS
+    assert reads == [(False, edges)]
+    assert sum(radii) == sum(inverted) + edges
 
 
 @pytest.mark.parametrize("option", ["bogus", "dt", "eps_threshold", "ode_step", "ode_horizon"])
