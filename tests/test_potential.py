@@ -22,7 +22,13 @@ import pytest
 import pinchlab as pl
 from pinchlab import functionals
 from conftest import w_prime_at
-from pinchlab.potential import LEVEL_NEWTON_RTOL, LEVEL_RESIDUAL_ULPS, _level_at
+from pinchlab.potential import (
+    LEVEL_NEWTON_RTOL,
+    LEVEL_RESIDUAL_ULPS,
+    LEVEL_STEP_ULPS,
+    _hermite_start,
+    _level_at,
+)
 
 P_VALUES = (1.2, 1.5, 1.8)
 
@@ -900,6 +906,76 @@ def test_level_query_returns_converged_radii_with_their_flux_and_density(name, n
             exact = _level_radius_to_30_digits(pot, h, breaks, float(levels[i]))
             worst = max(worst, abs(float(mpmath.mpf(radii[i]) / exact - 1)))
     assert worst <= 5e-15
+
+
+def _reference_inversion(pot, t, on_node):
+    """The level query with one flux_integral_at and one density call per
+    Newton step, and one more of each at a level that takes its last step.
+
+    Counts in ``on_node`` the iterates that sit on the lower and on the upper
+    node of their bracket cell.
+    """
+    w, grid, law = pot.w, pot.grid, pot.law
+    j = np.searchsorted(w, t, side="left")
+    radii = grid[j].copy()
+    todo = np.flatnonzero((j > 0) & (w[j] != t))
+    j, t = j[todo], t[todo]
+    a, b = grid[j - 1], grid[j]
+    k = pot.p_value - 1.0
+    slope_a = pot.suffix[j - 1] / (k * law.density(a))
+    slope_b = pot.suffix[j] / (k * law.density(b))
+    x = _hermite_start(a, b, w[j - 1], w[j], t, slope_a, slope_b)
+    log_i0 = math.log(pot.normalizer)
+    active = np.arange(todo.size)
+    while active.size:
+        xa = x[active]
+        on_node["lower"] += int(np.count_nonzero(xa == grid[j[active] - 1]))
+        on_node["upper"] += int(np.count_nonzero(xa == grid[j[active]]))
+        flux = pot.flux_integral_at(xa)
+        log_flux = np.log(flux)
+        resid = k * (log_i0 - log_flux) - t[active]
+        a[active[resid < 0.0]] = xa[resid < 0.0]
+        b[active[resid > 0.0]] = xa[resid > 0.0]
+        lo, hi = a[active], b[active]
+        step = resid * flux / (k * law.density(xa))
+        new = xa - step
+        outside = ~((new >= lo) & (new <= hi))
+        new[outside] = 0.5 * (lo[outside] + hi[outside])
+        floor = LEVEL_RESIDUAL_ULPS * EPS * (t[active] + k * (abs(log_i0) + np.abs(log_flux)))
+        at_floor = np.abs(resid) <= floor
+        settled = at_floor & (np.abs(step) <= LEVEL_STEP_ULPS * EPS * xa)
+        new[settled] = xa[settled]
+        x[active] = new
+        done = settled | at_floor | (np.abs(new - xa) <= LEVEL_NEWTON_RTOL * xa)
+        active = active[~done]
+    radii[todo] = x
+    return radii, pot.flux_integral_at(radii), law.density(radii)
+
+
+@pytest.mark.parametrize("n_grid", [256, 4096])
+@pytest.mark.parametrize("name", ["positive_cap_1", "spline_cap_0.5"])
+def test_newton_steps_in_the_bracket_cell_keep_the_bits(name, n_grid, rng):
+    # the iteration of a cell flux reads I in its bracket cell instead of
+    # calling flux_integral_at; random levels, plus the levels one ulp inside
+    # each cell, whose iterates may round onto the cell's lower or upper node
+    model = pl.library()[name]
+    pot = pl.solve_radial(model, 1.5, LIBRARY_R0[name], n_grid=n_grid)
+    # solved again, the potential builds w for its first inversion, with the same bits
+    unread = pl.solve_radial(model, 1.5, LIBRARY_R0[name], n_grid=n_grid)
+    assert isinstance(unread.law, pl.potential._CellFlux) and "w" not in vars(unread)
+    cells = np.arange(1, pot.grid.size)
+    levels = np.concatenate([
+        rng.uniform(0.0, pot.t_max, 256),
+        np.nextafter(pot.w[cells - 1], np.inf),
+        np.nextafter(pot.w[cells], -np.inf),
+    ])
+    on_node = {"lower": 0, "upper": 0}
+    want = _reference_inversion(pot, levels, on_node)
+    assert on_node["lower"] > 0 and on_node["upper"] > 0, on_node
+    for got in (pot.law.levels(pot, levels), unread.law.levels(unread, levels)):
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert pl.radius_of_level(pot, levels).tobytes() == want[0].tobytes()
+    assert "w" in vars(unread)
 
 
 def test_level_inversion_keeps_no_reference_cycle():
