@@ -29,6 +29,7 @@ from .potential import (
     PExponent,
     RadialPotential,
     _level_at,
+    _levels,
     as_p,
     solve_radial,
 )
@@ -583,8 +584,11 @@ def run_contradiction_scenario(
 
     # --- slab volume two-route check -----------------------------------------
     def coarea_at(t: np.ndarray) -> np.ndarray:
-        level = functionals._level(pot, t)
-        return level.geo.area / level.wp
+        # area / w' from the level query's r, I and h^(-q) and the warp alone,
+        # by the expressions of geometry._levelset_data and functionals._level
+        r, flux, density = _levels(pot, t)
+        h = pot.model.warp.h(r)
+        return (4.0 * math.pi * h * h) / ((pot.p_value - 1.0) * density / flux)
 
     def slab_check():
         # cell edges at the levels w(r) of geometrically spaced radii: where w is

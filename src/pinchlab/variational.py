@@ -16,8 +16,11 @@ given one) by the spread of its cell fluxes and refuses a profile that fails;
 the interior gradient entries are differences of adjacent fluxes, so a small
 spread bounds them.  A profile that does not decrease, or whose smallest drop
 is zero or subnormal (the minimizer's outer drops underflow for p close to
-1), is refused by name before any flux is computed.  Nothing iterates, and
-this module imports nothing from scipy.
+1), is refused by name before the fluxes of that drop's block are computed.
+From the cell weights on, the profile is the only array of the mesh's size
+the route builds: its log drops, the certificate and the cross-validation's
+node error are worked out in blocks of _TERM_BLOCK cells.  Nothing iterates,
+and this module imports nothing from scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -49,7 +52,7 @@ __all__ = [
 NODE_TOL = 5e-3  # cross-validation: largest node error against the quadrature potential
 CAPACITY_TOL = 5e-3  # cross-validation: largest |capacity gap|
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
-_TERM_BLOCK = 16384  # cells per block of the energy terms' scratch
+_TERM_BLOCK = 16384  # cells (or nodes) per block of the variational route's scratch
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,10 +218,7 @@ def energy(problem: DiscreteProblem, psi: np.ndarray) -> float:
     if psi.shape != problem.mesh.shape:
         raise DomainError(f"profile shape {psi.shape} does not match mesh shape {problem.mesh.shape}")
     _check_finite(psi, "profile")
-    slopes = np.diff(psi)
-    np.abs(slopes, out=slopes)
-    slopes /= problem.dx
-    return _cell_terms(problem, slopes)[0]
+    return _cell_terms(problem, psi, certify=False)[0]
 
 
 def _check_finite(psi: np.ndarray, what: str) -> None:
@@ -227,25 +227,77 @@ def _check_finite(psi: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} is not finite at node {int(np.argmin(finite))}")
 
 
-def _cell_terms(problem: DiscreteProblem, slopes: np.ndarray) -> tuple[float, float, float]:
-    """The energy sum_i t_i s_i = sum_i m_i s_i^p from the nonnegative cell
-    slopes s_i, with t_i = m_i s_i^(p-1), and the least and greatest
-    t_i / dx_i.  ``slopes`` is overwritten with the terms t_i s_i; t is built
-    in one scratch block of _TERM_BLOCK cells at a time, not over the mesh."""
+def _cell_terms(
+    problem: DiscreteProblem, psi: np.ndarray, *, certify: bool
+) -> tuple[float, float, float]:
+    """The energy sum_i t_i s_i = sum_i m_i s_i^p of the node profile psi,
+    with cell slopes s_i = |psi_i - psi_(i+1)| / dx_i and t_i = m_i
+    s_i^(p-1), and the least and greatest t_i / dx_i.
+
+    Each block of at most _TERM_BLOCK cells takes its drops from psi into one
+    block of scratch and t into another; nothing of the mesh's size is built.
+    The blocks are those of :func:`_pairwise_sum`, so the energy has the bits
+    of numpy's sum of the whole array of terms.  With ``certify`` a block
+    whose smallest drop is not a positive normal float (NaN included) is
+    refused by :func:`_refuse_drops` before its t is formed; without it the
+    drops are taken in absolute value.
+    """
     q = problem.p.value - 1.0
-    scratch = np.empty(min(slopes.size, _TERM_BLOCK))
+    n = problem.n_cells
+    drops_buf, t_buf = np.empty(min(n, _TERM_BLOCK)), np.empty(min(n, _TERM_BLOCK))
     lows, highs = [], []
-    for i in range(0, slopes.size, _TERM_BLOCK):
-        s = slopes[i : i + _TERM_BLOCK]
-        t = np.power(s, q, out=scratch[: s.size])
-        t *= problem.weights[i : i + _TERM_BLOCK]
+
+    def block_sum(i: int, j: int) -> float:
+        s = np.subtract(psi[i:j], psi[i + 1 : j + 1], out=drops_buf[: j - i])
+        if not certify:
+            np.abs(s, out=s)
+        elif not s.min() >= _TINY:
+            _refuse_drops(problem, psi)
+        s /= problem.dx[i:j]
+        t = np.power(s, q, out=t_buf[: j - i])
+        t *= problem.weights[i:j]
         s *= t
         with np.errstate(over="ignore"):  # an infinite flux is the caller's to judge
-            t /= problem.dx[i : i + _TERM_BLOCK]
+            t /= problem.dx[i:j]
         lows.append(t.min())
         highs.append(t.max())
+        return s.sum()
+
+    total = _pairwise_sum(block_sum, 0, n)
     # np.min and np.max keep a block's NaN, which Python's min and max can drop
-    return float(slopes.sum()), float(np.min(lows)), float(np.max(highs))
+    return float(total), float(np.min(lows)), float(np.max(highs))
+
+
+def _pairwise_sum(block_sum, i: int, j: int) -> float:
+    """The sum over cells [i, j) from ``block_sum`` of blocks of at most
+    _TERM_BLOCK cells, taken left to right.  A longer range is split as
+    numpy's pairwise sum splits one of more than 128 elements, at half its
+    length rounded down to a multiple of 8, and each block is a node of that
+    tree, so the total has the bits of the whole array's ``sum()``."""
+    if j - i <= _TERM_BLOCK:
+        return block_sum(i, j)
+    half = (j - i) // 2
+    half -= half % 8
+    return _pairwise_sum(block_sum, i, i + half) + _pairwise_sum(block_sum, i + half, j)
+
+
+def _refuse_drops(problem: DiscreteProblem, psi: np.ndarray) -> NoReturn:
+    """Refuse a profile whose smallest drop is negative, zero, subnormal or
+    NaN, naming that drop and its cell over the whole mesh."""
+    drops = psi[:-1] - psi[1:]
+    smallest = float(drops.min())
+    cell = int(np.argmin(drops))
+    if smallest < 0.0:
+        raise ConvergenceError(
+            f"profile is not monotone decreasing: it rises by {-smallest!r} in cell {cell} "
+            f"of {drops.size}"
+        )
+    raise ConvergenceError(
+        f"profile has a {'zero' if smallest == 0.0 else 'subnormal'} drop {smallest!r} in "
+        f"cell {cell} of {drops.size} (p = {problem.p.value!r}): the minimizer's drops are all "
+        f"positive, so they underflow there; p this close to 1 needs fewer decades of "
+        f"truncation radius"
+    )
 
 
 def constant_flux_profile(problem: DiscreteProblem) -> np.ndarray:
@@ -256,19 +308,31 @@ def constant_flux_profile(problem: DiscreteProblem) -> np.ndarray:
     the node drops gives |dpsi_i| proportional to (dx_i/m_i)^(1/(p-1)) dx_i,
     normalized so the drops sum to one.  Accumulating from the outer end
     keeps the (possibly denormal-small) tail values exactly representable.
+
+    The profile is the only array of the mesh's size this builds: the log
+    drops are written into its first n_cells entries one block of
+    _TERM_BLOCK cells at a time, with that block's log dx in one block of
+    scratch, and are then scaled, exponentiated, normalized and summed from
+    the outer end in place.
     """
     p = problem.p.value
-    log_dx = np.log(problem.dx)
-    log_drops = np.log(problem.weights)
-    np.subtract(log_dx, log_drops, out=log_drops)
-    log_drops /= p - 1.0
-    log_drops += log_dx
-    del log_dx  # the profile's peak is two mesh-sized arrays, not three
-    log_drops -= log_drops.max()  # scale before normalizing to avoid overflow
-    drops = np.exp(log_drops, out=log_drops)
+    n = problem.n_cells
+    psi = np.empty(n + 1)
+    scratch = np.empty(min(n, _TERM_BLOCK))
+    for i in range(0, n, _TERM_BLOCK):
+        j = min(i + _TERM_BLOCK, n)
+        log_drops = np.log(problem.weights[i:j], out=psi[i:j])
+        log_dx = np.log(problem.dx[i:j], out=scratch[: j - i])
+        np.subtract(log_dx, log_drops, out=log_drops)
+        log_drops /= p - 1.0
+        log_drops += log_dx
+    drops = psi[:-1]
+    drops -= drops.max()  # scale before normalizing to avoid overflow
+    np.exp(drops, out=drops)
     drops /= drops.sum()
-    psi = np.empty(drops.size + 1)
-    np.cumsum(drops[::-1], out=psi[-2::-1])
+    # in place: the reversed view is both the input and the output, which
+    # numpy accumulates without a copy
+    np.cumsum(drops[::-1], out=drops[::-1])
     psi[-1] = 0.0
     psi /= psi[0]
     psi[0] = 1.0
@@ -292,16 +356,18 @@ def minimize_energy(
     so the spread bounds the gradient scaled by the smallest flux.  The
     default start reads ~1e-11 in practice.  A profile that fails raises
     ConvergenceError naming its scaled gradient; nothing iterates, so
-    ``iterations`` is always 0.
+    ``iterations`` is always 0.  Beyond the profile, the certificate holds
+    two blocks of _TERM_BLOCK cells of scratch (see :func:`_cell_terms`).
 
-    The drops psi_i - psi_(i+1) are checked first: the minimizer's drops are
-    all positive, so a profile with a negative one is refused as not monotone
-    decreasing.  For p close to 1 the minimizer's outer drops underflow, and
-    a profile whose smallest drop is zero or subnormal (flat: p <= 1.019 with
-    three decades of r_cut, p <= 1.025 with four) is refused with a
-    ConvergenceError that names the underflow, before any flux is computed.
-    A normal drop certifies however small (flat: p = 1.026 with 4096 cells
-    and four decades, smallest drop 3.8e-305).
+    The drops psi_i - psi_(i+1) are checked first, block by block before
+    each block's fluxes: the minimizer's drops are all positive, so a
+    profile with a negative one is refused as not monotone decreasing.  For
+    p close to 1 the minimizer's outer drops underflow, and a profile whose
+    smallest drop is zero or subnormal (flat: p <= 1.019 with three decades
+    of r_cut, p <= 1.025 with four) is refused with a ConvergenceError that
+    names the underflow.  Either refusal names the smallest drop over the
+    whole mesh and its cell.  A normal drop certifies however small (flat:
+    p = 1.026 with 4096 cells and four decades, smallest drop 3.8e-305).
     """
     if not tol > 0.0:  # NaN included
         raise DomainError(f"gradient tolerance must be positive, got {tol}")
@@ -322,25 +388,9 @@ def minimize_energy(
         psi[0], psi[-1] = 1.0, 0.0
 
     p = problem.p.value
-    drops = psi[:-1] - psi[1:]
-    smallest = float(drops.min())
-    if not smallest >= _TINY:
-        cell = int(np.argmin(drops))
-        if smallest < 0.0:
-            raise ConvergenceError(
-                f"profile is not monotone decreasing: it rises by {-smallest!r} in cell {cell} "
-                f"of {drops.size}"
-            )
-        raise ConvergenceError(
-            f"profile has a {'zero' if smallest == 0.0 else 'subnormal'} drop {smallest!r} in "
-            f"cell {cell} of {drops.size} (p = {p!r}): the minimizer's drops are all positive, "
-            f"so they underflow there; p this close to 1 needs fewer decades of truncation "
-            f"radius"
-        )
-    slopes = np.divide(drops, problem.dx, out=drops)  # the drops are not read again
     # an overflowing flux makes the spread inf or NaN, which fails the test below
     with np.errstate(over="ignore", invalid="ignore"):
-        total, lo, hi = _cell_terms(problem, slopes)
+        total, lo, hi = _cell_terms(problem, psi, certify=True)
         # f = p t / dx; scaling by p > 0 commutes with min and max
         lo, hi = p * lo, p * hi
         rel_grad = (hi - lo) / max(1.0, lo)
@@ -384,7 +434,8 @@ class CrossValidationReport(NamedTuple):
 def cross_validate(solution: DiscreteSolution, pot: RadialPotential) -> CrossValidationReport:
     """Compare the discrete minimizer against the quadrature potential; it
     passes with a node error below NODE_TOL and a |capacity gap| below
-    CAPACITY_TOL."""
+    CAPACITY_TOL.  The node error is taken one block of _TERM_BLOCK nodes
+    at a time, so no array of the mesh's size is built."""
     problem = solution.problem
     if problem.model.describe() != pot.model.describe():
         raise DomainError("cross-validation requires the same model on both routes")
@@ -401,11 +452,16 @@ def cross_validate(solution: DiscreteSolution, pot: RadialPotential) -> CrossVal
             f"variational mesh reaches {problem.r_cut}, beyond the quadrature grid "
             f"truncated at {pot.r_trunc}"
         )
-    node_error = pot.flux_integral_at(problem.mesh)
-    node_error /= pot.normalizer
-    node_error -= solution.psi
-    np.abs(node_error, out=node_error)
-    max_node_error = float(node_error.max())
+    highs = []
+    for i in range(0, problem.mesh.size, _TERM_BLOCK):
+        nodes = slice(i, i + _TERM_BLOCK)
+        node_error = pot.flux_integral_at(problem.mesh[nodes])
+        node_error /= pot.normalizer
+        node_error -= solution.psi[nodes]
+        np.abs(node_error, out=node_error)
+        highs.append(node_error.max())
+    # np.max keeps a block's NaN, which Python's max can drop
+    max_node_error = float(np.max(highs))
     cap_energy = capacity_from_energy(solution)
     cap_quad = capacity(pot, 0.0)
     gap = (cap_energy - cap_quad) / cap_quad

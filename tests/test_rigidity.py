@@ -446,6 +446,27 @@ def test_scenario_inverts_and_sums_volumes_in_two_calls_each(name, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("name", ["flat", "positive_cap_1"])
+def test_the_slab_integrand_reads_the_level_query_and_h_alone(name, monkeypatch):
+    # the coarea slab's Gauss levels take r, I and h^(-q) from the level
+    # query and h from warp.h: only the level table's batch goes through
+    # functionals._level, which builds the geometry, F, G and derivatives
+    from pinchlab import functionals, rigidity
+
+    sizes, level = [], functionals._level
+
+    def recording_level(pot, t):
+        sizes.append(int(np.size(t)))
+        return level(pot, t)
+
+    inversions = count_level_queries(monkeypatch)
+    monkeypatch.setattr(functionals, "_level", recording_level)
+    pl.run_contradiction_scenario(pl.library()[name], 1.5, {"n_levels": 64})
+    monkeypatch.undo()
+    assert sizes == [1 + 5 * 64 + 2]
+    assert inversions == [1 + 5 * 64 + 2, 12 * rigidity.SLAB_CELLS]
+
+
 def test_a_cell_flux_contradict_reads_one_panel_per_inverted_level(monkeypatch):
     # at 4096 nodes the Hermite start of every level between two nodes is
     # converged: each such level reads one 12-point panel of h^(-q) through

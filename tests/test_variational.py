@@ -387,19 +387,50 @@ def test_flux_spread_bounds_the_scaled_gradient(p, name, n_cells, size, seed):
 
 
 def test_minimize_energy_peak_memory_is_bounded():
-    # beyond the profile it returns, minimize_energy holds one array of the
-    # cells' size at a time, plus a block of scratch (an eighth of 2^17 cells
-    # at most): the cell slopes and a block of m |s|^(p-1) in the
-    # certificate; log dx and the log drops in constant_flux_profile come
-    # before the profile, the drops with it
+    # beyond the profile it returns, minimize_energy holds two blocks of
+    # scratch (the drops, slopes and terms in one, m |s|^(p-1) in the other)
+    # and a few kB of Python objects; constant_flux_profile writes its log
+    # drops into the profile, with one block of log dx beside it
+    from pinchlab.variational import _TERM_BLOCK
+
     prob = _problem("power_warp", 1.5, n=2**17)
+    block = 8 * _TERM_BLOCK
+    for build, blocks in ((pl.constant_flux_profile, 1), (pl.minimize_energy, 2)):
+        tracemalloc.start()
+        try:
+            psi = build(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        psi = getattr(psi, "psi", psi)
+        assert peak <= psi.nbytes + blocks * block + 16384, build.__name__
+
+
+@pytest.mark.parametrize("name", ["power_warp_1.5", "positive_cap_1"])
+def test_cross_validate_peak_memory_is_bounded(name):
+    # the node error is taken one block of nodes at a time: at 2^17 cells a
+    # call holds a few blocks, never an array of the mesh's size; a warp
+    # without a power law adds the Gauss scratch of its partial panels (see
+    # test_discretize_peak_memory_is_bounded_by_its_result)
+    from pinchlab.numerics import _BLOCK
+    from pinchlab.variational import _TERM_BLOCK
+
+    model = pl.library()[name]
+    r0, r_cut = KEPT[name]
+    sol = pl.minimize_energy(pl.discretize(model, 1.5, r0, 2**17, r_cut))
+    pot = pl.solve_radial(model, 1.5, r0)
+    pl.cross_validate(sol, pot)  # the potential's lazily built arrays
     tracemalloc.start()
     try:
-        sol = pl.minimize_energy(prob)
+        report = pl.cross_validate(sol, pot)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= sol.psi.nbytes + prob.weights.nbytes + prob.weights.nbytes // 8 + 16384
+    assert report.passed
+    gauss = 0 if model.warp.power_law else 5 * 8 * 12 * _BLOCK
+    assert peak <= 3 * 8 * _TERM_BLOCK + gauss
+    if model.warp.power_law:
+        assert peak < sol.psi.nbytes // 2
 
 
 def test_inner_radius_scaling():
@@ -599,25 +630,146 @@ def test_energy_matches_direct_formula():
     assert abs(pl.energy(prob, psi) / e_direct - 1.0) < 1e-12
 
 
+def _whole_terms(prob, psi):
+    # the terms m s^p and fluxes m s^(p-1) / dx of a profile over whole arrays
+    slopes = np.abs(psi[:-1] - psi[1:]) / prob.dx
+    t = np.power(slopes, prob.p.value - 1.0) * prob.weights
+    return slopes * t, t / prob.dx
+
+
 def test_cell_terms_in_blocks_have_the_bits_of_whole_arrays():
-    # the energy and the certificate build m |s|^(p-1) one block at a time;
-    # the terms, their sum and the flux extremes have the bits of the same
-    # formulas over whole arrays, across full and partial blocks
+    # energy() and the certificate build the drops, slopes and m |s|^(p-1)
+    # from the profile one block at a time; the energy, the block sums added
+    # along numpy's pairwise split, and the flux extremes have the bits of
+    # the same formulas over whole arrays, across full and partial blocks
     from pinchlab.variational import _TERM_BLOCK, _cell_terms
 
     rng = np.random.default_rng(5)
-    for n in (64, _TERM_BLOCK, 2 * _TERM_BLOCK + 321):
+    for n in (64, _TERM_BLOCK, 2 * _TERM_BLOCK + 321, 3 * _TERM_BLOCK + 7, 2**17):
         prob = _problem("power_warp", 1.37, n=n)
-        slopes = rng.uniform(0.0, 2.0, n) / prob.dx
-        # the least flux opens every block and the greatest closes the last
-        slopes[::_TERM_BLOCK] = 0.0
-        slopes[-1] *= 1e6
-        t = np.power(slopes, prob.p.value - 1.0) * prob.weights
-        terms = slopes * t
-        flux = t / prob.dx
-        total, lo, hi = _cell_terms(prob, slopes)
-        assert slopes.tobytes() == terms.tobytes()
-        assert (total, lo, hi) == (float(terms.sum()), float(flux.min()), float(flux.max()))
+        # energy(): a profile that rises and falls, its drops taken in
+        # absolute value; the least flux opens every stride of _TERM_BLOCK
+        # cells and the greatest closes the last
+        psi = np.cumsum(rng.uniform(-1.0, 2.0, n + 1))[::-1].copy()
+        starts = np.arange(0, n, _TERM_BLOCK)
+        psi[starts + 1] = psi[starts]
+        psi[-1] = psi[-2] - 1e6
+        terms, flux = _whole_terms(prob, psi)
+        assert _cell_terms(prob, psi, certify=False) == (
+            float(terms.sum()), float(flux.min()), float(flux.max()))
+        # the certificate: a decreasing profile
+        psi = np.append(np.cumsum(rng.uniform(0.5, 2.0, n)[::-1])[::-1], 0.0)
+        terms, flux = _whole_terms(prob, psi)
+        assert _cell_terms(prob, psi, certify=True) == (
+            float(terms.sum()), float(flux.min()), float(flux.max()))
+
+
+def _drop_message(prob, psi):
+    # the refusal's message as it was built from the whole array of drops
+    drops = psi[:-1] - psi[1:]
+    smallest, cell = float(drops.min()), int(np.argmin(drops))
+    if smallest < 0.0:
+        return f"profile is not monotone decreasing: it rises by {-smallest!r} in cell {cell} of {prob.n_cells}"
+    kind = "zero" if smallest == 0.0 else "subnormal"
+    return (
+        f"profile has a {kind} drop {smallest!r} in cell {cell} of {prob.n_cells} "
+        f"(p = {prob.p.value!r}): the minimizer's drops are all positive, so they underflow "
+        f"there; p this close to 1 needs fewer decades of truncation radius"
+    )
+
+
+@pytest.mark.parametrize("where", ["second", "last"])
+@pytest.mark.parametrize("kind", ["negative", "zero", "subnormal"])
+def test_a_bad_drop_past_the_first_block_is_refused_by_the_whole_mesh(kind, where):
+    # on 3 * 16384 + 7 cells, a bad drop in the second block or in the last,
+    # partial one is refused before that block's fluxes, by the smallest
+    # drop over the whole mesh and its cell, with no warning first
+    from pinchlab.variational import _TERM_BLOCK
+
+    prob = _problem("flat", 1.5, n=3 * _TERM_BLOCK + 7)
+    psi = pl.constant_flux_profile(prob)
+    cell = _TERM_BLOCK + 123 if where == "second" else 3 * _TERM_BLOCK + 3
+    if kind == "negative":
+        psi[[cell, cell + 1]] = psi[[cell + 1, cell]]
+    elif kind == "zero":
+        psi[cell + 1] = psi[cell]
+    else:
+        # the nodes past the cell drop by two subnormal steps each, and the
+        # cell itself by one
+        tiny = np.nextafter(0.0, 1.0)
+        psi[cell + 1 :] = 2.0 * tiny * np.arange(prob.n_cells - cell - 1, -1, -1)
+        psi[cell] = psi[cell + 1] + tiny
+    message = _drop_message(prob, psi)
+    assert f"in cell {cell} of" in message and kind.replace("negative", "rises") in message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pl.ConvergenceError) as refused:
+            pl.minimize_energy(prob, initial=psi, tol=math.inf)
+    assert str(refused.value) == message
+
+
+def test_a_nan_past_the_first_block_is_not_dropped():
+    # the blocks' results are combined by np.min and np.max, which keep a
+    # NaN: a NaN drop is refused, and a NaN energy, flux or node error in the
+    # second block reaches the result
+    from pinchlab.variational import _TERM_BLOCK, _cell_terms
+
+    prob = _problem("flat", 1.5, n=3 * _TERM_BLOCK + 7)
+    sol = pl.minimize_energy(prob)
+    psi = sol.psi.copy()
+    psi[_TERM_BLOCK + 123] = np.nan
+    with pytest.raises(pl.ConvergenceError, match=f"drop nan in cell {_TERM_BLOCK + 122} of"):
+        _cell_terms(prob, psi, certify=True)
+    assert all(math.isnan(x) for x in _cell_terms(prob, psi, certify=False))
+    report = pl.cross_validate(sol._replace(psi=psi), pl.solve_radial(prob.model, 1.5, 1.0))
+    assert math.isnan(report.max_node_error) and not report.passed
+
+
+def _unblocked_route(prob, pot):
+    # the route's formulas over whole arrays: the profile, its energy and
+    # certificate, and the node error against the potential
+    p = prob.p.value
+    log_dx = np.log(prob.dx)
+    log_drops = (log_dx - np.log(prob.weights)) / (p - 1.0) + log_dx
+    drops = np.exp(log_drops - log_drops.max())
+    drops /= drops.sum()
+    psi = np.empty(drops.size + 1)
+    np.cumsum(drops[::-1], out=psi[-2::-1])
+    psi[-1] = 0.0
+    psi /= psi[0]
+    psi[0] = 1.0
+    terms, flux = _whole_terms(prob, psi)
+    lo, hi = p * flux.min(), p * flux.max()
+    node_error = np.abs(pot.flux_integral_at(prob.mesh) / pot.normalizer - psi).max()
+    energy = float(terms.sum())
+    cap_energy = (1.0 / (4.0 * math.pi)) * ((p - 1.0) / (3.0 - p)) ** (p - 1.0) * energy
+    cap_quad = pl.capacity(pot, 0.0)
+    return psi, energy, (hi - lo) / max(1.0, lo), float(node_error), (cap_energy - cap_quad) / cap_quad
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("name", sorted(KEPT))
+def test_blocked_route_has_the_bits_of_whole_arrays(name, p):
+    # on 3 * 16384 + 7 cells, where the last block is partial and numpy's
+    # pairwise sum of the whole terms splits at 12288-cell nodes, not at
+    # multiples of 16384: the profile, certificate, node error and capacity
+    # gap have the bits of the whole-array formulas.  The energy's budget is
+    # 0 ulps: its blocks are nodes of that pairwise split (variational.
+    # _pairwise_sum), so it makes the same additions in the same order
+    from pinchlab.variational import _TERM_BLOCK
+
+    model = pl.library()[name]
+    r0, r_cut = KEPT[name]
+    prob = pl.discretize(model, p, r0, 3 * _TERM_BLOCK + 7, r_cut)
+    pot = pl.solve_radial(model, p, r0)
+    sol = pl.minimize_energy(prob)
+    report = pl.cross_validate(sol, pot)
+    psi, energy, grad_norm, node_error, gap = _unblocked_route(prob, pot)
+    assert sol.psi.tobytes() == psi.tobytes()
+    assert sol.grad_norm == grad_norm
+    assert report.max_node_error == node_error
+    assert sol.energy == energy == pl.energy(prob, sol.psi)
+    assert report.capacity_gap == gap
 
 
 # ---------------------------------------------------------------------------
