@@ -25,6 +25,7 @@ from .errors import ConfigError, PinchLabError
 from .potential import as_p, solve_radial
 from .report import (
     DEFAULT_TOLERANCES,
+    ROW_COLUMNS,
     SCENARIO_DEFAULTS,
     SCENARIO_TOLERANCES,
     ScenarioReport,
@@ -252,20 +253,20 @@ def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
     cap_tol = config.tolerance("capacity")
     cap_dev = float(np.max(np.abs(table["cap_ratio_to_exp_t"] - 1.0)))
     verdicts = [
-        StageVerdict(
+        StageVerdict.judge(
             "solve",
-            "pass",
+            True,
             f"potential on [{pot.r0:.6g}, {pot.r_trunc:.6g}] with {pot.n_grid} nodes; "
             f"t_max = {pot.t_max:.6g}, tail exponent beta = {pot.tail_beta:.6g}",
         ),
-        StageVerdict(
+        StageVerdict.judge(
             "boundary-normalization",
-            "pass" if boundary_ok else "fail",
+            boundary_ok,
             f"u(r0) = {u0!r}, w(r0) = {pot.w0!r}",
         ),
-        StageVerdict(
+        StageVerdict.judge(
             "capacity-law",
-            "pass" if cap_dev <= cap_tol else "fail",
+            cap_dev <= cap_tol,
             f"max |cap(t) e^-t / cap(0) - 1| = {cap_dev:.3e} (tol {cap_tol:.1e})",
         ),
     ]
@@ -296,44 +297,39 @@ def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> Scen
     f_vals, g_vals = table["F"], table["G"]
     worst_f, ok_f = non_increasing(f_vals)
     worst_g, ok_g = non_increasing(g_vals)
-    order_ok = rigidity._ordered(f_vals, g_vals, tol_mono)
+    ordering = rigidity.ordering_check(pot, table, tol_mono)
     dev_f = relative_gap(table["dF_fd"], table["dF_cf"])
     dev_g = relative_gap(table["dG_fd"], table["dG_cf"])
     holder_dev = relative_gap(table["cap"], table["holder_rhs"])
     verdicts = [
-        StageVerdict(
+        StageVerdict.judge(
             "monotone-F",
-            "pass" if ok_f else "fail",
+            ok_f,
             f"max normalized increment of F = {worst_f:.3e} (tol {tol_mono:.1e})",
         ),
-        StageVerdict(
+        StageVerdict.judge(
             "monotone-G",
-            "pass" if ok_g else "fail",
+            ok_g,
             f"max normalized increment of G = {worst_g:.3e} (tol {tol_mono:.1e})",
         ),
-        StageVerdict(
+        StageVerdict.judge(
             "ordering",
-            "pass" if order_ok else "fail",
+            ordering.ordering_ok,
             f"0 <= G <= F across {f_vals.size} levels (tol {tol_mono:.1e} relative)",
         ),
-        StageVerdict(
+        StageVerdict.judge(
             "derivative-match",
-            "pass" if max(dev_f, dev_g) <= tol_deriv else "fail",
+            max(dev_f, dev_g) <= tol_deriv,
             f"max relative FD-vs-closed-form deviation: dF {dev_f:.3e}, dG {dev_g:.3e} "
             f"(tol {tol_deriv:.1e}); the closed forms carry c_F = 1 and c_G = (3-p)^-2 = "
             f"{c_g:.12g}, the normalization the raw dG/dt integrand omits",
         ),
-        StageVerdict(
+        StageVerdict.judge(
             "holder-chain",
-            "pass" if holder_dev <= tol_holder else "fail",
+            holder_dev <= tol_holder,
             f"max relative interpolation-chain gap = {holder_dev:.3e} (tol {tol_holder:.1e})",
         ),
     ]
-    # about 16 of the row levels, read off the table: no level is inverted twice
-    picked = slice(None, None, max(1, config.n_levels // 16))
-    ordering = rigidity.ordering_check(
-        pot, {name: table[name][picked] for name in ("t", "F", "G", "dG_fd")}, tol_mono
-    )
     constants = {
         "c_F": c_f,
         "c_G": c_g,
@@ -365,32 +361,30 @@ def _scenario_check(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
         geo = geometry.levelset_geometry(model, r)
         gb_worst = max(gb_worst, abs(geo.sc_tangential * geo.area - 8.0 * math.pi))
         umb_worst = max(umb_worst, abs(geo.traceless_sff_norm_sq))
+    pinch = geometry.pinching_margin(model)
     verdicts = [
-        StageVerdict(
+        StageVerdict.judge(
             "gauss-identity",
-            "pass" if gauss_worst <= tol_identity else "fail",
+            gauss_worst <= tol_identity,
             f"max residual {gauss_worst:.3e} over 100 seeded radii (tol {tol_identity:.1e})",
         ),
-        StageVerdict(
+        StageVerdict.judge(
             "gauss-bonnet",
-            "pass" if gb_worst <= tol_gb else "fail",
+            gb_worst <= tol_gb,
             f"max |total tangential curvature - 8 pi| = {gb_worst:.3e} (tol {tol_gb:.1e})",
         ),
-        StageVerdict(
+        StageVerdict.judge(
             "umbilicity",
-            "pass" if umb_worst <= tol_umb else "fail",
+            umb_worst <= tol_umb,
             f"max traceless second-fundamental-form norm {umb_worst:.3e} (tol {tol_umb:.1e})",
         ),
-    ]
-    pinch = geometry.pinching_margin(model)
-    verdicts.append(
-        StageVerdict(
+        StageVerdict.judge(
             "pinching-survey",
-            "pass" if pinch.nonneg_ricci else "fail",
+            pinch.nonneg_ricci,
             f"margin {pinch.margin:.6g}, nonneg Ricci {pinch.nonneg_ricci}, "
             f"worst radius {pinch.worst_radius:.6g}",
-        )
-    )
+        ),
+    ]
     constants = {
         "gauss_residual_max": gauss_worst,
         "gauss_bonnet_deviation_max": gb_worst,
@@ -408,9 +402,9 @@ def _scenario_willmore(config: RunConfig, model: geometry.ManifoldModel) -> Scen
         raise type(exc)(f"stage 'willmore-expansion': {exc}") from exc
     tol = config.tolerance("willmore_coefficient")
     verdicts = [
-        StageVerdict(
+        StageVerdict.judge(
             "willmore-expansion",
-            "pass" if rep.relative_deviation <= tol else "fail",
+            rep.relative_deviation <= tol,
             f"fitted r^2 coefficient {rep.coefficient:.9g} vs (8 pi / 3) Sc(o) = "
             f"{rep.expected:.9g} (relative deviation {rep.relative_deviation:.3e}, tol {tol:.1e})",
         )
@@ -467,9 +461,9 @@ def _jsonable(value):
 
 
 def _csv_text(report: ScenarioReport) -> str:
-    lines = [",".join(report.columns)]
+    lines = [",".join(ROW_COLUMNS)]
     for row in report.rows:
-        lines.append(",".join(format(float(row[c]), ".17g") for c in report.columns))
+        lines.append(",".join(format(float(row[c]), ".17g") for c in ROW_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -489,7 +483,7 @@ def _report_json(report: ScenarioReport) -> str:
     payload = _jsonable(
         {
             "config": report.config,
-            "columns": list(report.columns),
+            "columns": list(ROW_COLUMNS),
             "rows": report.rows,
             "constants": report.constants,
             "failed_hypothesis": report.failed_hypothesis,
@@ -507,8 +501,7 @@ def summary_text(report: ScenarioReport) -> str:
         f"  p: {cfg.get('p_resolved', cfg.get('p', '?'))}"
     ]
     for verdict in report.verdicts:
-        tag = {"pass": "PASS", "fail": "FAIL", "not-applicable": "N/A "}[verdict.status]
-        lines.append(f"  [{tag}] {verdict.name}: {verdict.reason}")
+        lines.append(f"  [{verdict.tag}] {verdict.name}: {verdict.reason}")
     if report.failed_hypothesis is not None:
         lines.append(f"failed hypothesis: {report.failed_hypothesis}")
     if report.constants:

@@ -3,8 +3,8 @@
 A geometric grid built in one array, composite Gauss-Legendre cells by the
 one 12-point rule (every quadrature of the package uses it: the integrands
 are smooth and the cells geometrically thin; the callers integrate power laws
-in closed form instead), and a least-squares slope fit in log-log
-coordinates.
+in closed form instead), and one least-squares line fit, which the
+log-log fit also uses.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["geometric_grid", "cell_integrals", "interval_integrals", "log_log_fit"]
+__all__ = ["geometric_grid", "cell_integrals", "interval_integrals", "line_fit", "log_log_fit"]
 
 # The 12-point Gauss-Legendre rule, exact through degree 23, which makes a
 # single panel per geometric cell effectively exact for analytic integrands.
@@ -122,26 +122,32 @@ def _weighted_rows(vals: np.ndarray) -> np.ndarray:
     return total
 
 
-def log_log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares (slope, intercept) of log y against log x.
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares (slope, intercept) of y against x.
 
     Closed form about the means: slope = sum(dx dy) / sum(dx^2) with dx, dy
-    the centered logs.  Requires strictly positive data and at least two
-    distinct abscissae.
+    the centered data.  Requires at least two distinct abscissae.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.size < 2:
+        raise DomainError("line fit needs at least two samples")
+    if np.ptp(x) <= 0.0:
+        raise DomainError("line fit abscissae are degenerate (zero spread)")
+    mx, my = x.mean(), y.mean()
+    dx = x - mx
+    # numpy's pairwise sums, not a BLAS dot: no thread start-up, and the same
+    # rounding whatever the thread count
+    slope = np.sum(dx * (y - my)) / np.sum(dx * dx)
+    return float(slope), float(my - slope * mx)
+
+
+def log_log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares (slope, intercept) of log y against log x, by :func:`line_fit`.
+
+    Requires strictly positive data and at least two distinct abscissae.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < 2:
-        raise DomainError("log_log_fit needs at least two samples")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise DomainError("log_log_fit needs strictly positive data")
-    lx = np.log(x)
-    ly = np.log(y)
-    if np.ptp(lx) <= 0.0:
-        raise DomainError("log_log_fit abscissae are degenerate (zero spread)")
-    mx, my = lx.mean(), ly.mean()
-    dx = lx - mx
-    # numpy's pairwise sums, not a BLAS dot: no thread start-up, and the same
-    # rounding whatever the thread count
-    slope = np.sum(dx * (ly - my)) / np.sum(dx * dx)
-    return float(slope), float(my - slope * mx)
+    return line_fit(np.log(x), np.log(y))

@@ -562,7 +562,7 @@ def _levels(pot: RadialPotential, t) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _level_at(pot: RadialPotential, r: np.ndarray) -> np.ndarray:
     """The level w = (p-1) log(I(r0) / I(r)) at radii r (one flux_integral_at call)."""
-    return (pot.p_value - 1.0) * (math.log(pot.normalizer) - np.log(pot.flux_integral_at(r)))
+    return _levels_of(pot.flux_integral_at(r), pot.normalizer, pot.p_value)
 
 
 def _capacity_at(pot: RadialPotential, h, w_prime):

@@ -63,7 +63,8 @@ ROW_COLUMNS = (
     "holder_gap",
 )
 
-_STATUSES = ("pass", "fail", "not-applicable")
+# the verdict statuses, each with its tag in the terminal summary
+_STATUSES = {"pass": "PASS", "fail": "FAIL", "not-applicable": "N/A "}
 
 
 def table_rows(table) -> list[dict]:
@@ -82,7 +83,21 @@ class StageVerdict:
 
     def __post_init__(self):
         if self.status not in _STATUSES:
-            raise ValueError(f"verdict status must be one of {_STATUSES}, got {self.status!r}")
+            raise ValueError(f"verdict status must be one of {tuple(_STATUSES)}, got {self.status!r}")
+
+    @classmethod
+    def judge(cls, name: str, passed: bool, reason: str) -> StageVerdict:
+        """A stage decided on its measurement: pass when ``passed`` holds, else fail."""
+        return cls(name, "pass" if passed else "fail", reason)
+
+    @classmethod
+    def not_applicable(cls, name: str, reason: str) -> StageVerdict:
+        """A stage that is not judged; its reason says why."""
+        return cls(name, "not-applicable", reason)
+
+    @property
+    def tag(self) -> str:
+        return _STATUSES[self.status]
 
 
 @dataclass
@@ -96,7 +111,6 @@ class ScenarioReport:
     """
 
     config: dict
-    columns: tuple = ROW_COLUMNS
     rows: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)
     constants: dict = field(default_factory=dict)

@@ -12,7 +12,9 @@ non-flat model exists.
 :func:`run_contradiction_scenario` executes that chain numerically on a given
 model and reports which hypothesis breaks (one always does — that is the
 theorem).  The runner never asserts the rigidity conclusion itself; it
-verifies the mechanics of each link and labels the first broken gate.
+verifies the mechanics of each link, labels the first broken gate, and
+judges the chain's consequences (``pinched-decay-rate``, ``decay-dichotomy``,
+``coarea-envelope``) only when every gate passed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import functionals, geometry
 from .errors import ConvergenceError, DomainError, PinchLabError
-from .numerics import cell_integrals, geometric_grid
+from .numerics import cell_integrals, geometric_grid, line_fit
 from .potential import (
     PExponent,
     RadialPotential,
@@ -350,14 +352,15 @@ def run_contradiction_scenario(
 ) -> ScenarioReport:
     """Run the full hypothesis chain on one model and name the broken link.
 
-    Stages: solve the potential; gate the boundary Willmore energy, the Ricci
-    pinching and the volume growth; check the capacity law and the
-    interpolation chain; then evaluate the decay-rate, coarea-envelope and
-    volume-consistency diagnostics.  The three gates are the theorem's
-    hypotheses: ``failed_hypothesis`` names the first one that fails, and the
-    decay/envelope diagnostics are marked not-applicable when a gate failed
-    (their conclusions are only forced under the full hypothesis set).  The
-    volume stages still verify that no numerical contradiction materializes.
+    After the solve, each stage is one of three kinds.  A gate tests one of
+    the theorem's hypotheses (Willmore deficit, Ricci pinching, growth), and
+    ``failed_hypothesis`` names the first that fails.  A check (threshold,
+    capacity law, Hölder chain, volume and slab consistency) passes or fails
+    on its measurement.  A consequence (``pinched-decay-rate``,
+    ``decay-dichotomy``, ``coarea-envelope``) is forced only under every
+    hypothesis: it is judged when every gate passed, and is otherwise
+    not-applicable, its numbers kept with the reason suffix " (hypothesis
+    gate failed: <label>)".  No comparison ODE runs from F(0+) >= 4 pi.
     """
     opts = dict(SCENARIO_DEFAULTS)
     if config:
@@ -375,9 +378,21 @@ def run_contradiction_scenario(
 
     def gate(name: str, passed: bool, reason: str):
         nonlocal failed
-        verdicts.append(StageVerdict(name, "pass" if passed else "fail", reason))
+        check(name, passed, reason)
         if not passed and failed is None:
             failed = _GATE_LABELS[name]
+
+    def check(name: str, passed: bool, reason: str):
+        verdicts.append(StageVerdict.judge(name, passed, reason))
+
+    def consequence(name: str, passed: bool | None, reason: str):
+        # passed is None where the consequence has nothing to judge
+        if failed is not None:
+            passed, reason = None, f"{reason} (hypothesis gate failed: {failed})"
+        if passed is None:
+            verdicts.append(StageVerdict.not_applicable(name, reason))
+        else:
+            check(name, passed, reason)
 
     pot = _run_stage(
         "solve",
@@ -438,72 +453,49 @@ def run_contradiction_scenario(
         f"[{r_lo_fit:.6g}, {r_hi_fit:.6g}] (hypothesis needs alpha in (1, 2])",
     )
     constants["alpha_hat"] = alpha_hat
-    gates_ok = failed is None
 
     # --- exponent bookkeeping ---------------------------------------------
     alpha_used = min(max(alpha_hat, 1e-6), 2.0)
     thr = threshold(p, alpha_used)
-    verdicts.append(
-        StageVerdict(
-            "exponent-threshold",
-            "pass" if thr.contradiction_possible else "fail",
-            f"alpha = {alpha_used:.6g} vs f(p) = {thr.f_p:.6g}: volume exponent "
-            f"{thr.rhs_exponent:.6g} vs coarea exponent {thr.lhs_exponent:.6g}",
-        )
+    check(
+        "exponent-threshold",
+        thr.contradiction_possible,
+        f"alpha = {alpha_used:.6g} vs f(p) = {thr.f_p:.6g}: volume exponent "
+        f"{thr.rhs_exponent:.6g} vs coarea exponent {thr.lhs_exponent:.6g}",
     )
     constants["f_p"] = thr.f_p
 
     # --- capacity law and interpolation chain ------------------------------
     cap_ratio = table["cap_ratio_to_exp_t"][t <= 10.0 + functionals.FD_STEP]
     cap_dev = float(np.max(np.abs(cap_ratio - 1.0)))
-    verdicts.append(
-        StageVerdict(
-            "capacity-law",
-            "pass" if cap_dev <= float(opts["capacity_tol"]) else "fail",
-            f"max |cap(t) e^-t / cap(0) - 1| = {cap_dev:.3e} over sampled levels <= 10",
-        )
+    check(
+        "capacity-law",
+        cap_dev <= float(opts["capacity_tol"]),
+        f"max |cap(t) e^-t / cap(0) - 1| = {cap_dev:.3e} over sampled levels <= 10",
     )
     constants["capacity_law_deviation"] = cap_dev
 
+    # a gap within tol (1 + |rhs|) also bounds the chain's inequality cap <= rhs
     holder_rhs = table["holder_rhs"]
     holder_dev = float(np.max(np.abs(table["holder_gap"]) / (1.0 + np.abs(holder_rhs))))
-    holder_tol = float(opts["holder_tol"])
-    holder_ok = holder_dev <= holder_tol and bool(
-        np.all(table["cap"] <= holder_rhs + holder_tol * (1.0 + np.abs(holder_rhs)))
-    )
-    verdicts.append(
-        StageVerdict(
-            "holder-chain",
-            "pass" if holder_ok else "fail",
-            f"max relative equality gap {holder_dev:.3e} (radial chain should be an equality)",
-        )
+    check(
+        "holder-chain",
+        holder_dev <= float(opts["holder_tol"]),
+        f"max relative equality gap {holder_dev:.3e} (radial chain should be an equality)",
     )
 
     # --- decay rate of F ----------------------------------------------------
     tail = (t >= 0.6 * t_hi) & (F > 0.0)
     slope_expected = -2.0 / m
     if np.count_nonzero(tail) >= 4:
-        slope_measured = float(np.polyfit(t[tail], np.log(F[tail]), 1)[0])
+        slope_measured = line_fit(t[tail], np.log(F[tail]))[0]
     else:
         slope_measured = math.nan
-    decay_ok = slope_measured <= slope_expected * (1.0 - 0.05)
-    if gates_ok:
-        verdicts.append(
-            StageVerdict(
-                "pinched-decay-rate",
-                "pass" if decay_ok else "fail",
-                f"log F slope {slope_measured:.6g} vs pinched rate {slope_expected:.6g}",
-            )
-        )
-    else:
-        verdicts.append(
-            StageVerdict(
-                "pinched-decay-rate",
-                "not-applicable",
-                f"hypothesis gate failed ({failed}); measured log F slope {slope_measured:.6g} "
-                f"vs pinched rate {slope_expected:.6g} reported for reference",
-            )
-        )
+    consequence(
+        "pinched-decay-rate",
+        slope_measured <= slope_expected * (1.0 - 0.05),
+        f"log F slope {slope_measured:.6g} vs pinched rate {slope_expected:.6g}",
+    )
     constants["decay_slope_measured"] = slope_measured
     constants["decay_slope_pinched"] = slope_expected
     constants["K_envelope_measured"] = float(np.max(F * functionals._libm_exp(2.0 * t / m)))
@@ -516,43 +508,36 @@ def run_contradiction_scenario(
         constants["K_envelope_ode"] = traj.K
         constants["ode_crossing_time"] = traj.crossing_time
         constants["ode_crossing_time_linear"] = traj.crossing_time_linear
-        verdicts.append(
-            StageVerdict(
-                "decay-dichotomy",
-                "pass",
-                f"comparison ODE from F(0+) = {f_first:.6g} with eps = {eps_used:.6g}: "
-                f"branch {traj.branch}, crossing {traj.crossing_time} "
-                f"(linear closed form {traj.crossing_time_linear:.6g})",
-            )
+        consequence(
+            "decay-dichotomy",
+            True,
+            f"comparison ODE from F(0+) = {f_first:.6g} with eps = {eps_used:.6g}: "
+            f"branch {traj.branch}, crossing {traj.crossing_time} "
+            f"(linear closed form {traj.crossing_time_linear:.6g})",
         )
     else:
-        verdicts.append(
-            StageVerdict(
-                "decay-dichotomy",
-                "not-applicable",
-                f"first sampled F = {f_first:.12g} is not below 4 pi, so the comparison ODE "
-                f"hypothesis is unavailable",
-            )
+        consequence(
+            "decay-dichotomy",
+            None,
+            f"first sampled F = {f_first:.12g} is not below 4 pi, so the comparison ODE "
+            f"hypothesis is unavailable",
         )
 
     # --- coarea envelope ----------------------------------------------------
     envelope_exponent = (9.0 - p.value) / (m * m)
 
-    window = (0.2 * t_hi <= t) & (t <= 0.8 * t_hi)
+    window = (t0v <= t) & (t <= t1v)
     if not np.any(window):
         window[:] = True
     coarea = table["area"][window] / table["grad_w"][window]
     kappa = float(np.min(coarea * functionals._libm_exp(-envelope_exponent * t[window])))
     constants["kappa"] = kappa
     constants["envelope_exponent"] = envelope_exponent
-    verdicts.append(
-        StageVerdict(
-            "coarea-envelope",
-            "pass" if gates_ok else "not-applicable",
-            f"coarea derivative vs kappa e^({envelope_exponent:.6g} t): fitted kappa = "
-            f"{kappa:.6g} over the middle level window"
-            + ("" if gates_ok else f" (hypothesis gate failed: {failed})"),
-        )
+    consequence(
+        "coarea-envelope",
+        True,
+        f"coarea derivative vs kappa e^({envelope_exponent:.6g} t): fitted kappa = "
+        f"{kappa:.6g} over the middle level window",
     )
 
     # --- volume growth consistency ------------------------------------------
@@ -568,14 +553,12 @@ def run_contradiction_scenario(
     k_vol = float(np.max(volumes[:-2] / fit_radii ** (1.0 + alpha_used)))
     slab_upper = k_vol * r_t1 ** (1.0 + alpha_used)
     contradiction = slab_lower > slab_upper * (1.0 + 1e-9)
-    verdicts.append(
-        StageVerdict(
-            "volume-growth-consistency",
-            "fail" if contradiction else "pass",
-            f"envelope slab volume {slab_lower:.6g} vs volume bound K_vol R_T1^(1+alpha) = "
-            f"{slab_upper:.6g} (K_vol = {k_vol:.6g}, R_T1 = {r_t1:.6g}): "
-            + ("CONTRADICTION" if contradiction else "no numerical contradiction"),
-        )
+    check(
+        "volume-growth-consistency",
+        not contradiction,
+        f"envelope slab volume {slab_lower:.6g} vs volume bound K_vol R_T1^(1+alpha) = "
+        f"{slab_upper:.6g} (K_vol = {k_vol:.6g}, R_T1 = {r_t1:.6g}): "
+        + ("CONTRADICTION" if contradiction else "no numerical contradiction"),
     )
     constants["K_vol"] = k_vol
     constants["slab_lower_bound"] = slab_lower
@@ -600,13 +583,11 @@ def run_contradiction_scenario(
 
     integral, direct = _run_stage("slab-volume-consistency", slab_check)
     slab_rel = abs(integral - direct) / max(abs(direct), 1e-300)
-    verdicts.append(
-        StageVerdict(
-            "slab-volume-consistency",
-            "pass" if slab_rel <= float(opts["slab_tol"]) else "fail",
-            f"coarea integral {integral:.12g} vs direct volume difference {direct:.12g} "
-            f"(relative gap {slab_rel:.3e})",
-        )
+    check(
+        "slab-volume-consistency",
+        slab_rel <= float(opts["slab_tol"]),
+        f"coarea integral {integral:.12g} vs direct volume difference {direct:.12g} "
+        f"(relative gap {slab_rel:.3e})",
     )
 
     config_echo = {

@@ -122,7 +122,8 @@ def solve_report():
 
 def test_run_solve_flat(solve_report):
     report = solve_report
-    assert report.columns == pl.ROW_COLUMNS
+    assert pl.cli._csv_text(report).split("\n", 1)[0] == ",".join(pl.ROW_COLUMNS)
+    assert json.loads(pl.cli._report_json(report))["columns"] == list(pl.ROW_COLUMNS)
     assert len(report.rows) == 8
     assert all(v.status == "pass" for v in report.verdicts)
     assert report.failed_hypothesis is None
@@ -153,8 +154,8 @@ def test_run_monotone_has_derivative_audit():
 
 
 def test_monotone_inverts_its_levels_in_one_call(monkeypatch):
-    # the ordering report reads the samples of the rows, so the only level
-    # inversion is the rows' own batch; its numbers are ordering_check's
+    # the ordering report reads every row, so the only level inversion is the
+    # rows' own batch; its verdict and its numbers are ordering_check's
     pots = []
     calls = count_level_queries(monkeypatch)
     solve = pl.cli.solve_radial
@@ -171,8 +172,9 @@ def test_monotone_inverts_its_levels_in_one_call(monkeypatch):
         "n_grid": 1024,
     })))
     assert calls == [5 * 64 + 1]
-    table = pl.functionals.level_table(pots[0], [row["t"] for row in report.rows[::4]])
+    table = pl.functionals.level_table(pots[0], [row["t"] for row in report.rows])
     ordering = pl.ordering_check(pots[0], table)
+    assert ordering.ordering_ok and report.verdict("ordering").status == "pass"
     assert report.constants["dG_proportionality"] == ordering.proportionality_constant
     assert report.constants["dG_proportionality_expected"] == ordering.proportionality_expected
 

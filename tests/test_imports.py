@@ -102,3 +102,24 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+STATUS_LITERALS = {"pass", "fail", "not-applicable"}
+
+
+def _status_literals(source: str) -> list[int]:
+    """Lines of ``source`` holding a string constant that is a verdict status."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Constant) and node.value in STATUS_LITERALS})
+
+
+def test_status_literal_detector():
+    source = 'x = "pass" if ok else "fail"\ny = f"passed {x}"\n"""pass"""\nz = ("not-applicable",)\n'
+    assert _status_literals(source) == [1, 3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "report"], ids=lambda path: path.name)
+def test_verdict_statuses_are_spelled_only_in_report(path):
+    # a stage is decided through StageVerdict's constructors, so the status
+    # vocabulary lives in one module
+    assert _status_literals(path.read_text(encoding="utf-8")) == []

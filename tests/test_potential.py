@@ -469,6 +469,76 @@ def test_log_log_fit_matches_least_squares(rng):
     assert np.allclose(log_log_fit(x, y), reference, rtol=0.0, atol=64 * EPS)
 
 
+@pytest.mark.parametrize("name", ["positive_cap_1", "power_warp_1.5"])
+@pytest.mark.parametrize("p", [1.15, 1.5, 1.85])
+def test_line_fit_matches_a_30_digit_slope_on_the_decay_window(name, p):
+    # the scenario's decay slope is line_fit of log F against t over its window;
+    # the budget bounds the closed form's rounding error, from its operations
+    from pinchlab.numerics import line_fit
+
+    report = pl.run_contradiction_scenario(pl.library()[name], p)
+    t = np.array([row["t"] for row in report.rows])
+    F = np.array([row["F"] for row in report.rows])
+    window = (t >= 0.6 * t[-1]) & (F > 0.0)
+    x, y = t[window], np.log(F[window])
+    slope = line_fit(x, y)[0]
+    assert report.constants["decay_slope_measured"] == slope
+    n, u = x.size, EPS / 2.0
+    with mpmath.workdps(30):
+        xs, ys = [mpmath.mpf(float(v)) for v in x], [mpmath.mpf(float(v)) for v in y]
+        mx, my = mpmath.fsum(xs) / n, mpmath.fsum(ys) / n
+        num = mpmath.fsum((a - mx) * (b - my) for a, b in zip(xs, ys))
+        den = mpmath.fsum((a - mx) ** 2 for a in xs)
+        # each computed mean is off by at most gamma_n times the mean modulus
+        # (n - 1 additions and a division), with gamma_k = k u / (1 - k u)
+        gamma = lambda k: k * u / (1 - k * u)
+        dx = gamma(n) * mpmath.fsum(abs(a) for a in xs) / n
+        dy = gamma(n) * mpmath.fsum(abs(b) for b in ys) / n
+        # a centered term carries two subtractions and a product, and the
+        # sum n - 1 additions: gamma_(n+2) of the sum of |terms| taken about
+        # the computed means, which moves the exact sums by n dx dy and n dx^2
+        abs_num = mpmath.fsum((abs(a - mx) + dx) * (abs(b - my) + dy) for a, b in zip(xs, ys))
+        abs_den = mpmath.fsum((abs(a - mx) + dx) ** 2 for a in xs)
+        e_num = (n * dx * dy + gamma(n + 2) * abs_num) / abs(num)
+        e_den = (n * dx * dx + gamma(n + 2) * abs_den) / den
+        # and the division rounds once
+        budget = (e_num + e_den + u * (1 + e_num)) / (1 - e_den)
+        error = abs(mpmath.mpf(slope) / (num / den) - 1)
+        assert error <= budget, (float(error), float(budget))
+    assert float(budget) < 128 * EPS
+
+
+def _log_log_reference(x, y):
+    """The log-log least-squares fit about the means, written out: the
+    reference whose bits alpha_hat and the fitted tail_beta keep."""
+    lx, ly = np.log(x), np.log(y)
+    mx, my = lx.mean(), ly.mean()
+    dx = lx - mx
+    slope = np.sum(dx * (ly - my)) / np.sum(dx * dx)
+    return float(slope), float(my - slope * mx)
+
+
+@pytest.mark.parametrize("name", sorted(pl.library()))
+def test_growth_and_tail_fits_keep_the_bits_of_the_closed_form(name):
+    # alpha_hat and the fitted tail_beta go through line_fit
+    from pinchlab import geometry
+
+    model = pl.library()[name]
+    for r_lo, r_hi in ((0.3, 0.45), (1.0, 3.0), (1.0, 5e3)):
+        if r_lo <= model.r_min or r_hi > model.r_max:
+            continue
+        radii = np.geomspace(r_lo, r_hi, geometry.GROWTH_SAMPLES)
+        slope = _log_log_reference(radii, pl.ball_volume(model, radii))[0]
+        assert geometry.growth_exponent(model, r_lo, r_hi).alpha_hat == slope - 1.0
+    if model.warp.power_law is None:
+        r0 = LIBRARY_R0[name]
+        for n_grid in (1000, 4096):
+            pot = pl.solve_radial(model, 1.5, r0, n_grid=n_grid)
+            grid = np.geomspace(r0, pot.r_trunc, n_grid)
+            mask = grid >= grid[-1] / 10.0
+            assert pot.tail_beta == _log_log_reference(grid[mask], model.warp.h(grid[mask]))[0]
+
+
 def test_warps_without_power_law_keep_the_twelve_point_rule(rng):
     # an off-grid I is the suffix at the next node plus the partial panel by
     # the 12-point rule, bit for bit (the grid cells are checked in

@@ -342,6 +342,37 @@ def test_scenario_decay_diagnostics_conditional(scenario_reports):
     assert abs(slope_flat) < 0.02
 
 
+CONSEQUENCES = ("pinched-decay-rate", "decay-dichotomy", "coarea-envelope")
+
+
+@pytest.mark.parametrize("p", [1.15, 1.5, 1.85])
+@pytest.mark.parametrize("name", sorted(pl.library()))
+def test_consequences_are_judged_only_when_every_gate_passed(name, p):
+    # the chain's consequences are forced only under every hypothesis: after a
+    # failed gate each is not-applicable, with its numbers and one reason
+    # suffix.  spline_cap_0.5 ends at r = 0.5, so it starts at r0 = 0.25
+    model = pl.library()[name]
+    report = pl.run_contradiction_scenario(model, p, {"r0": min(1.0, 0.5 * model.r_max)})
+    verdicts = [report.verdict(stage) for stage in CONSEQUENCES]
+    constants = report.constants
+    if report.failed_hypothesis is None:
+        # the compact caps pass every gate: their consequences are judged
+        assert name in ("positive_cap_1", "spline_cap_0.5")
+        assert all(v.status in ("pass", "fail") for v in verdicts), verdicts
+        return
+    assert [v.status for v in verdicts] == ["not-applicable"] * 3, verdicts
+    suffix = f" (hypothesis gate failed: {report.failed_hypothesis})"
+    for v in verdicts:
+        assert v.reason.endswith(suffix) and v.reason.count("hypothesis gate failed") == 1, v
+    decay, dichotomy, envelope = (v.reason for v in verdicts)
+    assert decay.startswith(f"log F slope {constants['decay_slope_measured']:.6g} vs")
+    assert envelope.startswith(f"coarea derivative vs kappa e^({constants['envelope_exponent']:.6g} t)")
+    if name == "flat":  # F(0+) = 4 pi: no comparison ODE is run
+        assert dichotomy.startswith("first sampled F = ") and "K_envelope_ode" not in constants
+    else:
+        assert f"branch {'stuck' if constants['ode_crossing_time'] is None else 'decay'}" in dichotomy
+
+
 def test_scenario_eps_floor(scenario_reports):
     # The cone's measured margin is exactly 0; the scenario substitutes the
     # documented hypothetical floor instead of a degenerate eps.
@@ -350,7 +381,7 @@ def test_scenario_eps_floor(scenario_reports):
 
 def test_scenario_rows_follow_schema(scenario_reports):
     for report in scenario_reports.values():
-        assert report.columns == pl.ROW_COLUMNS
+        assert pl.cli._csv_text(report).split("\n", 1)[0] == ",".join(pl.ROW_COLUMNS)
         assert len(report.rows) == 64
         for row in (report.rows[0], report.rows[-1]):
             assert set(row) == set(pl.ROW_COLUMNS)
