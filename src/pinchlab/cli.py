@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import inspect
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import functionals, geometry, rigidity
 from .errors import ConfigError, PinchLabError
-from .potential import as_p, solve_radial
+from .potential import as_p
 from .report import (
     DEFAULT_TOLERANCES,
     ROW_COLUMNS,
@@ -43,9 +44,7 @@ __all__ = [
     "main",
 ]
 
-SCENARIOS = ("solve", "monotone", "contradict", "check-identities", "willmore-expansion")
 FORMATS = ("csv", "json")
-MODEL_KINDS = ("flat", "cone", "power_warp", "positive_cap", "spline_cap")
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -73,12 +72,10 @@ class RunConfig:
 # config parsing
 # ---------------------------------------------------------------------------
 
-_MODEL_PARAMS = {
-    "flat": {"r_max"},
-    "cone": {"a", "r_min", "r_max"},
-    "power_warp": {"alpha", "r_min", "r_max"},
-    "positive_cap": {"k", "r_max"},
-    "spline_cap": {"k", "r_max", "n_knots"},
+# model kind -> {parameter: integer?}, from its factory's signature (annotations are strings)
+_FACTORY_PARAMS = {
+    kind: {name: arg.annotation == "int" for name, arg in inspect.signature(factory).parameters.items()}
+    for kind, factory in geometry.MODELS.items()
 }
 
 
@@ -108,15 +105,14 @@ def _validate_model_spec(spec, path: str = "model") -> dict:
     _expect(isinstance(spec, dict), path, "expected an object with a 'kind' key")
     _expect("kind" in spec, path, "missing required key 'kind'")
     kind = spec["kind"]
-    _expect(kind in _MODEL_PARAMS, f"{path}.kind", f"unknown model kind {kind!r}; choices: {MODEL_KINDS}")
-    allowed = _MODEL_PARAMS[kind]
-    unknown = set(spec) - allowed - {"kind"}
+    kinds = tuple(_FACTORY_PARAMS)
+    _expect(kind in kinds, f"{path}.kind", f"unknown model kind {kind!r}; choices: {kinds}")
+    integer = _FACTORY_PARAMS[kind]
+    unknown = set(spec) - set(integer) - {"kind"}
     _expect(not unknown, path, f"unknown parameters for kind {kind!r}: {sorted(unknown)}")
     out = {"kind": kind}
     for key in sorted(set(spec) - {"kind"}):
-        value = spec[key]
-        sub = f"{path}.{key}"
-        out[key] = _check_number(value, sub, integer=(key == "n_knots"))
+        out[key] = _check_number(spec[key], f"{path}.{key}", integer=integer[key])
     return out
 
 
@@ -135,7 +131,8 @@ def parse_config(text: str) -> RunConfig:
 
     model = _validate_model_spec(raw["model"])
     scenario = raw["scenario"]
-    _expect(scenario in SCENARIOS, "scenario", f"unknown scenario {scenario!r}; choices: {SCENARIOS}")
+    choices = tuple(_SCENARIOS)
+    _expect(scenario in choices, "scenario", f"unknown scenario {scenario!r}; choices: {choices}")
 
     p = raw.get("p", defaults["p"])
     if p != "auto":
@@ -202,17 +199,8 @@ def serialize(config: RunConfig) -> str:
 def build_model(spec: dict) -> geometry.ManifoldModel:
     """Instantiate a library model from a validated spec dict."""
     spec = _validate_model_spec(spec)
-    kind = spec["kind"]
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    factory = {
-        "flat": geometry.flat_model,
-        "cone": geometry.cone_model,
-        "power_warp": geometry.power_warp_model,
-        "positive_cap": geometry.positive_cap_model,
-        "spline_cap": geometry.spline_cap_model,
-    }[kind]
     try:
-        return factory(**params)
+        return geometry._model_of(spec)
     except PinchLabError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -225,28 +213,18 @@ def build_model(spec: dict) -> geometry.ManifoldModel:
 def _resolve_p(config: RunConfig, model: geometry.ManifoldModel):
     if config.p != "auto":
         return as_p(config.p)
-    r_hi = 0.5 * min(config.r_max or 1e4 * config.r0, model.r_max)
-    r_lo = max(r_hi / 100.0, config.r0)
-    if r_lo >= r_hi:
-        r_lo = 0.5 * r_hi
-    growth = geometry.growth_exponent(model, r_lo, r_hi)
-    alpha = min(max(growth.alpha_hat, 1e-6), 2.0)
-    try:
-        return rigidity.select_p(alpha, config.margin)
-    except PinchLabError as exc:
-        raise type(exc)(f"stage 'p-auto': {exc}") from exc
+    r_trunc = min(config.r_max or 1e4 * config.r0, model.r_max)  # as solve_radial will take it
+    alpha = rigidity._run_stage("p-auto", lambda: rigidity._growth_fit(model, config.r0, r_trunc)[1])
+    return rigidity._run_stage("p-auto", lambda: rigidity.select_p(alpha, config.margin))
 
 
 def _config_echo(config: RunConfig, p_value: float | None) -> dict:
-    echo = dataclasses.asdict(config)
-    echo["p_resolved"] = p_value
-    return echo
+    return dataclasses.asdict(config) | {"p_resolved": p_value}
 
 
 def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> ScenarioReport:
     p = _resolve_p(config, model)
-    pot = solve_radial(model, p, config.r0, n_grid=config.n_grid, r_max=config.r_max)
-    table = functionals.level_table(pot, functionals._table_levels(pot, config.n_levels))
+    pot, table, _ = rigidity._solved_table(model, p, config.r0, config.n_grid, config.r_max, config.n_levels)
     c_f, c_g = functionals._exact_constants(p.value)
     u0 = float(pot.flux_integral_at(pot.r0)[0]) / pot.normalizer
     boundary_ok = abs(u0 - 1.0) <= 1e-12 and abs(pot.w0) <= 1e-12
@@ -280,8 +258,7 @@ def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
 
 def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> ScenarioReport:
     p = _resolve_p(config, model)
-    pot = solve_radial(model, p, config.r0, n_grid=config.n_grid, r_max=config.r_max)
-    table = functionals.level_table(pot, functionals._table_levels(pot, config.n_levels))
+    pot, table, _ = rigidity._solved_table(model, p, config.r0, config.n_grid, config.r_max, config.n_levels)
     c_f, c_g = functionals._exact_constants(p.value)
     tol_mono = config.tolerance("monotone")
     tol_deriv = config.tolerance("derivative")
@@ -352,16 +329,17 @@ def _scenario_check(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
     tol_identity = config.tolerance("identity")
     tol_gb = config.tolerance("gauss_bonnet")
     tol_umb = config.tolerance("umbilicity")
-    gauss_worst = 0.0
-    gb_worst = 0.0
-    umb_worst = 0.0
-    for r in radii:
-        r = float(r)
-        gauss_worst = max(gauss_worst, abs(geometry.gauss_identity_residual(model, r)))
-        geo = geometry.levelset_geometry(model, r)
-        gb_worst = max(gb_worst, abs(geo.sc_tangential * geo.area - 8.0 * math.pi))
-        umb_worst = max(umb_worst, abs(geo.traceless_sff_norm_sq))
-    pinch = geometry.pinching_margin(model)
+
+    def survey():
+        gauss_worst = gb_worst = umb_worst = 0.0
+        for r in radii.tolist():
+            gauss_worst = max(gauss_worst, abs(geometry.gauss_identity_residual(model, r)))
+            geo = geometry.levelset_geometry(model, r)
+            gb_worst = max(gb_worst, abs(geo.sc_tangential * geo.area - 8.0 * math.pi))
+            umb_worst = max(umb_worst, abs(geo.traceless_sff_norm_sq))
+        return gauss_worst, gb_worst, umb_worst, geometry.pinching_margin(model)
+
+    gauss_worst, gb_worst, umb_worst, pinch = rigidity._run_stage("check-identities", survey)
     verdicts = [
         StageVerdict.judge(
             "gauss-identity",
@@ -396,10 +374,7 @@ def _scenario_check(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
 
 
 def _scenario_willmore(config: RunConfig, model: geometry.ManifoldModel) -> ScenarioReport:
-    try:
-        rep = functionals.small_sphere_expansion(model)
-    except PinchLabError as exc:
-        raise type(exc)(f"stage 'willmore-expansion': {exc}") from exc
+    rep = rigidity._run_stage("willmore-expansion", lambda: functionals.small_sphere_expansion(model))
     tol = config.tolerance("willmore_coefficient")
     verdicts = [
         StageVerdict.judge(
@@ -428,17 +403,18 @@ def _scenario_contradict(config: RunConfig, model: geometry.ManifoldModel) -> Sc
     return report
 
 
+_SCENARIOS = {
+    "solve": _scenario_solve,
+    "monotone": _scenario_monotone,
+    "contradict": _scenario_contradict,
+    "check-identities": _scenario_check,
+    "willmore-expansion": _scenario_willmore,
+}
+
+
 def run(config: RunConfig) -> ScenarioReport:
     """Execute the configured scenario; deterministic given the config."""
-    model = build_model(config.model)
-    dispatch = {
-        "solve": _scenario_solve,
-        "monotone": _scenario_monotone,
-        "contradict": _scenario_contradict,
-        "check-identities": _scenario_check,
-        "willmore-expansion": _scenario_willmore,
-    }
-    return dispatch[config.scenario](config, model)
+    return _SCENARIOS[config.scenario](config, build_model(config.model))
 
 
 # ---------------------------------------------------------------------------
@@ -467,30 +443,21 @@ def _csv_text(report: ScenarioReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _verdicts_json(report: ScenarioReport) -> str:
+def _verdicts_json(report: ScenarioReport, **fields) -> str:
     payload = _jsonable(
         {
             "config": report.config,
             "constants": report.constants,
             "failed_hypothesis": report.failed_hypothesis,
             "verdicts": report.verdicts,
+            **fields,
         }
     )
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _report_json(report: ScenarioReport) -> str:
-    payload = _jsonable(
-        {
-            "config": report.config,
-            "columns": list(ROW_COLUMNS),
-            "rows": report.rows,
-            "constants": report.constants,
-            "failed_hypothesis": report.failed_hypothesis,
-            "verdicts": report.verdicts,
-        }
-    )
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _verdicts_json(report, columns=list(ROW_COLUMNS), rows=report.rows)
 
 
 def summary_text(report: ScenarioReport) -> str:
@@ -587,15 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LIBRARY_SPECS = {
-    "flat": {"kind": "flat"},
-    "cone_0.8": {"kind": "cone", "a": 0.8},
-    "power_warp_1.5": {"kind": "power_warp", "alpha": 1.5},
-    "positive_cap_1": {"kind": "positive_cap", "k": 1.0},
-    "spline_cap_0.5": {"kind": "spline_cap", "k": 0.5},
-}
-
-
 def _read_config(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -609,11 +567,11 @@ def _config_from_args(args) -> RunConfig:
     if args.config is not None:
         config = parse_config(_read_config(args.config))
     elif args.model is not None:
-        if args.model not in _LIBRARY_SPECS:
+        if args.model not in geometry.LIBRARY:
             raise ConfigError(
-                f"--model: unknown library model {args.model!r}; choices: {sorted(_LIBRARY_SPECS)}"
+                f"--model: unknown library model {args.model!r}; choices: {sorted(geometry.LIBRARY)}"
             )
-        config = RunConfig(model=_LIBRARY_SPECS[args.model], scenario="solve")
+        config = RunConfig(model=geometry.LIBRARY[args.model], scenario="solve")
     else:
         raise ConfigError("either --config or --model is required")
 

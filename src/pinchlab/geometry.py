@@ -51,6 +51,8 @@ __all__ = [
     "power_warp_model",
     "positive_cap_model",
     "spline_cap_model",
+    "MODELS",
+    "LIBRARY",
     "library",
     "potential_library",
     "curvature",
@@ -287,30 +289,48 @@ def positive_cap_model(k: float = 1.0, r_max: float | None = None) -> ManifoldMo
 
 def spline_cap_model(k: float = 0.5, r_max: float = 0.5, n_knots: int = 41) -> ManifoldModel:
     """Spline model of a constant-curvature cap near its pole: h = r - k r^3/6."""
-    knots = np.linspace(0.0, float(r_max), int(n_knots))
+    if not isinstance(n_knots, (int, np.integer)) or n_knots < 4:
+        raise DomainError(f"spline_cap n_knots must be an integer >= 4, got {n_knots!r}")
+    if not 0.0 < r_max < math.inf:
+        raise DomainError(f"spline_cap r_max must be positive and finite, got {r_max}")
+    knots = np.linspace(0.0, float(r_max), n_knots)
     values = knots - k * knots**3 / 6.0
     warp = spline_warp(knots, values, smooth_pole=True)
     return ManifoldModel(warp, 0.0, float(r_max), base_point_scalar=6.0 * k, name=f"spline_cap({k:g})")
 
 
+# model kind -> factory; a kind's parameters are its factory's keyword parameters
+MODELS = {
+    "flat": flat_model,
+    "cone": cone_model,
+    "power_warp": power_warp_model,
+    "positive_cap": positive_cap_model,
+    "spline_cap": spline_cap_model,
+}
+
+# library name -> model spec: the kind and the parameters its factory is called with
+LIBRARY = {
+    "flat": {"kind": "flat"},
+    "cone_0.8": {"kind": "cone", "a": 0.8},
+    "power_warp_1.5": {"kind": "power_warp", "alpha": 1.5},
+    "positive_cap_1": {"kind": "positive_cap", "k": 1.0},
+    "spline_cap_0.5": {"kind": "spline_cap", "k": 0.5},
+}
+
+
+def _model_of(spec: Mapping) -> ManifoldModel:
+    """The model of a spec: its kind's factory, called with the spec's other keys."""
+    return MODELS[spec["kind"]](**{key: value for key, value in spec.items() if key != "kind"})
+
+
 def library() -> dict[str, ManifoldModel]:
-    """The standing model library used across tests and reports."""
-    return {
-        "flat": flat_model(),
-        "cone_0.8": cone_model(0.8),
-        "power_warp_1.5": power_warp_model(1.5),
-        "positive_cap_1": positive_cap_model(1.0),
-        "spline_cap_0.5": spline_cap_model(0.5),
-    }
+    """The standing model library used across tests and reports: the specs of LIBRARY, built."""
+    return {name: _model_of(spec) for name, spec in LIBRARY.items()}
 
 
 def potential_library() -> dict[str, ManifoldModel]:
     """The noncompact library models on which the exterior potential problem is solvable."""
-    return {
-        "flat": flat_model(),
-        "cone_0.8": cone_model(0.8),
-        "power_warp_1.5": power_warp_model(1.5),
-    }
+    return {name: _model_of(LIBRARY[name]) for name in ("flat", "cone_0.8", "power_warp_1.5")}
 
 
 # ---------------------------------------------------------------------------

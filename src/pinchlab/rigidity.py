@@ -284,7 +284,7 @@ def ordering_check(
 
     ``rows`` holds the ``t``, ``F``, ``G`` and ``dG_fd`` columns of
     :func:`functionals.level_table`, or any selection of its rows, with at
-    least one row.  The ordering holds to tol, as in :func:`_ordered`.
+    least one row.  The ordering is 0 <= G <= F at every row, to tol (1 + |F|).
     """
     levels, F, G, dG = (rows[name] for name in ("t", "F", "G", "dG_fd"))
     if not levels.size:
@@ -302,23 +302,18 @@ def ordering_check(
         constant = math.nan
         max_dev = 0.0
     order = np.argsort(levels)
+    slack = tol * (1.0 + np.abs(F))
     return OrderingReport(
         levels=tuple(levels.tolist()),
         F_values=tuple(f_vals),
         G_values=tuple(g_vals),
-        ordering_ok=_ordered(F, G, tol),
+        ordering_ok=bool(np.all((-slack <= G) & (G <= F + slack))),
         proportionality_constant=constant,
         proportionality_expected=1.0 / (m * m),
         proportionality_max_dev=max_dev,
         tail_F=f_vals[order[-1]],
         tail_G=g_vals[order[-1]],
     )
-
-
-def _ordered(F: np.ndarray, G: np.ndarray, tol: float) -> bool:
-    """0 <= G <= F at every level, each side relaxed by tol (1 + |F|)."""
-    slack = tol * (1.0 + np.abs(F))
-    return bool(np.all((-slack <= G) & (G <= F + slack)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +340,28 @@ def _run_stage(name: str, fn):
         raise type(exc)(f"stage '{name}': {exc}") from exc
     except Exception as exc:  # pragma: no cover - defensive
         raise ConvergenceError(f"stage '{name}': {exc}") from exc
+
+
+def _solved_table(model, p, r0, n_grid, r_max, n_levels, slab=()):
+    """The potential (stage 'solve'), then from one batch (stage 'level-sampling')
+    its level table at n_levels levels and the radii of the levels slab * t_hi,
+    t_hi the table's last level."""
+    pot = _run_stage("solve", lambda: solve_radial(model, p, r0, n_grid=n_grid, r_max=r_max))
+    ts = _run_stage("level-sampling", lambda: functionals._table_levels(pot, n_levels))
+    extra = np.multiply(slab, ts[-1])
+    return (pot, *_run_stage("level-sampling", lambda: functionals._table(pot, ts, extra)))
+
+
+def _growth_fit(model: geometry.ManifoldModel, r0: float, r_trunc: float):
+    """(alpha_hat, alpha_hat clamped to [1e-6, 2], r_lo, r_hi): the growth fit on [r_lo, r_hi]
+    for a potential from r0 truncated at r_trunc, r_hi = r_trunc / 2 and r_lo = max(r_hi / 100,
+    r0), or the geometric mean of r_hi and max(r_min, 1e-12 r_hi) if that reaches r_hi."""
+    r_hi = 0.5 * r_trunc
+    r_lo = max(r_hi / 100.0, r0)
+    if r_lo >= r_hi:
+        r_lo = math.sqrt(max(model.r_min, 1e-12 * r_hi) * r_hi)
+    alpha_hat = geometry.growth_exponent(model, r_lo, r_hi).alpha_hat
+    return alpha_hat, min(max(alpha_hat, 1e-6), 2.0), r_lo, r_hi
 
 
 def run_contradiction_scenario(
@@ -394,23 +411,15 @@ def run_contradiction_scenario(
         else:
             check(name, passed, reason)
 
-    pot = _run_stage(
-        "solve",
-        lambda: solve_radial(model, p, r0, n_grid=opts["n_grid"], r_max=opts["r_max"]),
+    # the coarea slab's end levels t0 = 0.2 t_hi and t1 = 0.8 t_hi join the table's batch
+    pot, table, slab_radii = _solved_table(
+        model, p, r0, opts["n_grid"], opts["r_max"], opts["n_levels"], (0.2, 0.8)
     )
     constants["c_F"], constants["c_G"] = functionals._exact_constants(p.value)
-
-    ts = _run_stage(
-        "level-sampling", lambda: functionals._table_levels(pot, opts["n_levels"])
-    )
-    t_hi = float(ts[-1])
-    # the coarea slab's end levels join the table's batch
-    t0v, t1v = 0.2 * t_hi, 0.8 * t_hi
-    table, slab_radii = _run_stage(
-        "level-sampling", lambda: functionals._table(pot, ts, [t0v, t1v])
-    )
-    r_t0, r_t1 = slab_radii.tolist()
     t, F = table["t"], table["F"]
+    t_hi = float(t[-1])
+    t0v, t1v = 0.2 * t_hi, 0.8 * t_hi
+    r_t0, r_t1 = slab_radii.tolist()
 
     # --- hypothesis gates -------------------------------------------------
     w0 = _run_stage(WILLMORE_GATE, lambda: functionals.willmore(model, r0))
@@ -438,14 +447,9 @@ def run_contradiction_scenario(
     constants["pinching_margin"] = pinch.margin
     constants["eps_used"] = eps_used
 
-    r_hi_fit = 0.5 * pot.r_trunc
-    r_lo_fit = max(r_hi_fit / 100.0, r0)
-    if r_lo_fit >= r_hi_fit:
-        r_lo_fit = math.sqrt(max(model.r_min, 1e-12 * r_hi_fit) * r_hi_fit)
-    growth = _run_stage(
-        GROWTH_GATE, lambda: geometry.growth_exponent(model, r_lo_fit, r_hi_fit)
+    alpha_hat, alpha_used, r_lo_fit, r_hi_fit = _run_stage(
+        GROWTH_GATE, lambda: _growth_fit(model, r0, pot.r_trunc)
     )
-    alpha_hat = growth.alpha_hat
     gate(
         GROWTH_GATE,
         1.0 + 1e-6 < alpha_hat <= 2.0 + 1e-2,
@@ -455,7 +459,6 @@ def run_contradiction_scenario(
     constants["alpha_hat"] = alpha_hat
 
     # --- exponent bookkeeping ---------------------------------------------
-    alpha_used = min(max(alpha_hat, 1e-6), 2.0)
     thr = threshold(p, alpha_used)
     check(
         "exponent-threshold",

@@ -1,6 +1,7 @@
 """Config parsing, report emission, determinism, and the command line surface."""
 
 import gc
+import inspect
 import json
 import math
 import os
@@ -53,6 +54,7 @@ def test_parse_minimal_defaults():
         ('{"model": {"kind": "flat"}}', "scenario"),
         ('{"model": {"kind": "flat"}, "scenario": "solve", "zzz": 1}', "unknown keys"),
         ('{"model": {"kind": "torus"}, "scenario": "solve"}', "unknown model kind"),
+        ('{"model": {"kind": []}, "scenario": "solve"}', "unknown model kind"),
         ('{"model": {"kind": "flat", "a": 1}, "scenario": "solve"}', "unknown parameters"),
         ('{"model": {"kind": "flat"}, "scenario": "dance"}', "unknown scenario"),
         ('{"model": {"kind": "flat"}, "scenario": "solve", "p": 2.0}', r"\(1, 2\)"),
@@ -91,6 +93,37 @@ def test_parser_accepts_wide_cone():
 def test_build_model_maps_geometry_errors_to_config_errors():
     with pytest.raises(pl.ConfigError, match="model"):
         pl.build_model({"kind": "cone", "a": -1.0})
+
+
+def test_model_kinds_and_library_names_come_from_geometry(capsys):
+    # a kind takes exactly its factory's keyword parameters, an int-annotated
+    # one as an integer; a library name is a spec that builds the library model
+    every = {name for factory in pl.geometry.MODELS.values() for name in inspect.signature(factory).parameters}
+    for kind, factory in pl.geometry.MODELS.items():
+        params = inspect.signature(factory).parameters
+        for name in sorted(every | {"bogus"}):
+            text = json.dumps({"model": {"kind": kind, name: 4.5}, "scenario": "solve"})
+            if name not in params:
+                message = f"model: unknown parameters for kind {kind!r}: [{name!r}]"
+            elif params[name].annotation == "int":
+                message = f"model.{name}: expected an integer, got 4.5"
+            else:
+                assert pl.parse_config(text).model == {"kind": kind, name: 4.5}
+                continue
+            with pytest.raises(pl.ConfigError) as excinfo:
+                pl.parse_config(text)
+            assert str(excinfo.value) == message
+    with pytest.raises(pl.ConfigError) as excinfo:
+        pl.parse_config('{"model": {"kind": "torus"}, "scenario": "solve"}')
+    assert str(excinfo.value) == f"model.kind: unknown model kind 'torus'; choices: {tuple(pl.geometry.MODELS)}"
+    library = pl.library()
+    assert list(library) == list(pl.geometry.LIBRARY)
+    for name, spec in pl.geometry.LIBRARY.items():
+        assert pl.build_model(spec).describe() == library[name].describe()
+    assert main(["solve", "--model", "nope"]) == 2
+    assert _error_lines(capsys) == [
+        f"error: --model: unknown library model 'nope'; choices: {sorted(pl.geometry.LIBRARY)}"
+    ]
 
 
 def test_serialize_round_trip():
@@ -158,13 +191,13 @@ def test_monotone_inverts_its_levels_in_one_call(monkeypatch):
     # rows' own batch; its verdict and its numbers are ordering_check's
     pots = []
     calls = count_level_queries(monkeypatch)
-    solve = pl.cli.solve_radial
+    solve = pl.rigidity.solve_radial
 
     def recording(*args, **kwargs):
         pots.append(solve(*args, **kwargs))
         return pots[-1]
 
-    monkeypatch.setattr(pl.cli, "solve_radial", recording)
+    monkeypatch.setattr(pl.rigidity, "solve_radial", recording)
     report = pl.run(pl.parse_config(json.dumps({
         "model": {"kind": "power_warp", "alpha": 1.5},
         "scenario": "monotone",
@@ -208,6 +241,25 @@ def test_scenarios_call_the_public_dichotomy_and_ordering(monkeypatch):
     for F0 in (1.0, 6.0):  # below the dichotomy constant, and crossing it at T > 0
         assert pl.rigidity.decay_dichotomy(1.5, 0.3, F0).branch == "decay"
     assert sizes == [1]
+
+
+@pytest.mark.parametrize("spec, r0", [
+    pytest.param({"kind": "positive_cap", "k": 1.0}, 1.0, id="positive_cap_1"),
+    pytest.param({"kind": "spline_cap", "k": 0.5}, 0.25, id="spline_cap_0.5"),
+])
+def test_auto_p_fits_the_growth_gates_window(spec, r0, monkeypatch):
+    # r0 lies past half the truncation radius: both fits fall back to the
+    # gate's window, which reaches down towards the pole
+    windows = []
+    fit = pl.geometry.growth_exponent
+    monkeypatch.setattr(
+        pl.geometry, "growth_exponent", lambda model, lo, hi: windows.append((lo, hi)) or fit(model, lo, hi)
+    )
+    report = pl.run(pl.parse_config(json.dumps({
+        "model": spec, "scenario": "contradict", "p": "auto", "r0": r0, "n_grid": 256,
+    })))
+    assert report.config["p_resolved"] == 1.5
+    assert len(windows) == 2 and windows[0] == windows[1]
 
 
 def test_run_check_identities():
@@ -561,6 +613,27 @@ def _error_lines(capsys) -> list[str]:
     return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
 
 
+@pytest.mark.parametrize("command", ["solve", "monotone", "contradict"])
+def test_level_scenarios_name_the_solve_stage(command, capsys):
+    # flat at p = 1.02: the tail integral I(r_max) underflows, and each scenario names the stage
+    assert main([command, "--model", "flat", "--p", "1.02"]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and lines[0].startswith("error: stage 'solve': tail integral of h^(-2/(p-1))")
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"n_knots": -3}, "spline_cap n_knots must be an integer >= 4, got -3"),
+    ({"n_knots": 3}, "spline_cap n_knots must be an integer >= 4, got 3"),
+    ({"r_max": -1}, "spline_cap r_max must be positive and finite, got -1.0"),
+    ({"r_max": 0}, "spline_cap r_max must be positive and finite, got 0.0"),
+])
+def test_spline_cap_refuses_its_inputs_by_name(params, message, tmp_path, capsys):
+    config = tmp_path / "spline.json"
+    config.write_text(json.dumps({"model": {"kind": "spline_cap", **params}, "scenario": "check-identities"}))
+    assert main(["report", "--config", str(config)]) == 2
+    assert _error_lines(capsys) == [f"error: model: {message}"]
+
+
 def test_main_rejects_non_numeric_p(capsys):
     assert main(["contradict", "--model", "flat", "--p", "abc"]) == 2
     assert [line.startswith("error: --p: ") for line in _error_lines(capsys)] == [True]
@@ -610,8 +683,7 @@ def test_outputs_do_not_depend_on_reading_the_node_arrays(tmp_path, monkeypatch,
         solves.append(pot)
         return pot
 
-    # contradict solves through rigidity's binding, the other scenarios through cli's
-    monkeypatch.setattr(pl.cli, "solve_radial", reading)
+    # every scenario solves through rigidity's binding
     monkeypatch.setattr(pl.rigidity, "solve_radial", reading)
     read = _power_law_outputs(tmp_path / "read", monkeypatch, capsys)
     assert len(solves) == 3 * 3 * 3 * 2

@@ -77,6 +77,15 @@ def test_spline_cap_matches_its_target_curvature():
     assert abs(c.scalar - 3.0) < 0.01
 
 
+@pytest.mark.parametrize("params, name", [
+    ({"n_knots": 40.5}, "n_knots"), ({"n_knots": True}, "n_knots"), ({"r_max": -1.0}, "r_max"),
+    ({"r_max": math.inf}, "r_max"),
+])
+def test_spline_cap_refuses_its_inputs_before_building_knots(params, name):
+    with pytest.raises(pl.DomainError, match=f"^spline_cap {name} must be"):
+        pl.spline_cap_model(**params)
+
+
 # ---------------------------------------------------------------------------
 # level sets
 # ---------------------------------------------------------------------------

@@ -107,19 +107,29 @@ def test_every_exported_name_resolves(name):
 STATUS_LITERALS = {"pass", "fail", "not-applicable"}
 
 
-def _status_literals(source: str) -> list[int]:
-    """Lines of ``source`` holding a string constant that is a verdict status."""
+def _literal_lines(source: str, words) -> list[int]:
+    """Lines of ``source`` holding a string constant that is one of ``words``."""
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
-                   if isinstance(node, ast.Constant) and node.value in STATUS_LITERALS})
+                   if isinstance(node, ast.Constant) and node.value in words})
 
 
 def test_status_literal_detector():
     source = 'x = "pass" if ok else "fail"\ny = f"passed {x}"\n"""pass"""\nz = ("not-applicable",)\n'
-    assert _status_literals(source) == [1, 3, 4]
+    assert _literal_lines(source, STATUS_LITERALS) == [1, 3, 4]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "report"], ids=lambda path: path.name)
 def test_verdict_statuses_are_spelled_only_in_report(path):
     # a stage is decided through StageVerdict's constructors, so the status
     # vocabulary lives in one module
-    assert _status_literals(path.read_text(encoding="utf-8")) == []
+    assert _literal_lines(path.read_text(encoding="utf-8"), STATUS_LITERALS) == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "geometry"], ids=lambda path: path.name)
+def test_model_kinds_and_library_names_are_spelled_only_in_geometry(path):
+    # a model kind is a factory of geometry.MODELS and a library model a spec of
+    # geometry.LIBRARY; every other module reads them from there
+    from pinchlab import geometry
+
+    words = set(geometry.MODELS) | set(geometry.LIBRARY)
+    assert _literal_lines(path.read_text(encoding="utf-8"), words) == []

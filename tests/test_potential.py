@@ -786,16 +786,16 @@ def test_solve_radial_peak_memory_is_bounded_by_its_result(spec, monkeypatch):
     # a power law's solve keeps scalars and builds no node array: a solve
     # scenario on 2^20 nodes with 8 levels stays within 1 MB.  The arrays are
     # built on first read, with the bits of the formulas and of the scalars
-    from pinchlab import cli
+    from pinchlab import cli, rigidity
 
     pots = []
 
     def recording(*args, **kwargs):
-        pots.append(cli_solve(*args, **kwargs))
+        pots.append(solve(*args, **kwargs))
         return pots[-1]
 
-    cli_solve = cli.solve_radial
-    monkeypatch.setattr(cli, "solve_radial", recording)
+    solve = rigidity.solve_radial
+    monkeypatch.setattr(rigidity, "solve_radial", recording)
     config = pl.parse_config(json.dumps({"model": spec, "scenario": "solve", "p": 1.5}))
     cli.run(dataclasses.replace(config, n_grid=256, n_levels=8))  # first-call imports and caches
     config = dataclasses.replace(config, n_grid=2**20, n_levels=8)

@@ -254,7 +254,6 @@ def test_ordering_honours_its_tolerance(solved, tol, ok):
     G = F * (1.0 + 1e-8)
     rep = pl.ordering_check(pot, {"t": levels, "F": F, "G": G, "dG_fd": G - F}, tol)
     assert rep.ordering_ok is ok
-    assert pl.rigidity._ordered(F, G, tol) is ok
 
 
 def test_ordering_level_validation(solved):
