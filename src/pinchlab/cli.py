@@ -196,13 +196,29 @@ def serialize(config: RunConfig) -> str:
     return json.dumps(dataclasses.asdict(config), sort_keys=True, indent=2) + "\n"
 
 
+_MODELS_KEPT = 8  # built models kept by spec, the oldest dropped first
+_kept_models: dict[str, geometry.ManifoldModel] = {}
+
+
 def build_model(spec: dict) -> geometry.ManifoldModel:
-    """Instantiate a library model from a validated spec dict."""
+    """Instantiate a library model from a validated spec dict.
+
+    An equal spec gives the same model, built once: a model is immutable and
+    keeps its p-independent results, so a sweep over p builds, pinching-checks
+    and growth-fits it once.  The last _MODELS_KEPT specs are kept.
+    """
     spec = _validate_model_spec(spec)
-    try:
-        return geometry._model_of(spec)
-    except PinchLabError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    key = repr(spec)  # repr tells -0.0 from 0.0, as a model's name does and == does not
+    model = _kept_models.get(key)
+    if model is None:
+        try:
+            model = geometry._model_of(spec)
+        except PinchLabError as exc:
+            raise ConfigError(f"model: {exc}") from exc
+        if len(_kept_models) == _MODELS_KEPT:
+            del _kept_models[next(iter(_kept_models))]
+        _kept_models[key] = model
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +235,11 @@ def _resolve_p(config: RunConfig, model: geometry.ManifoldModel):
 
 
 def _config_echo(config: RunConfig, p_value: float | None) -> dict:
-    return dataclasses.asdict(config) | {"p_resolved": p_value}
+    # one level deep: the model spec and the tolerances, the config's only
+    # containers, hold numbers alone
+    echo = {key: dict(value) if isinstance(value, dict) else value for key, value in vars(config).items()}
+    echo["p_resolved"] = p_value
+    return echo
 
 
 def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> ScenarioReport:

@@ -25,6 +25,7 @@ finite-differences h.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
@@ -208,6 +209,11 @@ class ManifoldModel:
     the model has an inner boundary sphere (cones and other profiles that are
     singular or lose curvature control near the axis).  ``base_point_scalar``
     is the scalar curvature at the pole when one exists and is known.
+
+    A model keeps what depends on it alone and not on p: its pinching report
+    (:func:`pinching_margin`) and its growth fits by window
+    (:func:`growth_exponent`).  The fields are frozen and the results are
+    named tuples, so a kept result is shared safely and freed with the model.
     """
 
     warp: WarpFunction
@@ -230,6 +236,14 @@ class ManifoldModel:
     @property
     def has_pole(self) -> bool:
         return self.r_min == 0.0
+
+    @functools.cached_property
+    def _pinching(self) -> PinchingReport:
+        return _measure_pinching(self)
+
+    @functools.cached_property
+    def _growth_fits(self) -> dict[tuple[float, float], GrowthReport]:
+        return {}
 
     def require_radius(self, r: float) -> float:
         r = float(r)
@@ -287,10 +301,17 @@ def positive_cap_model(k: float = 1.0, r_max: float | None = None) -> ManifoldMo
     )
 
 
+SPLINE_MAX_KNOTS = 2**14  # most knots of a spline_cap; a model at the cap holds ~2.4 MB
+
+
 def spline_cap_model(k: float = 0.5, r_max: float = 0.5, n_knots: int = 41) -> ManifoldModel:
     """Spline model of a constant-curvature cap near its pole: h = r - k r^3/6."""
     if not isinstance(n_knots, (int, np.integer)) or n_knots < 4:
         raise DomainError(f"spline_cap n_knots must be an integer >= 4, got {n_knots!r}")
+    if n_knots > SPLINE_MAX_KNOTS:
+        # a huge integer is shown by its magnitude, not by its hundreds of digits
+        shown = repr(n_knots) if n_knots < 10**12 else f"about 1e{round(math.log10(n_knots))}"
+        raise DomainError(f"spline_cap n_knots must be at most {SPLINE_MAX_KNOTS}, got {shown}")
     if not 0.0 < r_max < math.inf:
         raise DomainError(f"spline_cap r_max must be positive and finite, got {r_max}")
     knots = np.linspace(0.0, float(r_max), n_knots)
@@ -449,7 +470,13 @@ def pinching_margin(model: ManifoldModel) -> PinchingReport:
     curvature vanishes identically (flat space) reports the vacuous optimum
     1/3.  Models with a negative Ricci eigenvalue anywhere are not pinched at
     any positive eps and report margin 0 together with nonneg_ricci = False.
+    The report depends on the model alone, so the model keeps it: the grid is
+    measured on the first call.
     """
+    return model._pinching
+
+
+def _measure_pinching(model: ManifoldModel) -> PinchingReport:
     lo = model.r_min if model.r_min > 0.0 else model.r_max * 1e-6
     grid = geometric_grid(lo, model.r_max, PINCHING_GRID_N)
     rad, tan, sc = _curvature_arrays(model, grid)
@@ -568,10 +595,20 @@ def _power_law_volume(model: ManifoldModel, r: np.ndarray) -> np.ndarray:
 
 
 GROWTH_SAMPLES = 32  # radii of the geometric ladder the growth fit uses
+GROWTH_FITS_KEPT = 8  # windows a model keeps its growth fits for, the oldest dropped first
 
 
 def growth_exponent(model: ManifoldModel, r_lo: float, r_hi: float) -> GrowthReport:
-    """Fit |B_r| ~ r^(1+alpha) over a geometric ladder of radii in [r_lo, r_hi]."""
+    """Fit |B_r| ~ r^(1+alpha) over a geometric ladder of radii in [r_lo, r_hi].
+
+    The fit depends on the model and the window alone, so the model keeps it,
+    keyed by the window, for its last GROWTH_FITS_KEPT windows.
+    """
+    window = (float(r_lo), float(r_hi))
+    fits = model._growth_fits
+    report = fits.get(window)
+    if report is not None:
+        return report
     if not (model.r_min < r_lo < r_hi <= model.r_max):
         raise DomainError(
             f"growth window [{r_lo}, {r_hi}] must sit inside ({model.r_min}, {model.r_max}]"
@@ -583,4 +620,7 @@ def growth_exponent(model: ManifoldModel, r_lo: float, r_hi: float) -> GrowthRep
     avr = None
     if alpha_hat > 1.95:
         avr = float(3.0 / (4.0 * math.pi) * vols[-1] / radii[-1] ** 3)
-    return GrowthReport(float(alpha_hat), avr, float(slope), GROWTH_SAMPLES)
+    if len(fits) == GROWTH_FITS_KEPT:
+        del fits[next(iter(fits))]
+    report = fits[window] = GrowthReport(float(alpha_hat), avr, float(slope), GROWTH_SAMPLES)
+    return report

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import pinchlab as pl
-from pinchlab import functionals, geometry, potential, rigidity
+from pinchlab import cli, functionals, geometry, potential, rigidity
 from pinchlab.geometry import LevelSetData
 from pinchlab.potential import RadialPotential, as_p, solve_radial
 
@@ -51,6 +51,13 @@ def _solve(name: str, p: float, r0: float = 1.0, n_grid: int = 4096, r_max: floa
 def solved():
     """Callable (name, p, r0=1.0, n_grid=4096, r_max=None) -> cached RadialPotential."""
     return _solve
+
+
+@pytest.fixture(autouse=True)
+def fresh_kept_models():
+    """Each test starts with none of the models ``cli.build_model`` keeps, so
+    no kept result leaks between tests and call counts see fresh models."""
+    cli._kept_models.clear()
 
 
 @pytest.fixture()

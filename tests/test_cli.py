@@ -249,17 +249,93 @@ def test_scenarios_call_the_public_dichotomy_and_ordering(monkeypatch):
 ])
 def test_auto_p_fits_the_growth_gates_window(spec, r0, monkeypatch):
     # r0 lies past half the truncation radius: both fits fall back to the
-    # gate's window, which reaches down towards the pole
-    windows = []
-    fit = pl.geometry.growth_exponent
+    # gate's window, which reaches down towards the pole; the model keeps the
+    # fit, so the window's volumes are computed once
+    windows, volume_sizes = [], []
+    fit, ball_volume = pl.geometry.growth_exponent, pl.geometry.ball_volume
     monkeypatch.setattr(
         pl.geometry, "growth_exponent", lambda model, lo, hi: windows.append((lo, hi)) or fit(model, lo, hi)
+    )
+    monkeypatch.setattr(
+        pl.geometry, "ball_volume", lambda model, r: volume_sizes.append(np.size(r)) or ball_volume(model, r)
     )
     report = pl.run(pl.parse_config(json.dumps({
         "model": spec, "scenario": "contradict", "p": "auto", "r0": r0, "n_grid": 256,
     })))
     assert report.config["p_resolved"] == 1.5
     assert len(windows) == 2 and windows[0] == windows[1]
+    assert volume_sizes.count(pl.geometry.GROWTH_SAMPLES) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param({"kind": "cone", "a": 0.8}, id="cone_0.8"),
+    pytest.param({"kind": "positive_cap", "k": 1.0}, id="positive_cap_1"),
+])
+def test_a_p_sweep_builds_checks_and_fits_each_model_once(spec, monkeypatch):
+    # only the potential and what is read off it depend on p: a contradict
+    # sweep over one spec builds its model once, evaluates the pinching grid
+    # once, and computes the volumes of each growth window (one per r0) once
+    builds, grid_sizes, ladders = [], [], []
+    factory = pl.geometry.MODELS[spec["kind"]]
+    curvature_arrays, ball_volume = pl.geometry._curvature_arrays, pl.geometry.ball_volume
+
+    def counting_factory(**params):
+        builds.append(params)
+        return factory(**params)
+
+    def recording_volume(model, r):
+        if np.size(r) == pl.geometry.GROWTH_SAMPLES:
+            ladders.append(tuple(np.asarray(r).tolist()))
+        return ball_volume(model, r)
+
+    monkeypatch.setitem(pl.geometry.MODELS, spec["kind"], counting_factory)
+    monkeypatch.setattr(
+        pl.geometry, "_curvature_arrays", lambda model, r: grid_sizes.append(np.size(r)) or curvature_arrays(model, r)
+    )
+    monkeypatch.setattr(pl.geometry, "ball_volume", recording_volume)
+    for r0 in (1.0, 0.05):
+        for p in (1.2, 1.5, 1.8):
+            pl.run(pl.parse_config(json.dumps({
+                "model": spec, "scenario": "contradict", "p": p, "r0": r0, "n_grid": 256,
+            })))
+    assert len(builds) == 1
+    assert grid_sizes == [pl.geometry.PINCHING_GRID_N]
+    assert len(ladders) == len(set(ladders)) == 2
+
+
+def test_equal_specs_share_a_model_and_others_share_nothing():
+    # a spec's model is kept and shared; cone 0.8 and 0.81, and power_warp 1.9
+    # at r_max 1e4 and 1e8 (whose pinching depends on where the grid stops),
+    # each get their own model with their own results, equal to a fresh model's
+    pairs = [
+        ({"kind": "cone", "a": 0.8}, {"kind": "cone", "a": 0.81}),
+        ({"kind": "power_warp", "alpha": 1.9}, {"kind": "power_warp", "alpha": 1.9, "r_max": 1e8}),
+    ]
+    for specs in pairs:
+        models = [pl.build_model(spec) for spec in specs]
+        assert all(pl.build_model(dict(spec)) is model for spec, model in zip(specs, models))
+        for spec, model in zip(specs, models):
+            fresh = pl.geometry._model_of(spec)
+            assert pl.pinching_margin(model) == pl.pinching_margin(fresh)
+            assert pl.growth_exponent(model, 1.0, 100.0) == pl.growth_exponent(fresh, 1.0, 100.0)
+        assert pl.pinching_margin(models[0]) is not pl.pinching_margin(models[1])
+        assert pl.growth_exponent(models[0], 1.0, 100.0) is not pl.growth_exponent(models[1], 1.0, 100.0)
+    cone_avr = [pl.growth_exponent(pl.build_model(spec), 1.0, 100.0).avr for spec in pairs[0]]
+    assert cone_avr == pytest.approx([0.8**2, 0.81**2], rel=1e-12)
+    margins = [pl.pinching_margin(pl.build_model(spec)).margin for spec in pairs[1]]
+    assert margins[0] > pl.rigidity.EPS_THRESHOLD > margins[1]
+    # a spec differing only in the sign of a zero gets its own model and name
+    names = [pl.build_model({"kind": "spline_cap", "k": k}).name for k in (0.0, -0.0)]
+    assert names == ["spline_cap(0)", "spline_cap(-0)"]
+
+
+def test_kept_models_are_bounded():
+    specs = [{"kind": "cone", "a": 0.5 + i / 100} for i in range(pl.cli._MODELS_KEPT + 1)]
+    models = [pl.build_model(spec) for spec in specs]
+    assert len(pl.cli._kept_models) == pl.cli._MODELS_KEPT
+    assert pl.build_model(specs[-1]) is models[-1]
+    assert pl.build_model(specs[0]) is not models[0]  # the oldest was dropped, and builds anew
+    assert len(pl.cli._kept_models) == pl.cli._MODELS_KEPT
 
 
 def test_run_check_identities():
@@ -626,6 +702,8 @@ def test_level_scenarios_name_the_solve_stage(command, capsys):
     ({"n_knots": 3}, "spline_cap n_knots must be an integer >= 4, got 3"),
     ({"r_max": -1}, "spline_cap r_max must be positive and finite, got -1.0"),
     ({"r_max": 0}, "spline_cap r_max must be positive and finite, got 0.0"),
+    ({"n_knots": 2**14 + 1}, "spline_cap n_knots must be at most 16384, got 16385"),
+    ({"n_knots": 1e300}, "spline_cap n_knots must be at most 16384, got about 1e300"),
 ])
 def test_spline_cap_refuses_its_inputs_by_name(params, message, tmp_path, capsys):
     config = tmp_path / "spline.json"

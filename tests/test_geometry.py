@@ -7,6 +7,7 @@ Expected values are closed forms of the warped metric dr^2 + h(r)^2 g_(S^2):
     area = 4 pi h^2,  H = 2 h'/h,  Sc^T = 2/h^2  (round sphere of radius h)
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -79,11 +80,17 @@ def test_spline_cap_matches_its_target_curvature():
 
 @pytest.mark.parametrize("params, name", [
     ({"n_knots": 40.5}, "n_knots"), ({"n_knots": True}, "n_knots"), ({"r_max": -1.0}, "r_max"),
-    ({"r_max": math.inf}, "r_max"),
+    ({"r_max": math.inf}, "r_max"), ({"n_knots": 2**14 + 1}, "n_knots"), ({"n_knots": 10**300}, "n_knots"),
 ])
-def test_spline_cap_refuses_its_inputs_before_building_knots(params, name):
+def test_spline_cap_refuses_its_inputs_before_building_knots(params, name, monkeypatch):
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("knots were built"))
     with pytest.raises(pl.DomainError, match=f"^spline_cap {name} must be"):
         pl.spline_cap_model(**params)
+
+
+def test_spline_cap_takes_knots_up_to_its_cap():
+    cap = pl.geometry.SPLINE_MAX_KNOTS
+    assert len(pl.spline_cap_model(n_knots=cap).warp.params["knots"]) == cap
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +298,18 @@ def test_growth_exponent_window_validation():
         pl.growth_exponent(pl.flat_model(), 100.0, 1.0)
     with pytest.raises(pl.DomainError):
         pl.growth_exponent(pl.cone_model(0.8), 1e-5, 1.0)  # below r_min
+
+
+def test_a_model_keeps_its_pinching_report_and_its_last_growth_fits():
+    model = pl.positive_cap_model(1.0)
+    assert pl.pinching_margin(model) is pl.pinching_margin(model)
+    windows = [(0.01 * (i + 1), 1.0) for i in range(pl.geometry.GROWTH_FITS_KEPT + 1)]
+    fits = [pl.growth_exponent(model, *window) for window in windows]
+    assert list(model._growth_fits) == windows[1:]  # the oldest window was dropped
+    assert pl.growth_exponent(model, *windows[-1]) is fits[-1]
+    again = pl.growth_exponent(model, *windows[0])
+    assert again == fits[0] and again is not fits[0]
+    assert dataclasses.replace(model)._growth_fits == {}  # an equal model keeps its own
 
 
 # ---------------------------------------------------------------------------

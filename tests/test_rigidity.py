@@ -372,6 +372,39 @@ def test_consequences_are_judged_only_when_every_gate_passed(name, p):
         assert f"branch {'stuck' if constants['ode_crossing_time'] is None else 'decay'}" in dichotomy
 
 
+# the library models x p in {1.15, 1.5, 1.85} x r0 in {1, 0.05}, the cone and
+# the power warp at r0 = 1 only: 24 cases, spline_cap_0.5 at r0 = 1 refused
+CONTRADICTION_CASES = [
+    (name, p, r0)
+    for name in pl.geometry.LIBRARY
+    for p in (1.15, 1.5, 1.85)
+    for r0 in (1.0, 0.05)
+    if r0 == 1.0 or name not in ("cone_0.8", "power_warp_1.5")
+]
+
+
+def _contradiction_outcome(model, p, r0) -> str:
+    try:
+        report = pl.run_contradiction_scenario(model, p, {"r0": r0})
+    except pl.PinchLabError as exc:
+        return repr(exc)
+    return repr((report.rows, report.constants, report.verdicts, report.failed_hypothesis, report.config))
+
+
+def test_models_that_kept_results_give_what_fresh_models_give():
+    # a sweep at other p first fills each model's kept pinching report and
+    # growth fits; the 24 cases then read them, and match fresh models exactly
+    assert len(CONTRADICTION_CASES) == 24
+    warm = pl.library()
+    for name, _, r0 in CONTRADICTION_CASES:
+        for p in (1.3, 1.7):
+            _contradiction_outcome(warm[name], p, r0)
+    assert all("_pinching" in vars(model) and vars(model)["_growth_fits"] for model in warm.values())
+    for name, p, r0 in CONTRADICTION_CASES:
+        fresh = pl.geometry._model_of(pl.geometry.LIBRARY[name])
+        assert _contradiction_outcome(warm[name], p, r0) == _contradiction_outcome(fresh, p, r0), (name, p, r0)
+
+
 def test_scenario_eps_floor(scenario_reports):
     # The cone's measured margin is exactly 0; the scenario substitutes the
     # documented hypothetical floor instead of a degenerate eps.
