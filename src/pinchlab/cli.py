@@ -93,8 +93,13 @@ def _check_with(check, value, path: str):
 
 
 def _check_number(value, path: str, *, integer: bool = False) -> float:
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     _expect(ok, path, f"expected a finite number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        # beyond the float range: shown by its magnitude, not by its hundreds of digits
+        shown = f"{'-' if value < 0 else ''}1e{round(math.log10(abs(value)))}"
+        raise ConfigError(f"{path}: expected a finite number, got about {shown}")
+    _expect(math.isfinite(value), path, f"expected a finite number, got {value!r}")
     if integer:
         _expect(float(value) == int(value), path, f"expected an integer, got {value!r}")
         return int(value)
@@ -120,7 +125,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a UTF-8 JSON run configuration."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past int()'s digit limit
         raise ConfigError(f"malformed JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "top-level", "expected a JSON object")
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}

@@ -211,9 +211,12 @@ class ManifoldModel:
     is the scalar curvature at the pole when one exists and is known.
 
     A model keeps what depends on it alone and not on p: its pinching report
-    (:func:`pinching_margin`) and its growth fits by window
-    (:func:`growth_exponent`).  The fields are frozen and the results are
-    named tuples, so a kept result is shared safely and freed with the model.
+    (:func:`pinching_margin`), its growth fits by window
+    (:func:`growth_exponent`) and, for its last cell-flux solve grid of at
+    most ``potential.WARP_GRID_MAX_NODES`` nodes, the warp at that grid's
+    Gauss points and nodes with the grid's tail fit (``potential._WarpGrid``).
+    The fields are frozen, the results are named tuples or read-only arrays,
+    so a kept result is shared safely and freed with the model.
     """
 
     warp: WarpFunction
@@ -243,6 +246,10 @@ class ManifoldModel:
 
     @functools.cached_property
     def _growth_fits(self) -> dict[tuple[float, float], GrowthReport]:
+        return {}
+
+    @functools.cached_property
+    def _warp_grids(self) -> dict:
         return {}
 
     def require_radius(self, r: float) -> float:

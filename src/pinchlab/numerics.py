@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["geometric_grid", "cell_integrals", "interval_integrals", "line_fit", "log_log_fit"]
+__all__ = [
+    "geometric_grid", "cell_integrals", "interval_integrals", "gauss_table", "line_fit", "log_log_fit",
+]
 
 # The 12-point Gauss-Legendre rule, exact through degree 23, which makes a
 # single panel per geometric cell effectively exact for analytic integrands.
@@ -57,17 +59,24 @@ def geometric_grid(start: float, stop: float, num: int) -> np.ndarray:
 
 
 def cell_integrals(
-    f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, out: np.ndarray | None = None
+    f: Callable[[np.ndarray], np.ndarray],
+    edges: np.ndarray,
+    out: np.ndarray | None = None,
+    *,
+    table: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integral of ``f`` over each cell of the increasing edge array ``edges``,
-    written into ``out`` when it is given (see :func:`interval_integrals`)."""
+    written into ``out`` when it is given, and read from ``table`` when it is
+    given (see :func:`interval_integrals`)."""
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise DomainError("cell_integrals needs at least two edges")
-    return interval_integrals(f, edges[:-1], edges[1:], out=out)
+    return interval_integrals(f, edges[:-1], edges[1:], out=out, table=table)
 
 
-def interval_integrals(f, a, b, out: np.ndarray | None = None) -> np.ndarray:
+def interval_integrals(
+    f, a, b, out: np.ndarray | None = None, *, table: np.ndarray | None = None
+) -> np.ndarray:
     """Integral of ``f`` over each interval [a_i, b_i] (broadcast over arrays),
     by the 12-point Gauss-Legendre rule.
 
@@ -81,9 +90,12 @@ def interval_integrals(f, a, b, out: np.ndarray | None = None) -> np.ndarray:
     such as the coarea slab check's inverts levels on every call.  A block is
     laid out node-major, one row of intervals per Gauss node, so every numpy
     loop runs along a row; the points are built in one scratch array reused
-    by every block.  The rows of ``f``'s result (which must be a new array)
-    are scaled by the weights in place and added up one after another, so
-    each interval is summed in the same order whatever its batch or block.
+    by every block.  Given a ``table`` of some g at the Gauss points of these
+    intervals (see :func:`gauss_table`), ``f`` is called with each block's
+    values of g in place of its points, which are then not built.  The rows
+    of ``f``'s result (which must be a new array) are scaled by the weights in
+    place and added up one after another, so each interval is summed in the
+    same order whatever its batch or block.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
@@ -93,23 +105,55 @@ def interval_integrals(f, a, b, out: np.ndarray | None = None) -> np.ndarray:
         raise DomainError(
             f"interval_integrals writes {a.shape} floats, got out of {out.shape} {out.dtype}"
         )
-    block = max(1, min(_BLOCK, a.size))
-    mid_buf, half_buf, pts_buf = np.empty(block), np.empty(block), np.empty(_NODES.size * block)
-    for start in range(0, a.size, block):
-        lo, hi = a[start : start + block], b[start : start + block]
-        mid, half = mid_buf[: lo.size], half_buf[: lo.size]
-        pts = pts_buf[: _NODES.size * lo.size].reshape(_NODES.size, lo.size)
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        np.subtract(hi, lo, out=half)
-        half *= 0.5
-        np.multiply(half, _NODES[:, None], out=pts)
-        pts += mid
-        vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
-        np.multiply(half, _weighted_rows(vals), out=out[start : start + block])
+    n = _NODES.size
+    if table is not None and table.shape != (n * a.size,):
+        raise DomainError(f"interval_integrals reads {n * a.size} tabled values, got {table.shape}")
+    for cells, half, pts in _gauss_blocks(a, b, points=table is None):
+        at = pts.reshape(-1) if table is None else table[n * cells.start : n * cells.stop]
+        vals = np.asarray(f(at), dtype=float).reshape(n, -1)
+        np.multiply(half, _weighted_rows(vals), out=out[cells])
         # free this block's values before f makes the next block's
         del vals
     return out
+
+
+def gauss_table(g, a, b) -> np.ndarray:
+    """g at the 12-point Gauss points of each interval [a_i, b_i], in the
+    layout :func:`interval_integrals` reads as its ``table``: block after
+    block of at most _BLOCK intervals, each node-major.  ``g`` is called once
+    per block, on the points interval_integrals would pass an integrand."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
+    n = _NODES.size
+    table = np.empty(n * a.size)
+    for cells, _, pts in _gauss_blocks(a, b):
+        table[n * cells.start : n * cells.stop] = g(pts.reshape(-1))
+    return table
+
+
+def _gauss_blocks(a: np.ndarray, b: np.ndarray, points: bool = True):
+    """For each block of at most _BLOCK of the intervals [a_i, b_i]: its slice,
+    its half-widths and, when ``points``, its Gauss points node-major, one row
+    of the block's intervals per node (else None).  Every block is built in
+    the same scratch arrays."""
+    block = max(1, min(_BLOCK, a.size))
+    half_buf = np.empty(block)
+    if points:
+        mid_buf, pts_buf = np.empty(block), np.empty(_NODES.size * block)
+    for start in range(0, a.size, block):
+        lo, hi = a[start : start + block], b[start : start + block]
+        half = half_buf[: lo.size]
+        np.subtract(hi, lo, out=half)
+        half *= 0.5
+        pts = None
+        if points:
+            mid = mid_buf[: lo.size]
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+            pts = pts_buf[: _NODES.size * lo.size].reshape(_NODES.size, lo.size)
+            np.multiply(half, _NODES[:, None], out=pts)
+            pts += mid
+        yield slice(start, start + lo.size), half, pts
 
 
 def _weighted_rows(vals: np.ndarray) -> np.ndarray:

@@ -15,8 +15,10 @@ which this module evaluates at every radius it needs, grid nodes and off-grid
 radii alike (:class:`_PowerLawFlux`).  Any other warp is integrated by
 composite Gauss quadrature on a geometric grid, plus the same closed form for
 a power law fitted to the outer decade as the tail beyond the truncation
-radius (:class:`_CellFlux`); :func:`solve_radial` chooses between the two
-once.  The level parameter of the potential is
+radius (:class:`_CellFlux`); h at the Gauss points and the fit do not depend
+on p, so the model keeps them (:class:`_WarpGrid`) and a new p pays only for
+h^(-q).  :func:`solve_radial` chooses between the two laws once.  The level
+parameter of the potential is
 
     w = -(p-1) log u,   t = w(r),   w' = (p-1) |u'| / u > 0,
 
@@ -50,7 +52,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ConvergenceError, DomainError
-from .numerics import cell_integrals, geometric_grid, interval_integrals, log_log_fit
+from .numerics import cell_integrals, gauss_table, geometric_grid, interval_integrals, log_log_fit
 
 __all__ = [
     "PExponent",
@@ -210,20 +212,83 @@ LEVEL_STEP_ULPS = 4  # a converged level stays at its iterate if the step is wit
 _EPS = float(np.finfo(float).eps)
 
 
+WARP_GRID_MAX_NODES = 2**13  # most nodes of a grid whose warp a model keeps: 112 B a node, 0.92 MB at the cap
+
+
+@dataclass(frozen=True, eq=False)
+class _WarpGrid:
+    """What a cell-flux solve on the nodes ``grid`` needs of the warp, none of
+    which depends on p: h at the 12 Gauss points of every cell (``gauss``, in
+    the layout of :func:`numerics.gauss_table`), h at the nodes (``nodes``,
+    built on the first inversion of a level between them) and the tail fit
+    (beta, log c) of :func:`_tail_fit` (``fit``, built once the first solve's
+    cells have passed their check).  A model keeps the one of its last solve
+    grid (see :func:`_kept_warp_grid`); the grid and the arrays are
+    read-only, and every solve on the grid shares them, whatever its p."""
+
+    warp: geometry.WarpFunction
+    grid: np.ndarray
+    gauss: np.ndarray
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        nodes = self.warp.h(self.grid)
+        nodes.flags.writeable = False
+        return nodes
+
+    @functools.cached_property
+    def fit(self) -> tuple[float, float]:
+        return _tail_fit(self.warp, self.grid)
+
+
+def _kept_warp_grid(model: geometry.ManifoldModel, r0: float, r_max: float, n_grid: int):
+    """The model's kept :class:`_WarpGrid` of the geometric grid of ``n_grid``
+    nodes from r0 to r_max, built, in place of the one kept before, when the
+    grid is new; None above WARP_GRID_MAX_NODES nodes, where nothing is kept.
+    At 4096 nodes the grid, h at its 49 140 Gauss points and at its nodes
+    hold 0.46 MB."""
+    if n_grid > WARP_GRID_MAX_NODES:
+        return None
+    key = (r0, r_max, n_grid)
+    kept = model._warp_grids
+    warp_grid = kept.get(key)
+    if warp_grid is None:
+        kept.clear()
+        grid = geometric_grid(r0, r_max, n_grid)
+        gauss = gauss_table(model.warp.h, grid[:-1], grid[1:])
+        grid.flags.writeable = gauss.flags.writeable = False
+        warp_grid = kept[key] = _WarpGrid(model.warp, grid, gauss)
+    return warp_grid
+
+
+def _tail_fit(warp: geometry.WarpFunction, grid: np.ndarray) -> tuple[float, float]:
+    """The least-squares (beta, log c) of h = c r^beta over the outer decade of ``grid``."""
+    mask = grid >= grid[-1] / 10.0
+    return log_log_fit(grid[mask], warp.h(grid[mask]))
+
+
 @dataclass(frozen=True, eq=False)
 class _CellFlux:
     """I of any other warp on the nodes ``grid``: ``suffix`` holds I at every
     node, the 12-point Gauss cells of h^(-q) (``exponent`` is -q) summed from
-    the outer end plus the tail I(grid[-1]) of the power law fitted there."""
+    the outer end plus the tail I(grid[-1]) of the power law fitted there.
+    ``kept`` is the model's kept warp on the grid, whose h at the Gauss points
+    and at the nodes the cells and the node density raise to -q; it is None
+    above WARP_GRID_MAX_NODES, where they call the warp."""
 
     warp: geometry.WarpFunction
     exponent: float
     grid: np.ndarray
     suffix: np.ndarray
+    kept: _WarpGrid | None
+
+    def power(self, h: np.ndarray) -> np.ndarray:
+        """h^(-q) from the values h of the warp."""
+        return h ** self.exponent
 
     def density(self, s: np.ndarray) -> np.ndarray:
         """The integrand h(s)^(-q) of I."""
-        return self.warp.h(s) ** self.exponent
+        return self.power(self.warp.h(s))
 
     def flux(self, r: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
         """I at radii r in [grid[0], grid[-1]]: the partial panel [r, grid[j+1]]
@@ -246,8 +311,10 @@ class _CellFlux:
     @functools.cached_property
     def node_density(self) -> np.ndarray:
         """h^(-q) at the nodes, built on the first inversion of a level
-        between them."""
-        return self.density(self.grid)
+        between them, from the kept h at the nodes when there is one."""
+        if self.kept is None:
+            return self.density(self.grid)
+        return self.power(self.kept.nodes)
 
     def levels(self, pot: RadialPotential, t: np.ndarray):
         """(r, I, h^(-q)) at levels t in [0, t_max] by Newton in their bracket
@@ -384,10 +451,18 @@ def solve_radial(
     If the growth is too slow for the tail integral to converge the solver
     refuses loudly.  This is the one place that chooses between the two.
 
-    Without a power law, a solve allocates only the arrays it keeps, ``grid``
-    and ``suffix``, plus one block of quadrature scratch: the cells summed
-    from the outer end and completed by the tail are written into ``suffix``.
-    Every value rounds as the same formulas with fresh arrays would.
+    Without a power law, the warp at the grid's Gauss points and nodes and
+    the tail fit do not depend on p, so the model keeps them for its last
+    grid of at most WARP_GRID_MAX_NODES nodes (:class:`_WarpGrid`, read-only,
+    0.46 MB at 4096 nodes).  A solve on that grid at any later p calls no
+    warp and builds no point: it raises the kept h to -q one block at a time
+    and allocates only ``suffix`` plus that block, sharing the kept grid.  A
+    grid above the cap is kept by no one: its solve allocates ``grid`` and
+    ``suffix`` plus one block of quadrature scratch and calls the warp at the
+    points.  Either way the cells summed from the outer end and completed by
+    the tail are written into ``suffix``, and every value rounds as the same
+    formulas with fresh arrays would: h^(-q) is taken elementwise from the
+    same h.
     ConvergenceError refuses, in this order: a scale c^(-q) of an exact power
     law that overflows or underflows to 0.0, a non-positive or non-finite
     cell, a fitted scale that overflows or underflows, a divergent tail, a
@@ -422,17 +497,20 @@ def solve_radial(
     beta = model.warp.power_law
     fitted = beta is None
     if fitted:
-        grid = geometric_grid(r0, r_max, n_grid)
-        law = _CellFlux(model.warp, -q, grid, np.empty_like(grid))
+        kept = _kept_warp_grid(model, r0, r_max, n_grid)
+        grid = geometric_grid(r0, r_max, n_grid) if kept is None else kept.grid
+        law = _CellFlux(model.warp, -q, grid, np.empty_like(grid), kept)
         # the cells go into suffix[:-1] and are summed from the outer end; the
         # tail is added to every sum below
-        cells = cell_integrals(law.density, grid, out=law.suffix[:-1])
+        if kept is None:
+            cells = cell_integrals(law.density, grid, out=law.suffix[:-1])
+        else:
+            cells = cell_integrals(law.power, grid, out=law.suffix[:-1], table=kept.gauss)
         # two reductions and no temporaries; a NaN cell makes min() NaN, which fails too
         if not (cells.min() > 0.0 and cells.max() < math.inf):
             raise ConvergenceError("flux quadrature produced non-positive or non-finite cells")
         np.cumsum(cells[::-1], out=cells[::-1])
-        mask = grid >= grid[-1] / 10.0
-        beta, log_c = log_log_fit(grid[mask], model.warp.h(grid[mask]))
+        beta, log_c = _tail_fit(model.warp, grid) if kept is None else kept.fit
         scale, q_beta = _power_law_constants(q, beta, p.value, log_c=log_c)
         # libm's scalar power keeps the fitted tail's bits: numpy's SIMD power rounds
         # some arguments differently

@@ -75,6 +75,21 @@ def test_parse_minimal_defaults():
             "positive",
         ),
         ('{"model": {"kind": "flat"}, "scenario": "solve", "format": "xml"}', "format"),
+        pytest.param(
+            '{"model": {"kind": "flat"}, "scenario": "solve", "r0": 1%s}' % ("0" * 400),
+            r"^r0: expected a finite number, got about 1e400$",
+            id="r0-integer-beyond-float",
+        ),
+        pytest.param(
+            '{"model": {"kind": "spline_cap", "n_knots": -1%s}, "scenario": "solve"}' % ("0" * 400),
+            r"^model\.n_knots: expected a finite number, got about -1e400$",
+            id="n_knots-integer-beyond-float",
+        ),
+        pytest.param(
+            '{"model": {"kind": "flat"}, "scenario": "solve", "seed": 1%s}' % ("0" * 5000),
+            "malformed JSON: Exceeds the limit",
+            id="integer-beyond-int-digit-limit",
+        ),
     ],
 )
 def test_parse_rejections(text, fragment):
@@ -301,6 +316,42 @@ def test_a_p_sweep_builds_checks_and_fits_each_model_once(spec, monkeypatch):
     assert len(builds) == 1
     assert grid_sizes == [pl.geometry.PINCHING_GRID_N]
     assert len(ladders) == len(set(ladders)) == 2
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_a_p_sweep_evaluates_the_warp_at_the_gauss_points_once_per_grid(order, monkeypatch):
+    # a model keeps h at the Gauss points of its last cell-flux grid: a contradict
+    # sweep over p evaluates the warp at the 12 (n - 1) points once per model
+    # and grid, and gives, row for row, what fresh models give
+    ps = (1.2, 1.5, 1.8) if order == "ascending" else (1.8, 1.5, 1.2)
+    cases = [("positive_cap_1", 1.0), ("positive_cap_1", 0.05), ("spline_cap_0.5", 0.25)]
+    configs = [
+        pl.parse_config(json.dumps({
+            "model": pl.geometry.LIBRARY[name], "scenario": "contradict", "p": p, "r0": r0,
+        }))
+        for name, r0 in cases for p in ps
+    ]
+
+    def outcome(config) -> str:
+        report = pl.run(config)
+        return repr((report.rows, report.verdicts, report.constants, report.failed_hypothesis))
+
+    fresh = []
+    for config in configs:
+        pl.cli._kept_models.clear()
+        fresh.append(outcome(config))
+    pl.cli._kept_models.clear()
+    sizes = []
+    warp_h = pl.geometry.WarpFunction.h
+    monkeypatch.setattr(
+        pl.geometry.WarpFunction, "h", lambda self, r: sizes.append(np.size(r)) or warp_h(self, r)
+    )
+    assert [outcome(config) for config in configs] == fresh
+    gauss_points = 12 * (configs[0].n_grid - 1)
+    assert sizes.count(gauss_points) == len(cases)
+    for name, r0 in cases[1:]:
+        kept = vars(pl.build_model(pl.geometry.LIBRARY[name]))["_warp_grids"]
+        assert [key[0] for key in kept] == [r0]  # the last grid alone
 
 
 def test_equal_specs_share_a_model_and_others_share_nothing():
@@ -710,6 +761,19 @@ def test_spline_cap_refuses_its_inputs_by_name(params, message, tmp_path, capsys
     config.write_text(json.dumps({"model": {"kind": "spline_cap", **params}, "scenario": "check-identities"}))
     assert main(["report", "--config", str(config)]) == 2
     assert _error_lines(capsys) == [f"error: model: {message}"]
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"model": {"kind": "flat"}, "r0": 10**400}, "r0"),
+    ({"model": {"kind": "spline_cap", "n_knots": 10**400}}, "model.n_knots"),
+])
+def test_integers_beyond_the_float_range_are_refused_by_key(spec, key, tmp_path, capsys):
+    # JSON integers have no size limit; one beyond the float range cannot be
+    # compared as a float, and is refused by name instead of escaping
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({**spec, "scenario": "check-identities"}))
+    assert main(["report", "--config", str(config)]) == 2
+    assert _error_lines(capsys) == [f"error: {key}: expected a finite number, got about 1e400"]
 
 
 def test_main_rejects_non_numeric_p(capsys):

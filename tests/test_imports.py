@@ -133,3 +133,52 @@ def test_model_kinds_and_library_names_are_spelled_only_in_geometry(path):
 
     words = set(geometry.MODELS) | set(geometry.LIBRARY)
     assert _literal_lines(path.read_text(encoding="utf-8"), words) == []
+
+
+def _id_keyed_lines(source: str) -> list[int]:
+    """Lines of ``source`` that key a container by an object's identity: a
+    call of the builtin ``id`` as a subscript, a dict key, the key of a
+    ``get``, ``setdefault`` or ``pop``, or the left side of ``in``."""
+
+    def is_id(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "id")
+
+    keys = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript):
+            keys.append(node.slice)
+        elif isinstance(node, ast.Dict):
+            keys += [key for key in node.keys if key is not None]
+        elif isinstance(node, ast.DictComp):
+            keys.append(node.key)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("get", "setdefault", "pop") and node.args):
+            keys.append(node.args[0])
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            keys.append(node.left)
+    return sorted({key.lineno for key in keys if is_id(key)})
+
+
+def test_id_keyed_cache_detector():
+    source = (
+        "cache[id(model)] = fit\n"
+        "fits = {id(m): m.fit for m in models}\n"
+        "x = cache.get(id(model))\n"
+        "seen = {id(a): 1, 'b': 2}\n"
+        "if id(model) not in cache:\n"
+        "    pass\n"
+        "print(id(model))\n"
+        "y = cache[ident(model)]\n"
+        "z = obj.id(model)\n"
+        "w = cache.setdefault(id(model), [])\n"
+    )
+    assert _id_keyed_lines(source) == [1, 2, 3, 4, 5, 10]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_cache_is_keyed_by_object_identity(path):
+    # a result that depends on an object is kept on that object (as a model
+    # keeps its pinching report, growth fits and solve grid's warp) and freed
+    # with it; an id() can be reused by a new object once the old one is freed
+    assert _id_keyed_lines(path.read_text(encoding="utf-8")) == []

@@ -822,7 +822,13 @@ def test_fitted_solve_peak_memory_is_bounded_by_its_result():
     # and log_log_fit's four temporaries of that size (log r, log h and the
     # two centred logs) at once, a few kB of Python objects aside.  The
     # quadrature before it holds one block of scratch, three arrays of
-    # 12 _BLOCK floats and two of _BLOCK, which is less
+    # 12 _BLOCK floats and two of _BLOCK, which is less.  Measured here (2^16
+    # nodes, above the kept-grid cap, so the warp is called at the points):
+    # the quadrature peaks 1 245 184 B of block scratch above grid + suffix,
+    # the fit 2 232 928 B (the 65 536 B mask and 6 x 45 154 floats), each
+    # with ~3 kB of objects.  So the 269 kB by which the peak once exceeded
+    # grid + suffix + five 12 _BLOCK-float arrays is all tail-fit temporaries
+    # (2 232 928 - 1 966 080 = 266 848 B); block scratch adds nothing to it
     model = pl.positive_cap_model(1.0)
     tracemalloc.start()
     try:
@@ -834,6 +840,87 @@ def test_fitted_solve_peak_memory_is_bounded_by_its_result():
     decade = int(np.count_nonzero(pot.grid >= pot.grid[-1] / 10.0))
     fit = pot.grid.size + 6 * 8 * decade
     assert peak <= pot.grid.nbytes + pot.suffix.nbytes + fit + 16384
+
+
+def test_a_solve_on_a_kept_grid_allocates_no_warp_values(monkeypatch):
+    # at a new p on a kept grid of n = 4096 nodes a solve allocates its suffix
+    # (n floats), one block of h^(-q) raised from the kept h at the Gauss
+    # points (12 (n - 1) floats: the grid's 4095 cells fit one block), the
+    # block's half-widths (n - 1 floats) and, while the rows are scaled by the
+    # weights, numpy's 8192-float iterator buffer, a few kB of objects aside.
+    # It calls no warp: h at the points alone would be 12 (n - 1) floats
+    # more, and the points as many again
+    from pinchlab import geometry
+
+    model = pl.positive_cap_model(1.0)
+    pl.solve_radial(model, 1.5, 1.0)
+    calls = []
+    warp_h = geometry.WarpFunction.h
+    monkeypatch.setattr(
+        geometry.WarpFunction, "h", lambda self, r: calls.append(np.size(r)) or warp_h(self, r)
+    )
+    tracemalloc.start()
+    try:
+        pot = pl.solve_radial(model, 1.8, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = pot.grid.size
+    assert n == 4096 and pot.law.kept is not None and calls == []
+    assert peak <= 8 * (n + 12 * (n - 1) + (n - 1) + 8192) + 16384, peak
+
+
+def test_a_model_keeps_the_warp_of_its_last_grid_up_to_the_cap():
+    # one grid is kept, read-only: at 4096 nodes the grid, h at its 12 x 4095
+    # Gauss points and h at its nodes hold 458 656 B; a new grid replaces it,
+    # a grid above WARP_GRID_MAX_NODES is not kept, and a power law keeps nothing
+    from pinchlab.potential import WARP_GRID_MAX_NODES
+
+    model = pl.positive_cap_model(1.0)
+    kept = model._warp_grids
+    pot = pl.solve_radial(model, 1.5, 1.0)
+    pl.radius_of_level(pot, 0.5 * pot.t_max)  # reads h at the nodes
+    key = (1.0, pot.r_trunc, 4096)
+    assert list(kept) == [key] and pot.law.kept is kept[key] and pot.grid is kept[key].grid
+    arrays = (kept[key].grid, kept[key].gauss, kept[key].nodes)
+    assert sum(array.nbytes for array in arrays) == 458_656
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert pl.solve_radial(model, 1.2, 1.0).law.kept is kept[key]
+    above = pl.solve_radial(model, 1.5, 1.0, n_grid=WARP_GRID_MAX_NODES + 1)
+    assert above.law.kept is None and list(kept) == [key]
+    at_cap = pl.solve_radial(model, 1.5, 1.0, n_grid=WARP_GRID_MAX_NODES)
+    assert list(kept) == [(1.0, at_cap.r_trunc, WARP_GRID_MAX_NODES)]
+    other = pl.solve_radial(model, 1.5, 0.05, n_grid=256)
+    assert list(kept) == [(0.05, other.r_trunc, 256)]
+    assert dataclasses.replace(model)._warp_grids == {}  # an equal model keeps its own
+    flat = pl.flat_model()
+    pl.solve_radial(flat, 1.5, 1.0)
+    assert "_warp_grids" not in vars(flat)
+
+
+@pytest.mark.parametrize("name", ["positive_cap_1", "spline_cap_0.5"])
+def test_solves_on_a_kept_grid_have_the_bits_of_fresh_arrays(name, rng):
+    # solves at other p read the kept h at the Gauss points and the nodes and
+    # the kept tail fit, with the bits of the formulas on fresh arrays; a grid
+    # above the cap calls the warp, with the same bits
+    from pinchlab.potential import WARP_GRID_MAX_NODES
+
+    model = pl.library()[name]
+    r0 = LIBRARY_R0[name]
+    for p, n_grid in ((1.2, 1024), (1.8, 1024), (1.5, WARP_GRID_MAX_NODES + 1), (1.5, 1024), (1.2, 1024)):
+        pot = pl.solve_radial(model, p, r0, n_grid=n_grid)
+        assert (pot.law.kept is None) == (n_grid > WARP_GRID_MAX_NODES)
+        grid, suffix, w, tail = _reference_solve(model, p, r0, n_grid)
+        assert [pot.grid.tobytes(), pot.suffix.tobytes(), pot.w.tobytes()] == [
+            grid.tobytes(), suffix.tobytes(), w.tobytes()
+        ]
+        assert pot.tail == tail
+        assert pot.law.node_density.tobytes() == pot.law.density(grid).tobytes()
+        levels = rng.uniform(0.0, pot.t_max, 64)
+        want = _reference_inversion(pot, levels, {"lower": 0, "upper": 0})
+        assert [x.tobytes() for x in pot.law.levels(pot, levels)] == [x.tobytes() for x in want]
 
 
 @pytest.mark.parametrize("n_grid", [16, 4096, 2**20])

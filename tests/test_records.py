@@ -1,7 +1,8 @@
 """Result types: the records a computation returns are immutable named tuples
 with their fields in a fixed order; only the types that carry behaviour (the
-run config, the models, the exponent, the solved potential and its two flux
-laws, the discrete problem and the report) are dataclasses.  The records of the constants audit
+run config, the models, the exponent, the solved potential, its two flux
+laws and the warp a model keeps on a solve grid, the discrete problem and the
+report) are dataclasses.  The records of the constants audit
 in ``conftest`` are held to the same layout."""
 
 import dataclasses
@@ -55,6 +56,7 @@ DATACLASSES = {
     "potential.RadialPotential",
     "potential._PowerLawFlux",
     "potential._CellFlux",
+    "potential._WarpGrid",
     "report.StageVerdict",
     "report.ScenarioReport",
     "variational.DiscreteProblem",
