@@ -505,21 +505,30 @@ def summary_text(report: ScenarioReport) -> str:
 
 
 def emit(report: ScenarioReport, fmt: str = "csv", out: str | None = None):
-    """Write the report; returns written paths, or the summary text if out is None."""
+    """Write the report; returns written paths, or the summary text if out is None.
+
+    A path that cannot be written (its parent a regular file or not
+    creatable, or the path itself a directory) is refused as a ConfigError
+    naming ``out``.
+    """
     if fmt not in FORMATS:
         raise ConfigError(f"format: unknown format {fmt!r}; choices: {FORMATS}")
     if out is None:
         return summary_text(report)
     path = Path(out)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        path.write_bytes(_report_json(report).encode("utf-8"))
-        return [str(path)]
-    sidecar = path.with_suffix(".verdicts.json") if path.suffix == ".csv" else Path(str(path) + ".verdicts.json")
-    path.write_bytes(_csv_text(report).encode("utf-8"))
-    sidecar.write_bytes(_verdicts_json(report).encode("utf-8"))
-    return [str(path), str(sidecar)]
+        files = {path: _report_json(report)}
+    else:
+        sidecar = path.with_suffix(".verdicts.json") if path.suffix == ".csv" else Path(str(path) + ".verdicts.json")
+        files = {path: _csv_text(report), sidecar: _verdicts_json(report)}
+    try:
+        if not path.parent.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
+        for target, text in files.items():
+            target.write_bytes(text.encode("utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {str(exc.filename or out)!r}: {exc.strerror or exc}") from exc
+    return [str(target) for target in files]
 
 
 # ---------------------------------------------------------------------------
@@ -589,18 +598,22 @@ def _read_config(path: str) -> str:
 
 
 def _config_from_args(args) -> RunConfig:
+    """The config of --config, or of --model alone, with every flag given
+    overriding its config key (--model the config's model among them)."""
+    if args.model is not None and args.model not in geometry.LIBRARY:
+        raise ConfigError(
+            f"--model: unknown library model {args.model!r}; choices: {sorted(geometry.LIBRARY)}"
+        )
     if args.config is not None:
         config = parse_config(_read_config(args.config))
     elif args.model is not None:
-        if args.model not in geometry.LIBRARY:
-            raise ConfigError(
-                f"--model: unknown library model {args.model!r}; choices: {sorted(geometry.LIBRARY)}"
-            )
         config = RunConfig(model=geometry.LIBRARY[args.model], scenario="solve")
     else:
         raise ConfigError("either --config or --model is required")
 
     updates = {}
+    if args.model is not None:
+        updates["model"] = geometry.LIBRARY[args.model]
     scenario = _SUBCOMMAND_SCENARIO[args.command]
     if scenario is not None:
         updates["scenario"] = scenario

@@ -37,7 +37,7 @@ from .errors import DomainError
 from .geometry import EIGHT_PI, LevelSetData, ManifoldModel
 # radius_of_level is re-exported: the radii of levels alone, next to the table of
 # their quantities, which reads them from the same level query
-from .potential import RadialPotential, _capacity_at, _levels, radius_of_level
+from .potential import RadialPotential, _capacity_at, radius_of_level
 
 __all__ = [
     "SmallSphereExpansion",
@@ -112,7 +112,7 @@ def _level(pot: RadialPotential, t) -> _Level:
     is elementwise, so a level's numbers do not depend on the batch it was
     computed in.  F, G, dF_raw and dG_raw are those of :func:`_closed_forms`.
     """
-    r, flux, density = _levels(pot, np.atleast_1d(np.asarray(t, dtype=float)))
+    r, flux, density = pot.levels(t)
     h, h1, h2 = pot.model.warp(r)
     geo = geometry._levelset_data(r, h, h1, h2)
     wp = (pot.p_value - 1.0) * density / flux

@@ -81,10 +81,11 @@ class WarpFunction:
     ndarray returns the triple (h, h', h'') with matching shape; :meth:`h`
     returns h alone, computed as in the triple.  ``critical_radii`` lists the
     zeros of h' where the family knows them (spline warps), so a model can
-    check positivity at every interior minimum of h.  :attr:`power_law`
-    follows from ``kind`` and ``params``; where it is declared, the flux
-    integral I and the variational cell weights take their closed forms, and
-    every other warp is integrated with the 12-point Gauss rule.
+    check positivity at every interior minimum of h.  ``exact_power`` is
+    the (c, beta) of h = c r^beta where the family declares it (flat, cone
+    and power_warp); there the flux integral I, the ball volumes and the
+    variational cell weights take their closed forms, and every other warp is
+    integrated with the 12-point Gauss rule.
     """
 
     kind: str
@@ -93,6 +94,7 @@ class WarpFunction:
     _evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
     _value: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     critical_radii: tuple[float, ...] = field(default=(), repr=False)
+    exact_power: tuple[float, float] | None = field(default=None, repr=False)
 
     def __call__(self, r):
         return self._evaluate(np.asarray(r, dtype=float))
@@ -103,13 +105,8 @@ class WarpFunction:
 
     @property
     def power_law(self) -> float | None:
-        """The exponent beta when h = c r^beta holds exactly (flat and cone 1,
-        power_warp alpha/2), else None."""
-        if self.kind in ("flat", "cone"):
-            return 1.0
-        if self.kind == "power_warp":
-            return 0.5 * self.params["alpha"]
-        return None
+        """The exponent beta of the declared power law, else None."""
+        return None if self.exact_power is None else self.exact_power[1]
 
 
 def flat_warp() -> WarpFunction:
@@ -121,7 +118,7 @@ def flat_warp() -> WarpFunction:
     def ev(r):
         return h(r), np.ones_like(r), np.zeros_like(r)
 
-    return WarpFunction("flat", {}, True, ev, h)
+    return WarpFunction("flat", {}, True, ev, h, exact_power=(1.0, 1.0))
 
 
 def cone_warp(a: float) -> WarpFunction:
@@ -136,7 +133,7 @@ def cone_warp(a: float) -> WarpFunction:
     def ev(r):
         return h(r), np.full_like(r, a), np.zeros_like(r)
 
-    return WarpFunction("cone", {"a": a}, abs(a - 1.0) < 1e-15, ev, h)
+    return WarpFunction("cone", {"a": a}, abs(a - 1.0) < 1e-15, ev, h, exact_power=(a, 1.0))
 
 
 def power_warp(alpha: float) -> WarpFunction:
@@ -152,7 +149,8 @@ def power_warp(alpha: float) -> WarpFunction:
     def ev(r):
         return h(r), beta * r ** (beta - 1.0), beta * (beta - 1.0) * r ** (beta - 2.0)
 
-    return WarpFunction("power_warp", {"alpha": alpha}, abs(alpha - 2.0) < 1e-15, ev, h)
+    smooth = abs(alpha - 2.0) < 1e-15
+    return WarpFunction("power_warp", {"alpha": alpha}, smooth, ev, h, exact_power=(1.0, beta))
 
 
 def positive_cap_warp(k: float) -> WarpFunction:
@@ -538,7 +536,7 @@ def ball_volume(model: ManifoldModel, r):
 
     ``r`` is a scalar (the volume is a float) or an array of radii (an array of
     the same shape, empty when it is).  When the warp is a power law h = c
-    r^beta (beta = ``warp.power_law``, c = h(1)), the volume is the closed
+    r^beta (the warp's ``exact_power``), the volume is the closed
     form of :func:`_power_law_volume`.  Otherwise one cumulative table serves
     the whole call: 12-point Gauss-Legendre cells on the geometric edges lo *
     VOLUME_CELL_RATIO^k, each radius adding the partial cell from the last
@@ -553,7 +551,7 @@ def ball_volume(model: ManifoldModel, r):
         return np.empty(radii.shape)
     model.require_radius(np.min(flat))
     model.require_radius(np.max(flat))
-    if model.warp.power_law is not None:
+    if model.warp.exact_power is not None:
         volumes = _power_law_volume(model, flat)
         return float(volumes[0]) if radii.ndim == 0 else volumes.reshape(radii.shape)
     lo = POLE_CUT * model.r_max if model.has_pole else model.r_min
@@ -588,8 +586,8 @@ def _power_law_volume(model: ManifoldModel, r: np.ndarray) -> np.ndarray:
     arguments differently with the length of the array, and a radius's
     volume does not depend on the other radii of its call.
     """
-    g = 2.0 * model.warp.power_law + 1.0
-    c = float(model.warp.h(1.0))
+    c, beta = model.warp.exact_power
+    g = 2.0 * beta + 1.0
     a = model.r_min
     a_g = a**g
 

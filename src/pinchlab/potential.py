@@ -7,17 +7,17 @@ is therefore
 
     u(r) = I(r) / I(r0),      I(r) = integral_r^inf h(s)^(-2/(p-1)) ds,
 
-For a warp that is a power law h = c r^beta, I has the closed form
+For a warp that declares a power law h = c r^beta, I has the closed form
 
     I(r) = c^(-q) r^(1 - q beta) / (q beta - 1),      q = 2/(p-1),
 
 which this module evaluates at every radius it needs, grid nodes and off-grid
-radii alike (:class:`_PowerLawFlux`).  Any other warp is integrated by
+radii alike (:class:`_PowerLawPotential`).  Any other warp is integrated by
 composite Gauss quadrature on a geometric grid, plus the same closed form for
 a power law fitted to the outer decade as the tail beyond the truncation
-radius (:class:`_CellFlux`); h at the Gauss points and the fit do not depend
+radius (:class:`_CellFluxPotential`); h at the Gauss points and the fit do not depend
 on p, so the model keeps them (:class:`_WarpGrid`) and a new p pays only for
-h^(-q).  :func:`solve_radial` chooses between the two laws once.  The level
+h^(-q).  :func:`solve_radial` chooses between the two kinds once.  The level
 parameter of the potential is
 
     w = -(p-1) log u,   t = w(r),   w' = (p-1) |u'| / u > 0,
@@ -87,20 +87,21 @@ def as_p(p) -> PExponent:
 class RadialPotential:
     """Solved radial capacitary potential on [r0, r_trunc].
 
-    ``law`` is its flux, chosen once by :func:`solve_radial`: a
-    :class:`_PowerLawFlux` when the warp is a power law, else a
-    :class:`_CellFlux`.  Either answers I at radii, its density h^(-q), the
-    node arrays and, at levels, their radii with I and h^(-q) there.  The
-    nodes are the geometric grid of ``n_grid`` radii from r0 to ``r_trunc``;
-    ``normalizer`` is I(r0), ``tail`` is I(r_trunc), ``t_max`` and ``w0`` are
-    w at the last and the first node.  ``grid``, ``suffix`` (I at every
-    node, tail included) and ``w`` are the node arrays: a cell flux keeps the
-    first two from its solve, a power law builds them on first read, and
-    ``w`` is built from ``suffix`` on first read.  Off-grid radii read I from
-    :meth:`flux_integral_at` rather than by interpolation.  u = I /
-    ``normalizer`` and w' = (p-1) h^(-q) / I follow from I wherever it is
-    read; a level query returns I and h^(-q) with its radii, so w' at a level
-    needs no second read.
+    :func:`solve_radial` builds one of its two kinds, chosen once: a
+    :class:`_PowerLawPotential` when the warp declares a power law, else a
+    :class:`_CellFluxPotential`.  Either answers I at radii
+    (:meth:`flux_integral_at`), its density h^(-q) (``density``), the node
+    arrays and, at levels, their radii with I and h^(-q) there
+    (:meth:`levels`).  The nodes are the geometric grid of ``n_grid`` radii
+    from r0 to ``r_trunc``; ``normalizer`` is I(r0), ``tail`` is
+    I(r_trunc), ``t_max`` and ``w0`` are w at the last and the first node.
+    ``grid``, ``suffix`` (I at every node, tail included) and ``w`` are the
+    node arrays: a cell flux keeps the first two from its solve, a power law
+    builds them on first read, and ``w`` is built from ``suffix`` on first
+    read.  Off-grid radii read I from :meth:`flux_integral_at` rather than by
+    interpolation.  u = I / ``normalizer`` and w' = (p-1) h^(-q) / I follow
+    from I wherever it is read; a level query returns I and h^(-q) with its
+    radii, so w' at a level needs no second read.
     """
 
     model: geometry.ManifoldModel
@@ -113,19 +114,10 @@ class RadialPotential:
     tail_beta: float
     w0: float
     t_max: float
-    law: _PowerLawFlux | _CellFlux
 
     @property
     def p_value(self) -> float:
         return self.p.value
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.law.grid
-
-    @property
-    def suffix(self) -> np.ndarray:
-        return self.law.suffix
 
     @functools.cached_property
     def w(self) -> np.ndarray:
@@ -146,14 +138,45 @@ class RadialPotential:
                 f"flux integral requested at r = {float(r[~inside][0])!r}, outside the solved "
                 f"range [{self.r0}, {self.r_trunc}]"
             )
-        return self.law.flux(r)
+        return self._flux(r)
+
+    def levels(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(r, I, h^(-q)) at the levels t, flattened: the one level query.
+
+        The levels must be finite and lie in [0, t_max], with 1e-12 of slack
+        that is clamped away (see :func:`radius_of_level` for the inversion).
+        """
+        t = np.asarray(t, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(t)):
+            raise DomainError(f"level t = {t[~np.isfinite(t)][0]} is not a finite number")
+        outside = (t < -1e-12) | (t > self.t_max + 1e-12)
+        if np.any(outside):
+            raise DomainError(
+                f"level t = {t[outside][0]} beyond truncation: representable levels are "
+                f"[0, {self.t_max:.6f}]"
+            )
+        return self._invert(np.clip(t, 0.0, self.t_max))
+
+    def decreases(self) -> bool:
+        """Whether I decreases strictly over the nodes."""
+        return not np.any(self.suffix[1:] >= self.suffix[:-1])
+
+
+def _power_law_flux(r: np.ndarray, scale: float, q_beta: float) -> np.ndarray:
+    """I(r) = c^(-q) r^(1 - q beta) / (q beta - 1) of the power law whose
+    c^(-q) is ``scale``: one power, scaled in place."""
+    values = np.power(r, 1.0 - q_beta)
+    values *= scale
+    values /= q_beta - 1.0
+    return values
 
 
 @dataclass(frozen=True, eq=False)
-class _PowerLawFlux:
-    """I of a power law h = c r^beta in closed form on the nodes of
-    geometric_grid(r0, r_trunc, n_grid): ``scale`` is c^(-q) and ``q_beta``
-    is q beta, q = 2/(p-1), which exceeds 1 for I to converge.
+class _PowerLawPotential(RadialPotential):
+    """The potential of a power law h = c r^beta, I in closed form on the
+    nodes of geometric_grid(r0, r_trunc, n_grid) and at every other radius:
+    ``scale`` is c^(-q) and ``q_beta`` is q beta, q = 2/(p-1), which exceeds
+    1 for I to converge.
 
     Each radius takes one power, scaled in place, and h is not rounded for q
     to amplify.  The node arrays are built on first read.
@@ -161,9 +184,6 @@ class _PowerLawFlux:
 
     scale: float
     q_beta: float
-    r0: float
-    r_trunc: float
-    n_grid: int
 
     @functools.cached_property
     def grid(self) -> np.ndarray:
@@ -171,7 +191,7 @@ class _PowerLawFlux:
 
     @functools.cached_property
     def suffix(self) -> np.ndarray:
-        return self.flux(self.grid)
+        return self._flux(self.grid)
 
     def density(self, s: np.ndarray) -> np.ndarray:
         """The integrand h(s)^(-q) = c^(-q) s^(-q beta) of I."""
@@ -179,30 +199,48 @@ class _PowerLawFlux:
         values *= self.scale
         return values
 
-    def flux(self, r: np.ndarray) -> np.ndarray:
-        """I(r) = c^(-q) r^(1 - q beta) / (q beta - 1)."""
-        values = np.power(r, 1.0 - self.q_beta)
-        values *= self.scale
-        values /= self.q_beta - 1.0
-        return values
+    def _flux(self, r: np.ndarray) -> np.ndarray:
+        return _power_law_flux(r, self.scale, self.q_beta)
 
     def decreases(self) -> bool:
         """Whether I decreases strictly over the nodes: certified from the
-        closed form when it can be (see :func:`_certainly_decreasing`), else
+        closed form when it can be (see :meth:`_certainly_decreasing`), else
         checked on the node arrays, which this builds."""
-        return _certainly_decreasing(self) or _strictly_decreasing(self.suffix)
+        return self._certainly_decreasing() or super().decreases()
 
-    def levels(self, pot: RadialPotential, t: np.ndarray):
+    def _certainly_decreasing(self) -> bool:
+        """Whether I is certain to decrease strictly over the nodes, from the
+        closed form alone.
+
+        Exact nodes lower I by the relative gap 1 - exp(-(q beta - 1) log(r_trunc
+        / r0) / (n_grid - 1)) from one to the next.  Rounding in log10, the steps
+        and 10**y moves a node's log radius by a few ulps of |log r0| +
+        |log r_trunc|, which I amplifies by q beta - 1, and pow, the scale and the
+        division add a few ulps of I: the gap must exceed twice 64 times their
+        sum.  The power, the scaled power and I must also be normal floats at both
+        ends (so at every node between), where rounding is relative.
+        """
+        radii = np.array([self.r0, self.r_trunc])
+        power = np.power(radii, 1.0 - self.q_beta)
+        for values in (power, power * self.scale, self._flux(radii)):
+            if not (values.min() >= np.finfo(float).tiny and values.max() < math.inf):
+                return False
+        r0, r_max, slope = self.r0, self.r_trunc, self.q_beta - 1.0
+        gap = -math.expm1(-slope * math.log(r_max / r0) / (self.n_grid - 1))
+        noise = 64.0 * _EPS * (1.0 + slope * (1.0 + abs(math.log(r0)) + abs(math.log(r_max))))
+        return gap > 2.0 * noise
+
+    def _invert(self, t: np.ndarray):
         """(r, I, h^(-q)) at levels t in [0, t_max]: w = (p-1)(q beta - 1)
         log(r/r0) inverted, r0 exp(t / ((p-1)(q beta - 1))), clipped to [r0,
         r_trunc], with t_max at r_trunc, and I and h^(-q) there in closed form.
-        The rate is taken as 2 beta - (p-1) with beta = ``pot.tail_beta``,
-        rounded once (p - 1 is exact for 1 < p < 2)."""
-        radii = np.exp(t / (2.0 * pot.tail_beta - (pot.p_value - 1.0)))
+        The rate is taken as 2 beta - (p-1) with beta = ``tail_beta``, rounded
+        once (p - 1 is exact for 1 < p < 2)."""
+        radii = np.exp(t / (2.0 * self.tail_beta - (self.p_value - 1.0)))
         radii *= self.r0
         np.clip(radii, self.r0, self.r_trunc, out=radii)
-        radii[t == pot.t_max] = self.r_trunc
-        return radii, self.flux(radii), self.density(radii)
+        radii[t == self.t_max] = self.r_trunc
+        return radii, self._flux(radii), self.density(radii)
 
 
 LEVEL_NEWTON_MAX_ITER = 40  # iteration cap of the batched level inversion
@@ -267,30 +305,31 @@ def _tail_fit(warp: geometry.WarpFunction, grid: np.ndarray) -> tuple[float, flo
     return log_log_fit(grid[mask], warp.h(grid[mask]))
 
 
-@dataclass(frozen=True, eq=False)
-class _CellFlux:
-    """I of any other warp on the nodes ``grid``: ``suffix`` holds I at every
-    node, the 12-point Gauss cells of h^(-q) (``exponent`` is -q) summed from
-    the outer end plus the tail I(grid[-1]) of the power law fitted there.
-    ``kept`` is the model's kept warp on the grid, whose h at the Gauss points
-    and at the nodes the cells and the node density raise to -q; it is None
-    above WARP_GRID_MAX_NODES, where they call the warp."""
+def _power(h: np.ndarray, exponent: float) -> np.ndarray:
+    """h^(-q) from the values h of the warp, ``exponent`` = -q: the integrand
+    of a cell flux, which its solve needs before the potential exists."""
+    return h**exponent
 
-    warp: geometry.WarpFunction
-    exponent: float
+
+@dataclass(frozen=True, eq=False)
+class _CellFluxPotential(RadialPotential):
+    """The potential of any other warp on the nodes ``grid``: ``suffix``
+    holds I at every node, the 12-point Gauss cells of h^(-q) (``exponent``
+    is -q) summed from the outer end plus the tail I(grid[-1]) of the power
+    law fitted there.  ``kept`` is the model's kept warp on the grid, whose h
+    at the Gauss points and at the nodes the cells and the node density raise
+    to -q; it is None above WARP_GRID_MAX_NODES, where they call the warp."""
+
     grid: np.ndarray
     suffix: np.ndarray
+    exponent: float
     kept: _WarpGrid | None
-
-    def power(self, h: np.ndarray) -> np.ndarray:
-        """h^(-q) from the values h of the warp."""
-        return h ** self.exponent
 
     def density(self, s: np.ndarray) -> np.ndarray:
         """The integrand h(s)^(-q) of I."""
-        return self.power(self.warp.h(s))
+        return _power(self.model.warp.h(s), self.exponent)
 
-    def flux(self, r: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
+    def _flux(self, r: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
         """I at radii r in [grid[0], grid[-1]]: the partial panel [r, grid[j+1]]
         plus suffix[j+1], or suffix[j] where r is grid[j], with j the grid cell
         of r (searched when None)."""
@@ -304,19 +343,15 @@ class _CellFlux:
         out[exact] = self.suffix[j[exact]]
         return out
 
-    def decreases(self) -> bool:
-        """Whether I decreases strictly over the nodes."""
-        return _strictly_decreasing(self.suffix)
-
     @functools.cached_property
     def node_density(self) -> np.ndarray:
         """h^(-q) at the nodes, built on the first inversion of a level
         between them, from the kept h at the nodes when there is one."""
         if self.kept is None:
             return self.density(self.grid)
-        return self.power(self.kept.nodes)
+        return _power(self.kept.nodes, self.exponent)
 
-    def levels(self, pot: RadialPotential, t: np.ndarray):
+    def _invert(self, t: np.ndarray):
         """(r, I, h^(-q)) at levels t in [0, t_max] by Newton in their bracket
         cells (see :func:`radius_of_level`).  I and h^(-q) have the bits of
         ``flux_integral_at(r)`` and ``density(r)``: a level on a node reads
@@ -324,7 +359,7 @@ class _CellFlux:
         within LEVEL_STEP_ULPS of its iterate keeps the iterate and the panel
         read there; any other converged level takes its last step, as every
         level did before, and pays one more panel at the stepped iterate."""
-        w = pot.w
+        w = self.w
         j = np.searchsorted(w, t, side="left")
         radii, flux, density = self.grid[j], self.suffix[j], self.node_density[j]
         todo = np.flatnonzero((j > 0) & (w[j] != t))
@@ -335,16 +370,16 @@ class _CellFlux:
         # flux_integral_at reads it, without its range check and search
         cell = j - 1
         a, b = self.grid[cell], radii[todo]
-        k = pot.p_value - 1.0
+        k = self.p_value - 1.0
         slope_a, slope_b = self._node_slopes(k, cell), self._node_slopes(k, j)
         x = _hermite_start(a, b, w[cell], w[j], t, slope_a, slope_b)
-        log_i0 = math.log(pot.normalizer)
+        log_i0 = math.log(self.normalizer)
         flux_at, density_at = np.empty(todo.size), np.empty(todo.size)
         stepped = []
         active = np.arange(todo.size)
         for _ in range(LEVEL_NEWTON_MAX_ITER):
             xa = x[active]
-            i_x = self.flux(xa, cell[active])
+            i_x = self._flux(xa, cell[active])
             hq_x = self.density(xa)
             log_flux = np.log(i_x)
             resid = k * (log_i0 - log_flux) - t[active]
@@ -368,7 +403,7 @@ class _CellFlux:
             if active.size == 0:
                 stepped = np.concatenate(stepped)
                 if stepped.size:
-                    flux_at[stepped] = self.flux(x[stepped], cell[stepped])
+                    flux_at[stepped] = self._flux(x[stepped], cell[stepped])
                     density_at[stepped] = self.density(x[stepped])
                 radii[todo], flux[todo], density[todo] = x, flux_at, density_at
                 return radii, flux, density
@@ -399,8 +434,8 @@ def _hermite_start(a, b, w_a, w_b, t, slope_a, slope_b) -> np.ndarray:
 def _power_law_constants(
     q: float, beta: float, p_value: float, *, c: float | None = None, log_c: float | None = None
 ) -> tuple[float, float]:
-    """(c^(-q), q beta) of the power law h = c r^beta: ``c**-q`` for an exact
-    c = h(1), ``exp(-q log_c)`` for a fitted one.
+    """(c^(-q), q beta) of the power law h = c r^beta: ``c**-q`` for a
+    declared c, ``exp(-q log_c)`` for a fitted one.
 
     The scale can overflow, or underflow to 0.0, while h^(-q) stays in range
     on the grid (c = 1e-4 at q = 80 with r >= 1e4; c = 30 at q = 320 with r <=
@@ -440,13 +475,13 @@ def solve_radial(
 
     The truncation radius defaults to min(1e4 * r0, model.r_max), and the
     nodes are the geometric grid of ``n_grid`` radii (an integer, at least
-    16) from r0 to it.  When the warp is a power law h = c r^beta (beta =
-    ``warp.power_law``, c = h(1)), I is its closed form c^(-q) r^(1 - q beta)
-    / (q beta - 1) at every radius (:class:`_PowerLawFlux`), and the solve
-    evaluates it at r0 and the truncation radius alone: no quadrature runs
-    and no node array is built until one is read.  Any other warp is
-    integrated cell by cell with the 12-point Gauss rule (:class:`_CellFlux`),
-    and the tail of I beyond truncation is the same closed form for the power
+    16) from r0 to it.  When the warp declares a power law h = c r^beta (its
+    ``exact_power``), I is its closed form c^(-q) r^(1 - q beta) / (q beta -
+    1) at every radius (:class:`_PowerLawPotential`), and the solve evaluates
+    it at r0 and the truncation radius alone: no quadrature runs and no node
+    array is built until one is read.  Any other warp is integrated cell by
+    cell with the 12-point Gauss rule (:class:`_CellFluxPotential`), and the
+    tail of I beyond truncation is the same closed form for the power
     law fitted by least squares to h over the outermost decade of the grid.
     If the growth is too slow for the tail integral to converge the solver
     refuses loudly.  This is the one place that chooses between the two.
@@ -468,7 +503,7 @@ def solve_radial(
     cell, a fitted scale that overflows or underflows, a divergent tail, a
     tail that underflows to 0.0, an overflowing I(r0), and an I that fails to
     decrease strictly at the nodes.  A power law's closed form certifies the
-    strict decrease when it can (see :func:`_certainly_decreasing`); else its
+    strict decrease when it can (see ``_certainly_decreasing``); else its
     node arrays are built and checked.
     """
     p = as_p(p)
@@ -494,18 +529,18 @@ def solve_radial(
         raise DomainError("n_grid must be at least 16")
 
     q = 2.0 / (p.value - 1.0)
-    beta = model.warp.power_law
-    fitted = beta is None
+    declared = model.warp.exact_power
+    fitted = declared is None
     if fitted:
         kept = _kept_warp_grid(model, r0, r_max, n_grid)
         grid = geometric_grid(r0, r_max, n_grid) if kept is None else kept.grid
-        law = _CellFlux(model.warp, -q, grid, np.empty_like(grid), kept)
+        suffix = np.empty_like(grid)
         # the cells go into suffix[:-1] and are summed from the outer end; the
         # tail is added to every sum below
         if kept is None:
-            cells = cell_integrals(law.density, grid, out=law.suffix[:-1])
+            cells = cell_integrals(lambda s: _power(model.warp.h(s), -q), grid, out=suffix[:-1])
         else:
-            cells = cell_integrals(law.power, grid, out=law.suffix[:-1], table=kept.gauss)
+            cells = cell_integrals(lambda h: _power(h, -q), grid, out=suffix[:-1], table=kept.gauss)
         # two reductions and no temporaries; a NaN cell makes min() NaN, which fails too
         if not (cells.min() > 0.0 and cells.max() < math.inf):
             raise ConvergenceError("flux quadrature produced non-positive or non-finite cells")
@@ -516,14 +551,16 @@ def solve_radial(
         # some arguments differently
         tail = scale * r_max ** (1.0 - q_beta) / (q_beta - 1.0)
         cells += tail
-        law.suffix[-1] = tail
-        ends = law.suffix[[0, -1]]
+        suffix[-1] = tail
+        ends = suffix[[0, -1]]
+        kind, fields = _CellFluxPotential, dict(grid=grid, suffix=suffix, exponent=-q, kept=kept)
     else:
-        scale, q_beta = _power_law_constants(q, beta, p.value, c=float(model.warp.h(1.0)))
-        law = _PowerLawFlux(scale, q_beta, r0, r_max, n_grid)
+        c, beta = declared
+        scale, q_beta = _power_law_constants(q, beta, p.value, c=c)
         # I at the end nodes alone, as the node arrays would hold it
-        ends = law.flux(np.array([r0, r_max]))
+        ends = _power_law_flux(np.array([r0, r_max]), scale, q_beta)
         tail = float(ends[-1])
+        kind, fields = _PowerLawPotential, dict(scale=scale, q_beta=q_beta)
     if tail == 0.0:
         raise ConvergenceError(
             f"tail integral of h^(-2/(p-1)) underflows to 0.0: c^(-q) = {scale!r} times "
@@ -538,7 +575,7 @@ def solve_radial(
         )
 
     w0, t_max = _levels_of(ends, normalizer, p.value)  # w at the end nodes alone
-    pot = RadialPotential(
+    pot = kind(
         model=model,
         p=p,
         r0=r0,
@@ -549,9 +586,9 @@ def solve_radial(
         tail_beta=float(beta),
         w0=float(w0),
         t_max=float(t_max),
-        law=law,
+        **fields,
     )
-    if not law.decreases():
+    if not pot.decreases():
         raise ConvergenceError("flux integral failed to be strictly decreasing")
     return pot
 
@@ -562,48 +599,6 @@ def _levels_of(flux: np.ndarray, normalizer: float, p_value: float) -> np.ndarra
     np.subtract(math.log(normalizer), w, out=w)
     w *= p_value - 1.0
     return w
-
-
-def _strictly_decreasing(suffix: np.ndarray) -> bool:
-    return not np.any(suffix[1:] >= suffix[:-1])
-
-
-def _certainly_decreasing(law: _PowerLawFlux) -> bool:
-    """Whether I of the power law ``law`` is certain to decrease strictly over
-    its nodes, from the closed form alone.
-
-    Exact nodes lower I by the relative gap 1 - exp(-(q beta - 1) log(r_trunc
-    / r0) / (n_grid - 1)) from one to the next.  Rounding in log10, the steps
-    and 10**y moves a node's log radius by a few ulps of |log r0| +
-    |log r_trunc|, which I amplifies by q beta - 1, and pow, the scale and the
-    division add a few ulps of I: the gap must exceed twice 64 times their
-    sum.  The power, the scaled power and I must also be normal floats at both
-    ends (so at every node between), where rounding is relative.
-    """
-    radii = np.array([law.r0, law.r_trunc])
-    power = np.power(radii, 1.0 - law.q_beta)
-    for values in (power, power * law.scale, law.flux(radii)):
-        if not (values.min() >= np.finfo(float).tiny and values.max() < math.inf):
-            return False
-    r0, r_max, slope = law.r0, law.r_trunc, law.q_beta - 1.0
-    gap = -math.expm1(-slope * math.log(r_max / r0) / (law.n_grid - 1))
-    noise = 64.0 * _EPS * (1.0 + slope * (1.0 + abs(math.log(r0)) + abs(math.log(r_max))))
-    return gap > 2.0 * noise
-
-
-def _check_levels(pot: RadialPotential, t) -> np.ndarray:
-    """The one level validator: finite levels in [0, t_max] (1e-12 slack, clamped)."""
-    t = np.asarray(t, dtype=float)
-    flat = t.reshape(-1)
-    if not np.all(np.isfinite(flat)):
-        raise DomainError(f"level t = {flat[~np.isfinite(flat)][0]} is not a finite number")
-    outside = (flat < -1e-12) | (flat > pot.t_max + 1e-12)
-    if np.any(outside):
-        raise DomainError(
-            f"level t = {flat[outside][0]} beyond truncation: representable levels are "
-            f"[0, {pot.t_max:.6f}]"
-        )
-    return np.clip(t, 0.0, pot.t_max)
 
 
 def radius_of_level(pot: RadialPotential, t):
@@ -624,18 +619,12 @@ def radius_of_level(pot: RadialPotential, t):
     floor; it then takes its last step, unless the step is within
     LEVEL_STEP_ULPS of the iterate, which is kept.  On a fine grid the Hermite
     start is usually kept, and a level then costs one 12-point panel of
-    h^(-q).  The level rows read the same query (the flux's ``levels``),
+    h^(-q).  The level rows read the same query (:meth:`RadialPotential.levels`),
     which returns I and h^(-q) at the radii too.
     """
     t = np.asarray(t, dtype=float)
-    radii = _levels(pot, t)[0]
+    radii = pot.levels(t)[0]
     return float(radii[0]) if t.ndim == 0 else radii.reshape(t.shape)
-
-
-def _levels(pot: RadialPotential, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, I, h^(-q)) at the levels t, validated and flattened: the one level
-    entry, the potential's flux's ``levels``."""
-    return pot.law.levels(pot, _check_levels(pot, t).reshape(-1))
 
 
 def _level_at(pot: RadialPotential, r: np.ndarray) -> np.ndarray:
@@ -650,6 +639,6 @@ def _capacity_at(pot: RadialPotential, h, w_prime):
 
 def capacity(pot: RadialPotential, t: float) -> float:
     """Normalized capacity of the level set {w = t}."""
-    r, flux, density = _levels(pot, [float(t)])
+    r, flux, density = pot.levels([float(t)])
     h = pot.model.warp.h(r)
     return float(_capacity_at(pot, h, (pot.p_value - 1.0) * density / flux)[0])

@@ -31,7 +31,6 @@ from .potential import (
     PExponent,
     RadialPotential,
     _level_at,
-    _levels,
     as_p,
     solve_radial,
 )
@@ -572,7 +571,7 @@ def run_contradiction_scenario(
     def coarea_at(t: np.ndarray) -> np.ndarray:
         # area / w' from the level query's r, I and h^(-q) and the warp alone,
         # by the expressions of geometry._levelset_data and functionals._level
-        r, flux, density = _levels(pot, t)
+        r, flux, density = pot.levels(t)
         h = pot.model.warp.h(r)
         return (4.0 * math.pi * h * h) / ((pot.p_value - 1.0) * density / flux)
 

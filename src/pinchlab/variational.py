@@ -105,7 +105,7 @@ class DiscreteSolution(NamedTuple):
 
 # The one mesh kept between calls of discretize, keyed by (r0, r_cut,
 # n_cells): its nodes, its cell widths and the closed-form weights of at most
-# _LAWS_PER_MESH power laws on it, keyed by (beta, c), the oldest dropped
+# _LAWS_PER_MESH power laws on it, keyed by their (c, beta), the oldest dropped
 # first.  A new mesh drops the old one with its weights.
 _LAWS_PER_MESH = 4
 _meshes: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray, dict]] = {}
@@ -116,7 +116,7 @@ def discretize(
 ) -> DiscreteProblem:
     """Build the discrete problem on a geometric mesh of n_cells cells.
 
-    When h = c r^beta exactly (beta = ``warp.power_law``, c = h(1)), the
+    When h = c r^beta exactly (the warp's ``exact_power``), the
     weights 4 pi integral h^2 take the closed form 4 pi c^2 a^g
     expm1(g log1p((b - a)/a)) / g on each cell [a, b], g = 2 beta + 1, which
     keeps full precision on thin cells where b^g - a^g would cancel; any
@@ -159,19 +159,18 @@ def discretize(
         density *= h
         return density
 
-    beta = model.warp.power_law
+    law = model.warp.exact_power
     # an overflowing weight is refused by name below
     with np.errstate(over="ignore"):
-        if beta is None:
+        if law is None:
             weights = cell_integrals(area_density, mesh)
             weights.flags.writeable = False
         else:
-            law = (beta, float(model.warp.h(1.0)))
             weights = laws.get(law)
             if weights is None:
                 if len(laws) == _LAWS_PER_MESH:
                     del laws[next(iter(laws))]
-                weights = laws[law] = _power_law_weights(mesh, dx, *law)
+                weights = laws[law] = _power_law_weights(mesh, dx, beta=law[1], c=law[0])
     # two reductions and no temporaries; a NaN weight makes min() NaN, which fails too
     if not (weights.min() > 0.0 and weights.max() < math.inf):
         bad = int(np.argmin((weights > 0.0) & (weights < math.inf)))

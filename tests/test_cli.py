@@ -740,6 +740,45 @@ def _error_lines(capsys) -> list[str]:
     return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("out, at_fault", [
+    ("afile/x.out", "afile/x.out"),  # under a regular file
+    ("adir", "adir"),  # a directory
+    ("afile/sub/x.out", "afile/sub"),  # a parent that cannot be created
+])
+def test_an_out_path_that_cannot_be_written_exits_2(out, at_fault, fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "adir").mkdir()
+    try:
+        code = main(["solve", "--model", "flat", "--grid-n", "256", "--format", fmt, "--out", out])
+    finally:
+        gc.unfreeze()
+    assert code == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and lines[0].startswith(f"error: out: cannot write {at_fault!r}: "), lines
+    assert (tmp_path / "afile").read_text() == "kept\n" and list((tmp_path / "adir").iterdir()) == []
+
+
+def test_model_flag_overrides_the_config_model(tmp_path, capsys):
+    # a flag overrides its config key, --model included; an unknown name is refused by name
+    config = tmp_path / "cone.json"
+    config.write_text(json.dumps({"model": {"kind": "cone", "a": 0.8}, "scenario": "solve", "n_grid": 256}))
+    args = build_parser().parse_args(["solve", "--config", str(config), "--model", "flat"])
+    assert _config_from_args(args).model == {"kind": "flat"}
+    try:
+        assert main(["solve", "--config", str(config), "--model", "flat"]) == 0
+        assert "model: flat" in capsys.readouterr().out
+        assert main(["solve", "--config", str(config)]) == 0
+        assert "model: cone" in capsys.readouterr().out
+        assert main(["solve", "--config", str(config), "--model", "nope"]) == 2
+    finally:
+        gc.unfreeze()
+    assert _error_lines(capsys) == [
+        f"error: --model: unknown library model 'nope'; choices: {sorted(pl.geometry.LIBRARY)}"
+    ]
+
+
 @pytest.mark.parametrize("command", ["solve", "monotone", "contradict"])
 def test_level_scenarios_name_the_solve_stage(command, capsys):
     # flat at p = 1.02: the tail integral I(r_max) underflows, and each scenario names the stage
@@ -820,7 +859,7 @@ def test_outputs_do_not_depend_on_reading_the_node_arrays(tmp_path, monkeypatch,
 
     def reading(*args, **kwargs):
         pot = solve(*args, **kwargs)
-        assert not {"grid", "suffix"} & set(vars(pot.law)) and "w" not in vars(pot)
+        assert not {"grid", "suffix"} & set(vars(pot)) and "w" not in vars(pot)
         pot.grid, pot.suffix, pot.w
         solves.append(pot)
         return pot

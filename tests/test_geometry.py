@@ -382,3 +382,17 @@ def test_describe_is_plain_data():
     assert desc["kind"] == "cone"
     assert desc["params"] == {"a": 0.8}
     assert desc["r_min"] == 1e-4
+
+
+@pytest.mark.parametrize("warp", [
+    pl.geometry.flat_warp(),
+    *(pl.geometry.cone_warp(a) for a in (0.3, 0.8, 1.0)),
+    *(pl.geometry.power_warp(alpha) for alpha in (0.5, 1.5, 2.0)),
+], ids=lambda warp: f"{warp.kind}{dict(warp.params)}")
+def test_declared_power_law_is_h_at_one_and_beta_bit_for_bit(warp):
+    # the factories declare (c, beta); c is h(1) and beta the family's
+    # exponent (1 for flat and cones, alpha/2 for power warps), bit for bit
+    c, beta = warp.exact_power
+    expected = 0.5 * warp.params["alpha"] if warp.kind == "power_warp" else 1.0
+    assert (c.hex(), beta.hex()) == (float(warp.h(1.0)).hex(), expected.hex())
+    assert warp.power_law == beta

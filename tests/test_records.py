@@ -54,8 +54,8 @@ DATACLASSES = {
     "geometry.ManifoldModel",
     "potential.PExponent",
     "potential.RadialPotential",
-    "potential._PowerLawFlux",
-    "potential._CellFlux",
+    "potential._PowerLawPotential",
+    "potential._CellFluxPotential",
     "potential._WarpGrid",
     "report.StageVerdict",
     "report.ScenarioReport",

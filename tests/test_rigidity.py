@@ -533,22 +533,22 @@ def test_the_slab_integrand_reads_the_level_query_and_h_alone(name, monkeypatch)
 def test_a_cell_flux_contradict_reads_one_panel_per_inverted_level(monkeypatch):
     # at 4096 nodes the Hermite start of every level between two nodes is
     # converged: each such level reads one 12-point panel of h^(-q) through
-    # _CellFlux.flux, and _level takes I and h^(-q) from the level query, never
+    # _CellFluxPotential._flux, and _level takes I and h^(-q) from the level query, never
     # from flux_integral_at; only the slab's cell edges read that
     from pinchlab import functionals, potential, rigidity
 
     radii, inverted, reads, inside_level = [], [], [], []
-    flux, levels = potential._CellFlux.flux, potential._CellFlux.levels
+    flux, levels = potential._CellFluxPotential._flux, potential._CellFluxPotential._invert
     flux_integral_at, level = potential.RadialPotential.flux_integral_at, functionals._level
 
-    def counting_flux(law, r, j=None):
+    def counting_flux(pot, r, j=None):
         radii.append(np.size(r))
-        return flux(law, r, j)
+        return flux(pot, r, j)
 
-    def counting_levels(law, pot, t):
+    def counting_levels(pot, t):
         j = np.searchsorted(pot.w, t, side="left")
         inverted.append(int(np.count_nonzero((j > 0) & (pot.w[j] != t))))
-        return levels(law, pot, t)
+        return levels(pot, t)
 
     def recording_flux_integral_at(pot, r):
         reads.append((bool(inside_level), np.size(r)))
@@ -561,8 +561,8 @@ def test_a_cell_flux_contradict_reads_one_panel_per_inverted_level(monkeypatch):
         finally:
             inside_level.pop()
 
-    monkeypatch.setattr(potential._CellFlux, "flux", counting_flux)
-    monkeypatch.setattr(potential._CellFlux, "levels", counting_levels)
+    monkeypatch.setattr(potential._CellFluxPotential, "_flux", counting_flux)
+    monkeypatch.setattr(potential._CellFluxPotential, "_invert", counting_levels)
     monkeypatch.setattr(potential.RadialPotential, "flux_integral_at", recording_flux_integral_at)
     monkeypatch.setattr(functionals, "_level", flagged_level)
     model = pl.library()["positive_cap_1"]
