@@ -10,11 +10,13 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import inspect
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -254,7 +256,7 @@ def _scenario_solve(config: RunConfig, model: geometry.ManifoldModel) -> Scenari
     u0 = float(pot.flux_integral_at(pot.r0)[0]) / pot.normalizer
     boundary_ok = abs(u0 - 1.0) <= 1e-12 and abs(pot.w0) <= 1e-12
     cap_tol = config.tolerance("capacity")
-    cap_dev = float(np.max(np.abs(table["cap_ratio_to_exp_t"] - 1.0)))
+    cap_dev = float(np.abs(table["cap_ratio_to_exp_t"] - 1.0).max())
     verdicts = [
         StageVerdict.judge(
             "solve",
@@ -290,11 +292,11 @@ def _scenario_monotone(config: RunConfig, model: geometry.ManifoldModel) -> Scen
     tol_holder = config.tolerance("holder")
 
     def non_increasing(values):
-        worst = float(np.max(np.diff(values) / (1.0 + np.abs(values[:-1]))))
+        worst = float(((values[1:] - values[:-1]) / (1.0 + np.abs(values[:-1]))).max())
         return worst, worst <= tol_mono
 
     def relative_gap(measured, reference):
-        return float(np.max(np.abs(measured - reference) / (1.0 + np.abs(reference))))
+        return float((np.abs(measured - reference) / (1.0 + np.abs(reference))).max())
 
     f_vals, g_vals = table["F"], table["G"]
     worst_f, ok_f = non_increasing(f_vals)
@@ -504,12 +506,37 @@ def summary_text(report: ScenarioReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_all(files: dict[Path, str]):
+    """Write each file's text, opening every file before any is written.
+
+    Opening truncates nothing, so a file that cannot be opened (a directory,
+    under a regular file, not permitted) raises its OSError with every file as
+    it was: the files this call created are removed first.
+    """
+    opened = []
+    try:
+        for target in files:
+            created = not target.exists()
+            opened.append((os.open(target, os.O_WRONLY | os.O_CREAT, 0o666), target, created))
+    except OSError:
+        for fd, target, created in opened:
+            os.close(fd)
+            if created:
+                target.unlink()
+        raise
+    with contextlib.ExitStack() as stack:
+        streams = [stack.enter_context(open(fd, "wb")) for fd, _, _ in opened]
+        for stream, text in zip(streams, files.values()):
+            stream.truncate(0)
+            stream.write(text.encode("utf-8"))
+
+
 def emit(report: ScenarioReport, fmt: str = "csv", out: str | None = None):
     """Write the report; returns written paths, or the summary text if out is None.
 
     A path that cannot be written (its parent a regular file or not
     creatable, or the path itself a directory) is refused as a ConfigError
-    naming ``out``.
+    naming it, and every file is left as it was (see :func:`_write_all`).
     """
     if fmt not in FORMATS:
         raise ConfigError(f"format: unknown format {fmt!r}; choices: {FORMATS}")
@@ -524,8 +551,7 @@ def emit(report: ScenarioReport, fmt: str = "csv", out: str | None = None):
     try:
         if not path.parent.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
-        for target, text in files.items():
-            target.write_bytes(text.encode("utf-8"))
+        _write_all(files)
     except OSError as exc:
         raise ConfigError(f"out: cannot write {str(exc.filename or out)!r}: {exc.strerror or exc}") from exc
     return [str(target) for target in files]

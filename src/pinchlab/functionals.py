@@ -156,7 +156,7 @@ def _table(pot: RadialPotential, ts, extra=()) -> tuple[dict, np.ndarray]:
         raise DomainError(f"levels must be a scalar or a 1-D sequence, got shape {ts.shape}")
     # the finite-difference stencil of each level must lie inside [0, t_max]
     outside = ~((FD_STEP <= ts) & (ts <= pot.t_max - FD_STEP))
-    if np.any(outside):
+    if outside.any():
         raise DomainError(
             f"level range violation: need dt <= t <= t_max - dt, "
             f"got t = {ts[outside][0]}, dt = {FD_STEP}, t_max = {pot.t_max:.6g}"
@@ -170,7 +170,7 @@ def _table(pot: RadialPotential, ts, extra=()) -> tuple[dict, np.ndarray]:
     geo = lv.geo
     area, wp, cap = geo.area[at], lv.wp[at], lv.cap[at]
     cap0 = float(lv.cap[0])
-    holder_rhs = np.array([_holder_rhs(p, a, g) for a, g in zip(area.tolist(), wp.tolist())])
+    holder_rhs = _holder_rhs(p, area, wp)
     table = {
         "t": ts,
         "r": lv.r[at],
@@ -225,21 +225,20 @@ def level_table(pot: RadialPotential, ts) -> dict:
     return _table(pot, ts)[0]
 
 
-def _holder_rhs(p: float, area: float, wp: float) -> float:
-    """The interpolation bound on cap(t) = e^t cap(0) on a sphere of the given
-    area where |grad w| = wp:
+def _holder_rhs(p: float, area: np.ndarray, wp: np.ndarray) -> np.ndarray:
+    """The interpolation bound on cap(t) = e^t cap(0) on each sphere of the
+    given areas where |grad w| = wp:
         (1/4pi) (3-p)^(1-p) (integral |grad w|^2)^(p/3) (integral |grad w|^-1)^((3-p)/3),
     which collapses to equality whenever |grad w| is constant on the level
-    set, always the case radially.  Python floats: numpy's SIMD pow rounds
-    some arguments differently from ``**``."""
+    set, always the case radially.  Python floats, one sphere at a time:
+    numpy's SIMD pow rounds some arguments differently from ``**``.  The
+    factor of p alone is taken once; Python multiplies from the left, so it
+    is the product each sphere would have formed first."""
     m = 3.0 - p
-    int_grad_sq = wp * wp * area
-    int_grad_inv = area / wp
-    return (
-        (1.0 / (4.0 * math.pi))
-        * m ** (1.0 - p)
-        * int_grad_sq ** (p / 3.0)
-        * int_grad_inv ** (m / 3.0)
+    factor = (1.0 / (4.0 * math.pi)) * m ** (1.0 - p)
+    e_sq, e_inv = p / 3.0, m / 3.0
+    return np.array(
+        [factor * (g * g * a) ** e_sq * (a / g) ** e_inv for a, g in zip(area.tolist(), wp.tolist())]
     )
 
 

@@ -97,8 +97,7 @@ def interval_integrals(
     place and added up one after another, so each interval is summed in the
     same order whatever its batch or block.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
+    a, b = _intervals(a, b)
     if out is None:
         out = np.empty(a.shape)
     elif out.shape != a.shape or out.dtype != float:
@@ -122,13 +121,21 @@ def gauss_table(g, a, b) -> np.ndarray:
     layout :func:`interval_integrals` reads as its ``table``: block after
     block of at most _BLOCK intervals, each node-major.  ``g`` is called once
     per block, on the points interval_integrals would pass an integrand."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
+    a, b = _intervals(a, b)
     n = _NODES.size
     table = np.empty(n * a.size)
     for cells, _, pts in _gauss_blocks(a, b):
         table[n * cells.start : n * cells.stop] = g(pts.reshape(-1))
     return table
+
+
+def _intervals(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The float arrays a (at least 1-D) and b, broadcast together when their shapes differ."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    return a, b
 
 
 def _gauss_blocks(a: np.ndarray, b: np.ndarray, points: bool = True):
@@ -175,13 +182,14 @@ def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size < 2:
         raise DomainError("line fit needs at least two samples")
-    if np.ptp(x) <= 0.0:
+    # np.ptp(x) and x.mean(), y.mean(), bit for bit, without their Python wrappers
+    if x.max() - x.min() <= 0.0:
         raise DomainError("line fit abscissae are degenerate (zero spread)")
-    mx, my = x.mean(), y.mean()
+    mx, my = x.sum() / x.size, y.sum() / y.size
     dx = x - mx
     # numpy's pairwise sums, not a BLAS dot: no thread start-up, and the same
     # rounding whatever the thread count
-    slope = np.sum(dx * (y - my)) / np.sum(dx * dx)
+    slope = (dx * (y - my)).sum() / (dx * dx).sum()
     return float(slope), float(my - slope * mx)
 
 
@@ -192,6 +200,6 @@ def log_log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
+    if (x <= 0.0).any() or (y <= 0.0).any():
         raise DomainError("log_log_fit needs strictly positive data")
     return line_fit(np.log(x), np.log(y))

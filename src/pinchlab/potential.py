@@ -147,19 +147,21 @@ class RadialPotential:
         that is clamped away (see :func:`radius_of_level` for the inversion).
         """
         t = np.asarray(t, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise DomainError(f"level t = {t[~np.isfinite(t)][0]} is not a finite number")
         outside = (t < -1e-12) | (t > self.t_max + 1e-12)
-        if np.any(outside):
+        if outside.any():
             raise DomainError(
                 f"level t = {t[outside][0]} beyond truncation: representable levels are "
                 f"[0, {self.t_max:.6f}]"
             )
-        return self._invert(np.clip(t, 0.0, self.t_max))
+        # np.clip's values on finite levels, without its Python wrapper
+        clamped = np.maximum(t, 0.0)
+        return self._invert(np.minimum(clamped, self.t_max, out=clamped))
 
     def decreases(self) -> bool:
         """Whether I decreases strictly over the nodes."""
-        return not np.any(self.suffix[1:] >= self.suffix[:-1])
+        return not (self.suffix[1:] >= self.suffix[:-1]).any()
 
 
 def _power_law_flux(r: np.ndarray, scale: float, q_beta: float) -> np.ndarray:
@@ -223,7 +225,7 @@ class _PowerLawPotential(RadialPotential):
         radii = np.array([self.r0, self.r_trunc])
         power = np.power(radii, 1.0 - self.q_beta)
         for values in (power, power * self.scale, self._flux(radii)):
-            if not (values.min() >= np.finfo(float).tiny and values.max() < math.inf):
+            if not (values.min() >= _TINY and values.max() < math.inf):
                 return False
         r0, r_max, slope = self.r0, self.r_trunc, self.q_beta - 1.0
         gap = -math.expm1(-slope * math.log(r_max / r0) / (self.n_grid - 1))
@@ -238,7 +240,8 @@ class _PowerLawPotential(RadialPotential):
         once (p - 1 is exact for 1 < p < 2)."""
         radii = np.exp(t / (2.0 * self.tail_beta - (self.p_value - 1.0)))
         radii *= self.r0
-        np.clip(radii, self.r0, self.r_trunc, out=radii)
+        np.maximum(radii, self.r0, out=radii)
+        np.minimum(radii, self.r_trunc, out=radii)
         radii[t == self.t_max] = self.r_trunc
         return radii, self._flux(radii), self.density(radii)
 
@@ -248,6 +251,7 @@ LEVEL_NEWTON_RTOL = 1e-13  # a level has converged once its Newton step is below
 LEVEL_RESIDUAL_ULPS = 16  # ...or once w(r) - t is within this many rounding units of its terms
 LEVEL_STEP_ULPS = 4  # a converged level stays at its iterate if the step is within this, relative
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 WARP_GRID_MAX_NODES = 2**13  # most nodes of a grid whose warp a model keeps: 112 B a node, 0.92 MB at the cap
@@ -334,9 +338,10 @@ class _CellFluxPotential(RadialPotential):
         plus suffix[j+1], or suffix[j] where r is grid[j], with j the grid cell
         of r (searched when None)."""
         if j is None:
-            j = np.searchsorted(self.grid, r, side="right")
+            j = self.grid.searchsorted(r, side="right")
             j -= 1
-            np.clip(j, 0, self.grid.size - 2, out=j)
+            np.maximum(j, 0, out=j)
+            np.minimum(j, self.grid.size - 2, out=j)
         out = interval_integrals(self.density, r, self.grid[j + 1])
         out += self.suffix[j + 1]
         exact = r == self.grid[j]
@@ -360,9 +365,9 @@ class _CellFluxPotential(RadialPotential):
         read there; any other converged level takes its last step, as every
         level did before, and pays one more panel at the stepped iterate."""
         w = self.w
-        j = np.searchsorted(w, t, side="left")
+        j = w.searchsorted(t, side="left")
         radii, flux, density = self.grid[j], self.suffix[j], self.node_density[j]
-        todo = np.flatnonzero((j > 0) & (w[j] != t))
+        todo = ((j > 0) & (w[j] != t)).nonzero()[0]
         if todo.size == 0:
             return radii, flux, density
         j, t = j[todo], t[todo]
@@ -544,7 +549,7 @@ def solve_radial(
         # two reductions and no temporaries; a NaN cell makes min() NaN, which fails too
         if not (cells.min() > 0.0 and cells.max() < math.inf):
             raise ConvergenceError("flux quadrature produced non-positive or non-finite cells")
-        np.cumsum(cells[::-1], out=cells[::-1])
+        cells[::-1].cumsum(out=cells[::-1])
         beta, log_c = _tail_fit(model.warp, grid) if kept is None else kept.fit
         scale, q_beta = _power_law_constants(q, beta, p.value, log_c=log_c)
         # libm's scalar power keeps the fitted tail's bits: numpy's SIMD power rounds

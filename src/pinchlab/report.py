@@ -9,6 +9,7 @@ the one table that both the command line and the scenario runner read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 __all__ = [
     "ROW_COLUMNS",
@@ -67,10 +68,23 @@ ROW_COLUMNS = (
 _STATUSES = {"pass": "PASS", "fail": "FAIL", "not-applicable": "N/A "}
 
 
+def _rows_of_columns(names: tuple) -> Callable[[list], list[dict]]:
+    """A function of a list of columns, one per name, that returns their rows
+    as dicts keyed by the names in order.  Its source is generated once, as
+    collections.namedtuple generates its ``__new__``, so that each row is one
+    dict display rather than a dict(zip()) call."""
+    args = ", ".join(f"_{i}" for i in range(len(names)))
+    display = ", ".join(f"{name!r}: _{i}" for i, name in enumerate(names))
+    source = f"lambda columns: [{{{display}}} for {args}, in zip(*columns)]"
+    return eval(source, {"__builtins__": {}, "zip": zip})
+
+
+_rows = _rows_of_columns(ROW_COLUMNS)
+
+
 def table_rows(table) -> list[dict]:
     """The per-level row dicts of a column table such as ``functionals.level_table``."""
-    columns = [table[name].tolist() for name in ROW_COLUMNS]
-    return [dict(zip(ROW_COLUMNS, row)) for row in zip(*columns)]
+    return _rows([table[name].tolist() for name in ROW_COLUMNS])
 
 
 @dataclass(frozen=True)

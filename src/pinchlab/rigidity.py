@@ -295,24 +295,37 @@ def ordering_check(
     unequal = ~(np.abs(G - F) <= 1e-12 * (1.0 + np.abs(F)))
     ratios = dG[unequal] / ((m * m / (p - 1.0)) * (G - F)[unequal])
     if ratios.size:
-        constant = float(np.median(ratios))
-        max_dev = float(np.max(np.abs(ratios / constant - 1.0)))
+        constant = _median(ratios)
+        max_dev = float(np.abs(ratios / constant - 1.0).max())
     else:
         constant = math.nan
         max_dev = 0.0
-    order = np.argsort(levels)
+    order = levels.argsort()
     slack = tol * (1.0 + np.abs(F))
     return OrderingReport(
         levels=tuple(levels.tolist()),
         F_values=tuple(f_vals),
         G_values=tuple(g_vals),
-        ordering_ok=bool(np.all((-slack <= G) & (G <= F + slack))),
+        ordering_ok=bool(((-slack <= G) & (G <= F + slack)).all()),
         proportionality_constant=constant,
         proportionality_expected=1.0 / (m * m),
         proportionality_max_dev=max_dev,
         tail_F=f_vals[order[-1]],
         tail_G=g_vals[order[-1]],
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D float array, bit for bit, from one sort:
+    the mean of the middle value or two, summed and divided as np.mean does
+    (so a zero median is +0.0), and NaN when a value is NaN (np.sort puts NaN
+    last)."""
+    ordered = np.sort(values)
+    if ordered[-1] != ordered[-1]:
+        return math.nan
+    half = ordered.size // 2
+    middle = ordered[half - 1 + ordered.size % 2 : half + 1]
+    return float(np.add.reduce(middle) / middle.size)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +482,7 @@ def run_contradiction_scenario(
 
     # --- capacity law and interpolation chain ------------------------------
     cap_ratio = table["cap_ratio_to_exp_t"][t <= 10.0 + functionals.FD_STEP]
-    cap_dev = float(np.max(np.abs(cap_ratio - 1.0)))
+    cap_dev = float(np.abs(cap_ratio - 1.0).max())
     check(
         "capacity-law",
         cap_dev <= float(opts["capacity_tol"]),
@@ -479,7 +492,7 @@ def run_contradiction_scenario(
 
     # a gap within tol (1 + |rhs|) also bounds the chain's inequality cap <= rhs
     holder_rhs = table["holder_rhs"]
-    holder_dev = float(np.max(np.abs(table["holder_gap"]) / (1.0 + np.abs(holder_rhs))))
+    holder_dev = float((np.abs(table["holder_gap"]) / (1.0 + np.abs(holder_rhs))).max())
     check(
         "holder-chain",
         holder_dev <= float(opts["holder_tol"]),
@@ -500,7 +513,7 @@ def run_contradiction_scenario(
     )
     constants["decay_slope_measured"] = slope_measured
     constants["decay_slope_pinched"] = slope_expected
-    constants["K_envelope_measured"] = float(np.max(F * functionals._libm_exp(2.0 * t / m)))
+    constants["K_envelope_measured"] = float((F * functionals._libm_exp(2.0 * t / m)).max())
 
     f_first = float(F[0])
     # relative margin: flat space has F = 4 pi exactly, up to last-bit rounding
@@ -529,10 +542,10 @@ def run_contradiction_scenario(
     envelope_exponent = (9.0 - p.value) / (m * m)
 
     window = (t0v <= t) & (t <= t1v)
-    if not np.any(window):
+    if not window.any():
         window[:] = True
     coarea = table["area"][window] / table["grad_w"][window]
-    kappa = float(np.min(coarea * functionals._libm_exp(-envelope_exponent * t[window])))
+    kappa = float((coarea * functionals._libm_exp(-envelope_exponent * t[window])).min())
     constants["kappa"] = kappa
     constants["envelope_exponent"] = envelope_exponent
     consequence(
@@ -552,7 +565,7 @@ def run_contradiction_scenario(
     # one call for the fit and the slab's two balls: a radius's volume does not
     # depend on the other radii of its call
     volumes = geometry.ball_volume(model, np.concatenate([fit_radii, [r_t0, r_t1]]))
-    k_vol = float(np.max(volumes[:-2] / fit_radii ** (1.0 + alpha_used)))
+    k_vol = float((volumes[:-2] / fit_radii ** (1.0 + alpha_used)).max())
     slab_upper = k_vol * r_t1 ** (1.0 + alpha_used)
     contradiction = slab_lower > slab_upper * (1.0 + 1e-9)
     check(
@@ -580,7 +593,7 @@ def run_contradiction_scenario(
         # nearly flat in r, r(t) is steep, and equal steps in t would miss it
         radii = geometric_grid(r_t0, r_t1, SLAB_CELLS + 1)[1:-1]
         edges = np.concatenate([[t0v], _level_at(pot, radii), [t1v]])
-        integral = float(np.sum(cell_integrals(coarea_at, edges)))
+        integral = float(cell_integrals(coarea_at, edges).sum())
         return integral, float(volumes[-1] - volumes[-2])
 
     integral, direct = _run_stage("slab-volume-consistency", slab_check)

@@ -671,6 +671,15 @@ def test_contradict_loads_no_numpy_polynomial(tmp_path):
     assert out.exists()
 
 
+def test_monotone_loads_no_numpy_ma(tmp_path):
+    # the dG/dt fit's median comes from one sort: np.median would import
+    # numpy.ma, ~10 ms of a cold process, on a model whose F and G rows differ
+    out = tmp_path / "out.csv"
+    argv = ("monotone", "--model", "power_warp_1.5", "--p", "1.5", "--out", str(out))
+    assert _loaded_under("numpy.ma", *argv, cwd=tmp_path) == []
+    assert out.exists()
+
+
 @pytest.mark.parametrize("model", ["power_warp_1.5", "flat"])
 @pytest.mark.parametrize("command", ["solve", "monotone", "check"])
 def test_scenarios_load_no_scipy(command, model, tmp_path):
@@ -740,16 +749,27 @@ def _error_lines(capsys) -> list[str]:
     return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("out, at_fault", [
-    ("afile/x.out", "afile/x.out"),  # under a regular file
-    ("adir", "adir"),  # a directory
-    ("afile/sub/x.out", "afile/sub"),  # a parent that cannot be created
+@pytest.mark.parametrize("out, at_fault, fmt", [
+    *[
+        (out, at_fault, fmt)
+        for out, at_fault in [
+            ("afile/x.out", "afile/x.out"),  # under a regular file
+            ("adir", "adir"),  # a directory
+            ("afile/sub/x.out", "afile/sub"),  # a parent that cannot be created
+        ]
+        for fmt in ["csv", "json"]
+    ],
+    # the CSV is writable but its sidecar's path is a directory: neither a new
+    # CSV nor an existing one is left behind changed
+    ("x.csv", "x.verdicts.json", "csv"),
+    ("kept.csv", "kept.verdicts.json", "csv"),
 ])
 def test_an_out_path_that_cannot_be_written_exits_2(out, at_fault, fmt, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "afile").write_text("kept\n")
-    (tmp_path / "adir").mkdir()
+    for name in ("afile", "kept.csv"):
+        (tmp_path / name).write_text("kept\n")
+    for name in ("adir", "x.verdicts.json", "kept.verdicts.json"):
+        (tmp_path / name).mkdir()
     try:
         code = main(["solve", "--model", "flat", "--grid-n", "256", "--format", fmt, "--out", out])
     finally:
@@ -757,7 +777,12 @@ def test_an_out_path_that_cannot_be_written_exits_2(out, at_fault, fmt, tmp_path
     assert code == 2
     lines = _error_lines(capsys)
     assert len(lines) == 1 and lines[0].startswith(f"error: out: cannot write {at_fault!r}: "), lines
-    assert (tmp_path / "afile").read_text() == "kept\n" and list((tmp_path / "adir").iterdir()) == []
+    assert sorted(os.listdir(tmp_path)) == [
+        "adir", "afile", "kept.csv", "kept.verdicts.json", "x.verdicts.json"
+    ]
+    assert (tmp_path / "afile").read_text() == "kept\n" == (tmp_path / "kept.csv").read_text()
+    for name in ("adir", "x.verdicts.json", "kept.verdicts.json"):
+        assert list((tmp_path / name).iterdir()) == []
 
 
 def test_model_flag_overrides_the_config_model(tmp_path, capsys):

@@ -18,6 +18,8 @@ import weakref
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pinchlab as pl
 from pinchlab import functionals
@@ -467,6 +469,49 @@ def test_log_log_fit_matches_least_squares(rng):
     x, y = rng.uniform(0.5, 50.0, 1000), rng.uniform(0.1, 10.0, 1000)
     reference = np.polyfit(np.log(x), np.log(y), 1)
     assert np.allclose(log_log_fit(x, y), reference, rtol=0.0, atol=64 * EPS)
+
+
+def _line_fit_by_numpy_wrappers(x, y):
+    """line_fit's closed form through numpy's Python-level np.ptp, mean and
+    np.sum: the reference whose bits line_fit keeps."""
+    if np.ptp(x) <= 0.0:
+        raise pl.DomainError("line fit abscissae are degenerate (zero spread)")
+    mx, my = x.mean(), y.mean()
+    dx = x - mx
+    slope = np.sum(dx * (y - my)) / np.sum(dx * dx)
+    return float(slope), float(my - slope * mx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xy=st.integers(2, 40).flatmap(
+        lambda n: st.tuples(*[st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))] * n)
+    )
+)
+def test_line_fit_keeps_the_bits_of_numpys_wrappers(xy):
+    from pinchlab.numerics import line_fit
+
+    x, y = (np.array(column) for column in zip(*xy))
+    # subnormal spreads square to 0.0, and both forms divide 0 by 0 alike
+    with np.errstate(all="ignore"):
+        try:
+            expected = _line_fit_by_numpy_wrappers(x, y)
+        except pl.DomainError:
+            with pytest.raises(pl.DomainError, match="degenerate"):
+                line_fit(x, y)
+            return
+        fitted = line_fit(x, y)
+    assert np.array(fitted).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("x", [[2.0, 2.0], [-0.0, 0.0, 0.0], [5.0] * 7])
+def test_line_fit_refuses_degenerate_abscissae(x):
+    from pinchlab.numerics import line_fit
+
+    with pytest.raises(pl.DomainError, match="degenerate"):
+        line_fit(x, np.arange(len(x), dtype=float))
+    with pytest.raises(pl.DomainError, match="at least two samples"):
+        line_fit(x[:1], [1.0])
 
 
 @pytest.mark.parametrize("name", ["positive_cap_1", "power_warp_1.5"])
@@ -1197,6 +1242,19 @@ def test_level_inversion_keeps_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", ["flat", "positive_cap_1"])
+def test_levels_within_their_slack_take_np_clips_radii(name):
+    # levels 1e-12 outside [0, t_max] are clamped to the ends as np.clip
+    # clamped them, on the closed-form path (flat) and the Newton path
+    pot = pl.solve_radial(pl.library()[name], 1.5, LIBRARY_R0[name], n_grid=256)
+    t = np.array([-1e-12, -0.0, 0.0, 0.5 * pot.t_max, pot.t_max, pot.t_max + 1e-12])
+    clipped = np.clip(t, 0.0, pot.t_max)
+    for got, expected in zip(pot.levels(t), pot._invert(clipped)):
+        assert got.tobytes() == expected.tobytes()
+    radii = pot.levels(t)[0]
+    assert radii[0] == radii[1] == radii[2] == pot.r0 and radii[-2] == radii[-1] == pot.r_trunc
 
 
 def test_level_beyond_truncation_rejected(solved):

@@ -256,6 +256,57 @@ def test_ordering_honours_its_tolerance(solved, tol, ok):
     assert rep.ordering_ok is ok
 
 
+def _ordering_of_ratios(pot, ratios, equal_rows=0):
+    """ordering_check of rows whose dG_fd gives these proportionality ratios
+    (NaN where dG_fd is NaN), plus ``equal_rows`` rows with G == F, which it
+    skips; and np.median of the ratios it fits, as the fit defines them."""
+    n = len(ratios) + equal_rows
+    levels = np.linspace(0.5, 6.0, n)
+    F = np.linspace(12.0, 8.0, n)
+    G = F.copy()
+    G[: len(ratios)] -= 0.25 * np.arange(1, len(ratios) + 1)
+    p, m = pot.p_value, 3.0 - pot.p_value
+    dG = np.zeros(n)
+    dG[: len(ratios)] = np.asarray(ratios, dtype=float) * (G - F)[: len(ratios)]
+    fitted = dG[: len(ratios)] / ((m * m / (p - 1.0)) * (G - F)[: len(ratios)])
+    # a zero or NaN constant makes the spread about it NaN, with numpy's warning
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return pl.ordering_check(pot, {"t": levels, "F": F, "G": G, "dG_fd": dG}), fitted
+
+
+def _same_float(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("ratios, equal_rows", [
+    ([0.4, -1.5, 7.0], 2),  # an odd number of unequal rows
+    ([0.4, -1.5, 7.0, 0.25], 1),  # an even number
+    ([0.4, math.nan, 7.0], 0),  # a NaN ratio
+    ([math.nan, 0.4], 3),
+    ([0.0, -0.0, 0.0], 0),  # a zero median is +0.0, whatever the zeros' signs
+    ([-0.0], 0),
+])
+def test_ordering_fits_numpys_median_of_the_ratios(solved, ratios, equal_rows):
+    # the fitted constant is np.median of the ratios, bit for bit (NaN for
+    # NaN), and the deviation np.max's of their spread about it
+    rep, fitted = _ordering_of_ratios(solved("power_warp", 1.5), ratios, equal_rows)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        median = float(np.median(fitted))
+        max_dev = float(np.max(np.abs(fitted / median - 1.0)))
+    assert _same_float(rep.proportionality_constant, median)
+    assert _same_float(rep.proportionality_max_dev, max_dev)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ratios=st.lists(st.floats(-1e6, 1e6) | st.just(math.nan), min_size=1, max_size=12),
+    equal_rows=st.integers(0, 3),
+)
+def test_ordering_fits_numpys_median_of_any_ratios(solved, ratios, equal_rows):
+    rep, fitted = _ordering_of_ratios(solved("power_warp", 1.5), ratios, equal_rows)
+    assert _same_float(rep.proportionality_constant, float(np.median(fitted)))
+
+
 def test_ordering_level_validation(solved):
     pot = solved("flat", 1.5)
     with pytest.raises(pl.DomainError, match="at least one level"):
