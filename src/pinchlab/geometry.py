@@ -172,26 +172,99 @@ def positive_cap_warp(k: float) -> WarpFunction:
 
 def spline_warp(knots, values, *, smooth_pole: bool = False) -> WarpFunction:
     """C^2 cubic-spline warp through (knots, values); derivatives come from the spline."""
-    knots = np.asarray(knots, dtype=float)
-    values = np.asarray(values, dtype=float)
+    knots = np.array(knots, dtype=float)  # copies: the warp keeps them
+    values = np.array(values, dtype=float)
     if knots.ndim != 1 or knots.size < 4:
         raise DomainError("custom_spline needs at least 4 knots")
     if knots.shape != values.shape:
         raise DomainError("custom_spline knots and values must have equal length")
+    if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+        raise DomainError("custom_spline knots and values must be finite")
     if np.any(np.diff(knots) <= 0.0):
         raise DomainError("custom_spline knots must be strictly increasing")
-    from scipy.interpolate import CubicSpline  # imported here: only spline warps need scipy
+    c3, c2, c1, c0 = _spline_pieces(knots, values)  # not-a-knot: reproduces cubics exactly
+    inner = knots[1:-1]
 
-    spline = CubicSpline(knots, values)  # not-a-knot: reproduces cubics exactly
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
+    def piece(r):
+        # the end pieces extrapolate: r < knots[1] is piece 0, r >= knots[-2] the last
+        i = np.searchsorted(inner, r, side="right")
+        return i, r - knots[i]
+
+    def cubic(i, d):
+        return ((c3[i] * d + c2[i]) * d + c1[i]) * d + c0[i]
+
+    def h(r):
+        return cubic(*piece(r))
 
     def ev(r):
-        return spline(r), d1(r), d2(r)
+        i, d = piece(r)
+        a, b = 3.0 * c3[i], c2[i]
+        return cubic(i, d), (a * d + 2.0 * b) * d + c1[i], 2.0 * (a * d + b)
 
     params = {"knots": tuple(map(float, knots)), "values": tuple(map(float, values))}
-    critical = tuple(float(r) for r in d1.roots() if math.isfinite(r))
-    return WarpFunction("custom_spline", params, smooth_pole, ev, spline, critical)
+    critical = _spline_critical_radii(knots, c3, c2, c1)
+    return WarpFunction("custom_spline", params, smooth_pole, ev, h, critical)
+
+
+def _spline_pieces(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Local coefficients (c3, c2, c1, c0) of the not-a-knot cubic spline
+    through (x, y), x strictly increasing with at least 4 knots: on piece i,
+    h = c3 d^3 + c2 d^2 + c1 d + c0 with d = r - x[i].
+
+    The slopes s at the knots solve one tridiagonal system.  Row i of the
+    inside reads dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] =
+    3 (dx[i] m[i-1] + dx[i-1] m[i]), with m the secant slopes; the
+    not-a-knot end rows (h''' continuous at x[1] and at x[-2]) have two terms
+    each.  Forward elimination swaps a row with the next where the next one's
+    entry below the diagonal is the larger, as LAPACK's gtsv does: the end
+    rows are not diagonally dominant, nor is an inside row whose next piece
+    is much longer.  Back substitution then reads at most two entries right
+    of the diagonal."""
+    n = x.size
+    dx = np.diff(x)
+    m = np.diff(y) / dx
+    lower, diag, upper, rhs = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:])
+    span = x[2] - x[0]
+    diag[0], upper[0] = dx[1], span
+    rhs[0] = ((dx[0] + 2.0 * span) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / span
+    span = x[-1] - x[-3]
+    lower[-1], diag[-1] = span, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * m[-2] + (2.0 * span + dx[-1]) * dx[-2] * m[-1]) / span
+    low, d, up, s = lower[1:].tolist(), diag.tolist(), upper.tolist(), rhs.tolist() + [0.0]
+    fill = [0.0] * n  # what a swap puts two places right of the diagonal
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(low[i]):
+            w = low[i] / d[i]
+            d[i + 1] -= w * up[i]
+            s[i + 1] -= w * s[i]
+        else:
+            w = d[i] / low[i]
+            d[i], d[i + 1], up[i] = low[i], up[i] - w * d[i + 1], d[i + 1]
+            fill[i], up[i + 1] = up[i + 1], -w * up[i + 1]
+            s[i], s[i + 1] = s[i + 1], s[i] - w * s[i + 1]
+    s[-2] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - up[i] * s[i + 1] - fill[i] * s[i + 2]) / d[i]
+    s = np.array(s[:-1])
+    t = (s[:-1] + s[1:] - 2.0 * m) / dx
+    return t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+
+def _spline_critical_radii(x, c3, c2, c1) -> tuple[float, ...]:
+    """The real zeros of h' = 3 c3 d^2 + 2 c2 d + c1 of each spline piece,
+    sorted: inside the piece, x[i] <= r < x[i+1], and also beyond the knots on
+    the two end pieces, as PPoly.roots() takes them.  A piece whose h' is
+    constant has none."""
+    a, b = 3.0 * c3, 2.0 * c2
+    with np.errstate(all="ignore"):  # no real root, or a linear or constant h', gives NaN or inf
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c1), b))
+        d = np.stack([q / a, c1 / q])  # the two roots, each without cancellation
+    lo, hi = np.zeros(x.size - 1), np.diff(x)
+    lo[0], hi[-1] = -math.inf, math.inf
+    inside = np.isfinite(d) & (lo <= d) & (d < hi)
+    return tuple(np.sort((x[:-1] + d)[inside]).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,9 @@ def ordering_check(
     ratios = dG[unequal] / ((m * m / (p - 1.0)) * (G - F)[unequal])
     if ratios.size:
         constant = _median(ratios)
-        max_dev = float(np.abs(ratios / constant - 1.0).max())
+        # the spread about a zero, NaN or subnormal constant is inf or NaN, not a fault
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            max_dev = float(np.abs(ratios / constant - 1.0).max())
     else:
         constant = math.nan
         max_dev = 0.0

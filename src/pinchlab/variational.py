@@ -19,8 +19,7 @@ is zero or subnormal (the minimizer's outer drops underflow for p close to
 1), is refused by name before the fluxes of that drop's block are computed.
 From the cell weights on, the profile is the only array of the mesh's size
 the route builds: its log drops, the certificate and the cross-validation's
-node error are worked out in blocks of _TERM_BLOCK cells.  Nothing iterates,
-and this module imports nothing from scipy.
+node error are worked out in blocks of _TERM_BLOCK cells.  Nothing iterates.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import pytest
 import pinchlab as pl
 from conftest import count_level_queries
 from pinchlab.cli import _config_from_args, build_parser, main, summary_text
+from test_cli_matrix import check_against_manifest
 
 CSV_HEADER = "t,r,area,H,grad_w,F,G,dF_fd,dF_cf,dG_fd,dG_cf,cap,cap_ratio_to_exp_t,gb,willmore,holder_gap"
 
@@ -683,7 +684,7 @@ def test_monotone_loads_no_numpy_ma(tmp_path):
 @pytest.mark.parametrize("model", ["power_warp_1.5", "flat"])
 @pytest.mark.parametrize("command", ["solve", "monotone", "check"])
 def test_scenarios_load_no_scipy(command, model, tmp_path):
-    # the reported constants are exact, so no scenario runs the spline-based audit
+    # scipy is a test dependency only: no scenario loads it
     out = tmp_path / "out.csv"
     argv = (command, "--model", model, "--p", "1.5", "--out", str(out))
     assert _loaded_under("scipy", *argv, cwd=tmp_path) == []
@@ -729,6 +730,31 @@ def test_variational_oracle_loads_no_scipy(model, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
+_SCIPY_BLOCKED_PROBE = """
+import json, sys
+from pathlib import Path
+sys.modules["scipy"] = None  # importing scipy or any subpackage now raises ImportError
+sys.path.insert(0, sys.argv[1])
+from test_cli_matrix import run_matrix
+
+print(json.dumps(run_matrix(Path.cwd())))
+"""
+
+
+def test_every_scenario_runs_with_scipy_blocked(tmp_path):
+    # in a fresh ``python -W error`` that cannot import scipy, solve,
+    # monotone, contradict, check and willmore exit on every library model
+    # with the codes, messages and outputs of the CLI matrix manifest
+    tests = str(Path(__file__).resolve().parent)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _SCIPY_BLOCKED_PROBE, tests],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    check_against_manifest(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_main_rejects_unreadable_config(tmp_path, capsys):

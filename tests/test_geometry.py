@@ -344,6 +344,59 @@ def test_spline_warp_positive_at_interior_minimum():
     assert pl.ManifoldModel(positive, 1.0, 4.0).r_max == 4.0
 
 
+def test_spline_warp_matches_scipys_cubic_spline():
+    # on 200 random knot sets, gaps down to ~1e-6 included: h, h' and h''
+    # within 1e-13 of scipy's not-a-knot CubicSpline, relative to each one's
+    # largest |value|, at the knots, between them and up to 0.5 beyond the
+    # ends; and the same zeros of h', in the pieces and beyond the end knots
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(20261022)
+    for _ in range(200):
+        n = int(rng.integers(4, 301))
+        knots = np.sort(rng.uniform(0.0, 5.0, n))
+        values = rng.uniform(0.5, 2.0, n)
+        warp, spline = pl.geometry.spline_warp(knots, values), CubicSpline(knots, values)
+        r = np.concatenate([knots, rng.uniform(knots[0] - 0.5, knots[-1] + 0.5, 512)])
+        for ours, theirs in zip(warp(r), (spline(r), spline(r, 1), spline(r, 2))):
+            assert np.abs(ours - theirs).max() <= 1e-13 * np.abs(theirs).max()
+        roots = [root for root in spline.derivative().roots() if math.isfinite(root)]
+        np.testing.assert_allclose(warp.critical_radii, np.sort(roots), rtol=1e-13, atol=1e-13)
+
+
+def test_spline_warp_reproduces_a_cubic():
+    # not-a-knot reproduces a cubic: on random non-uniform knots (neighbouring
+    # gaps within a factor 9), h, h' and h'' at the knots and between them are
+    # the cubic's to rounding, 64 eps max|y| / min(gap)^k for the k-th derivative
+    rng = np.random.default_rng(20261023)
+    eps = np.finfo(float).eps
+    for _ in range(100):
+        n = int(rng.integers(4, 301))
+        gaps = rng.uniform(0.2, 1.8, n - 1)
+        knots = np.concatenate([[0.0], np.cumsum(gaps)]) * (5.0 / gaps.sum())
+        c3, c2, c1, c0 = rng.uniform(-2.0, 2.0, 4)
+        r = np.concatenate([knots, rng.uniform(0.0, 5.0, 512)])
+        exact = (((c3 * r + c2) * r + c1) * r + c0, (3.0 * c3 * r + 2.0 * c2) * r + c1,
+                 6.0 * c3 * r + 2.0 * c2)
+        values = ((c3 * knots + c2) * knots + c1) * knots + c0
+        scale = 64.0 * eps * np.abs(values).max()
+        for k, (ours, theirs) in enumerate(zip(pl.geometry.spline_warp(knots, values)(r), exact)):
+            assert np.abs(ours - theirs).max() <= scale / np.diff(knots).min() ** k
+
+
+@pytest.mark.parametrize("knots, values, message", [
+    ([0, 1, 2], [1, 1, 1], "needs at least 4 knots"),
+    ([[0, 1], [2, 3]], [[1, 1], [1, 1]], "needs at least 4 knots"),
+    ([0, 1, 2, 3], [1, 1, 1], "must have equal length"),
+    ([0, 1, 2, math.nan], [1, 1, 1, 1], "must be finite"),
+    ([0, 1, 2, 3], [1, 1, math.inf, 1], "must be finite"),
+    ([0, 1, 1, 3], [1, 1, 1, 1], "strictly increasing"),
+])
+def test_spline_warp_refuses_its_knots_by_name(knots, values, message):
+    with pytest.raises(pl.DomainError, match=f"^custom_spline .*{message}"):
+        pl.geometry.spline_warp(knots, values)
+
+
 def test_warp_h_alone_equals_the_triple_bitwise(rng):
     warps = [model.warp for model in pl.library().values()]
     warps.append(pl.geometry.spline_warp([0, 1, 2, 3, 4], [0.2, 1, 0.5, 1, 2]))

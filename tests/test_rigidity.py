@@ -84,7 +84,7 @@ def test_threshold_equivalence_ten_thousand_pairs():
     assert mismatches == 0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     p=st.floats(min_value=1.001, max_value=1.999),
     alpha=st.floats(min_value=0.001, max_value=2.0),
@@ -107,7 +107,7 @@ def test_select_p_examples():
         pl.select_p(2.0, 1.0)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     alpha=st.floats(min_value=1.01, max_value=2.0),
     margin=st.floats(min_value=0.01, max_value=0.99),
@@ -269,9 +269,7 @@ def _ordering_of_ratios(pot, ratios, equal_rows=0):
     dG = np.zeros(n)
     dG[: len(ratios)] = np.asarray(ratios, dtype=float) * (G - F)[: len(ratios)]
     fitted = dG[: len(ratios)] / ((m * m / (p - 1.0)) * (G - F)[: len(ratios)])
-    # a zero or NaN constant makes the spread about it NaN, with numpy's warning
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return pl.ordering_check(pot, {"t": levels, "F": F, "G": G, "dG_fd": dG}), fitted
+    return pl.ordering_check(pot, {"t": levels, "F": F, "G": G, "dG_fd": dG}), fitted
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -285,19 +283,20 @@ def _same_float(a: float, b: float) -> bool:
     ([math.nan, 0.4], 3),
     ([0.0, -0.0, 0.0], 0),  # a zero median is +0.0, whatever the zeros' signs
     ([-0.0], 0),
+    ([0.0, 1.0, 2.225073858507e-311], 0),  # a subnormal median: the spread overflows to inf
 ])
 def test_ordering_fits_numpys_median_of_the_ratios(solved, ratios, equal_rows):
     # the fitted constant is np.median of the ratios, bit for bit (NaN for
     # NaN), and the deviation np.max's of their spread about it
     rep, fitted = _ordering_of_ratios(solved("power_warp", 1.5), ratios, equal_rows)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         median = float(np.median(fitted))
         max_dev = float(np.max(np.abs(fitted / median - 1.0)))
     assert _same_float(rep.proportionality_constant, median)
     assert _same_float(rep.proportionality_max_dev, max_dev)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     ratios=st.lists(st.floats(-1e6, 1e6) | st.just(math.nan), min_size=1, max_size=12),
     equal_rows=st.integers(0, 3),
